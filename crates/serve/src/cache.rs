@@ -49,7 +49,16 @@ use std::sync::Arc;
 
 use hac_core::pipeline::{Compiled, ExecState};
 
-use crate::Status;
+use crate::{ResultClass, Status};
+
+/// The victim rule both caches evict by: among `(key, last_used,
+/// cost)` entries, the one minimizing `(last_used + cost, last_used,
+/// key)`, returned as that triple.
+fn victim<'a>(entries: impl Iterator<Item = (&'a u64, u64, u64)>) -> Option<(u64, u64, u64)> {
+    entries
+        .map(|(key, last_used, cost)| (last_used + cost, last_used, *key))
+        .min()
+}
 
 /// Counters over the cache's whole life. Reconciliation invariants,
 /// enforced by the eviction proptests:
@@ -136,13 +145,10 @@ impl ProgramCache {
         let mut evicted = 0;
         if self.cap > 0 {
             while self.entries.len() >= self.cap {
-                let victim = self
-                    .entries
-                    .iter()
-                    .map(|(k, e)| (e.last_used + e.cost, e.last_used, *k))
-                    .min()
-                    .expect("cap > 0 and len >= cap imply an entry");
-                self.entries.remove(&victim.2);
+                let (_, _, key) =
+                    victim(self.entries.iter().map(|(k, e)| (k, e.last_used, e.cost)))
+                        .expect("cap > 0 and len >= cap imply an entry");
+                self.entries.remove(&key);
                 self.stats.evictions += 1;
                 self.stats.live -= 1;
                 evicted += 1;
@@ -240,44 +246,45 @@ pub struct FamilyEntry {
 }
 
 #[derive(Debug)]
-enum FullState {
+enum SlotState<T> {
     Pending,
-    Ready(Arc<CachedOutcome>),
+    Ready(Arc<T>),
     Failed,
 }
 
+/// One result-cache entry: a full outcome or a family snapshot.
 #[derive(Debug)]
-enum FamState {
-    Pending,
-    Ready(Arc<FamilyEntry>),
-    Failed,
-}
-
-#[derive(Debug)]
-struct FullSlot {
-    state: FullState,
+pub struct Slot<T> {
+    state: SlotState<T>,
     /// Install token (the installer's admission ordinal): fills and
     /// fails only land when their token matches, so a filler whose
     /// slot was evicted and re-installed cannot resolve the newcomer.
     token: u64,
     last_used: u64,
     cost: u64,
-}
-
-#[derive(Debug)]
-struct FamSlot {
-    state: FamState,
-    token: u64,
-    last_used: u64,
-    cost: u64,
-    /// Ceiling bytes this slot holds (zeroed when a failure refunds
-    /// them early, so eviction never double-refunds).
+    /// Ceiling bytes this slot holds — always 0 for full slots; zeroed
+    /// when a failure refunds them early, so eviction never
+    /// double-refunds.
     bytes: u64,
 }
 
+impl<T> Slot<T> {
+    fn probe(&self) -> Probe<T> {
+        match &self.state {
+            SlotState::Pending => Probe::Pending { token: self.token },
+            SlotState::Ready(v) => Probe::Ready(Arc::clone(v)),
+            SlotState::Failed => Probe::Failed,
+        }
+    }
+
+    fn pending_as(&self, token: u64) -> bool {
+        self.token == token && matches!(self.state, SlotState::Pending)
+    }
+}
+
 /// What an admission-time probe (or an execution-time peek) found.
-#[derive(Debug, Clone)]
-pub enum FullProbe {
+#[derive(Debug)]
+pub enum Probe<T> {
     Absent,
     /// A filler admitted earlier is still executing; `token`
     /// identifies that install so waiters never block on a
@@ -285,17 +292,36 @@ pub enum FullProbe {
     Pending {
         token: u64,
     },
-    Ready(Arc<CachedOutcome>),
+    Ready(Arc<T>),
     Failed,
 }
 
-/// [`FullProbe`] for family slots.
-#[derive(Debug, Clone)]
-pub enum FamilyProbe {
-    Absent,
-    Pending { token: u64 },
-    Ready(Arc<FamilyEntry>),
-    Failed,
+/// A value the result cache stores: selects the slot map a generic
+/// [`ResultCache`] method addresses.
+pub trait Payload: Sized {
+    /// Whether an admission probe of this kind counts a lookup. Only
+    /// the full-key probe does: a family probe always follows its
+    /// request's full-key probe.
+    const COUNTS_LOOKUP: bool;
+
+    /// The map holding this payload's slots.
+    fn slots(rc: &mut ResultCache) -> &mut HashMap<u64, Slot<Self>>;
+}
+
+impl Payload for CachedOutcome {
+    const COUNTS_LOOKUP: bool = true;
+
+    fn slots(rc: &mut ResultCache) -> &mut HashMap<u64, Slot<Self>> {
+        &mut rc.full
+    }
+}
+
+impl Payload for FamilyEntry {
+    const COUNTS_LOOKUP: bool = false;
+
+    fn slots(rc: &mut ResultCache) -> &mut HashMap<u64, Slot<Self>> {
+        &mut rc.family
+    }
 }
 
 /// What an install displaced: evicted entry count plus any family
@@ -313,16 +339,16 @@ pub struct Evicted {
 /// `Mutex` paired with a `Condvar` for slot waiters.
 ///
 /// Membership and recency change **only** through the admission-path
-/// methods ([`ResultCache::probe_full`], [`ResultCache::install_full`],
-/// [`ResultCache::probe_family`], [`ResultCache::install_family`]) —
+/// methods ([`ResultCache::probe`], [`ResultCache::install`]) —
 /// eviction is therefore a pure function of the admission sequence.
-/// Execution threads resolve slots with the fill/fail methods, which
-/// change state in place and never touch membership.
+/// Execution threads resolve slots with [`ResultCache::fill`] and
+/// [`ResultCache::fail`], which change state in place and never touch
+/// membership.
 #[derive(Debug)]
 pub struct ResultCache {
     cap: usize,
-    full: HashMap<u64, FullSlot>,
-    family: HashMap<u64, FamSlot>,
+    full: HashMap<u64, Slot<CachedOutcome>>,
+    family: HashMap<u64, Slot<FamilyEntry>>,
     stats: ResultCacheStats,
 }
 
@@ -342,200 +368,98 @@ impl ResultCache {
         }
     }
 
-    /// Admission-time probe of the full key: counts one lookup and
-    /// stamps recency on `Ready`.
-    pub fn probe_full(&mut self, key: u64, ordinal: u64) -> FullProbe {
-        self.stats.lookups += 1;
-        match self.full.get_mut(&key) {
-            Some(slot) => {
-                if let FullState::Ready(o) = &slot.state {
-                    slot.last_used = ordinal;
-                    return FullProbe::Ready(Arc::clone(o));
-                }
-                match &slot.state {
-                    FullState::Pending => FullProbe::Pending { token: slot.token },
-                    FullState::Failed => FullProbe::Failed,
-                    FullState::Ready(_) => unreachable!(),
-                }
-            }
-            None => FullProbe::Absent,
+    /// Admission-time probe: stamps recency on `Ready`, and counts one
+    /// lookup when `T` is the full outcome.
+    pub fn probe<T: Payload>(&mut self, key: u64, ordinal: u64) -> Probe<T> {
+        if T::COUNTS_LOOKUP {
+            self.stats.lookups += 1;
         }
+        let Some(slot) = T::slots(self).get_mut(&key) else {
+            return Probe::Absent;
+        };
+        if matches!(slot.state, SlotState::Ready(_)) {
+            slot.last_used = ordinal;
+        }
+        slot.probe()
     }
 
     /// Execution-time peek (no stats, no recency) for waiters parked
     /// on a `Pending` slot.
-    pub fn peek_full(&self, key: u64) -> FullProbe {
-        match self.full.get(&key) {
-            Some(slot) => match &slot.state {
-                FullState::Pending => FullProbe::Pending { token: slot.token },
-                FullState::Ready(o) => FullProbe::Ready(Arc::clone(o)),
-                FullState::Failed => FullProbe::Failed,
-            },
-            None => FullProbe::Absent,
-        }
+    pub fn peek<T: Payload>(&mut self, key: u64) -> Probe<T> {
+        T::slots(self).get(&key).map_or(Probe::Absent, Slot::probe)
     }
 
-    /// Install a `Pending` full slot: the installing request becomes
-    /// the slot's filler. Replaces a `Failed` tombstone in place;
-    /// inserting a new key first evicts to capacity.
-    pub fn install_full(&mut self, key: u64, ordinal: u64, cost: u64) -> Evicted {
-        let cost = cost.max(1);
-        if let Some(slot) = self.full.get_mut(&key) {
-            slot.state = FullState::Pending;
-            slot.token = ordinal;
-            slot.last_used = ordinal;
-            slot.cost = cost;
-            return Evicted::default();
-        }
-        let evicted = self.evict_to_cap();
-        self.full.insert(
-            key,
-            FullSlot {
-                state: FullState::Pending,
-                token: ordinal,
-                last_used: ordinal,
-                cost,
-            },
-        );
-        self.stats.live += 1;
-        evicted
-    }
-
-    /// Resolve a `Pending` full slot to `Ready`. Lands only when the
-    /// slot still exists, is pending, and carries `token` (otherwise
-    /// the slot was evicted or re-installed and the fill is dropped).
-    /// Returns whether it landed.
-    pub fn fill_full(&mut self, key: u64, token: u64, outcome: Arc<CachedOutcome>) -> bool {
-        match self.full.get_mut(&key) {
-            Some(slot) if slot.token == token && matches!(slot.state, FullState::Pending) => {
-                slot.state = FullState::Ready(outcome);
-                self.stats.insertions += 1;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Resolve a `Pending` full slot to `Failed` (the filler died
-    /// without an outcome). Token-gated like [`ResultCache::fill_full`].
-    pub fn fail_full(&mut self, key: u64, token: u64) {
-        if let Some(slot) = self.full.get_mut(&key) {
-            if slot.token == token && matches!(slot.state, FullState::Pending) {
-                slot.state = FullState::Failed;
-            }
-        }
-    }
-
-    /// Admission-time probe of a family key (no lookup count — the
-    /// full-key probe already counted this request).
-    pub fn probe_family(&mut self, fkey: u64, ordinal: u64) -> FamilyProbe {
-        match self.family.get_mut(&fkey) {
-            Some(slot) => {
-                if let FamState::Ready(f) = &slot.state {
-                    slot.last_used = ordinal;
-                    return FamilyProbe::Ready(Arc::clone(f));
-                }
-                match &slot.state {
-                    FamState::Pending => FamilyProbe::Pending { token: slot.token },
-                    FamState::Failed => FamilyProbe::Failed,
-                    FamState::Ready(_) => unreachable!(),
-                }
-            }
-            None => FamilyProbe::Absent,
-        }
-    }
-
-    /// Execution-time peek for delta waiters.
-    pub fn peek_family(&self, fkey: u64) -> FamilyProbe {
-        match self.family.get(&fkey) {
-            Some(slot) => match &slot.state {
-                FamState::Pending => FamilyProbe::Pending { token: slot.token },
-                FamState::Ready(f) => FamilyProbe::Ready(Arc::clone(f)),
-                FamState::Failed => FamilyProbe::Failed,
-            },
-            None => FamilyProbe::Absent,
-        }
-    }
-
-    /// Install a `Pending` family slot holding `bytes` of (already
-    /// ceiling-reserved) snapshot memory.
-    pub fn install_family(&mut self, fkey: u64, ordinal: u64, cost: u64, bytes: u64) -> Evicted {
-        let cost = cost.max(1);
-        if let Some(slot) = self.family.get_mut(&fkey) {
-            // Replacing a tombstone: its bytes were refunded when it
-            // failed (or it never held any), so only the delta counts.
-            let freed = slot.bytes;
+    /// Install a `Pending` slot holding `bytes` of (already
+    /// ceiling-reserved) memory — 0 for full outcomes. The installing
+    /// request becomes the slot's filler. A `Failed` tombstone is
+    /// replaced in place (its bytes were refunded when it failed, so
+    /// only the difference counts); a new key first evicts to capacity.
+    pub fn install<T: Payload>(
+        &mut self,
+        key: u64,
+        ordinal: u64,
+        cost: u64,
+        bytes: u64,
+    ) -> Evicted {
+        let slot = Slot {
+            state: SlotState::Pending,
+            token: ordinal,
+            last_used: ordinal,
+            cost: cost.max(1),
+            bytes,
+        };
+        let evicted = if let Some(old) = T::slots(self).get_mut(&key) {
+            let freed = std::mem::replace(old, slot).bytes;
             self.stats.resident_bytes -= freed;
-            slot.state = FamState::Pending;
-            slot.token = ordinal;
-            slot.last_used = ordinal;
-            slot.cost = cost;
-            slot.bytes = bytes;
-            self.stats.resident_bytes += bytes;
-            return Evicted {
+            Evicted {
                 entries: 0,
                 bytes: freed,
-            };
-        }
-        let evicted = self.evict_to_cap();
-        self.family.insert(
-            fkey,
-            FamSlot {
-                state: FamState::Pending,
-                token: ordinal,
-                last_used: ordinal,
-                cost,
-                bytes,
-            },
-        );
-        self.stats.live += 1;
+            }
+        } else {
+            let evicted = self.evict_to_cap();
+            T::slots(self).insert(key, slot);
+            self.stats.live += 1;
+            evicted
+        };
         self.stats.resident_bytes += bytes;
         evicted
     }
 
-    /// Resolve a `Pending` family slot to `Ready`. Token-gated;
-    /// returns whether it landed (a dropped fill wastes only the
-    /// snapshot clone — its install's bytes were refunded when the
-    /// slot was evicted).
-    pub fn fill_family(&mut self, fkey: u64, token: u64, entry: Arc<FamilyEntry>) -> bool {
-        match self.family.get_mut(&fkey) {
-            Some(slot) if slot.token == token && matches!(slot.state, FamState::Pending) => {
-                slot.state = FamState::Ready(entry);
-                self.stats.insertions += 1;
-                true
-            }
-            _ => false,
+    /// Resolve a `Pending` slot to `Ready`. Lands only when the slot
+    /// still exists, is pending, and carries `token` (otherwise the
+    /// slot was evicted or re-installed and the fill is dropped — a
+    /// dropped family fill wastes only the snapshot clone, its bytes
+    /// were refunded at eviction). Returns whether it landed.
+    pub fn fill<T: Payload>(&mut self, key: u64, token: u64, value: Arc<T>) -> bool {
+        let Some(slot) = T::slots(self).get_mut(&key).filter(|s| s.pending_as(token)) else {
+            return false;
+        };
+        slot.state = SlotState::Ready(value);
+        self.stats.insertions += 1;
+        true
+    }
+
+    /// Resolve a `Pending` slot to `Failed` (the filler died without a
+    /// value), releasing its bytes early. Token-gated like
+    /// [`ResultCache::fill`]. Returns the bytes the caller must refund
+    /// to the ceiling (0 when the fail did not land).
+    pub fn fail<T: Payload>(&mut self, key: u64, token: u64) -> u64 {
+        let Some(slot) = T::slots(self).get_mut(&key).filter(|s| s.pending_as(token)) else {
+            return 0;
+        };
+        slot.state = SlotState::Failed;
+        let bytes = std::mem::take(&mut slot.bytes);
+        self.stats.resident_bytes -= bytes;
+        bytes
+    }
+
+    /// Count one realized request of `class`.
+    pub fn record(&mut self, class: ResultClass) {
+        match class {
+            ResultClass::Hit => self.stats.hits += 1,
+            ResultClass::Delta => self.stats.deltas += 1,
+            ResultClass::Miss => self.stats.misses += 1,
         }
-    }
-
-    /// Resolve a `Pending` family slot to `Failed`, releasing its
-    /// bytes early. Returns the bytes the caller must refund to the
-    /// ceiling (0 when the fail did not land).
-    pub fn fail_family(&mut self, fkey: u64, token: u64) -> u64 {
-        match self.family.get_mut(&fkey) {
-            Some(slot) if slot.token == token && matches!(slot.state, FamState::Pending) => {
-                let bytes = std::mem::take(&mut slot.bytes);
-                self.stats.resident_bytes -= bytes;
-                slot.state = FamState::Failed;
-                bytes
-            }
-            _ => 0,
-        }
-    }
-
-    /// Count one realized hit (served from a cached outcome).
-    pub fn record_hit(&mut self) {
-        self.stats.hits += 1;
-    }
-
-    /// Count one realized delta.
-    pub fn record_delta(&mut self) {
-        self.stats.deltas += 1;
-    }
-
-    /// Count one realized miss (full run, including fallbacks).
-    pub fn record_miss(&mut self) {
-        self.stats.misses += 1;
     }
 
     /// A copy of the life-to-date counters.
@@ -545,36 +469,27 @@ impl ResultCache {
 
     /// Evict until there is room for one more entry. The victim rule
     /// is the program cache's, totalized across both maps: minimize
-    /// `(last_used + cost, last_used, map, key)`. Pending slots are
-    /// evicted like any other — membership must stay a pure function
-    /// of the admission sequence, and fillers/waiters tolerate a
-    /// vanished slot (token-gated fills drop; waiters fall back to a
-    /// full run).
+    /// `(last_used + cost, last_used, map, key)`, full before family.
+    /// Pending slots are evicted like any other — membership must stay
+    /// a pure function of the admission sequence, and fillers/waiters
+    /// tolerate a vanished slot (token-gated fills drop; waiters fall
+    /// back to a full run).
     fn evict_to_cap(&mut self) -> Evicted {
         let mut out = Evicted::default();
-        if self.cap == 0 {
-            return out;
-        }
-        while self.full.len() + self.family.len() >= self.cap {
-            let full_victim = self
-                .full
-                .iter()
-                .map(|(k, s)| (s.last_used + s.cost, s.last_used, 0u8, *k))
-                .min();
-            let fam_victim = self
-                .family
-                .iter()
-                .map(|(k, s)| (s.last_used + s.cost, s.last_used, 1u8, *k))
-                .min();
-            let Some(victim) = full_victim.min(fam_victim) else {
+        while self.cap > 0 && self.full.len() + self.family.len() >= self.cap {
+            let full = victim(self.full.iter().map(|(k, s)| (k, s.last_used, s.cost)))
+                .map(|(score, last_used, key)| (score, last_used, false, key));
+            let family = victim(self.family.iter().map(|(k, s)| (k, s.last_used, s.cost)))
+                .map(|(score, last_used, key)| (score, last_used, true, key));
+            let Some((_, _, in_family, key)) = full.into_iter().chain(family).min() else {
                 break;
             };
-            if victim.2 == 0 {
-                self.full.remove(&victim.3);
-            } else {
-                let slot = self.family.remove(&victim.3).expect("victim exists");
+            if in_family {
+                let slot = self.family.remove(&key).expect("victim exists");
                 self.stats.resident_bytes -= slot.bytes;
                 out.bytes += slot.bytes;
+            } else {
+                self.full.remove(&key);
             }
             self.stats.evictions += 1;
             self.stats.live -= 1;
@@ -673,16 +588,16 @@ mod tests {
     #[test]
     fn result_slots_resolve_through_the_pending_protocol() {
         let mut c = ResultCache::new(8);
-        assert!(matches!(c.probe_full(7, 0), FullProbe::Absent));
-        c.install_full(7, 0, 2);
+        assert!(matches!(c.probe::<CachedOutcome>(7, 0), Probe::Absent));
+        c.install::<CachedOutcome>(7, 0, 2, 0);
         assert!(matches!(
-            c.probe_full(7, 1),
-            FullProbe::Pending { token: 0 }
+            c.probe::<CachedOutcome>(7, 1),
+            Probe::Pending { token: 0 }
         ));
-        assert!(c.fill_full(7, 0, outcome()));
-        assert!(matches!(c.probe_full(7, 2), FullProbe::Ready(_)));
+        assert!(c.fill(7, 0, outcome()));
+        assert!(matches!(c.probe::<CachedOutcome>(7, 2), Probe::Ready(_)));
         // A second fill with a stale token is dropped.
-        assert!(!c.fill_full(7, 0, outcome()));
+        assert!(!c.fill(7, 0, outcome()));
         let s = c.result_stats();
         assert_eq!((s.lookups, s.insertions, s.live), (3, 1, 1));
     }
@@ -690,14 +605,14 @@ mod tests {
     #[test]
     fn failed_slots_are_tombstones_until_reinstalled() {
         let mut c = ResultCache::new(8);
-        c.install_full(7, 0, 1);
-        c.fail_full(7, 0);
-        assert!(matches!(c.probe_full(7, 1), FullProbe::Failed));
+        c.install::<CachedOutcome>(7, 0, 1, 0);
+        c.fail::<CachedOutcome>(7, 0);
+        assert!(matches!(c.probe::<CachedOutcome>(7, 1), Probe::Failed));
         // Re-install in place: no membership change, fresh token.
-        assert_eq!(c.install_full(7, 2, 1), Evicted::default());
+        assert_eq!(c.install::<CachedOutcome>(7, 2, 1, 0), Evicted::default());
         assert!(matches!(
-            c.probe_full(7, 3),
-            FullProbe::Pending { token: 2 }
+            c.probe::<CachedOutcome>(7, 3),
+            Probe::Pending { token: 2 }
         ));
         assert_eq!(c.result_stats().live, 1);
     }
@@ -705,30 +620,30 @@ mod tests {
     #[test]
     fn family_bytes_are_charged_and_refunded_exactly_once() {
         let mut c = ResultCache::new(8);
-        c.install_family(9, 0, 1, 640);
+        c.install::<FamilyEntry>(9, 0, 1, 640);
         assert_eq!(c.result_stats().resident_bytes, 640);
         // Failure refunds early; the tombstone holds nothing.
-        assert_eq!(c.fail_family(9, 0), 640);
+        assert_eq!(c.fail::<FamilyEntry>(9, 0), 640);
         assert_eq!(c.result_stats().resident_bytes, 0);
         // A stale fail (wrong token) refunds nothing.
-        assert_eq!(c.fail_family(9, 0), 0);
+        assert_eq!(c.fail::<FamilyEntry>(9, 0), 0);
         // Re-install charges again; fill keeps the charge resident.
-        c.install_family(9, 1, 1, 640);
-        assert!(c.fill_family(9, 1, family()));
+        c.install::<FamilyEntry>(9, 1, 1, 640);
+        assert!(c.fill(9, 1, family()));
         assert_eq!(c.result_stats().resident_bytes, 640);
-        assert!(matches!(c.probe_family(9, 2), FamilyProbe::Ready(_)));
+        assert!(matches!(c.probe::<FamilyEntry>(9, 2), Probe::Ready(_)));
     }
 
     #[test]
     fn eviction_spans_both_maps_and_frees_family_bytes() {
         let mut c = ResultCache::new(2);
-        c.install_full(1, 0, 1);
-        assert!(c.fill_full(1, 0, outcome()));
-        c.install_family(2, 1, 1, 100);
-        assert!(c.fill_family(2, 1, family()));
+        c.install::<CachedOutcome>(1, 0, 1, 0);
+        assert!(c.fill(1, 0, outcome()));
+        c.install::<FamilyEntry>(2, 1, 1, 100);
+        assert!(c.fill(2, 1, family()));
         // Touch the family entry so the full entry is the victim.
-        assert!(matches!(c.probe_family(2, 2), FamilyProbe::Ready(_)));
-        let ev = c.install_full(3, 3, 1);
+        assert!(matches!(c.probe::<FamilyEntry>(2, 2), Probe::Ready(_)));
+        let ev = c.install::<CachedOutcome>(3, 3, 1, 0);
         assert_eq!(
             ev,
             Evicted {
@@ -736,11 +651,14 @@ mod tests {
                 bytes: 0
             }
         );
-        assert!(matches!(c.probe_full(1, 4), FullProbe::Absent));
+        assert!(matches!(c.probe::<CachedOutcome>(1, 4), Probe::Absent));
         // Now the family snapshot is the stalest; evicting it frees
         // its bytes for the caller to refund.
-        assert!(matches!(c.probe_full(3, 5), FullProbe::Pending { .. }));
-        let ev = c.install_full(4, 6, 1);
+        assert!(matches!(
+            c.probe::<CachedOutcome>(3, 5),
+            Probe::Pending { .. }
+        ));
+        let ev = c.install::<CachedOutcome>(4, 6, 1, 0);
         assert_eq!(
             ev,
             Evicted {
@@ -751,5 +669,17 @@ mod tests {
         assert_eq!(c.result_stats().resident_bytes, 0);
         let s = c.result_stats();
         assert_eq!((s.evictions, s.live), (2, 2));
+    }
+
+    #[test]
+    fn capacity_holds_while_one_map_is_empty() {
+        let mut c = ResultCache::new(1);
+        c.install::<CachedOutcome>(1, 0, 1, 0);
+        // The family map is empty, yet installing into it must still
+        // evict the full entry to stay within capacity.
+        let ev = c.install::<FamilyEntry>(2, 0, 1, 64);
+        assert_eq!(ev.entries, 1);
+        let s = c.result_stats();
+        assert_eq!((s.live, s.resident_bytes), (1, 64));
     }
 }

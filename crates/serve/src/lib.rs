@@ -40,7 +40,7 @@ pub mod json;
 pub mod sched;
 
 use cache::{
-    CacheStats, CachedOutcome, FamilyEntry, FamilyProbe, FullProbe, ProgramCache, ResultCache,
+    CacheStats, CachedOutcome, FamilyEntry, Payload, Probe, ProgramCache, ResultCache,
     ResultCacheStats,
 };
 use json::Json;
@@ -664,6 +664,27 @@ fn limit_key(h: u64, v: Option<u64>) -> u64 {
     }
 }
 
+/// FNV-1a over `source`, then over `params` sorted by name and value —
+/// the prefix every cache key starts from, so the order bindings were
+/// given in never splits a key.
+fn source_key<'a>(source: &str, params: impl Iterator<Item = &'a (String, i64)>) -> u64 {
+    let mut params: Vec<&(String, i64)> = params.collect();
+    params.sort();
+    params
+        .into_iter()
+        .fold(fnv1a(FNV_OFFSET, source.as_bytes()), |h, (k, v)| {
+            fnv1a(fnv1a(h, k.as_bytes()), &v.to_le_bytes())
+        })
+}
+
+/// The compiled-program key: source, params, mode, and engine.
+fn program_key(req: &Request, mode: ExecMode, engine: Engine) -> u64 {
+    fnv1a(
+        source_key(&req.source, req.params.iter()),
+        &[mode as u8, engine as u8],
+    )
+}
+
 /// The memoized-result key: every bit of request state the terminal
 /// outcome is a pure function of — source, params, seed, mode,
 /// engine, and the *effective* limits (post deadline conversion and
@@ -672,13 +693,7 @@ fn limit_key(h: u64, v: Option<u64>) -> u64 {
 /// re-check. Thread count is deliberately absent: the determinism
 /// contract makes outcomes thread-invariant.
 fn result_key(req: &Request, mode: ExecMode, engine: Engine, limits: Limits) -> u64 {
-    let mut h = fnv1a(FNV_OFFSET, req.source.as_bytes());
-    let mut params = req.params.clone();
-    params.sort();
-    for (k, v) in &params {
-        h = fnv1a(h, k.as_bytes());
-        h = fnv1a(h, &v.to_le_bytes());
-    }
+    let mut h = source_key(&req.source, req.params.iter());
     h = fnv1a(h, &req.seed.to_le_bytes());
     h = fnv1a(h, &[mode as u8, engine as u8, 0xF1]);
     h = limit_key(h, limits.fuel);
@@ -692,17 +707,10 @@ fn result_key(req: &Request, mode: ExecMode, engine: Engine, limits: Limits) -> 
 /// the prefix state is identical across the family precisely because
 /// those parameters appear nowhere outside the trailing update).
 fn family_key(req: &Request, delta_params: &[String], mode: ExecMode, engine: Engine) -> u64 {
-    let mut h = fnv1a(FNV_OFFSET, req.source.as_bytes());
-    let mut params: Vec<&(String, i64)> = req
-        .params
-        .iter()
-        .filter(|(k, _)| !delta_params.iter().any(|d| d == k))
-        .collect();
-    params.sort();
-    for (k, v) in params {
-        h = fnv1a(h, k.as_bytes());
-        h = fnv1a(h, &v.to_le_bytes());
-    }
+    let mut h = source_key(
+        &req.source,
+        req.params.iter().filter(|(k, _)| !delta_params.contains(k)),
+    );
     let mut names: Vec<&String> = delta_params.iter().collect();
     names.sort();
     for n in names {
@@ -716,8 +724,7 @@ fn family_key(req: &Request, delta_params: &[String], mode: ExecMode, engine: En
 
 /// The request's effective limits: its own caps, with a deadline
 /// converted to fuel at the calibrated rate (the *tighter* of the two
-/// fuel numbers wins when both are given). A free function so the
-/// pure classification predictor shares it with admission.
+/// fuel numbers wins when both are given).
 fn effective_limits(deadline: Option<&DeadlineGovernor>, req: &Request) -> Result<Limits, String> {
     let mut fuel = req.fuel;
     if let Some(ms) = req.deadline_ms {
@@ -769,19 +776,13 @@ enum ResultRoute {
         ftoken: u64,
     },
     /// Cold: run the full pipeline and fill the result slot — and the
-    /// family slot, when this request was elected the family filler.
+    /// family slot `(fkey, token)`, when this request was elected the
+    /// family filler (its bytes were ceiling-reserved at admission).
     Miss {
         key: u64,
         token: u64,
-        family: Option<FamilyFill>,
+        family: Option<(u64, u64)>,
     },
-}
-
-/// The family-filler obligation: snapshot the prefix into `fkey`
-/// (whose bytes were ceiling-reserved at admission).
-struct FamilyFill {
-    fkey: u64,
-    token: u64,
 }
 
 /// Drop guard for a filler's `Pending` slots: any path that returns
@@ -801,10 +802,10 @@ impl Drop for FillGuard<'_> {
         }
         let mut rc = self.server.results.lock().expect("result cache lock");
         if let Some((key, token)) = self.full.take() {
-            rc.fail_full(key, token);
+            rc.fail::<CachedOutcome>(key, token);
         }
         if let Some((fkey, token)) = self.family.take() {
-            let bytes = rc.fail_family(fkey, token);
+            let bytes = rc.fail::<FamilyEntry>(fkey, token);
             self.server.ceiling.refund_mem(bytes);
         }
         drop(rc);
@@ -976,28 +977,24 @@ impl Server {
     }
 
     /// The result-cache classification — `hit`, `delta`, `miss`, or
-    /// `None` (bypass / shed / rejected / compile error) — a server
-    /// built from `options` realizes for each request of `reqs`, in
-    /// input order, as a *pure* function of the request list (the
-    /// result-cache sibling of [`Server::predicted_schedule`]).
+    /// `None` (bypass / shed / rejected / compile error) — a fresh
+    /// server built from `options` realizes for each request of
+    /// `reqs`, in input order, as a *pure* function of the request list
+    /// (the result-cache sibling of [`Server::predicted_schedule`]).
     ///
-    /// The prediction replays the admission sequence against a scratch
-    /// [`ResultCache`] with every filler assumed to succeed instantly,
-    /// so it is exact on a **fresh** server whose ceiling admits every
-    /// request (uncapped or ample) and whose runs all succeed; fillers
-    /// that fail or lose their slot to races shift realized `hit`s to
-    /// `miss`es, never the reverse.
+    /// The prediction *is* the admission code: a scratch server admits
+    /// the requests in the scheduled order, each route's class is
+    /// read off, every meter settles untouched, and every fill
+    /// obligation resolves at once as if its run had succeeded. It is
+    /// therefore exact under any ceiling, provided every admitted run
+    /// succeeds on its route (a delta that falls back to a full run
+    /// realizes `miss`) and the pool covers the batch's spend.
     pub fn predicted_result_classes(
         options: &ServeOptions,
         reqs: &[Request],
     ) -> Vec<Option<ResultClass>> {
-        let schedule = Self::predicted_schedule(reqs, options.shed_watermark);
-        let mut classes: Vec<Option<ResultClass>> = vec![None; reqs.len()];
-        if options.result_cache_cap == 0 || faults_active(options) {
-            return classes;
-        }
-        let mut rc = ResultCache::new(options.result_cache_cap);
-        let dummy_outcome = Arc::new(CachedOutcome {
+        let server = Server::new(options.clone());
+        let outcome = Arc::new(CachedOutcome {
             status: Status::Ok,
             answer_digest: None,
             counters_digest: None,
@@ -1005,114 +1002,40 @@ impl Server {
             engine_faults: 0,
             error: None,
         });
-        // Only the keys and recency drive classification, so the slot
-        // payloads can be placeholders.
-        let dummy_family = Arc::new(FamilyEntry {
+        let snapshot = Arc::new(FamilyEntry {
             state: ExecState::default(),
             prefix_fuel: None,
             prefix_mem: None,
         });
-        // Every scheduled (non-shed) request consumes one admission
-        // ordinal, rejected ones included. Recency comparisons are
-        // offset-invariant, so starting from 0 predicts any fresh
-        // server regardless of its ordinal origin.
-        for (ord, &idx) in (0u64..).zip(schedule.order.iter()) {
-            let req = &reqs[idx];
-            let mode = req.mode.unwrap_or(options.mode);
-            let engine = req.engine.unwrap_or(options.engine);
-            let Ok(mut limits) = effective_limits(options.deadline.as_ref(), req) else {
+        let mut classes = vec![None; reqs.len()];
+        for &i in &Self::predicted_schedule(reqs, options.shed_watermark).order {
+            let Ok(mut adm) = server.admit(&reqs[i]) else {
                 continue;
             };
-            let Ok(program) = hac_lang::parser::parse_program(&req.source) else {
-                continue;
+            adm.meter.settle();
+            let (class, full, family) = match adm.route {
+                ResultRoute::Bypass => (None, None, None),
+                ResultRoute::Hit(_) | ResultRoute::WaitHit { .. } => {
+                    (Some(ResultClass::Hit), None, None)
+                }
+                ResultRoute::Delta { key, token, .. }
+                | ResultRoute::WaitDelta { key, token, .. } => {
+                    (Some(ResultClass::Delta), Some((key, token)), None)
+                }
+                ResultRoute::Miss { key, token, family } => {
+                    (Some(ResultClass::Miss), Some((key, token)), family)
+                }
             };
-            let mut env = ConstEnv::new();
-            for (k, v) in &req.params {
-                env.bind(k, *v);
+            classes[i] = class;
+            let mut rc = server.results.lock().expect("result cache lock");
+            if let Some((key, token)) = full {
+                rc.fill(key, token, Arc::clone(&outcome));
             }
-            let Ok(compiled) = compile(
-                &program,
-                &env,
-                &CompileOptions {
-                    mode,
-                    engine,
-                    fuse: options.fuse,
-                    ..CompileOptions::default()
-                },
-            ) else {
-                continue;
-            };
-            // Mirror certificate admission: exact certs reject
-            // under-budget requests and pin uncapped fuel under a
-            // fuel-capped ceiling.
-            let cert = &compiled.cert;
-            if cert.is_exact() {
-                let cert_fuel = cert.fuel_value().unwrap_or(u64::MAX);
-                let cert_mem = cert.mem_value().unwrap_or(u64::MAX);
-                if limits.fuel.is_some_and(|f| f < cert_fuel)
-                    || limits.mem_bytes.is_some_and(|m| m < cert_mem)
-                {
-                    continue;
-                }
-                if limits.fuel.is_none() && options.ceiling.fuel.is_some() {
-                    limits.fuel = Some(cert_fuel);
-                }
-            }
-            // A capped ceiling with no per-request cap draws the pool
-            // lazily — the realized route is Bypass.
-            if (options.ceiling.fuel.is_some() && limits.fuel.is_none())
-                || (options.ceiling.mem_bytes.is_some() && limits.mem_bytes.is_none())
-            {
-                continue;
-            }
-            let key = result_key(req, mode, engine, limits);
-            let cost = (compiled.units.len() as u64).max(1);
-            match rc.probe_full(key, ord) {
-                FullProbe::Ready(_) | FullProbe::Pending { .. } => {
-                    classes[idx] = Some(ResultClass::Hit);
-                    continue;
-                }
-                FullProbe::Absent | FullProbe::Failed => {}
-            }
-            rc.install_full(key, ord, cost);
-            // The filler is assumed to succeed: resolve its slot
-            // before the next replay step, like the real fill would.
-            rc.fill_full(key, ord, Arc::clone(&dummy_outcome));
-            match &compiled.delta {
-                None => classes[idx] = Some(ResultClass::Miss),
-                Some(plan) => {
-                    let fkey = family_key(req, &plan.params, mode, engine);
-                    match rc.probe_family(fkey, ord) {
-                        FamilyProbe::Ready(_) | FamilyProbe::Pending { .. } => {
-                            classes[idx] = Some(ResultClass::Delta);
-                        }
-                        FamilyProbe::Absent | FamilyProbe::Failed => {
-                            rc.install_family(
-                                fkey,
-                                ord,
-                                cost.saturating_sub(1).max(1),
-                                plan.prefix_bytes,
-                            );
-                            rc.fill_family(fkey, ord, Arc::clone(&dummy_family));
-                            classes[idx] = Some(ResultClass::Miss);
-                        }
-                    }
-                }
+            if let Some((fkey, token)) = family {
+                rc.fill(fkey, token, Arc::clone(&snapshot));
             }
         }
         classes
-    }
-
-    fn cache_key(&self, req: &Request, mode: ExecMode, engine: Engine) -> u64 {
-        let mut h = fnv1a(FNV_OFFSET, req.source.as_bytes());
-        let mut params = req.params.clone();
-        params.sort();
-        for (k, v) in &params {
-            h = fnv1a(h, k.as_bytes());
-            h = fnv1a(h, &v.to_le_bytes());
-        }
-        h = fnv1a(h, &[mode as u8, engine as u8]);
-        h
     }
 
     /// Compile via the bounded cache, stamping recency (and any
@@ -1127,7 +1050,7 @@ impl Server {
         engine: Engine,
         ordinal: u64,
     ) -> Result<(Arc<Compiled>, bool, u64), String> {
-        let key = self.cache_key(req, mode, engine);
+        let key = program_key(req, mode, engine);
         if let Some(hit) = self.cache.lock().expect("cache lock").lookup(key, ordinal) {
             return Ok((hit, true, 0));
         }
@@ -1185,15 +1108,15 @@ impl Server {
             return ResultRoute::Bypass;
         }
         let key = result_key(req, mode, engine, limits);
-        let cost = (compiled.units.len() as u64).max(1);
+        let cost = compiled.units.len() as u64;
         let mut rc = self.results.lock().expect("result cache lock");
-        match rc.probe_full(key, ordinal) {
-            FullProbe::Ready(o) => return ResultRoute::Hit(o),
-            FullProbe::Pending { token } => return ResultRoute::WaitHit { key, token },
-            FullProbe::Absent | FullProbe::Failed => {}
+        match rc.probe::<CachedOutcome>(key, ordinal) {
+            Probe::Ready(o) => return ResultRoute::Hit(o),
+            Probe::Pending { token } => return ResultRoute::WaitHit { key, token },
+            Probe::Absent | Probe::Failed => {}
         }
         // Cold at the full key: this request becomes its filler.
-        let mut freed = rc.install_full(key, ordinal, cost);
+        let mut freed = rc.install::<CachedOutcome>(key, ordinal, cost, 0).bytes;
         let route = match &compiled.delta {
             None => ResultRoute::Miss {
                 key,
@@ -1202,54 +1125,43 @@ impl Server {
             },
             Some(plan) => {
                 let fkey = family_key(req, &plan.params, mode, engine);
-                match rc.probe_family(fkey, ordinal) {
-                    FamilyProbe::Ready(fam) => ResultRoute::Delta {
+                match rc.probe::<FamilyEntry>(fkey, ordinal) {
+                    Probe::Ready(fam) => ResultRoute::Delta {
                         key,
                         token: ordinal,
                         fam,
                     },
-                    FamilyProbe::Pending { token } => ResultRoute::WaitDelta {
+                    Probe::Pending { token } => ResultRoute::WaitDelta {
                         key,
                         token: ordinal,
                         fkey,
                         ftoken: token,
                     },
-                    FamilyProbe::Absent | FamilyProbe::Failed => {
+                    Probe::Absent | Probe::Failed => {
                         // Elect this request the family filler — if
                         // the pool covers the snapshot's residency
                         // (charged now, deterministically, from the
                         // plan's static byte count).
-                        if self.ceiling.reserve_mem(plan.prefix_bytes) {
-                            let ev = rc.install_family(
-                                fkey,
-                                ordinal,
-                                cost.saturating_sub(1).max(1),
-                                plan.prefix_bytes,
-                            );
-                            freed.entries += ev.entries;
-                            freed.bytes += ev.bytes;
-                            ResultRoute::Miss {
-                                key,
-                                token: ordinal,
-                                family: Some(FamilyFill {
-                                    fkey,
-                                    token: ordinal,
-                                }),
-                            }
-                        } else {
-                            ResultRoute::Miss {
-                                key,
-                                token: ordinal,
-                                family: None,
-                            }
+                        let family = self.ceiling.reserve_mem(plan.prefix_bytes).then(|| {
+                            let family_cost = cost.saturating_sub(1);
+                            let bytes = plan.prefix_bytes;
+                            freed += rc
+                                .install::<FamilyEntry>(fkey, ordinal, family_cost, bytes)
+                                .bytes;
+                            (fkey, ordinal)
+                        });
+                        ResultRoute::Miss {
+                            key,
+                            token: ordinal,
+                            family,
                         }
                     }
                 }
             }
         };
         drop(rc);
-        if freed.bytes > 0 {
-            self.ceiling.refund_mem(freed.bytes);
+        if freed > 0 {
+            self.ceiling.refund_mem(freed);
         }
         route
     }
@@ -1356,7 +1268,7 @@ impl Server {
         match std::mem::replace(&mut adm.route, ResultRoute::Bypass) {
             ResultRoute::Bypass => self.execute_full(adm, None, None, false),
             ResultRoute::Hit(o) => self.serve_cached(adm, &o),
-            ResultRoute::WaitHit { key, token } => match self.await_full(key, token) {
+            ResultRoute::WaitHit { key, token } => match self.await_slot(key, token) {
                 Some(o) => self.serve_cached(adm, &o),
                 // The filler died (or its slot was evicted): run full.
                 // No fill — membership changed only at admission.
@@ -1368,7 +1280,7 @@ impl Server {
                 token,
                 fkey,
                 ftoken,
-            } => match self.await_family(fkey, ftoken) {
+            } => match self.await_slot(fkey, ftoken) {
                 Some(fam) => self.serve_delta(adm, key, token, &fam),
                 None => self.execute_full(adm, Some((key, token)), None, true),
             },
@@ -1378,33 +1290,19 @@ impl Server {
         }
     }
 
-    /// Block until the `Pending` full slot installed as `(key, token)`
+    /// Block until the `Pending` slot installed as `(key, token)`
     /// resolves; `None` means the filler failed or the slot vanished.
     /// Waits only while that exact install is pending — a re-installed
     /// slot belongs to a *later* ordinal, and waiting on one could
     /// deadlock a single-worker batch. The install this waits on was
     /// admitted earlier, so its filler is already running (workers
     /// drain in admission order): the wait always makes progress.
-    fn await_full(&self, key: u64, token: u64) -> Option<Arc<CachedOutcome>> {
+    fn await_slot<T: Payload>(&self, key: u64, token: u64) -> Option<Arc<T>> {
         let mut rc = self.results.lock().expect("result cache lock");
         loop {
-            match rc.peek_full(key) {
-                FullProbe::Ready(o) => return Some(o),
-                FullProbe::Pending { token: t } if t == token => {
-                    rc = self.results_cv.wait(rc).expect("result cache lock");
-                }
-                _ => return None,
-            }
-        }
-    }
-
-    /// [`Server::await_full`] for family slots.
-    fn await_family(&self, fkey: u64, ftoken: u64) -> Option<Arc<FamilyEntry>> {
-        let mut rc = self.results.lock().expect("result cache lock");
-        loop {
-            match rc.peek_family(fkey) {
-                FamilyProbe::Ready(f) => return Some(f),
-                FamilyProbe::Pending { token: t } if t == ftoken => {
+            match rc.peek::<T>(key) {
+                Probe::Ready(v) => return Some(v),
+                Probe::Pending { token: t } if t == token => {
                     rc = self.results_cv.wait(rc).expect("result cache lock");
                 }
                 _ => return None,
@@ -1416,7 +1314,10 @@ impl Server {
     /// settles untouched, refunding the whole reservation to the pool.
     fn serve_cached(&self, mut adm: Admitted, o: &CachedOutcome) -> Response {
         adm.meter.settle();
-        self.results.lock().expect("result cache lock").record_hit();
+        self.results
+            .lock()
+            .expect("result cache lock")
+            .record(ResultClass::Hit);
         Response {
             id: adm.id,
             status: o.status,
@@ -1498,8 +1399,8 @@ impl Server {
                 });
                 {
                     let mut rc = self.results.lock().expect("result cache lock");
-                    rc.fill_full(key, token, Arc::clone(&outcome));
-                    rc.record_delta();
+                    rc.fill(key, token, Arc::clone(&outcome));
+                    rc.record(ResultClass::Delta);
                 }
                 self.results_cv.notify_all();
                 Response {
@@ -1559,7 +1460,7 @@ impl Server {
             self.results
                 .lock()
                 .expect("result cache lock")
-                .fill_family(fkey, token, entry);
+                .fill(fkey, token, entry);
             self.results_cv.notify_all();
         }
         run_units(
@@ -1590,9 +1491,9 @@ impl Server {
                 engine_faults: resp.engine_faults,
                 error: resp.error.clone(),
             });
-            rc.fill_full(key, token, outcome);
+            rc.fill(key, token, outcome);
         }
-        rc.record_miss();
+        rc.record(ResultClass::Miss);
         drop(rc);
         self.results_cv.notify_all();
     }
@@ -1616,7 +1517,7 @@ impl Server {
         &self,
         mut adm: Admitted,
         fill: Option<(u64, u64)>,
-        family: Option<FamilyFill>,
+        family: Option<(u64, u64)>,
         routed: bool,
     ) -> Response {
         let inputs = fill_inputs(&adm.compiled, adm.seed);
@@ -1625,7 +1526,7 @@ impl Server {
         let mut guard = FillGuard {
             server: self,
             full: fill,
-            family: family.map(|f| (f.fkey, f.token)),
+            family,
         };
         let mut attempts: u64 = 1;
         loop {
@@ -2257,31 +2158,80 @@ mod tests {
 
     #[test]
     fn realized_classes_match_the_pure_prediction() {
-        let reqs = vec![
-            req("a", 16),
-            poke("p1", 8, 3, 55),
-            req("b", 16),
-            poke("p2", 8, 5, 99),
-            req("c", 17),
-            poke("p3", 8, 3, 55),
+        use ResultClass::{Delta, Hit, Miss};
+        let mut over_ceiling = req("big", 16);
+        over_ceiling.fuel = Some(1_000);
+        let slide = |id: &str, ui, uv| {
+            let mut r = poke(id, 64, ui, uv);
+            r.mem_bytes = Some(900);
+            r
+        };
+        let ceiling = |fuel, mem_bytes| ServeOptions {
+            ceiling: Limits { fuel, mem_bytes },
+            ..ServeOptions::default()
+        };
+        let cases = [
+            (
+                ServeOptions::default(),
+                vec![
+                    req("a", 16),
+                    poke("p1", 8, 3, 55),
+                    req("b", 16),
+                    poke("p2", 8, 5, 99),
+                    req("c", 17),
+                    poke("p3", 8, 3, 55),
+                ],
+                vec![
+                    Some(Miss),
+                    Some(Miss),
+                    Some(Hit),
+                    Some(Delta),
+                    Some(Miss),
+                    Some(Hit),
+                ],
+            ),
+            // The pool cannot cover the request's reservation: the
+            // ceiling rejects it before the result cache is consulted.
+            (ceiling(Some(100), None), vec![over_ceiling], vec![None]),
+            // Each slide's 900-byte reservation leaves no room in the
+            // pool for the family snapshot, so no slide is elected
+            // family filler and none can be served as a delta.
+            (
+                ceiling(None, Some(1_000)),
+                vec![slide("s1", 3, 55), slide("s2", 5, 99), slide("s3", 7, 11)],
+                vec![Some(Miss); 3],
+            ),
         ];
-        let options = ServeOptions::default();
-        let predicted = Server::predicted_result_classes(&options, &reqs);
-        assert_eq!(
-            predicted,
-            vec![
-                Some(ResultClass::Miss),
-                Some(ResultClass::Miss),
-                Some(ResultClass::Hit),
-                Some(ResultClass::Delta),
-                Some(ResultClass::Miss),
-                Some(ResultClass::Hit),
-            ]
-        );
-        let server = Server::new(options);
-        let realized: Vec<Option<ResultClass>> =
-            reqs.iter().map(|r| server.handle(r).result_cache).collect();
-        assert_eq!(realized, predicted);
+        for (options, reqs, want) in cases {
+            let predicted = Server::predicted_result_classes(&options, &reqs);
+            assert_eq!(predicted, want);
+            let server = Server::new(options);
+            let realized: Vec<Option<ResultClass>> =
+                reqs.iter().map(|r| server.handle(r).result_cache).collect();
+            assert_eq!(realized, predicted);
+        }
+    }
+
+    #[test]
+    fn cache_keys_are_pinned() {
+        // Eviction breaks ties on the key, so key values are part of
+        // the eviction order: these must never change. Params are
+        // given out of order to pin the sort.
+        let mut r = Request::new("k", POKE);
+        r.params = vec![
+            ("uv".to_string(), 55),
+            ("n".to_string(), 8),
+            ("ui".to_string(), 3),
+        ];
+        let (mode, engine) = (ExecMode::Auto, Engine::ParTape);
+        let limits = Limits {
+            fuel: Some(100),
+            mem_bytes: None,
+        };
+        let delta = ["ui".to_string(), "uv".to_string()];
+        assert_eq!(program_key(&r, mode, engine), 0xaf8e_be50_933b_533a);
+        assert_eq!(result_key(&r, mode, engine, limits), 0x3967_605e_7508_80a1);
+        assert_eq!(family_key(&r, &delta, mode, engine), 0x0c5c_067b_9c7d_5697);
     }
 
     #[test]
