@@ -1,5 +1,5 @@
-//! E19 — parallel tape scaling: `Engine::ParTape` at 1, 2, 4, and 8
-//! worker threads against the sequential tape baseline, on the three
+//! E19 — parallel tape scaling: the tape engine at 1, 2, 4, and 8
+//! worker threads against its one-worker baseline, on the three
 //! dependence-free kernels §10 proves parallelizable:
 //!
 //! * `jacobi_step` — out-of-place 2-D five-point stencil (the parallel
@@ -11,16 +11,18 @@
 //!
 //! Run with `CRITERION_JSON=BENCH_partape.json cargo bench --bench
 //! par_scaling` to get the machine-readable report. Speedup is
-//! `tape/<n>` vs `partape<k>/<n>`; on a single-core host the parallel
-//! engine can only tie (plus pool overhead), so judge scaling claims
-//! against the core count recorded in EXPERIMENTS.md E19.
+//! `tape/<n>` vs `partape<k>/<n>` (the tape at `k` workers; the ids
+//! predate the merge of the two engines and stay comparable with
+//! `BENCH_partape.json`); on a single-core host the parallel runs can
+//! only tie (plus pool overhead), so judge scaling claims against the
+//! core count recorded in EXPERIMENTS.md E19.
 
 use std::collections::HashMap;
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hac_bench::harness::inputs;
-use hac_core::pipeline::{compile, run_with_threads, CompileOptions, Compiled, Engine};
+use hac_core::pipeline::{compile, run_with_threads, CompileOptions, Compiled};
 use hac_lang::env::ConstEnv;
 use hac_lang::parser::parse_program;
 use hac_runtime::value::{ArrayBuf, FuncTable};
@@ -28,18 +30,10 @@ use hac_workloads as wl;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
-fn compile_engine(src: &str, params: &[(&str, i64)], engine: Engine) -> Compiled {
+fn compile_tape(src: &str, params: &[(&str, i64)]) -> Compiled {
     let program = parse_program(src).unwrap_or_else(|e| panic!("parse: {e}"));
     let env = ConstEnv::from_pairs(params.iter().copied());
-    compile(
-        &program,
-        &env,
-        &CompileOptions {
-            engine,
-            ..CompileOptions::default()
-        },
-    )
-    .unwrap_or_else(|e| panic!("compile: {e}"))
+    compile(&program, &env, &CompileOptions::default()).unwrap_or_else(|e| panic!("compile: {e}"))
 }
 
 fn bench_scaling(
@@ -51,15 +45,14 @@ fn bench_scaling(
     n: i64,
 ) {
     let funcs = FuncTable::new();
-    let tape = compile_engine(src, params, Engine::Tape);
-    let par = compile_engine(src, params, Engine::ParTape);
+    let tape = compile_tape(src, params);
     let mut group = c.benchmark_group(group_name);
     group.bench_with_input(BenchmarkId::new("tape", n), &n, |b, _| {
         b.iter(|| run_with_threads(&tape, ins, &funcs, 1).unwrap())
     });
     for t in THREADS {
         group.bench_with_input(BenchmarkId::new(format!("partape{t}"), n), &n, |b, _| {
-            b.iter(|| run_with_threads(&par, ins, &funcs, t).unwrap())
+            b.iter(|| run_with_threads(&tape, ins, &funcs, t).unwrap())
         });
     }
     group.finish();

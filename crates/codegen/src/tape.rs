@@ -851,7 +851,7 @@ pub(crate) enum FusedChunk {
 }
 
 impl TapeProgram {
-    /// Run ordinals `[lo, hi)` of fused loop `k` for a ParTape chunk
+    /// Run ordinals `[lo, hi)` of fused loop `k` for a parallel chunk
     /// worker, with the chunk's own accounting discipline: no init or
     /// final-head ops (the region driver owns those), per-iteration
     /// ops into `chunk_ops`, and no frame/ireg publication (chunk
@@ -1021,7 +1021,7 @@ fn run_fused_special(
     // destination array is disjoint from every source array, so source
     // slices borrow immutably while the destination window is written
     // through a raw pointer. The slot table itself is never mutated:
-    // under ParTape the table is aliased across chunk workers, and
+    // in a parallel region the table is aliased across chunk workers, and
     // (like the scalar path) only disjoint `f64` element ranges may be
     // touched concurrently — the window's per-ordinal offsets are
     // injective (`dd ≠ 0`).

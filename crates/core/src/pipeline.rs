@@ -54,22 +54,29 @@ pub enum ExecMode {
     ForceChecked,
 }
 
-/// Which engine executes compiled Limp programs.
+/// Which engine executes compiled Limp programs. The explicit
+/// discriminants are part of the serving layer's cache keys.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
     /// Compile each Limp program once into a register-slot bytecode
     /// tape (names resolved to indices, affine subscripts
     /// strength-reduced) and run it on the non-recursive dispatcher.
+    /// Top-level loop passes proven free of carried dependences (§10)
+    /// are partitioned over [`RunOptions::threads`] workers; at one
+    /// worker everything runs on the sequential path.
     #[default]
-    Tape,
-    /// The tape engine plus §10 parallel execution: top-level loop
-    /// passes proven free of carried dependences are partitioned over
-    /// a worker pool (see [`run_with_threads`]); everything else runs
-    /// sequentially. Bit-identical to [`Engine::Tape`].
-    ParTape,
+    Tape = 1,
     /// The recursive tree-walking evaluator (reference semantics; also
     /// the baseline for the `vm_dispatch` benchmark).
-    TreeWalk,
+    TreeWalk = 2,
+}
+
+impl Engine {
+    /// Alias of [`Engine::Tape`], which runs proven-parallel passes
+    /// whenever it has more than one worker: the worker count alone
+    /// decides parallelism. Kept so callers naming it still compile.
+    #[allow(non_upper_case_globals)]
+    pub const ParTape: Engine = Engine::Tape;
 }
 
 /// Compiler options.
@@ -201,8 +208,8 @@ pub enum Unit {
         /// Bytecode form of `prog`, compiled once here; `None` under
         /// [`Engine::TreeWalk`].
         tape: Option<TapeProgram>,
-        /// Parallel execution plan for the tape; `Some` only under
-        /// [`Engine::ParTape`].
+        /// Parallel execution plan for the tape; `Some` exactly when
+        /// `tape` is.
         par: Option<ParPlan>,
     },
     /// A (possibly mutually recursive) group evaluated with thunks.
@@ -221,8 +228,8 @@ pub enum Unit {
         /// compile time for in-place updates); `None` under
         /// [`Engine::TreeWalk`].
         tape: Option<TapeProgram>,
-        /// Parallel execution plan for the tape; `Some` only under
-        /// [`Engine::ParTape`].
+        /// Parallel execution plan for the tape; `Some` exactly when
+        /// `tape` is.
         par: Option<ParPlan>,
     },
     /// A scalar reduction (§3.1 `foldl` over a comprehension),
@@ -616,10 +623,7 @@ pub fn compile(
                 if let Some(u) = report.updates.last_mut() {
                     u.fusion = fusion;
                 }
-                let par = match (&tape, options.engine) {
-                    (Some(t), Engine::ParTape) => Some(plan_tape(t)),
-                    _ => None,
-                };
+                let par = tape.as_ref().map(plan_tape);
                 if let Some(b) = known.shapes.get(base).cloned() {
                     known.shapes.insert(name.clone(), b);
                 }
@@ -785,10 +789,7 @@ fn compile_group(
                 if let Some(a) = report.arrays.last_mut() {
                     a.fusion = fusion;
                 }
-                let par = match (&tape, options.engine) {
-                    (Some(t), Engine::ParTape) => Some(plan_tape(t)),
-                    _ => None,
-                };
+                let par = tape.as_ref().map(plan_tape);
                 known
                     .shapes
                     .insert(def.name.clone(), analysis.bounds.clone());
@@ -861,14 +862,14 @@ impl ExecOutput {
     }
 }
 
-/// The number of workers [`run`] uses for [`Engine::ParTape`] units:
-/// one per available hardware thread.
+/// One worker per available hardware thread: the CLI's default
+/// [`RunOptions::threads`].
 pub fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// Execute a compiled program. [`Engine::ParTape`] units run with
-/// [`default_threads`] workers; see [`run_with_threads`] to pick.
+/// Execute a compiled program on one worker; see [`run_with_threads`]
+/// to parallelize.
 ///
 /// # Errors
 /// Propagates runtime failures (missing inputs surface as
@@ -878,13 +879,13 @@ pub fn run(
     inputs: &HashMap<String, ArrayBuf>,
     funcs: &FuncTable,
 ) -> Result<ExecOutput, RuntimeError> {
-    run_with_threads(compiled, inputs, funcs, default_threads())
+    run_with_threads(compiled, inputs, funcs, 1)
 }
 
-/// [`run`] with an explicit worker count for [`Engine::ParTape`] units
-/// (`threads: 1` executes their parallel plans inline — still on the
-/// sequential dispatch path, never touching the pool). Units compiled
-/// for other engines ignore `threads` entirely.
+/// [`run`] with an explicit worker count for tape units (`threads: 1`
+/// executes their parallel plans inline — still on the sequential
+/// dispatch path, never touching the pool). Tree-walk and thunked
+/// units ignore `threads` entirely.
 ///
 /// # Errors
 /// See [`run`].
@@ -910,8 +911,7 @@ pub fn run_with_threads(
 /// plan.
 #[derive(Debug, Clone, Default)]
 pub struct RunOptions {
-    /// Workers for [`Engine::ParTape`] units; `None` means
-    /// [`default_threads`].
+    /// Workers for tape units' parallel regions; `None` means one.
     pub threads: Option<usize>,
     /// Fuel / memory caps, enforced identically on every engine. One
     /// budget spans the whole run: all units charge the same meter.
@@ -1063,7 +1063,7 @@ pub fn run_units(
     options: &RunOptions,
     meter: &mut Meter,
 ) -> Result<(), RuntimeError> {
-    let threads = options.threads.unwrap_or_else(default_threads);
+    let threads = options.threads.unwrap_or(1);
     // The engines consume and return the binding map wholesale
     // (`Vm::bind_all` / `into_arrays`), so work on owned state and put
     // it back on success; a failed run's partial state is discarded
@@ -1102,8 +1102,7 @@ pub fn run_units(
                 vm.bind_all(std::mem::take(&mut arrays));
                 let out = match (tape, par) {
                     (Some(t), Some(p)) => vm.run_partape(t, p, threads),
-                    (Some(t), None) => vm.run_tape(t),
-                    (None, _) => vm.run(prog),
+                    _ => vm.run(prog),
                 };
                 *meter = vm.take_meter();
                 out?;
@@ -1200,8 +1199,7 @@ pub fn run_units(
                 }
                 let out = match (tape, par) {
                     (Some(t), Some(p)) => vm.run_partape(t, p, threads),
-                    (Some(t), None) => vm.run_tape(t),
-                    (None, _) => vm.run(&lowered.prog),
+                    _ => vm.run(&lowered.prog),
                 };
                 *meter = vm.take_meter();
                 out?;

@@ -155,8 +155,8 @@ pub struct UpdateReport {
     pub flow_edges: Vec<String>,
     pub strategy: String,
     pub in_place: bool,
-    /// §10 verdicts over the full (flow + anti) edge set — what
-    /// `Engine::ParTape` consults, so a loop listed `sequential` here
+    /// §10 verdicts over the full (flow + anti) edge set — what the
+    /// tape's parallel plan consults, so a loop listed `sequential` here
     /// explains why the pass falls back to one worker.
     pub parallelism: Vec<(String, Vec<String>)>,
     /// Per-loop fusion verdicts from the tape fusion pass.

@@ -20,7 +20,7 @@
 //! chosen (region, chunk) coordinates — no wall clock, no RNG at
 //! runtime — so fault-tolerance paths can be exercised differentially.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::error::RuntimeError;
@@ -54,25 +54,18 @@ const UNLIMITED: u64 = u64::MAX;
 /// failing draw happens exactly when the pool is empty.
 const FUEL_BLOCK: u64 = 1024;
 
-/// One stripe of a [`SharedCeiling`], padded to a cache line so
-/// concurrent requests hitting different stripes never false-share.
-#[repr(align(64))]
-#[derive(Debug)]
-struct Stripe(AtomicU64);
-
-/// A process-wide resource pool shared by every concurrent request.
+/// A process-wide resource pool shared by every concurrent request:
+/// one atomic counter per resource.
 ///
-/// The pool is *striped*: the total budget is distributed over
-/// cache-padded atomic counters so concurrent reservations mostly touch
-/// disjoint cache lines. Reservations are **all-or-nothing**: a request
-/// either obtains its full amount (gathered across stripes, rolled back
-/// on shortfall) or nothing, so the sum of outstanding grants can never
-/// exceed the initial pool — striping is invisible in the accounting.
+/// Reservations are **all-or-nothing**: a request either obtains its
+/// full amount in one compare-and-swap loop or nothing, so the sum of
+/// outstanding grants can never exceed the initial pool, and a
+/// reservation fails only when the pool holds less than it asks for.
 ///
 /// **Settlement rule** (what keeps exhaustion bit-identical at any
-/// thread count and stripe width): a request's *own* exhaustion point
-/// is governed solely by its local [`Meter`] counters, which are fixed
-/// at admission — the ceiling is only touched at admission (reserve),
+/// thread count): a request's *own* exhaustion point is governed
+/// solely by its local [`Meter`] counters, which are fixed at
+/// admission — the ceiling is only touched at admission (reserve),
 /// refill (lazy draws, see below), and settlement (refund). On
 /// settlement, unspent **fuel** returns to the pool (spent fuel is
 /// gone: the pool bounds total ops the process executes) and reserved
@@ -80,7 +73,7 @@ struct Stripe(AtomicU64);
 /// After every admitted request settles, `fuel_available()` equals the
 /// initial pool minus the exact sequential fuel spend of each request,
 /// and `mem_available()` equals the initial pool — independent of
-/// stripe width, thread interleaving, or engine.
+/// thread interleaving or engine.
 ///
 /// A request admitted with *no* local fuel cap under a finite fuel
 /// ceiling draws blocks lazily instead; its exhaustion point then
@@ -89,39 +82,29 @@ struct Stripe(AtomicU64);
 /// isolation matters).
 #[derive(Debug)]
 pub struct SharedCeiling {
-    fuel: Box<[Stripe]>,
-    mem: Box<[Stripe]>,
-    fuel_total: u64,
-    mem_total: u64,
-    /// Round-robin admission hint so concurrent requests start their
-    /// stripe walk at different offsets.
-    hint: AtomicUsize,
+    /// Fuel in the pool; [`UNLIMITED`] (and never touched) when uncapped.
+    fuel: AtomicU64,
+    /// Memory bytes in the pool; [`UNLIMITED`] when uncapped.
+    mem: AtomicU64,
+    fuel_capped: bool,
+    mem_capped: bool,
     /// Monotonic reservation ordinal handed out per admission attempt
     /// (see [`SharedCeiling::take_ordinal`]).
     ordinal: AtomicU64,
 }
 
 impl SharedCeiling {
-    /// A pool holding `limits`, split over `stripes` counters
-    /// (`stripes` is clamped to at least 1). `None` caps are truly
-    /// uncapped: reservations against them always succeed and never
-    /// touch an atomic.
-    pub fn new(limits: Limits, stripes: usize) -> Arc<SharedCeiling> {
-        let n = stripes.max(1);
-        let split = |total: u64| -> Box<[Stripe]> {
-            (0..n as u64)
-                .map(|i| {
-                    let share = total / n as u64 + u64::from(i < total % n as u64);
-                    Stripe(AtomicU64::new(share))
-                })
-                .collect()
-        };
+    /// A pool holding `limits`. `None` caps are truly uncapped:
+    /// reservations against them always succeed and never touch an
+    /// atomic.
+    pub fn new(limits: Limits) -> Arc<SharedCeiling> {
+        let fuel = limits.fuel.unwrap_or(UNLIMITED);
+        let mem = limits.mem_bytes.unwrap_or(UNLIMITED);
         Arc::new(SharedCeiling {
-            fuel: split(limits.fuel.unwrap_or(0)),
-            mem: split(limits.mem_bytes.unwrap_or(0)),
-            fuel_total: limits.fuel.unwrap_or(UNLIMITED),
-            mem_total: limits.mem_bytes.unwrap_or(UNLIMITED),
-            hint: AtomicUsize::new(0),
+            fuel: AtomicU64::new(fuel),
+            mem: AtomicU64::new(mem),
+            fuel_capped: fuel != UNLIMITED,
+            mem_capped: mem != UNLIMITED,
             ordinal: AtomicU64::new(0),
         })
     }
@@ -145,128 +128,67 @@ impl SharedCeiling {
 
     /// Whether the pool caps fuel at all.
     pub fn fuel_capped(&self) -> bool {
-        self.fuel_total != UNLIMITED
+        self.fuel_capped
     }
 
     /// Whether the pool caps memory at all.
     pub fn mem_capped(&self) -> bool {
-        self.mem_total != UNLIMITED
+        self.mem_capped
     }
 
     /// Fuel currently in the pool (racy snapshot; exact when quiescent).
     pub fn fuel_available(&self) -> u64 {
-        if !self.fuel_capped() {
-            return UNLIMITED;
-        }
-        self.fuel.iter().map(|s| s.0.load(Ordering::Relaxed)).sum()
+        self.fuel.load(Ordering::Relaxed)
     }
 
     /// Memory currently in the pool (racy snapshot; exact when
     /// quiescent).
     pub fn mem_available(&self) -> u64 {
-        if !self.mem_capped() {
-            return UNLIMITED;
-        }
-        self.mem.iter().map(|s| s.0.load(Ordering::Relaxed)).sum()
+        self.mem.load(Ordering::Relaxed)
     }
 
-    /// Take up to `want` units from one stripe; returns what it got.
-    fn take_upto(stripe: &AtomicU64, want: u64) -> u64 {
-        let mut cur = stripe.load(Ordering::Relaxed);
-        loop {
-            let take = cur.min(want);
-            if take == 0 {
-                return 0;
-            }
-            match stripe.compare_exchange_weak(
-                cur,
-                cur - take,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return take,
-                Err(now) => cur = now,
-            }
-        }
+    /// Take exactly `amount` units from `pool`, or nothing when it
+    /// holds less.
+    fn take(pool: &AtomicU64, amount: u64) -> bool {
+        pool.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
+            cur.checked_sub(amount)
+        })
+        .is_ok()
     }
 
-    /// All-or-nothing gather of `amount` across `stripes`; on shortfall
-    /// everything taken is rolled back and the call returns `false`.
-    fn take(&self, stripes: &[Stripe], amount: u64) -> bool {
-        if amount == 0 {
-            return true;
-        }
-        let start = self.hint.fetch_add(1, Ordering::Relaxed) % stripes.len();
-        let mut taken = vec![0u64; stripes.len()];
-        let mut need = amount;
-        for k in 0..stripes.len() {
-            let i = (start + k) % stripes.len();
-            let got = Self::take_upto(&stripes[i].0, need);
-            taken[i] = got;
-            need -= got;
-            if need == 0 {
-                return true;
-            }
-        }
-        for (i, t) in taken.iter().enumerate() {
-            if *t > 0 {
-                stripes[i].0.fetch_add(*t, Ordering::Relaxed);
-            }
-        }
-        false
-    }
-
-    /// Take up to `want` units (not all-or-nothing): the lazy-draw
-    /// path. Returns what it got, possibly 0.
-    fn drain_upto(&self, stripes: &[Stripe], want: u64) -> u64 {
-        let start = self.hint.fetch_add(1, Ordering::Relaxed) % stripes.len();
-        let mut got = 0;
-        for k in 0..stripes.len() {
-            let i = (start + k) % stripes.len();
-            got += Self::take_upto(&stripes[i].0, want - got);
-            if got == want {
-                break;
-            }
-        }
-        got
-    }
-
-    /// Return `amount` units, spread evenly so later cross-stripe
-    /// gathers stay cheap.
-    fn put(&self, stripes: &[Stripe], amount: u64) {
-        if amount == 0 {
-            return;
-        }
-        let n = stripes.len() as u64;
-        for (i, s) in stripes.iter().enumerate() {
-            let share = amount / n + u64::from((i as u64) < amount % n);
-            if share > 0 {
-                s.0.fetch_add(share, Ordering::Relaxed);
-            }
-        }
+    /// Take up to [`FUEL_BLOCK`] fuel units (not all-or-nothing): the
+    /// lazy-draw path. Returns what it got, possibly 0.
+    fn draw_fuel_block(&self) -> u64 {
+        let prev = self
+            .fuel
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
+                Some(cur.saturating_sub(FUEL_BLOCK))
+            })
+            .unwrap_or_else(|cur| cur);
+        prev.min(FUEL_BLOCK)
     }
 
     /// Reserve `amount` fuel units, all-or-nothing.
     pub fn reserve_fuel(&self, amount: u64) -> bool {
-        !self.fuel_capped() || self.take(&self.fuel, amount)
+        !self.fuel_capped || Self::take(&self.fuel, amount)
     }
 
     /// Reserve `amount` memory bytes, all-or-nothing.
     pub fn reserve_mem(&self, amount: u64) -> bool {
-        !self.mem_capped() || self.take(&self.mem, amount)
+        !self.mem_capped || Self::take(&self.mem, amount)
     }
 
     /// Return `amount` fuel units to the pool.
     pub fn refund_fuel(&self, amount: u64) {
-        if self.fuel_capped() {
-            self.put(&self.fuel, amount);
+        if self.fuel_capped {
+            self.fuel.fetch_add(amount, Ordering::Relaxed);
         }
     }
 
     /// Return `amount` memory bytes to the pool.
     pub fn refund_mem(&self, amount: u64) {
-        if self.mem_capped() {
-            self.put(&self.mem, amount);
+        if self.mem_capped {
+            self.mem.fetch_add(amount, Ordering::Relaxed);
         }
     }
 }
@@ -358,8 +280,8 @@ impl Meter {
     ///
     /// Finite local caps are reserved from the pool **all-or-nothing
     /// up front**, so the request's exhaustion point afterwards depends
-    /// only on its own counters — bit-identical at any thread count or
-    /// stripe width, independent of sibling requests. A resource with
+    /// only on its own counters — bit-identical at any thread count,
+    /// independent of sibling requests. A resource with
     /// no local cap under a capped pool instead *draws lazily* (fuel in
     /// [`FUEL_BLOCK`] refills, memory by exact byte amounts); such a
     /// meter's exhaustion point is admission-order dependent and the
@@ -500,7 +422,7 @@ impl Meter {
     fn refill_or_exhaust(&mut self) -> Result<(), RuntimeError> {
         if let Some(lease) = self.lease.as_mut() {
             if lease.lazy_fuel {
-                let got = lease.ceiling.drain_upto(&lease.ceiling.fuel, FUEL_BLOCK);
+                let got = lease.ceiling.draw_fuel_block();
                 if got > 0 {
                     lease.lazy_fuel_drawn += got;
                     self.fuel_left = got - 1;
@@ -927,8 +849,8 @@ mod tests {
                 fuel: Some(2 * FUEL_BLOCK + 7),
                 mem_bytes: None,
             };
-            let ca = SharedCeiling::new(pool, 2);
-            let cb = SharedCeiling::new(pool, 2);
+            let ca = SharedCeiling::new(pool);
+            let cb = SharedCeiling::new(pool);
             let mut a = Meter::admit(Limits::unlimited(), &ca).unwrap();
             let mut b = Meter::admit(Limits::unlimited(), &cb).unwrap();
             assert!(a.draws_lazily());
@@ -989,7 +911,7 @@ mod tests {
 
     #[test]
     fn ceiling_admission_is_all_or_nothing() {
-        let c = SharedCeiling::new(caps(100, 1000), 4);
+        let c = SharedCeiling::new(caps(100, 1000));
         let mut a = Meter::admit(caps(60, 400), &c).unwrap();
         assert_eq!(c.fuel_available(), 40);
         assert_eq!(c.mem_available(), 600);
@@ -1019,49 +941,42 @@ mod tests {
 
     #[test]
     fn settlement_refunds_unspent_fuel_and_all_memory() {
-        for stripes in [1, 2, 4, 8] {
-            let c = SharedCeiling::new(caps(100, 1000), stripes);
-            let mut m = Meter::admit(caps(60, 400), &c).unwrap();
-            for _ in 0..25 {
-                m.charge_fuel().unwrap();
-            }
-            m.charge_mem(128).unwrap();
-            m.settle();
-            assert_eq!(c.fuel_available(), 75, "spent fuel stays spent");
-            assert_eq!(c.mem_available(), 1000, "memory returns in full");
-            // Settle is idempotent.
-            m.settle();
-            assert_eq!(c.fuel_available(), 75);
+        let c = SharedCeiling::new(caps(100, 1000));
+        let mut m = Meter::admit(caps(60, 400), &c).unwrap();
+        for _ in 0..25 {
+            m.charge_fuel().unwrap();
         }
+        m.charge_mem(128).unwrap();
+        m.settle();
+        assert_eq!(c.fuel_available(), 75, "spent fuel stays spent");
+        assert_eq!(c.mem_available(), 1000, "memory returns in full");
+        // Settle is idempotent.
+        m.settle();
+        assert_eq!(c.fuel_available(), 75);
     }
 
     #[test]
     fn local_exhaustion_is_ceiling_independent() {
         // An admitted meter trips exactly like a plain one: same
         // charge, same payload — the ceiling never changes the point.
-        for stripes in [1, 3, 8] {
-            let c = SharedCeiling::new(caps(1000, 10_000), stripes);
-            let mut plain = Meter::new(caps(3, 64));
-            let mut admitted = Meter::admit(caps(3, 64), &c).unwrap();
-            for _ in 0..3 {
-                plain.charge_fuel().unwrap();
-                admitted.charge_fuel().unwrap();
-            }
-            assert_eq!(plain.charge_fuel(), admitted.charge_fuel());
-            assert_eq!(plain.charge_mem(100), admitted.charge_mem(100));
-            admitted.settle();
+        let c = SharedCeiling::new(caps(1000, 10_000));
+        let mut plain = Meter::new(caps(3, 64));
+        let mut admitted = Meter::admit(caps(3, 64), &c).unwrap();
+        for _ in 0..3 {
+            plain.charge_fuel().unwrap();
+            admitted.charge_fuel().unwrap();
         }
+        assert_eq!(plain.charge_fuel(), admitted.charge_fuel());
+        assert_eq!(plain.charge_mem(100), admitted.charge_mem(100));
+        admitted.settle();
     }
 
     #[test]
     fn lazy_meter_draws_blocks_and_exhausts_on_empty_pool() {
-        let c = SharedCeiling::new(
-            Limits {
-                fuel: Some(FUEL_BLOCK + 7),
-                mem_bytes: None,
-            },
-            4,
-        );
+        let c = SharedCeiling::new(Limits {
+            fuel: Some(FUEL_BLOCK + 7),
+            mem_bytes: None,
+        });
         let mut m = Meter::admit(Limits::unlimited(), &c).unwrap();
         assert!(m.draws_lazily());
         for _ in 0..(FUEL_BLOCK + 7) {
@@ -1081,13 +996,10 @@ mod tests {
 
     #[test]
     fn lazy_mem_draws_and_refunds_exact_bytes() {
-        let c = SharedCeiling::new(
-            Limits {
-                fuel: None,
-                mem_bytes: Some(256),
-            },
-            2,
-        );
+        let c = SharedCeiling::new(Limits {
+            fuel: None,
+            mem_bytes: Some(256),
+        });
         let mut m = Meter::admit(Limits::unlimited(), &c).unwrap();
         m.charge_mem(200).unwrap();
         assert_eq!(c.mem_available(), 56);
@@ -1105,7 +1017,7 @@ mod tests {
 
     #[test]
     fn clone_and_sub_meter_carry_no_lease() {
-        let c = SharedCeiling::new(caps(100, 100), 2);
+        let c = SharedCeiling::new(caps(100, 100));
         let mut m = Meter::admit(caps(40, 40), &c).unwrap();
         let clone = m.clone();
         let sub = m.sub_meter(10);
@@ -1118,55 +1030,91 @@ mod tests {
 
     #[test]
     fn racing_reservations_never_overcommit() {
-        use std::sync::atomic::{AtomicU64, Ordering};
         // Hammer the pool from many threads; an atomic tally of
         // outstanding grants proves the sum never exceeds the pool.
         const POOL: u64 = 10_000;
-        for stripes in [1, 4, 8] {
-            let c = SharedCeiling::new(
-                Limits {
-                    fuel: Some(POOL),
-                    mem_bytes: None,
-                },
-                stripes,
-            );
-            let outstanding = AtomicU64::new(0);
-            let granted = AtomicU64::new(0);
+        let c = SharedCeiling::new(Limits {
+            fuel: Some(POOL),
+            mem_bytes: None,
+        });
+        let outstanding = AtomicU64::new(0);
+        let granted = AtomicU64::new(0);
+        std::thread::scope(|s| {
+            for t in 0..8u64 {
+                let c = &c;
+                let outstanding = &outstanding;
+                let granted = &granted;
+                s.spawn(move || {
+                    let mut x = t.wrapping_mul(0x9E3779B97F4A7C15).max(1);
+                    for _ in 0..2000 {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        let amount = x % 700 + 1;
+                        if c.reserve_fuel(amount) {
+                            let now = outstanding.fetch_add(amount, Ordering::SeqCst) + amount;
+                            assert!(now <= POOL, "over-committed: {now} > {POOL}");
+                            granted.fetch_add(amount, Ordering::Relaxed);
+                            outstanding.fetch_sub(amount, Ordering::SeqCst);
+                            c.refund_fuel(amount);
+                        }
+                    }
+                });
+            }
+        });
+        assert!(granted.load(Ordering::Relaxed) > 0, "some grants happened");
+        assert_eq!(
+            c.fuel_available(),
+            POOL,
+            "full refunds restore the pool exactly"
+        );
+    }
+
+    #[test]
+    fn simultaneous_reservations_never_fail_spuriously() {
+        // `threads` callers each ask for `amount` from a pool of `pool`
+        // at the same instant: exactly as many succeed as the pool can
+        // hold, in every round — a shortfall is the only reason to fail.
+        const ROUNDS: u64 = 10_000;
+        for (threads, amount, pool) in [(2u64, 60u64, 100u64), (4, 40, 100)] {
+            let c = SharedCeiling::new(Limits {
+                fuel: Some(pool),
+                mem_bytes: None,
+            });
+            let want = threads.min(pool / amount);
+            let barrier = std::sync::Barrier::new(threads as usize);
+            let wins = AtomicU64::new(0);
+            let bad_rounds = AtomicU64::new(0);
             std::thread::scope(|s| {
-                for t in 0..8u64 {
-                    let c = &c;
-                    let outstanding = &outstanding;
-                    let granted = &granted;
-                    s.spawn(move || {
-                        let mut x = t.wrapping_mul(0x9E3779B97F4A7C15).max(1);
-                        for _ in 0..2000 {
-                            x ^= x << 13;
-                            x ^= x >> 7;
-                            x ^= x << 17;
-                            let amount = x % 700 + 1;
-                            if c.reserve_fuel(amount) {
-                                let now = outstanding.fetch_add(amount, Ordering::SeqCst) + amount;
-                                assert!(now <= POOL, "over-committed: {now} > {POOL}");
-                                granted.fetch_add(amount, Ordering::Relaxed);
-                                outstanding.fetch_sub(amount, Ordering::SeqCst);
+                for _ in 0..threads {
+                    s.spawn(|| {
+                        for _ in 0..ROUNDS {
+                            barrier.wait();
+                            let ok = c.reserve_fuel(amount);
+                            wins.fetch_add(u64::from(ok), Ordering::SeqCst);
+                            if barrier.wait().is_leader() && wins.swap(0, Ordering::SeqCst) != want
+                            {
+                                bad_rounds.fetch_add(1, Ordering::Relaxed);
+                            }
+                            if ok {
                                 c.refund_fuel(amount);
                             }
                         }
                     });
                 }
             });
-            assert!(granted.load(Ordering::Relaxed) > 0, "some grants happened");
             assert_eq!(
-                c.fuel_available(),
-                POOL,
-                "full refunds restore the pool exactly (stripes={stripes})"
+                bad_rounds.load(Ordering::Relaxed),
+                0,
+                "{threads} threads x {amount} of {pool}: rounds without exactly {want} grants"
             );
+            assert_eq!(c.fuel_available(), pool);
         }
     }
 
     #[test]
     fn reservation_ordinals_are_dense_and_monotonic() {
-        let c = SharedCeiling::new(caps(100, 100), 4);
+        let c = SharedCeiling::new(caps(100, 100));
         assert_eq!(c.reservations(), 0);
         for want in 0..10 {
             assert_eq!(c.take_ordinal(), want);
@@ -1174,7 +1122,7 @@ mod tests {
         assert_eq!(c.reservations(), 10);
         // Uncapped pools hand out ordinals too — the serving layer
         // stamps admissions whether or not resources are finite.
-        let open = SharedCeiling::new(Limits::unlimited(), 1);
+        let open = SharedCeiling::new(Limits::unlimited());
         assert_eq!(open.take_ordinal(), 0);
         assert_eq!(open.take_ordinal(), 1);
     }

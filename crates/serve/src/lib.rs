@@ -52,13 +52,11 @@ pub struct ServeOptions {
     pub engine: Engine,
     /// Default execution mode.
     pub mode: ExecMode,
-    /// ParTape workers *within* one request.
+    /// Tape workers *within* one request.
     pub threads: usize,
     /// Global resource pool shared by all requests; `None` caps are
     /// uncapped.
     pub ceiling: Limits,
-    /// Stripe count for the ceiling's atomic counters.
-    pub stripes: usize,
     /// Deadline→fuel converter; `None` means `deadline_ms` requests
     /// are rejected.
     pub deadline: Option<DeadlineGovernor>,
@@ -110,11 +108,10 @@ pub const DEFAULT_RETRY_BUDGET: u32 = 1;
 impl Default for ServeOptions {
     fn default() -> Self {
         ServeOptions {
-            engine: Engine::ParTape,
+            engine: Engine::Tape,
             mode: ExecMode::Auto,
             threads: 1,
             ceiling: Limits::unlimited(),
-            stripes: 8,
             deadline: None,
             cache_cap: DEFAULT_CACHE_CAP,
             shed_watermark: 0,
@@ -279,7 +276,6 @@ impl Request {
             let name = match e {
                 Engine::TreeWalk => "treewalk",
                 Engine::Tape => "tape",
-                Engine::ParTape => "partape",
             };
             fields.push(("engine".to_string(), Json::Str(name.to_string())));
         }
@@ -304,15 +300,15 @@ impl Request {
     }
 }
 
-/// Parse an engine name (the CLI's `--engine` vocabulary).
+/// Parse an engine name (the CLI's `--engine` vocabulary). `partape`
+/// is kept as an alias of `tape`.
 ///
 /// # Errors
 /// Unknown names.
 pub fn engine_from_str(s: &str) -> Result<Engine, String> {
     match s {
         "treewalk" => Ok(Engine::TreeWalk),
-        "tape" => Ok(Engine::Tape),
-        "partape" => Ok(Engine::ParTape),
+        "tape" | "partape" => Ok(Engine::Tape),
         other => Err(format!("unknown engine `{other}`")),
     }
 }
@@ -890,7 +886,7 @@ impl Server {
     /// Build a server; the ceiling is allocated once here and shared
     /// by every request the server ever admits.
     pub fn new(options: ServeOptions) -> Server {
-        let ceiling = SharedCeiling::new(options.ceiling, options.stripes);
+        let ceiling = SharedCeiling::new(options.ceiling);
         let cache = Mutex::new(ProgramCache::new(options.cache_cap));
         let results = Mutex::new(ResultCache::new(options.result_cache_cap));
         Server {
@@ -1747,7 +1743,11 @@ mod tests {
     const RECURRENCE: &str = "param n;\nletrec* a = array (1,n) \
         ([ 1 := 1 ] ++ [ i := a!(i-1) * 2 | i <- [2..n] ]);\n";
 
+    /// The request helpers (this and `poke`) pin the test process
+    /// fault-free under an ambient `HAC_FAULT_PLAN` (suppression is
+    /// sticky); tests that want faults pass [`ServeOptions::faults`].
     fn req(id: &str, n: i64) -> Request {
+        hac_core::codegen::suppress_env_fault_plan();
         let mut r = Request::new(id, RECURRENCE);
         r.params.push(("n".to_string(), n));
         r
@@ -1980,6 +1980,14 @@ mod tests {
         assert_eq!(Request::from_json(&alias).unwrap().weight, Some(5));
         let zero = json::parse(r#"{"id":"p","source":"x","weight":0}"#).unwrap();
         assert!(Request::from_json(&zero).is_err());
+        // `partape` is an alias of `tape` and re-encodes as `tape`.
+        let par = json::parse(r#"{"id":"p","source":"x","engine":"partape"}"#).unwrap();
+        let par = Request::from_json(&par).unwrap();
+        assert_eq!(par.engine, Some(Engine::Tape));
+        assert_eq!(
+            par.to_json().get("engine").and_then(Json::as_str),
+            Some("tape")
+        );
     }
 
     #[test]
@@ -2052,6 +2060,7 @@ mod tests {
         result b;\n";
 
     fn poke(id: &str, n: i64, ui: i64, uv: i64) -> Request {
+        hac_core::codegen::suppress_env_fault_plan();
         let mut r = Request::new(id, POKE);
         r.params.push(("n".to_string(), n));
         r.params.push(("ui".to_string(), ui));

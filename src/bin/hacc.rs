@@ -9,8 +9,9 @@
 //!
 //! options:
 //!   --mode auto|thunked|checked   execution strategy (default auto)
-//!   --engine treewalk|tape|partape  evaluation engine (default partape)
-//!   --threads N                   ParTape worker count (default: all cores)
+//!   --engine treewalk|tape        evaluation engine (default tape;
+//!                                 `partape` is an alias of `tape`)
+//!   --threads N                   tape worker count (default: all cores)
 //!   --fill zero|random[:SEED]     how to fill `input` arrays (default random)
 //!   --fuel N                      abort after N metered ops (loop iterations + calls)
 //!   --mem-limit BYTES             cap bytes of array payload allocated
@@ -25,10 +26,9 @@
 //!
 //! serve options:
 //!   --workers N                   concurrent requests (default: all cores)
-//!   --threads N                   ParTape workers within one request (default 1)
+//!   --threads N                   tape workers within one request (default 1)
 //!   --ceiling-fuel N              global fuel pool shared by all requests
 //!   --ceiling-mem BYTES           global memory pool
-//!   --stripes N                   ceiling stripe count (default 8)
 //!   --cache-cap N                 compiled-program cache entries (default 256;
 //!                                 0 = unbounded)
 //!   --result-cache-cap N          materialized-result cache entries — memoized
@@ -116,12 +116,12 @@ struct Options {
 
 fn usage() -> &'static str {
     "usage: hacc PROGRAM.hac [name=value ...] \
-     [--mode auto|thunked|checked] [--engine treewalk|tape|partape] \
+     [--mode auto|thunked|checked] [--engine treewalk|tape] \
      [--threads N] [--fill zero|random[:SEED]] \
      [--fuel N] [--mem-limit BYTES] [--deadline-ms N] [--fault-plan SPEC] \
      [--no-run] [--no-fuse] [--quiet] [--print NAME]\n\
      \x20      hacc batch JOBS.json [--workers N] [--threads N] \
-     [--ceiling-fuel N] [--ceiling-mem BYTES] [--stripes N] [--cache-cap N] \
+     [--ceiling-fuel N] [--ceiling-mem BYTES] [--cache-cap N] \
      [--result-cache-cap N] [--no-fuse] [--ops-per-ms N]\n\
      [--shed-watermark N] [--retry-budget N]\n\
      \x20      hacc serve [same options as batch]\n\
@@ -135,9 +135,7 @@ fn parse_args() -> Result<Options, String> {
         file: String::new(),
         env: ConstEnv::new(),
         mode: ExecMode::Auto,
-        // The CLI defaults to the parallel engine; the library default
-        // stays `Engine::Tape` so embedders opt in explicitly.
-        engine: Engine::ParTape,
+        engine: Engine::Tape,
         threads: default_threads(),
         limits: Limits::default(),
         deadline_ms: None,
@@ -155,21 +153,11 @@ fn parse_args() -> Result<Options, String> {
         match arg.as_str() {
             "--mode" => {
                 let m = args.next().ok_or("--mode needs a value")?;
-                opts.mode = match m.as_str() {
-                    "auto" => ExecMode::Auto,
-                    "thunked" => ExecMode::ForceThunked,
-                    "checked" => ExecMode::ForceChecked,
-                    other => return Err(format!("unknown mode `{other}`")),
-                };
+                opts.mode = mode_from_str(&m)?;
             }
             "--engine" => {
                 let e = args.next().ok_or("--engine needs a value")?;
-                opts.engine = match e.as_str() {
-                    "treewalk" => Engine::TreeWalk,
-                    "tape" => Engine::Tape,
-                    "partape" => Engine::ParTape,
-                    other => return Err(format!("unknown engine `{other}`")),
-                };
+                opts.engine = engine_from_str(&e)?;
             }
             "--threads" => {
                 let n = args.next().ok_or("--threads needs a value")?;
@@ -344,12 +332,11 @@ struct ServeCli {
 }
 
 fn parse_serve_args(mut args: std::env::Args) -> Result<ServeCli, String> {
-    let mut engine = Engine::ParTape;
+    let mut engine = Engine::Tape;
     let mut mode = ExecMode::Auto;
     let mut threads = 1usize;
     let mut workers = default_threads();
     let mut ceiling = Limits::default();
-    let mut stripes = 8usize;
     let mut cache_cap = hac::serve::DEFAULT_CACHE_CAP;
     let mut result_cache_cap = hac::serve::DEFAULT_RESULT_CACHE_CAP;
     let mut fuse = true;
@@ -396,7 +383,6 @@ fn parse_serve_args(mut args: std::env::Args) -> Result<ServeCli, String> {
             }
             "--ceiling-fuel" => ceiling.fuel = Some(uint("--ceiling-fuel")?),
             "--ceiling-mem" => ceiling.mem_bytes = Some(uint("--ceiling-mem")?),
-            "--stripes" => stripes = uint("--stripes")?.max(1) as usize,
             "--cache-cap" => cache_cap = uint("--cache-cap")? as usize,
             "--result-cache-cap" => result_cache_cap = uint("--result-cache-cap")? as usize,
             "--no-fuse" => fuse = false,
@@ -442,7 +428,6 @@ fn parse_serve_args(mut args: std::env::Args) -> Result<ServeCli, String> {
             mode,
             threads,
             ceiling,
-            stripes,
             deadline,
             cache_cap,
             shed_watermark,

@@ -14,6 +14,14 @@ fn hacc(args: &[&str]) -> std::process::Output {
         .expect("spawn hacc")
 }
 
+/// Write `contents` to a scratch file in Cargo's per-target test
+/// directory (which honours `CARGO_TARGET_DIR`) and return its path.
+fn scratch_file(name: &str, contents: &str) -> String {
+    let path = format!("{}/{name}", env!("CARGO_TARGET_TMPDIR"));
+    std::fs::write(&path, contents).unwrap();
+    path
+}
+
 #[test]
 fn wavefront_program_runs() {
     let out = hacc(&["programs/wavefront.hac", "n=6"]);
@@ -89,18 +97,17 @@ fn failure_classes_get_distinct_exit_codes() {
     assert_eq!(out.status.code(), Some(1), "usage errors exit 1");
 
     // Parse error: 2, with a diagnostic on stderr.
-    std::fs::write("target/cli_parse_err.hac", "let let let := ;;\n").unwrap();
-    let out = hacc(&["target/cli_parse_err.hac", "n=3"]);
+    let path = scratch_file("cli_parse_err.hac", "let let let := ;;\n");
+    let out = hacc(&[&path, "n=3"]);
     assert_eq!(out.status.code(), Some(2), "parse errors exit 2");
     assert!(String::from_utf8_lossy(&out.stderr).contains("parse error"));
 
     // Runtime error: 3.
-    std::fs::write(
-        "target/cli_runtime_err.hac",
+    let path = scratch_file(
+        "cli_runtime_err.hac",
         "param n;\nlet a = array (1,n) [ i := a!(i-1) | i <- [1..n] ];\nresult a;\n",
-    )
-    .unwrap();
-    let out = hacc(&["target/cli_runtime_err.hac", "n=4", "--quiet"]);
+    );
+    let out = hacc(&[&path, "n=4", "--quiet"]);
     assert_eq!(out.status.code(), Some(3), "runtime errors exit 3");
     assert!(String::from_utf8_lossy(&out.stderr).contains("runtime error"));
 
@@ -221,19 +228,12 @@ fn emit_limp_flag() {
 
 #[test]
 fn scalar_reductions_printed() {
-    std::fs::write(
-        "target/cli_reduce_test.hac",
+    let path = scratch_file(
+        "cli_reduce_test.hac",
         "param n;\ninput u (1,n);\nlet s = sum [ u!k | k <- [1..n] ];\n\
          let a = array (1,1) [ 1 := s ];\nresult a;\n",
-    )
-    .unwrap();
-    let out = hacc(&[
-        "target/cli_reduce_test.hac",
-        "n=4",
-        "--quiet",
-        "--fill",
-        "zero",
-    ]);
+    );
+    let out = hacc(&[&path, "n=4", "--quiet", "--fill", "zero"]);
     assert!(
         out.status.success(),
         "{}",
@@ -314,15 +314,8 @@ fn batch_subcommand_serves_jobs_with_statuses() {
         {"id": "b", "file": "programs/wavefront.hac", "params": {"n": 6}, "fuel": 1000},
         {"id": "tight", "file": "programs/wavefront.hac", "params": {"n": 6}, "fuel": 2}
     ]}"#;
-    std::fs::write("target/cli_batch_jobs.json", jobs).unwrap();
-    let out = hacc(&[
-        "batch",
-        "target/cli_batch_jobs.json",
-        "--ceiling-fuel",
-        "100000",
-        "--workers",
-        "2",
-    ]);
+    let path = scratch_file("cli_batch_jobs.json", jobs);
+    let out = hacc(&["batch", &path, "--ceiling-fuel", "100000", "--workers", "2"]);
     assert!(
         out.status.success(),
         "{}",

@@ -1,8 +1,8 @@
 //! Soundness of compile-time cost certificates (the `CostCert` the
 //! pipeline attaches to every `Compiled`): for every shipped program
 //! and parameter rung, running with limits set *exactly* to the
-//! evaluated certificate must succeed — on the tree-walker, the
-//! sequential tape, and ParTape at 1/2/4/8 threads, fused and unfused.
+//! evaluated certificate must succeed — on the tree-walker and the
+//! tape engine at 1/2/4/8 threads, fused and unfused.
 //! Success at `limits == cert` is the oracle "metered usage ≤
 //! certificate" for both resources at once, because the meter is the
 //! thing that would have stopped the run.
@@ -13,7 +13,7 @@
 //!
 //! Admission decisions built on certificates are a pure function of
 //! (certificate, request): a server's verdict for a given request is
-//! bit-identical at every worker-thread count and stripe width.
+//! bit-identical at every worker-thread count.
 //!
 //! The rendered `cost ...` report lines for `programs/*.hac` are
 //! pinned in `tests/golden/cost_report.txt`; regenerate with
@@ -98,7 +98,7 @@ fn builds(src: &str, n: i64) -> Vec<(Engine, bool, Compiled)> {
     let program = parse_program(src).unwrap();
     let env = ConstEnv::from_pairs([("n", n)]);
     let mut out = Vec::new();
-    for engine in [Engine::TreeWalk, Engine::Tape, Engine::ParTape] {
+    for engine in [Engine::TreeWalk, Engine::Tape] {
         for fuse in [false, true] {
             let compiled = compile(
                 &program,
@@ -158,7 +158,7 @@ fn certificates_are_sound_and_tight_across_engines() {
                     rendered,
                     "{name} n={n}: certificate differs for {engine:?} fuse={fuse}"
                 );
-                let threads: &[usize] = if *engine == Engine::ParTape {
+                let threads: &[usize] = if *engine == Engine::Tape {
                     &THREADS
                 } else {
                     &[1]
@@ -215,9 +215,9 @@ proptest! {
     /// Admission is a pure function of (certificate, request): for a
     /// random program and parameter rung, a server's full verdict for
     /// budgets one under, exactly at, and absent is bit-identical at
-    /// every worker-thread count and stripe width.
+    /// every worker-thread count.
     #[test]
-    fn admission_decisions_are_pure_across_threads_and_stripes(seed in any::<u64>()) {
+    fn admission_decisions_are_pure_across_threads(seed in any::<u64>()) {
         hermetic();
         let suite = suite();
         let (name, src, _) = &suite[(seed % suite.len() as u64) as usize];
@@ -233,10 +233,9 @@ proptest! {
         let budgets: [Option<u64>; 3] = [Some(fuel.saturating_sub(1)), Some(fuel), None];
         type Verdict = (String, Option<String>, Option<u64>);
         let mut verdicts: Vec<Vec<Verdict>> = Vec::new();
-        for (threads, stripes) in [(1, 1), (2, 2), (4, 4), (8, 8), (2, 8), (8, 1)] {
+        for threads in THREADS {
             let server = Server::new(ServeOptions {
                 threads,
-                stripes,
                 ..ServeOptions::default()
             });
             let mut row = Vec::new();
@@ -252,7 +251,7 @@ proptest! {
         for row in &verdicts[1..] {
             prop_assert_eq!(
                 row, &verdicts[0],
-                "{} n={}: admission verdicts must not depend on threads/stripes", name, n
+                "{} n={}: admission verdicts must not depend on threads", name, n
             );
         }
         // Exact certificates convert the starved rung into a proved

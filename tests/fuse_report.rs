@@ -5,7 +5,7 @@
 //! intentional act: regenerate with `UPDATE_GOLDEN=1 cargo test --test
 //! fuse_report`.
 
-use hac_core::pipeline::{compile, CompileOptions, Engine};
+use hac_core::pipeline::{compile, CompileOptions};
 use hac_lang::env::ConstEnv;
 use hac_lang::parser::parse_program;
 use hac_workloads as wl;
@@ -34,16 +34,15 @@ fn fusion_verdicts_match_golden_report() {
         ("matvec", wl::matvec_source(), 8),
     ];
 
+    // The header predates the merge of the parallel engine into the
+    // tape engine; it stays as pinned in the golden file.
     let mut rendered = String::from("# per-loop fusion verdicts (ParTape engine, fuse on)\n");
     for (name, src, n) in kernels {
         let program = parse_program(src).unwrap();
         let compiled = compile(
             &program,
             &ConstEnv::from_pairs([("n", *n)]),
-            &CompileOptions {
-                engine: Engine::ParTape,
-                ..CompileOptions::default()
-            },
+            &CompileOptions::default(),
         )
         .unwrap();
         rendered.push_str(&format!("## {name} (n={n})\n"));
@@ -78,7 +77,6 @@ fn no_fuse_reports_no_fusion_lines() {
         &program,
         &ConstEnv::from_pairs([("n", 8)]),
         &CompileOptions {
-            engine: Engine::ParTape,
             fuse: false,
             ..CompileOptions::default()
         },

@@ -112,7 +112,7 @@ proptest! {
         let funcs = FuncTable::new();
         let limits = Limits { fuel: Some(fuel), mem_bytes: Some(mem) };
         let mut outcomes = Vec::new();
-        for engine in [Engine::TreeWalk, Engine::Tape, Engine::ParTape] {
+        for engine in [Engine::TreeWalk, Engine::Tape] {
             let compiled = match compile(
                 &program,
                 &env,

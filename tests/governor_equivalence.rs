@@ -1,6 +1,6 @@
 //! Differential tests for resource governance: a fuel or memory cap
-//! must produce *identical* behaviour on every engine — tree-walker,
-//! sequential tape, and ParTape at 1/2/4/8 threads. Either every
+//! must produce *identical* behaviour on every engine — tree-walker
+//! and the tape engine at 1/2/4/8 threads. Either every
 //! engine completes with bit-identical output, or every engine fails
 //! with the same `RuntimeError` (Debug-rendered, for payload parity).
 //!
@@ -28,6 +28,16 @@ use hac_workloads as wl;
 use proptest::prelude::*;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
+
+/// The engine × threads matrix: the tree-walk oracle on one worker,
+/// then the tape engine at every thread count.
+const MATRIX: [(Engine, usize); 5] = [
+    (Engine::TreeWalk, 1),
+    (Engine::Tape, 1),
+    (Engine::Tape, 2),
+    (Engine::Tape, 4),
+    (Engine::Tape, 8),
+];
 
 fn buf_bits(b: &ArrayBuf) -> (Vec<(i64, i64)>, Vec<u64>) {
     (b.bounds(), b.data().iter().map(|v| v.to_bits()).collect())
@@ -72,7 +82,7 @@ fn outcome(r: &Result<ExecOutput, hac_runtime::RuntimeError>) -> Outcome {
 
 /// Compile `src` once per engine; run each build under `limits` and
 /// demand identical outcomes across all engines and thread counts.
-/// Returns the sequential-tape outcome for extra assertions.
+/// Returns the one-worker tape outcome for extra assertions.
 /// Harness hermeticity: every run driver calls this first, so the
 /// whole binary ignores an ambient `HAC_FAULT_PLAN` (the CI
 /// fault-injection job exports one for CLI smoke runs). A test that
@@ -105,7 +115,6 @@ fn diff_limits(
     };
     let tree = build(Engine::TreeWalk);
     let tape = build(Engine::Tape);
-    let par = build(Engine::ParTape);
 
     let opts = RunOptions {
         threads: Some(1),
@@ -119,15 +128,15 @@ fn diff_limits(
         tree_got, want,
         "{label} {limits:?}: tree-walk vs tape outcome"
     );
-    for threads in THREADS {
+    for threads in &THREADS[1..] {
         let opts = RunOptions {
-            threads: Some(threads),
+            threads: Some(*threads),
             limits,
             faults: None,
             ceiling: None,
         };
-        let got = outcome(&run_with_options(&par, inputs, &funcs, &opts));
-        assert_eq!(got, want, "{label} {limits:?}: partape @{threads}t vs tape");
+        let got = outcome(&run_with_options(&tape, inputs, &funcs, &opts));
+        assert_eq!(got, want, "{label} {limits:?}: tape @{threads}t vs @1t");
     }
     want
 }
@@ -283,15 +292,7 @@ fn injected_faults_are_invisible_in_the_answer() {
     let inputs = HashMap::from([("a".to_string(), wl::random_matrix(16, 16, 61))]);
     let program = parse_program(wl::jacobi_step_source()).unwrap();
     let funcs = FuncTable::new();
-    let compiled = compile(
-        &program,
-        &env,
-        &CompileOptions {
-            engine: Engine::ParTape,
-            ..CompileOptions::default()
-        },
-    )
-    .unwrap();
+    let compiled = compile(&program, &env, &CompileOptions::default()).unwrap();
 
     // The harness is hermetic to an ambient `HAC_FAULT_PLAN`, so the
     // default (no explicit plan) is a genuinely fault-free baseline.
@@ -351,8 +352,8 @@ fn sans_faults(mut c: VmCounters) -> VmCounters {
 // Property: on randomly generated programs — loops whose bodies mix
 // arithmetic, short-circuit operators, conditionals, calls, and array
 // reads — a fuel budget trips at exactly the same charge on the
-// tree-walker, the tape, and ParTape at every thread count, leaving
-// identical remaining fuel and identical counter prefixes.
+// tree-walker, the tape, and the parallel tape at every thread count,
+// leaving identical remaining fuel and identical counter prefixes.
 // ---------------------------------------------------------------------
 
 struct Gen(wl::XorShift);
@@ -419,7 +420,7 @@ impl Gen {
 
 /// A 1..=8 loop storing the generated value into `out` — the same
 /// harness shape `partape_equivalence` uses, always injective, so the
-/// loop is a genuine parallel region under ParTape.
+/// loop is a genuine parallel region on more than one worker.
 fn harness_program(value: Expr) -> LProgram {
     LProgram {
         stmts: vec![
@@ -467,9 +468,9 @@ fn fresh_vm(fuel: u64) -> Vm {
 }
 
 /// One generated program, one fuel budget: the tree-walker, the tape,
-/// and ParTape at every thread count must agree on success/error, the
-/// error payload, the surviving array bits, the counter prefix, and
-/// the *remaining fuel*.
+/// and the parallel tape at every thread count must agree on
+/// success/error, the error payload, the surviving array bits, the
+/// counter prefix, and the *remaining fuel*.
 fn diff_random_fuel(prog: &LProgram, fuel: u64) {
     let ctx = TapeCtx {
         shapes: HashMap::from([("u".to_string(), vec![(1i64, 12i64)])]),
@@ -564,7 +565,7 @@ proptest! {
 
 /// Fusion-rich kernels under a fuel ladder dense around the exhaustion
 /// points of their innermost loops, plus memory caps. Each rung runs
-/// `fuse: true` and `fuse: false` builds on both tape engines at
+/// `fuse: true` and `fuse: false` builds on the tape engine at
 /// 1/2/4/8 threads and demands the same outcome (values, errors,
 /// counters, fuel left — `ExecOutput::fuel_left` is part of the
 /// compared surface via `diff_limits`'s per-engine assertions below).
@@ -596,22 +597,16 @@ fn fused_and_unfused_builds_hit_limits_identically() {
     let funcs = FuncTable::new();
     for (label, src, env, inputs) in &kernels {
         let program = parse_program(src).unwrap();
-        let mut builds = Vec::new();
-        for engine in [Engine::Tape, Engine::ParTape] {
-            for fuse in [false, true] {
-                let compiled = compile(
-                    &program,
-                    env,
-                    &CompileOptions {
-                        engine,
-                        fuse,
-                        ..CompileOptions::default()
-                    },
-                )
-                .unwrap();
-                builds.push((engine, fuse, compiled));
-            }
-        }
+        let builds: Vec<(bool, Compiled)> = [false, true]
+            .into_iter()
+            .map(|fuse| {
+                let options = CompileOptions {
+                    fuse,
+                    ..CompileOptions::default()
+                };
+                (fuse, compile(&program, env, &options).unwrap())
+            })
+            .collect();
         // A ladder dense around small budgets (mid-kernel exhaustion on
         // every rung below completion) plus memory caps.
         let rungs: Vec<Limits> = [0u64, 1, 2, 3, 5, 8, 13, 37, 99, 100, 257, 1000, 100_000]
@@ -621,13 +616,8 @@ fn fused_and_unfused_builds_hit_limits_identically() {
             .collect();
         for limits in rungs {
             let mut want: Option<(Outcome, Option<u64>)> = None;
-            for (engine, fuse, compiled) in &builds {
-                let threads: &[usize] = if *engine == Engine::ParTape {
-                    &THREADS
-                } else {
-                    &[1]
-                };
-                for &t in threads {
+            for (fuse, compiled) in &builds {
+                for t in THREADS {
                     let opts = RunOptions {
                         threads: Some(t),
                         limits,
@@ -641,7 +631,7 @@ fn fused_and_unfused_builds_hit_limits_identically() {
                         None => want = Some(got),
                         Some(w) => assert_eq!(
                             &got, w,
-                            "{label} {limits:?}: {engine:?} fuse={fuse} @{t}t \
+                            "{label} {limits:?}: fuse={fuse} @{t}t \
                              diverged from the scalar-tape baseline"
                         ),
                     }
@@ -654,15 +644,13 @@ fn fused_and_unfused_builds_hit_limits_identically() {
 // ---------------------------------------------------------------------
 // SharedCeiling: a per-request budget admitted against the global pool
 // must behave *bit-identically* to the same budget with no pool behind
-// it — on every engine, at every thread count, at every stripe width.
+// it — on every engine, at every thread count.
 // That is the settlement rule made testable: admission reserves the
 // whole budget up front, so execution only ever sees local counters.
 // ---------------------------------------------------------------------
 
-const STRIPES: [usize; 4] = [1, 2, 4, 8];
-
 /// Roomy pool: admission always succeeds, so any divergence would come
-/// from the striping/settlement machinery itself.
+/// from the settlement machinery itself.
 fn big_pool() -> Limits {
     Limits {
         fuel: Some(1 << 40),
@@ -671,7 +659,7 @@ fn big_pool() -> Limits {
 }
 
 /// Run `src` under `limits` admitted against a fresh ceiling, for every
-/// engine × thread count × stripe width, and demand the exact outcome
+/// engine × thread count, and demand the exact outcome
 /// of the unpooled baseline (which `diff_limits` has already proven
 /// engine-invariant).
 fn diff_ceiling(
@@ -684,7 +672,7 @@ fn diff_ceiling(
     let want = diff_limits(label, src, env, inputs, limits);
     let program = parse_program(src).unwrap();
     let funcs = FuncTable::new();
-    for engine in [Engine::TreeWalk, Engine::Tape, Engine::ParTape] {
+    for (engine, t) in MATRIX {
         let compiled = compile(
             &program,
             env,
@@ -694,27 +682,17 @@ fn diff_ceiling(
             },
         )
         .unwrap();
-        let threads: &[usize] = if engine == Engine::ParTape {
-            &THREADS
-        } else {
-            &[1]
+        let opts = RunOptions {
+            threads: Some(t),
+            limits,
+            faults: None,
+            ceiling: Some(SharedCeiling::new(big_pool())),
         };
-        for &t in threads {
-            for stripes in STRIPES {
-                let opts = RunOptions {
-                    threads: Some(t),
-                    limits,
-                    faults: None,
-                    ceiling: Some(SharedCeiling::new(big_pool(), stripes)),
-                };
-                let got = outcome(&run_with_options(&compiled, inputs, &funcs, &opts));
-                assert_eq!(
-                    got, want,
-                    "{label} {limits:?}: {engine:?}@{t}t stripes={stripes} under ceiling \
-                     vs unpooled baseline"
-                );
-            }
-        }
+        let got = outcome(&run_with_options(&compiled, inputs, &funcs, &opts));
+        assert_eq!(
+            got, want,
+            "{label} {limits:?}: {engine:?}@{t}t under ceiling vs unpooled baseline"
+        );
     }
 }
 
@@ -760,9 +738,9 @@ fn ceiling_admitted_budgets_exhaust_identically_everywhere() {
 /// A request with *no* local fuel cap under a capped pool draws blocks
 /// lazily. Alone on a fresh pool its exhaustion point is still
 /// deterministic — the pool is drained after exactly `pool` charges —
-/// and must not depend on engine, thread count, or stripe width.
-/// (ParTape runs such meters on the sequential path; the outcome, not
-/// the path, is what's asserted.)
+/// and must not depend on engine or thread count. (The tape engine
+/// runs such meters on the sequential path; the outcome, not the path,
+/// is what's asserted.)
 #[test]
 fn lazy_ceiling_draws_exhaust_identically_everywhere() {
     let env = ConstEnv::from_pairs([("n", 10)]);
@@ -771,7 +749,7 @@ fn lazy_ceiling_draws_exhaust_identically_everywhere() {
     let funcs = FuncTable::new();
     for pool_fuel in [0u64, 23, 1009, 1 << 30] {
         let mut outcomes: Vec<(String, Outcome)> = Vec::new();
-        for engine in [Engine::TreeWalk, Engine::Tape, Engine::ParTape] {
+        for (engine, t) in MATRIX {
             let compiled = compile(
                 &program,
                 &env,
@@ -781,32 +759,20 @@ fn lazy_ceiling_draws_exhaust_identically_everywhere() {
                 },
             )
             .unwrap();
-            let threads: &[usize] = if engine == Engine::ParTape {
-                &THREADS
-            } else {
-                &[1]
+            // Fresh pool per run: spent fuel never returns, so a shared
+            // pool would conflate runs.
+            let pool = SharedCeiling::new(Limits {
+                fuel: Some(pool_fuel),
+                mem_bytes: None,
+            });
+            let opts = RunOptions {
+                threads: Some(t),
+                limits: Limits::unlimited(),
+                faults: None,
+                ceiling: Some(pool),
             };
-            for &t in threads {
-                for stripes in STRIPES {
-                    // Fresh pool per run: spent fuel never returns, so a
-                    // shared pool would conflate runs.
-                    let pool = SharedCeiling::new(
-                        Limits {
-                            fuel: Some(pool_fuel),
-                            mem_bytes: None,
-                        },
-                        stripes,
-                    );
-                    let opts = RunOptions {
-                        threads: Some(t),
-                        limits: Limits::unlimited(),
-                        faults: None,
-                        ceiling: Some(pool),
-                    };
-                    let got = outcome(&run_with_options(&compiled, &inputs, &funcs, &opts));
-                    outcomes.push((format!("{engine:?}@{t}t stripes={stripes}"), got));
-                }
-            }
+            let got = outcome(&run_with_options(&compiled, &inputs, &funcs, &opts));
+            outcomes.push((format!("{engine:?}@{t}t"), got));
         }
         let (first_label, want) = outcomes[0].clone();
         for (label, got) in &outcomes {
@@ -895,17 +861,13 @@ proptest! {
             .map(|l| run_harness_once(&prog, Meter::new(*l)).0)
             .collect();
 
-        // One pool covering every reservation, striped per the seed.
+        // One pool covering every reservation.
         let pool_fuel: u64 = budgets.iter().map(|l| l.fuel.unwrap()).sum();
         let pool_mem: u64 = budgets.iter().map(|l| l.mem_bytes.unwrap_or(0)).sum();
-        let stripes = STRIPES[(seed % 4) as usize];
-        let ceiling = SharedCeiling::new(
-            Limits {
-                fuel: Some(pool_fuel),
-                mem_bytes: Some(pool_mem),
-            },
-            stripes,
-        );
+        let ceiling = SharedCeiling::new(Limits {
+            fuel: Some(pool_fuel),
+            mem_bytes: Some(pool_mem),
+        });
 
         let results: Vec<_> = std::thread::scope(|scope| {
             let handles: Vec<_> = budgets
@@ -935,7 +897,7 @@ proptest! {
         }
 
         // Exact settlement accounting: fuel spent is gone for good,
-        // memory came back in full — at any stripe width.
+        // memory came back in full.
         prop_assert_eq!(ceiling.fuel_available(), pool_fuel - total_spent);
         prop_assert_eq!(ceiling.mem_available(), pool_mem);
     }

@@ -6,8 +6,8 @@
 //! server, across every engine, thread count, and fusion mode:
 //!
 //!   * the (cold, warm hit, warm delta) triple for each bigupd-rooted
-//!     `programs/*.hac` kernel, over engines {treewalk, tape, partape}
-//!     × threads {1, 2, 4, 8} × {fuse, no-fuse};
+//!     `programs/*.hac` kernel, over treewalk plus tape × threads
+//!     {1, 2, 4, 8}, × {fuse, no-fuse};
 //!   * fuel and memory limit ladders: exhaustion mid-delta must fall
 //!     back to the metered full run and reproduce the cold error
 //!     byte-for-byte;
@@ -33,8 +33,15 @@ use hac_runtime::governor::FaultPlan;
 use hac_workloads::XorShift;
 use proptest::prelude::*;
 
-const ENGINES: [Engine; 3] = [Engine::TreeWalk, Engine::Tape, Engine::ParTape];
-const THREADS: [usize; 4] = [1, 2, 4, 8];
+/// The engine × threads matrix: the tree-walk oracle on one worker,
+/// then the tape engine at every thread count.
+const MATRIX: [(Engine, usize); 5] = [
+    (Engine::TreeWalk, 1),
+    (Engine::Tape, 1),
+    (Engine::Tape, 2),
+    (Engine::Tape, 4),
+    (Engine::Tape, 8),
+];
 
 /// One bigupd-rooted kernel with a base parameter set and a "slide"
 /// that differs only in update-only parameters (for `sor.hac` no such
@@ -122,41 +129,39 @@ fn assert_same_outcome(got: &Response, want: &Response, context: &str) {
 fn warm_serving_is_byte_identical_to_cold_across_engines_threads_and_fusion() {
     for prog in &PROGS {
         let src = std::fs::read_to_string(prog.path).expect(prog.path);
-        for engine in ENGINES {
-            for threads in THREADS {
-                for fuse in [true, false] {
-                    let ctx = format!("{} {engine:?} t{threads} fuse={fuse}", prog.path);
-                    let warm = Server::new(opts(engine, threads, fuse, 256));
-                    let cold = Server::new(opts(engine, threads, fuse, 0));
+        for (engine, threads) in MATRIX {
+            for fuse in [true, false] {
+                let ctx = format!("{} {engine:?} t{threads} fuse={fuse}", prog.path);
+                let warm = Server::new(opts(engine, threads, fuse, 256));
+                let cold = Server::new(opts(engine, threads, fuse, 0));
 
-                    let base_cold = cold.handle(&request("base", &src, prog.base));
-                    assert_eq!(base_cold.status, Status::Ok, "{ctx}: {:?}", base_cold.error);
-                    assert_eq!(base_cold.result_cache, None, "{ctx}: cap 0 bypasses");
+                let base_cold = cold.handle(&request("base", &src, prog.base));
+                assert_eq!(base_cold.status, Status::Ok, "{ctx}: {:?}", base_cold.error);
+                assert_eq!(base_cold.result_cache, None, "{ctx}: cap 0 bypasses");
 
-                    let miss = warm.handle(&request("miss", &src, prog.base));
-                    assert_eq!(miss.result_cache, Some(ResultClass::Miss), "{ctx}");
-                    assert_same_outcome(&miss, &base_cold, &format!("{ctx}: miss vs cold"));
+                let miss = warm.handle(&request("miss", &src, prog.base));
+                assert_eq!(miss.result_cache, Some(ResultClass::Miss), "{ctx}");
+                assert_same_outcome(&miss, &base_cold, &format!("{ctx}: miss vs cold"));
 
-                    let hit = warm.handle(&request("hit", &src, prog.base));
-                    assert_eq!(hit.result_cache, Some(ResultClass::Hit), "{ctx}");
-                    assert_eq!(hit.delta_elems, None, "{ctx}");
-                    assert_same_outcome(&hit, &base_cold, &format!("{ctx}: hit vs cold"));
+                let hit = warm.handle(&request("hit", &src, prog.base));
+                assert_eq!(hit.result_cache, Some(ResultClass::Hit), "{ctx}");
+                assert_eq!(hit.delta_elems, None, "{ctx}");
+                assert_same_outcome(&hit, &base_cold, &format!("{ctx}: hit vs cold"));
 
-                    let slide_cold = cold.handle(&request("slide-cold", &src, prog.slide));
-                    let slide = warm.handle(&request("slide", &src, prog.slide));
-                    if prog.delta_capable {
-                        assert_eq!(slide.result_cache, Some(ResultClass::Delta), "{ctx}");
-                        let elems = slide.delta_elems.expect("delta carries its dirty count");
-                        assert!(
-                            elems <= prog.max_elems,
-                            "{ctx}: delta_elems {elems} > {}",
-                            prog.max_elems
-                        );
-                    } else {
-                        assert_eq!(slide.result_cache, Some(ResultClass::Hit), "{ctx}");
-                    }
-                    assert_same_outcome(&slide, &slide_cold, &format!("{ctx}: delta vs cold"));
+                let slide_cold = cold.handle(&request("slide-cold", &src, prog.slide));
+                let slide = warm.handle(&request("slide", &src, prog.slide));
+                if prog.delta_capable {
+                    assert_eq!(slide.result_cache, Some(ResultClass::Delta), "{ctx}");
+                    let elems = slide.delta_elems.expect("delta carries its dirty count");
+                    assert!(
+                        elems <= prog.max_elems,
+                        "{ctx}: delta_elems {elems} > {}",
+                        prog.max_elems
+                    );
+                } else {
+                    assert_eq!(slide.result_cache, Some(ResultClass::Hit), "{ctx}");
                 }
+                assert_same_outcome(&slide, &slide_cold, &format!("{ctx}: delta vs cold"));
             }
         }
     }
@@ -172,7 +177,7 @@ fn limit_ladders_match_cold_outcomes_byte_for_byte() {
     for prog in &PROGS[..2] {
         let src = std::fs::read_to_string(prog.path).expect(prog.path);
         for fuel in [0u64, 1, 2, 4, 8, 12, 20, 40, 100, 10_000] {
-            let warm = Server::new(opts(Engine::ParTape, 2, true, 256));
+            let warm = Server::new(opts(Engine::Tape, 2, true, 256));
             let mut fill = request("fill", &src, prog.base);
             fill.fuel = Some(10_000);
             assert_eq!(warm.handle(&fill).status, Status::Ok, "{}", prog.path);
@@ -180,14 +185,14 @@ fn limit_ladders_match_cold_outcomes_byte_for_byte() {
             tight.fuel = Some(fuel);
             let w = warm.handle(&tight);
 
-            let cold = Server::new(opts(Engine::ParTape, 2, true, 0));
+            let cold = Server::new(opts(Engine::Tape, 2, true, 0));
             let mut ctl = request("ctl", &src, prog.slide);
             ctl.fuel = Some(fuel);
             let c = cold.handle(&ctl);
             assert_same_outcome(&w, &c, &format!("{} fuel={fuel}", prog.path));
         }
         for mem in [64u64, 256, 1024, 4096, 1 << 20] {
-            let warm = Server::new(opts(Engine::ParTape, 2, true, 256));
+            let warm = Server::new(opts(Engine::Tape, 2, true, 256));
             let mut fill = request("fill", &src, prog.base);
             fill.mem_bytes = Some(1 << 20);
             warm.handle(&fill);
@@ -195,7 +200,7 @@ fn limit_ladders_match_cold_outcomes_byte_for_byte() {
             tight.mem_bytes = Some(mem);
             let w = warm.handle(&tight);
 
-            let cold = Server::new(opts(Engine::ParTape, 2, true, 0));
+            let cold = Server::new(opts(Engine::Tape, 2, true, 0));
             let mut ctl = request("ctl", &src, prog.slide);
             ctl.mem_bytes = Some(mem);
             let c = cold.handle(&ctl);
@@ -215,8 +220,8 @@ fn duplicate_coordinate_updates_match_cold_decisions() {
         w = bigupd v ([ lo := uv ] ++ [ lo := uv + 1 ]);\n\
         result w;\n";
     let params: &[(&str, i64)] = &[("n", 8), ("lo", 3), ("uv", 9)];
-    let warm = Server::new(opts(Engine::ParTape, 1, true, 256));
-    let cold = Server::new(opts(Engine::ParTape, 1, true, 0));
+    let warm = Server::new(opts(Engine::Tape, 1, true, 256));
+    let cold = Server::new(opts(Engine::Tape, 1, true, 0));
     let c = cold.handle(&request("c", src, params));
     let a = warm.handle(&request("a", src, params));
     let b = warm.handle(&request("b", src, params));
@@ -240,7 +245,7 @@ proptest! {
         let band = std::fs::read_to_string("programs/incremental/band_poke.hac").expect("band_poke");
         let jacobi = std::fs::read_to_string("programs/incremental/jacobi_poke.hac").expect("jacobi_poke");
         let mut rng = XorShift::new(seed | 1);
-        let warm = Server::new(opts(Engine::ParTape, 2, true, 256));
+        let warm = Server::new(opts(Engine::Tape, 2, true, 256));
         let mut deltas = 0u64;
         for i in 0..12 {
             let r = if rng.next_u64().is_multiple_of(2) {
@@ -265,7 +270,7 @@ proptest! {
                 )
             };
             let w = warm.handle(&r);
-            let cold = Server::new(opts(Engine::ParTape, 2, true, 0));
+            let cold = Server::new(opts(Engine::Tape, 2, true, 0));
             let c = cold.handle(&r);
             prop_assert_eq!(w.status, c.status, "seed {} req {}", seed, r.id);
             prop_assert_eq!(&w.error, &c.error, "seed {} req {}", seed, r.id);
@@ -290,7 +295,7 @@ proptest! {
 fn daemon_result_cache_ledger_matches_the_golden_file() {
     let src = std::fs::read_to_string("programs/incremental/band_poke.hac").expect("band_poke");
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let server = Arc::new(Server::new(opts(Engine::ParTape, 1, true, 256)));
+    let server = Arc::new(Server::new(opts(Engine::Tape, 1, true, 256)));
     let daemon =
         daemon::spawn(Arc::clone(&server), listener, DaemonOptions::default()).expect("spawn");
     let stream = TcpStream::connect(daemon.addr()).expect("connect");

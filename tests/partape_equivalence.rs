@@ -1,7 +1,7 @@
-//! Differential tests for the parallel tape engine (`Engine::ParTape`):
-//! on every workload kernel, and on randomly generated well-formed
-//! programs, ParTape at 1, 2, 4, and 8 threads must be *bit-identical*
-//! to the sequential tape — same arrays to the last mantissa bit, same
+//! Differential tests for the tape engine's §10 parallel regions: on
+//! every workload kernel, and on randomly generated well-formed
+//! programs, the tape at 2, 4, and 8 threads must be *bit-identical*
+//! to the one-worker tape — same arrays to the last mantissa bit, same
 //! scalars, the same runtime errors (deterministic lowest-iteration
 //! selection), and *exactly* the same instrumentation counters,
 //! including `tape_ops`.
@@ -16,7 +16,7 @@ use hac_codegen::limp::{LProgram, LStmt, StoreCheck, Vm, VmCounters};
 use hac_codegen::partape::{plan_tape, ParPlan};
 use hac_codegen::tape::{compile_tape, TapeCtx};
 use hac_core::pipeline::{
-    compile, run, run_with_threads, CompileOptions, Compiled, Engine, ExecOutput, Unit,
+    compile, run, run_with_threads, CompileOptions, Compiled, ExecOutput, Unit,
 };
 use hac_lang::ast::{BinOp, Expr, UnOp};
 use hac_lang::env::ConstEnv;
@@ -85,9 +85,6 @@ fn par_regions(compiled: &Compiled) -> usize {
         .sum()
 }
 
-/// Compile under `Engine::Tape` and `Engine::ParTape`, run the parallel
-/// build at every thread count against the sequential baseline, and
-/// return the parallel compilation for region assertions.
 /// Harness hermeticity: every run driver calls this first, so the
 /// whole binary ignores an ambient `HAC_FAULT_PLAN` (the CI
 /// fault-injection job exports one for CLI smoke runs). Faults in
@@ -96,6 +93,8 @@ fn hermetic() {
     hac_codegen::suppress_env_fault_plan();
 }
 
+/// Compile `src`, run it at every thread count against the one-worker
+/// baseline, and return the compilation for region assertions.
 fn diff_kernel(
     label: &str,
     src: &str,
@@ -105,21 +104,15 @@ fn diff_kernel(
     hermetic();
     let program = parse_program(src).unwrap();
     let funcs = FuncTable::new();
-    let opts = |engine| CompileOptions {
-        engine,
-        ..CompileOptions::default()
-    };
-    let seq = compile(&program, env, &opts(Engine::Tape))
-        .unwrap_or_else(|e| panic!("{label}: compile(tape): {e}"));
-    let par = compile(&program, env, &opts(Engine::ParTape))
-        .unwrap_or_else(|e| panic!("{label}: compile(partape): {e}"));
-    let want = run(&seq, inputs, &funcs).unwrap_or_else(|e| panic!("{label}: run(tape): {e}"));
-    for threads in THREADS {
-        let got = run_with_threads(&par, inputs, &funcs, threads)
-            .unwrap_or_else(|e| panic!("{label}: run(partape, {threads}): {e}"));
+    let compiled = compile(&program, env, &CompileOptions::default())
+        .unwrap_or_else(|e| panic!("{label}: compile: {e}"));
+    let want = run(&compiled, inputs, &funcs).unwrap_or_else(|e| panic!("{label}: run: {e}"));
+    for threads in &THREADS[1..] {
+        let got = run_with_threads(&compiled, inputs, &funcs, *threads)
+            .unwrap_or_else(|e| panic!("{label}: run @{threads}t: {e}"));
         assert_outputs_identical(&got, &want, &format!("{label} @{threads}t"));
     }
-    par
+    compiled
 }
 
 #[test]
@@ -236,7 +229,7 @@ fn dependence_free_kernels_get_parallel_regions() {
 #[test]
 fn carried_dependence_kernels_fall_back_sequential() {
     // SOR's wavefront flow dependence and the first-order recurrence
-    // both carry on every loop: §10 refuses, so ParTape compiles zero
+    // both carry on every loop: §10 refuses, so the tape plans zero
     // regions and runs the plain sequential dispatch path.
     let n = 12;
     let env = ConstEnv::from_pairs([("n", n)]);
@@ -251,7 +244,7 @@ fn carried_dependence_kernels_fall_back_sequential() {
 
 // ---------------------------------------------------------------------
 // Property: random well-formed expression trees evaluate identically
-// under ParTape at every thread count — NaN propagation, lazy errors
+// on the parallel tape at every thread count — NaN propagation, lazy errors
 // (deterministic lowest-ordinal selection), and exact counters.
 // ---------------------------------------------------------------------
 
@@ -422,7 +415,7 @@ fn fresh_vm() -> Vm {
     vm
 }
 
-/// Run sequential tape vs ParTape at every thread count, demanding
+/// Run the sequential tape vs the parallel tape at every thread count, demanding
 /// identical outcomes: bit-identical arrays on success, identical
 /// errors (Debug-rendered, for NaN payload parity) on failure, and
 /// exactly equal counters either way.

@@ -57,8 +57,8 @@ fn assert_light_outcome(resp: &Response, want: &Response, context: &str) {
 
 /// The isolation property, head on: run the light tenant solo, then
 /// race it against heavy tenants that exhaust their budgets, over
-/// several stripe widths and repetitions. Every observable of the
-/// light tenant must be bit-identical to the solo run.
+/// several repetitions. Every observable of the light tenant must be
+/// bit-identical to the solo run.
 #[test]
 fn heavy_tenant_exhaustion_never_perturbs_light_tenant() {
     let solo_server = Server::new(ServeOptions::default());
@@ -67,40 +67,36 @@ fn heavy_tenant_exhaustion_never_perturbs_light_tenant() {
     assert!(solo.answer_digest.is_some());
     assert!(solo.fuel_left.is_some());
 
-    for stripes in [1, 4, 8] {
-        let server = Server::new(ServeOptions {
-            // Pool sized so every tenant admits; the heavies exhaust
-            // *their own* budgets mid-run, hammering the settle path
-            // while the light tenant executes.
-            ceiling: Limits {
-                fuel: Some(4_000),
-                mem_bytes: Some(1 << 20),
-            },
-            stripes,
-            ..ServeOptions::default()
-        });
-        for round in 0..5 {
-            let reqs = vec![
-                heavy_request(&format!("h1-{round}")),
-                light_request(&format!("light-{round}")),
-                heavy_request(&format!("h2-{round}")),
-                heavy_request(&format!("h3-{round}")),
-            ];
-            let out = server.run_batch(&reqs, 4);
-            assert_eq!(out[0].status, Status::Limit, "heavy tenant exhausts");
-            assert_eq!(out[2].status, Status::Limit);
-            assert_eq!(out[3].status, Status::Limit);
-            assert_light_outcome(&out[1], &solo, &format!("stripes={stripes} round={round}"));
-        }
-        // Memory always settles back, except the bytes the result
-        // cache's family snapshots still hold (Gauss–Seidel is
-        // bigupd-rooted, so its prefix state stays resident for the
-        // delta path); fuel is down by exactly what was spent — never
-        // more than the pool.
-        let resident = server.result_cache_stats().resident_bytes;
-        assert_eq!(server.ceiling().mem_available(), (1 << 20) - resident);
-        assert!(server.ceiling().fuel_available() <= 4_000);
+    let server = Server::new(ServeOptions {
+        // Pool sized so every tenant admits; the heavies exhaust
+        // *their own* budgets mid-run, hammering the settle path
+        // while the light tenant executes.
+        ceiling: Limits {
+            fuel: Some(4_000),
+            mem_bytes: Some(1 << 20),
+        },
+        ..ServeOptions::default()
+    });
+    for round in 0..5 {
+        let reqs = vec![
+            heavy_request(&format!("h1-{round}")),
+            light_request(&format!("light-{round}")),
+            heavy_request(&format!("h2-{round}")),
+            heavy_request(&format!("h3-{round}")),
+        ];
+        let out = server.run_batch(&reqs, 4);
+        assert_eq!(out[0].status, Status::Limit, "heavy tenant exhausts");
+        assert_eq!(out[2].status, Status::Limit);
+        assert_eq!(out[3].status, Status::Limit);
+        assert_light_outcome(&out[1], &solo, &format!("round={round}"));
     }
+    // Memory always settles back, except the bytes the result cache's
+    // family snapshots still hold (Gauss–Seidel is bigupd-rooted, so
+    // its prefix state stays resident for the delta path); fuel is down
+    // by exactly what was spent — never more than the pool.
+    let resident = server.result_cache_stats().resident_bytes;
+    assert_eq!(server.ceiling().mem_available(), (1 << 20) - resident);
+    assert!(server.ceiling().fuel_available() <= 4_000);
 }
 
 #[test]
