@@ -36,18 +36,26 @@ impl LoopTerm {
     /// direction constraint, or `None` when the constrained region is
     /// empty (e.g. `x < y` inside a loop with fewer than 2 iterations).
     ///
+    /// The exact range (`LoopTerm::range`) saturated back to i64, which
+    /// keeps the interval an over-approximation (sound for a necessary
+    /// test) even for adversarially large coefficients/extents.
+    pub fn bounds(&self, dir: Dir) -> Option<(i64, i64)> {
+        let (lo, hi) = self.range(dir)?;
+        Some((clamp_i64(lo), clamp_i64(hi)))
+    }
+
+    /// [`LoopTerm::bounds`] without the saturation: `|a·x|, |b·y| <
+    /// 2^126`, so the difference always fits in i128.
+    ///
     /// The term is linear and each constrained region is a (possibly
     /// degenerate) lattice polytope, so the extrema sit at vertices;
     /// enumerating them yields exactly the closed-form Banerjee bounds
     /// of the paper's §6 theorem.
-    pub fn bounds(&self, dir: Dir) -> Option<(i64, i64)> {
+    pub(crate) fn range(&self, dir: Dir) -> Option<(i128, i128)> {
         let m = self.size;
         if m < 1 {
             return None;
         }
-        // i128 internally: saturating back to i64 keeps the interval an
-        // over-approximation (sound for a necessary test) even for
-        // adversarially large coefficients/extents.
         let val = |x: i64, y: i64| self.a as i128 * x as i128 - self.b as i128 * y as i128;
         let verts: &[(i64, i64)] = match dir {
             Dir::Any => &[(1, 1), (1, m), (m, 1), (m, m)],
@@ -72,7 +80,7 @@ impl LoopTerm {
             lo = lo.min(v);
             hi = hi.max(v);
         }
-        Some((clamp_i64(lo), clamp_i64(hi)))
+        Some((lo, hi))
     }
 }
 
@@ -93,12 +101,18 @@ impl UnsharedTerm {
     /// Bounds of `coeff·x` over `x ∈ [1..size]`, or `None` for an empty
     /// loop.
     pub fn bounds(&self) -> Option<(i64, i64)> {
+        let (lo, hi) = self.range()?;
+        Some((clamp_i64(lo), clamp_i64(hi)))
+    }
+
+    /// [`UnsharedTerm::bounds`] without the saturation.
+    pub(crate) fn range(&self) -> Option<(i128, i128)> {
         if self.size < 1 {
             return None;
         }
         let p = self.coeff as i128;
         let q = self.coeff as i128 * self.size as i128;
-        Some((clamp_i64(p.min(q)), clamp_i64(p.max(q))))
+        Some((p.min(q), p.max(q)))
     }
 }
 

@@ -42,6 +42,7 @@ fn main() {
     e11_deforest();
     e11b_reduction();
     e12_test_costs();
+    e27_compile_vs_n();
 }
 
 /// §3.1's second claim: `foldl` over a comprehension compiles to a DO
@@ -358,6 +359,54 @@ fn e12_test_costs() {
         }
         let t_exact = t.elapsed().as_secs_f64() * 1e6 / reps_e as f64;
         println!("| {d} | {t_gcd:.3} | {t_ban:.3} | {t_exact:.3} |");
+    }
+    println!();
+}
+
+/// Compile time of the shipped `matmul` and `tridiag` programs as `n`
+/// grows: the exact test's cost should depend on nest depth, not on
+/// trip counts, and `matmul`'s write collisions stay disproved.
+fn e27_compile_vs_n() {
+    use hac_core::pipeline::{compile, CompileOptions};
+
+    println!("## E27 — compile time vs n (best of up to 30, ms)\n");
+    println!("| program | n | compile ms | write collisions |");
+    println!("|---|---|---|---|");
+    let programs: [(&str, &str, &[i64]); 2] = [
+        (
+            "matmul",
+            include_str!("../../../../programs/matmul.hac"),
+            &[8, 48, 128, 256],
+        ),
+        (
+            "tridiag",
+            include_str!("../../../../programs/tridiag.hac"),
+            &[1024, 65536],
+        ),
+    ];
+    for (name, src, ns) in programs {
+        let program = parse_program(src).unwrap();
+        for &n in ns {
+            let env = ConstEnv::from_pairs([("n", n)]);
+            let mut best = f64::INFINITY;
+            let mut report = String::new();
+            let start = Instant::now();
+            for _ in 0..30 {
+                let t = Instant::now();
+                let compiled = compile(&program, &env, &CompileOptions::default()).unwrap();
+                best = best.min(t.elapsed().as_secs_f64() * 1e3);
+                report = compiled.report.render();
+                if start.elapsed().as_secs() >= 2 {
+                    break;
+                }
+            }
+            let verdict = if report.contains("write collisions: possible") {
+                "possible"
+            } else {
+                "impossible"
+            };
+            println!("| {name} | {n} | {best:.3} | {verdict} |");
+        }
     }
     println!();
 }

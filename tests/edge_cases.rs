@@ -173,3 +173,57 @@ fn min_max_and_builtins_in_values() {
     );
     assert_eq!(out.array("a").data(), &[4.0, 4.0, 5.0, 5.0, 5.0]);
 }
+
+/// `matmul`'s init and accumulate clauses write disjoint elements of
+/// `p`. Proving it takes the exact test; its search must cost O(n), so
+/// the proof, and with it checkless fused code, holds past n = 100.
+#[test]
+fn matmul_stays_checkless_and_fused_at_n128() {
+    let n = 128;
+    let program = parse_program(include_str!("../programs/matmul.hac")).unwrap();
+    let env = ConstEnv::from_pairs([("n", n)]);
+    let compile_in = |mode| {
+        let options = CompileOptions {
+            mode,
+            ..CompileOptions::default()
+        };
+        compile(&program, &env, &options).unwrap()
+    };
+    let compiled = compile_in(ExecMode::Auto);
+    let p = compiled
+        .report
+        .arrays
+        .iter()
+        .find(|a| a.name == "p")
+        .unwrap();
+    assert_eq!(p.collisions, "impossible (checks elided)");
+    assert_eq!(p.empties, "impossible (checks elided)");
+    assert!(
+        p.fusion
+            .iter()
+            .any(|f| f.starts_with("for k ") && f.ends_with(": fused (multiply-add accumulate)")),
+        "{:?}",
+        p.fusion
+    );
+
+    let inputs = HashMap::from([
+        ("x".to_string(), hac_workloads::random_matrix(n, n, 31)),
+        ("y".to_string(), hac_workloads::random_matrix(n, n, 37)),
+    ]);
+    let out = run(&compiled, &inputs, &FuncTable::new()).unwrap();
+    assert_eq!(out.counters.vm.check_ops, 0);
+    let checked = run(
+        &compile_in(ExecMode::ForceChecked),
+        &inputs,
+        &FuncTable::new(),
+    )
+    .unwrap();
+    let bits = |o: &hac_core::pipeline::ExecOutput| {
+        o.array("c")
+            .data()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(bits(&out), bits(&checked));
+}

@@ -8,8 +8,8 @@ use proptest::prelude::*;
 
 use hac_analysis::analyze::analyze_bigupd;
 use hac_analysis::direction::{Dir, DirVec};
-use hac_analysis::equation::{DimEquation, LoopTerm};
-use hac_analysis::exact::{exact_test, ExactResult};
+use hac_analysis::equation::{DimEquation, LoopTerm, UnsharedTerm};
+use hac_analysis::exact::{exact_test, ExactResult, Witness};
 use hac_analysis::search::TestPolicy;
 use hac_codegen::limp::Vm;
 use hac_codegen::lower::lower_update;
@@ -65,6 +65,49 @@ proptest! {
         }
         let got = exact_test(&eqs, &dv, 1_000_000);
         prop_assert_eq!(matches!(got, ExactResult::Dependent(_)), want, "{:?}", got);
+    }
+
+    /// The exact test returns the lexicographically first solution of
+    /// random multi-loop, multi-dimension systems, in its documented
+    /// search order, or proves there is none.
+    #[test]
+    fn exact_witness_is_lexicographically_first(
+        ndims in 1usize..=2,
+        shared in proptest::collection::vec(
+            (1i64..=5, prop_oneof![Just(Dir::Any), Just(Dir::Lt), Just(Dir::Eq), Just(Dir::Gt)]),
+            0..3,
+        ),
+        src_sizes in proptest::collection::vec(1i64..=5, 0..3),
+        snk_sizes in proptest::collection::vec(1i64..=5, 0..3),
+        // Zero half the time, so loops vanish from some or all dimensions.
+        coeffs in proptest::collection::vec(prop_oneof![Just(0i64), -3i64..=3], 16..17),
+        rhs in proptest::collection::vec(-6i64..=6, 2..3),
+    ) {
+        let mut c = coeffs.into_iter().cycle();
+        let eqs: Vec<DimEquation> = (0..ndims)
+            .map(|d| DimEquation {
+                shared: shared
+                    .iter()
+                    .map(|&(size, _)| LoopTerm { size, a: c.next().unwrap(), b: c.next().unwrap() })
+                    .collect(),
+                src_only: src_sizes
+                    .iter()
+                    .map(|&size| UnsharedTerm { coeff: c.next().unwrap(), size })
+                    .collect(),
+                snk_only: snk_sizes
+                    .iter()
+                    .map(|&size| UnsharedTerm { coeff: c.next().unwrap(), size })
+                    .collect(),
+                a0: 0,
+                b0: rhs[d],
+            })
+            .collect();
+        let dv = DirVec(shared.iter().map(|&(_, dir)| dir).collect());
+        let want = match brute_first_solution(&eqs, &dv) {
+            Some(w) => ExactResult::Dependent(w),
+            None => ExactResult::Independent,
+        };
+        prop_assert_eq!(exact_test(&eqs, &dv, 1_000_000), want, "{:?} under {:?}", eqs, dv);
     }
 
     /// Strided recurrences agree between thunkless and thunked for
@@ -256,6 +299,94 @@ proptest! {
                 // one direction; fallback would be a scheduler bug.
                 return Err(TestCaseError::fail("unexpected thunk fallback"));
             }
+        }
+    }
+}
+
+/// Enumerate every assignment in the exact test's search order — shared
+/// pairs `(x, y)` outermost first, then source-only, then sink-only
+/// indices, each ascending — and return the first that solves every
+/// dimension. A loop whose coefficients vanish in every dimension only
+/// takes its canonical value (`(1, 1)`, `(1, 2)` under `<`, `(2, 1)`
+/// under `>`, or `1`), provided its region is not empty.
+fn brute_first_solution(eqs: &[DimEquation], dv: &DirVec) -> Option<Witness> {
+    /// One loop: its candidate `(x, y)` values (`y = 0` for an unshared
+    /// loop) and its `(a, b)` per dimension.
+    struct Loop {
+        values: Vec<(i64, i64)>,
+        coef: Vec<(i64, i64)>,
+    }
+    let first = &eqs[0];
+    let mut loops = Vec::new();
+    for (k, &dir) in dv.0.iter().enumerate() {
+        let coef: Vec<(i64, i64)> = eqs.iter().map(|e| (e.shared[k].a, e.shared[k].b)).collect();
+        let m = first.shared[k].size;
+        let mut values: Vec<(i64, i64)> = (1..=m)
+            .flat_map(|x| (1..=m).map(move |y| (x, y)))
+            .filter(|&(x, y)| match dir {
+                Dir::Any => true,
+                Dir::Lt => x < y,
+                Dir::Eq => x == y,
+                Dir::Gt => x > y,
+            })
+            .collect();
+        if !values.is_empty() && coef.iter().all(|&c| c == (0, 0)) {
+            values = vec![match dir {
+                Dir::Lt => (1, 2),
+                Dir::Gt => (2, 1),
+                _ => (1, 1),
+            }];
+        }
+        loops.push(Loop { values, coef });
+    }
+    let unshared = |e: &DimEquation, k: usize| {
+        e.src_only
+            .get(k)
+            .copied()
+            .unwrap_or_else(|| e.snk_only[k - e.src_only.len()])
+    };
+    for k in 0..first.src_only.len() + first.snk_only.len() {
+        let coef: Vec<(i64, i64)> = eqs.iter().map(|e| (unshared(e, k).coeff, 0)).collect();
+        let values = if coef.iter().all(|&c| c == (0, 0)) {
+            vec![(1, 0)]
+        } else {
+            (1..=unshared(first, k).size).map(|x| (x, 0)).collect()
+        };
+        loops.push(Loop { values, coef });
+    }
+    if loops.iter().any(|l| l.values.is_empty()) {
+        return None;
+    }
+    // Odometer over the candidate lists, first loop most significant.
+    let mut pick = vec![0usize; loops.len()];
+    loop {
+        let value = |k: usize| loops[k].values[pick[k]];
+        let solves = eqs.iter().enumerate().all(|(d, e)| {
+            let sum: i64 = (0..loops.len())
+                .map(|k| loops[k].coef[d].0 * value(k).0 - loops[k].coef[d].1 * value(k).1)
+                .sum();
+            sum == e.rhs()
+        });
+        if solves {
+            let s = first.shared.len();
+            let p = first.src_only.len();
+            return Some(Witness {
+                shared: (0..s).map(value).collect(),
+                src_only: (s..s + p).map(|k| value(k).0).collect(),
+                snk_only: (s + p..loops.len()).map(|k| value(k).0).collect(),
+            });
+        }
+        let mut k = loops.len();
+        loop {
+            if k == 0 {
+                return None;
+            }
+            k -= 1;
+            pick[k] += 1;
+            if pick[k] < loops[k].values.len() {
+                break;
+            }
+            pick[k] = 0;
         }
     }
 }
