@@ -388,14 +388,14 @@ fn e27_compile_vs_n() {
         let program = parse_program(src).unwrap();
         for &n in ns {
             let env = ConstEnv::from_pairs([("n", n)]);
+            let compile_once = || compile(&program, &env, &CompileOptions::default()).unwrap();
+            let report = compile_once().report.render();
             let mut best = f64::INFINITY;
-            let mut report = String::new();
             let start = Instant::now();
             for _ in 0..30 {
                 let t = Instant::now();
-                let compiled = compile(&program, &env, &CompileOptions::default()).unwrap();
+                std::hint::black_box(compile_once());
                 best = best.min(t.elapsed().as_secs_f64() * 1e3);
-                report = compiled.report.render();
                 if start.elapsed().as_secs() >= 2 {
                     break;
                 }
