@@ -43,6 +43,7 @@ fn main() {
     e11b_reduction();
     e12_test_costs();
     e27_compile_vs_n();
+    e28_carried_loops();
 }
 
 /// §3.1's second claim: `foldl` over a comprehension compiles to a DO
@@ -407,6 +408,91 @@ fn e27_compile_vs_n() {
             };
             println!("| {name} | {n} | {best:.3} | {verdict} |");
         }
+    }
+    println!();
+}
+
+/// Run time of the shipped recurrences at the `hacbench` kernel sizes,
+/// scalar tape (`--no-fuse`) against fused, one worker. Their carried
+/// inner loops fuse onto the in-order generic micro-kernel; both
+/// builds must produce the same bits.
+fn e28_carried_loops() {
+    use hac_core::pipeline::{compile, run, CompileOptions};
+
+    println!("## E28 — carried loops on the micro-kernel (best of up to 30, ms)\n");
+    println!("| program | n | --no-fuse ms | fused ms | speedup | fused loops |");
+    println!("|---|---|---|---|---|---|");
+    let programs = [
+        (
+            "sor",
+            include_str!("../../../../programs/sor.hac"),
+            256,
+            inputs(&[("a", wl::random_matrix(256, 256, 3))]),
+        ),
+        (
+            "wavefront",
+            include_str!("../../../../programs/wavefront.hac"),
+            256,
+            HashMap::new(),
+        ),
+        (
+            "tridiag",
+            include_str!("../../../../programs/tridiag.hac"),
+            65536,
+            inputs(&[("d", wl::random_vector(65536, 5))]),
+        ),
+    ];
+    for (name, src, n, inputs) in programs {
+        let program = parse_program(src).unwrap();
+        let env = ConstEnv::from_pairs([("n", n)]);
+        let build = |fuse| {
+            let options = CompileOptions {
+                fuse,
+                ..CompileOptions::default()
+            };
+            compile(&program, &env, &options).unwrap()
+        };
+        let funcs = FuncTable::new();
+        let best_ms = |compiled| {
+            let mut best = f64::INFINITY;
+            let start = Instant::now();
+            let mut out = None;
+            for _ in 0..30 {
+                let t = Instant::now();
+                out = Some(run(compiled, &inputs, &funcs).unwrap());
+                best = best.min(t.elapsed().as_secs_f64() * 1e3);
+                if start.elapsed().as_secs() >= 2 {
+                    break;
+                }
+            }
+            (out.expect("ran at least once"), best)
+        };
+        let (plain, fused) = (build(false), build(true));
+        let (a, t_plain) = best_ms(&plain);
+        let (b, t_fused) = best_ms(&fused);
+        let bits = |o: &hac_core::pipeline::ExecOutput| {
+            let mut v: Vec<_> = o
+                .arrays
+                .iter()
+                .map(|(k, buf)| {
+                    (
+                        k.clone(),
+                        buf.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                    )
+                })
+                .collect();
+            v.sort();
+            v
+        };
+        assert_eq!(bits(&a), bits(&b), "{name}: fused output differs");
+        assert_eq!(a.counters, b.counters, "{name}: fused counters differ");
+        let report = fused.report.render();
+        let loops = report.matches(": fused (").count();
+        let carried = report.matches(": fused (generic micro-kernel)").count();
+        println!(
+            "| {name} | {n} | {t_plain:.3} | {t_fused:.3} | {:.2}× | {loops} ({carried} generic) |",
+            t_plain / t_fused
+        );
     }
     println!();
 }

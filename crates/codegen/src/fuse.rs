@@ -1,37 +1,44 @@
-//! Tape-compile fusion: lower proven-parallel innermost loops into
+//! Tape-compile fusion: lower straight-line innermost loops into
 //! vector superinstructions.
 //!
 //! The paper's subscript analysis proves comprehension loops
 //! collision-free and thunkless — exactly the precondition for
-//! *vectorizing* them. This pass walks a compiled [`TapeProgram`] and,
-//! for every innermost loop whose §10 verdict is parallel and whose
-//! body is straight-line arithmetic over unchecked strength-reduced
-//! accesses ([`Op::ReadLin`]/[`Op::StoreLin`] with hoisted checks),
-//! overlays the loop's `LoopInit` with an [`Op::VecLoop`]
-//! superinstruction. The scalar head/body/next ops stay in place
-//! directly after it, serving as the run-time fallback (unbound
-//! buffers) and as the differential oracle (`--no-fuse` skips this
-//! pass entirely and nothing else changes).
+//! running them without per-element dispatch. This pass walks a
+//! compiled [`TapeProgram`] and, for every innermost loop whose body is
+//! straight-line arithmetic over unchecked strength-reduced accesses
+//! ([`Op::ReadLin`]/[`Op::StoreLin`] with hoisted checks), overlays the
+//! loop's `LoopInit` with an [`Op::VecLoop`] superinstruction. The
+//! scalar head/body/next ops stay in place directly after it, serving
+//! as the run-time fallback (unbound buffers) and as the differential
+//! oracle (`--no-fuse` skips this pass entirely and nothing else
+//! changes).
 //!
-//! Fusion preconditions, all decided here at compile time:
+//! Body shape decides whether a loop fuses; the §10 verdict only picks
+//! the kernel. The fusion preconditions, all decided here at compile
+//! time, are:
 //!
-//! * the loop's `par` verdict holds (iterations mutually independent),
 //! * no nested loops — fusion targets innermost loops only,
 //! * every array access is a `ReadLin`/`StoreLin` whose bounds checks
 //!   were discharged by the interval proof (`checks: None`) and whose
 //!   store carries no definedness check,
 //! * no calls, branches, allocations, copies, or unresolved names in
-//!   the body, and the body's operand stack and local bindings fit the
-//!   micro-interpreter's fixed scratch.
+//!   the body, no rebinding of an enclosing slot, and the body's
+//!   operand stack and local bindings fit the micro-interpreter's
+//!   fixed scratch.
 //!
 //! Under those conditions every iteration executes the same ops, so
 //! the scalar loop's counters, fuel charges, and post-loop state are
 //! closed-form in the iteration count and can be settled in bulk (see
-//! the accounting contract in [`crate::tape`]). Common body shapes
-//! (fill/copy/elementwise/multiply-add/stencils) additionally classify
-//! to hand-written contiguous-slice kernels that the Rust compiler
-//! autovectorizes; everything else runs a per-element micro-op
-//! interpreter that still amortizes dispatch and metering.
+//! the accounting contract in [`crate::tape`]). Loops whose verdict is
+//! `par` (iterations independent) classify common body shapes
+//! (fill/copy/elementwise/multiply-add/stencils) to hand-written
+//! contiguous-slice kernels that the Rust compiler autovectorizes;
+//! `red` loops classify recognized folds to register-accumulator
+//! kernels. Everything else — including sequential loops that carry a
+//! value through an array from one iteration to the next — runs the
+//! per-element micro-op interpreter, which executes iterations strictly
+//! in order over aliasing-safe cursors and still amortizes dispatch and
+//! metering.
 
 use crate::partape::trip_count;
 use crate::tape::{
@@ -160,9 +167,6 @@ fn try_fuse(tape: &TapeProgram, init_pc: usize) -> Result<FusedEntry, &'static s
         unreachable!("LoopInit is always followed by its LoopHead");
     };
     debug_assert_eq!(ireg, hreg);
-    if !par && !red {
-        return Err("non-reassociable carry");
-    }
     let exit_pc = exit as usize;
     debug_assert!(matches!(tape.ops[exit_pc - 1], Op::LoopNext { .. }));
     let body = &tape.ops[init_pc + 2..exit_pc - 1];
@@ -331,7 +335,15 @@ fn try_fuse(tape: &TapeProgram, init_pc: usize) -> Result<FusedEntry, &'static s
         return Err("body expression too deep for the micro-interpreter");
     }
 
-    let kernel = classify(&micro, &streams, step, red);
+    // The specialized shapes assume order-independent iterations (or,
+    // for `red`, one recognized fold); a carried loop runs the
+    // in-order micro-interpreter, whose reads and writes interleave
+    // exactly as the scalar ops do.
+    let kernel = if par || red {
+        classify(&micro, &streams, step, red)
+    } else {
+        Kernel::Generic
+    };
     Ok(FusedEntry {
         ireg,
         slot,
@@ -786,12 +798,73 @@ mod tests {
     }
 
     #[test]
-    fn sequential_loop_declines() {
-        let mut t = compile_tape(&loop_over(false, store_i_sq()), &TapeCtx::default());
+    fn sequential_loop_fuses_in_order() {
+        // `a!i := a!(i-1)·0.5 + u!i` carries a flow dependence and is
+        // neither `par` nor `red`: it runs the in-order interpreter.
+        let carried = bin(
+            BinOp::Add,
+            bin(BinOp::Mul, acc(), Expr::Num(0.5)),
+            idx("u", Expr::var("i")),
+        );
+        let mut t = compile_tape(&scan_over(false, carried), &TapeCtx::default());
         let d = fuse_tape(&mut t);
         assert_eq!(d.len(), 1);
-        assert_eq!(d[0].reason.as_deref(), Some("non-reassociable carry"));
+        assert_eq!(
+            d[0].render(),
+            "for i in [1..9]: fused (generic micro-kernel)"
+        );
+        assert_eq!(t.fused.len(), 1);
+        assert_eq!(t.fused[0].kernel, Kernel::Generic);
+        let init = t.fused[0].init_pc as usize;
+        assert!(matches!(t.ops[init], Op::VecLoop(0)));
+        // The scalar head survives intact right after the overlay.
+        assert!(matches!(
+            t.ops[init + 1],
+            Op::LoopHead {
+                par: false,
+                red: false,
+                ..
+            }
+        ));
+    }
+
+    #[test]
+    fn carried_body_that_rebinds_an_enclosing_slot_declines() {
+        // `let k = 2 in for i: a!i := k + a!(i-1)`, then patched so the
+        // body writes `k` after reading it — a carry through the frame
+        // that per-iteration temporaries cannot reproduce. The compiler
+        // allocates body bindings above every enclosing slot, so only a
+        // hand-edited tape has this shape; the guard must hold anyway.
+        let mut prog = scan_over(false, bin(BinOp::Add, Expr::var("k"), acc()));
+        let lp = prog.stmts.pop().expect("loop");
+        prog.stmts.push(LStmt::Let {
+            binds: vec![("k".into(), Expr::Num(2.0))],
+            body: vec![lp],
+        });
+        let mut t = compile_tape(&prog, &TapeCtx::default());
+        let init = t
+            .ops
+            .iter()
+            .position(|o| matches!(o, Op::LoopInit { .. }))
+            .expect("loop");
+        // Body ops: LoadSlot(k) ReadLin Bin(Add) StoreLin. Rewrite the
+        // middle to `Const(1) StoreSlot(k)`: same stack depth, but the
+        // body now rebinds `k` after reading it.
+        let Op::LoadSlot(k) = t.ops[init + 2] else {
+            panic!("unexpected body {:?}", &t.ops[init..]);
+        };
+        assert!(matches!(t.ops[init + 3], Op::ReadLin(_)));
+        assert!(matches!(t.ops[init + 4], Op::Bin(BinOp::Add)));
+        t.ops[init + 3] = Op::Const(1.0);
+        t.ops[init + 4] = Op::StoreSlot(k);
+        let d = fuse_tape(&mut t);
+        assert_eq!(d.len(), 1);
+        assert_eq!(
+            d[0].reason.as_deref(),
+            Some("body rebinds an enclosing slot")
+        );
         assert!(t.fused.is_empty());
+        assert!(matches!(t.ops[init], Op::LoopInit { .. }));
     }
 
     #[test]
@@ -822,11 +895,11 @@ mod tests {
             end: 0,
             step: -1,
             kernel: None,
-            reason: Some("non-reassociable carry".into()),
+            reason: Some("function call in body".into()),
         };
         assert_eq!(
             scalar.render(),
-            "for i in [9..0] step -1: scalar (non-reassociable carry)"
+            "for i in [9..0] step -1: scalar (function call in body)"
         );
     }
 }

@@ -15,8 +15,8 @@
 //! evaluator in [`limp`], or the register-slot bytecode tape compiled
 //! by [`tape`] (compile once per binding, then non-recursive dispatch
 //! with all names resolved to dense indices). An optional fusion pass
-//! ([`fuse`]) overlays proven-parallel innermost affine loops with
-//! vector superinstructions that run as contiguous-slice kernels.
+//! ([`fuse`]) overlays straight-line innermost affine loops with
+//! superinstructions that run as loop-level kernels.
 
 pub mod cost;
 pub mod fuse;

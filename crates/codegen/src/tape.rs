@@ -109,8 +109,9 @@ pub enum Op {
         step: i64,
         exit: u32,
         /// §10 verdict carried from the plan: iterations are mutually
-        /// independent (see [`crate::partape`]). Ignored by the
-        /// sequential dispatcher.
+        /// independent (see [`crate::partape`]), so the fuser may
+        /// pick an order-independent specialized kernel. Ignored by
+        /// the sequential dispatcher.
         par: bool,
         /// Reduction verdict: the only carried dependence is a
         /// reassociable accumulator recurrence, so the fuser may
@@ -139,9 +140,9 @@ pub enum Op {
     /// Verify every element of a checked array is defined.
     CheckComplete { array: ArrayId, name: u32 },
     /// Fused vector superinstruction (index into
-    /// [`TapeProgram::fused`]): a proven-parallel innermost loop whose
-    /// body is straight-line arithmetic over unchecked linear accesses,
-    /// executed as one contiguous-slice kernel. The fusion pass
+    /// [`TapeProgram::fused`]): an innermost loop whose body is
+    /// straight-line arithmetic over unchecked linear accesses,
+    /// executed as one loop-level kernel. The fusion pass
     /// overlays this on the loop's `LoopInit` only — the scalar
     /// `LoopHead`/body/`LoopNext` ops stay in place immediately after,
     /// so when a run-time precondition fails (an unbound buffer) the
@@ -222,7 +223,8 @@ pub enum KSrc {
 /// dispatch, metering, and counter traffic over the whole loop.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Kernel {
-    /// Interpret the micro-op string per element.
+    /// Interpret the micro-op string per element, iterations strictly
+    /// in order — the kernel of every carried (sequential) loop.
     Generic,
     /// `d[i] = k`
     Fill { dst: u8, val: KScalar },
@@ -2015,14 +2017,10 @@ impl<'a> Compiler<'a> {
                 if lstart + 1 == rstart && rstart + 1 == self.ops.len() {
                     if let (Op::Const(l), Op::Const(r)) = (&self.ops[lstart], &self.ops[rstart]) {
                         let (l, r) = (*l, *r);
-                        // `mod 0` panics at run time in the tree-walker;
-                        // folding would move the panic to compile time.
-                        if !(op == BinOp::Mod && r as i64 == 0) {
-                            self.ops.truncate(lstart);
-                            self.cur_stack -= 2;
-                            self.emit(Op::Const(apply_bin(op, l, r)), 1, 0);
-                            return;
-                        }
+                        self.ops.truncate(lstart);
+                        self.cur_stack -= 2;
+                        self.emit(Op::Const(apply_bin(op, l, r)), 1, 0);
+                        return;
                     }
                 }
                 self.emit(Op::Bin(op), -1, 0);

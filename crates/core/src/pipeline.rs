@@ -86,8 +86,8 @@ pub struct CompileOptions {
     pub mode: ExecMode,
     pub engine: Engine,
     /// Run the vector-fusion pass over compiled tapes, lowering
-    /// proven-parallel innermost affine loops into contiguous-slice
-    /// kernels (on by default; `--no-fuse` turns it off, leaving the
+    /// straight-line innermost affine loops into loop-level kernels
+    /// (on by default; `--no-fuse` turns it off, leaving the
     /// scalar tape — the differential oracle — as the only path).
     pub fuse: bool,
 }

@@ -194,17 +194,20 @@ impl Affine {
                     BinOp::Mul => l.mul(&r),
                     BinOp::Div => {
                         // Linear only for exact constant division.
-                        if r.is_constant() && r.constant != 0 && l.is_constant() {
+                        if r.is_constant() && l.is_constant() {
                             let (a, b) = (l.constant, r.constant);
-                            if a % b == 0 {
+                            // `None` for b = 0 and for i64::MIN / -1.
+                            if a.checked_rem(b) == Some(0) {
                                 return Some(Affine::constant(a / b));
                             }
                         }
                         None
                     }
                     BinOp::Mod => {
-                        if l.is_constant() && r.is_constant() && r.constant != 0 {
-                            Some(Affine::constant(l.constant.rem_euclid(r.constant)))
+                        if l.is_constant() && r.is_constant() {
+                            l.constant
+                                .checked_rem_euclid(r.constant)
+                                .map(Affine::constant)
                         } else {
                             None
                         }

@@ -26,17 +26,13 @@ pub struct ArrayBuf {
 
 impl ArrayBuf {
     /// Allocate an array with the given `(lo, hi)` bounds, filled with
-    /// `fill`.
-    ///
-    /// # Panics
-    /// Panics if any dimension has `hi < lo - 1` (empty dimensions of
-    /// size zero are allowed).
+    /// `fill`. A dimension with `hi < lo` is empty (length 0), as in
+    /// Haskell, however far `hi` falls below `lo`.
     pub fn new(bounds: &[(i64, i64)], fill: f64) -> ArrayBuf {
         let lo: Vec<i64> = bounds.iter().map(|b| b.0).collect();
         let hi: Vec<i64> = bounds.iter().map(|b| b.1).collect();
         let mut len = 1usize;
         for (l, h) in bounds {
-            assert!(h - l >= -1, "invalid bounds ({l},{h})");
             len *= (h - l + 1).max(0) as usize;
         }
         ArrayBuf {
@@ -549,7 +545,11 @@ pub fn apply_bin(op: BinOp, l: f64, r: f64) -> f64 {
         BinOp::Sub => l - r,
         BinOp::Mul => l * r,
         BinOp::Div => l / r,
-        BinOp::Mod => (l as i64).rem_euclid(r as i64) as f64,
+        // `mod 0` and `i64::MIN mod -1` have no integer result: NaN,
+        // as a float division by zero has no finite one.
+        BinOp::Mod => (l as i64)
+            .checked_rem_euclid(r as i64)
+            .map_or(f64::NAN, |m| m as f64),
         BinOp::Lt => b(l < r),
         BinOp::Le => b(l <= r),
         BinOp::Gt => b(l > r),
@@ -633,9 +633,23 @@ mod tests {
 
     #[test]
     fn zero_size_dimension() {
-        let b = ArrayBuf::new(&[(1, 0)], 0.0);
+        for bounds in [[(1, 0)], [(2, 0)], [(5, -3)]] {
+            let b = ArrayBuf::new(&bounds, 0.0);
+            assert!(b.is_empty());
+            assert_eq!(b.offset(&[1]), None);
+            assert_eq!(ArrayBuf::data_bytes(&bounds), 0);
+        }
+        let b = ArrayBuf::new(&[(1, 3), (2, 0)], 0.0);
         assert!(b.is_empty());
-        assert_eq!(b.offset(&[1]), None);
+        assert_eq!(b.bounds(), vec![(1, 3), (2, 0)]);
+    }
+
+    #[test]
+    fn mod_without_an_integer_result_is_nan() {
+        assert_eq!(apply_bin(BinOp::Mod, -7.0, 3.0), 2.0);
+        assert!(apply_bin(BinOp::Mod, 7.0, 0.0).is_nan());
+        assert!(apply_bin(BinOp::Mod, 7.0, 0.5).is_nan());
+        assert!(apply_bin(BinOp::Mod, i64::MIN as f64, -1.0).is_nan());
     }
 
     #[test]

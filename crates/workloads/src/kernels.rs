@@ -138,6 +138,35 @@ pub fn recurrence_oracle(n: i64) -> ArrayBuf {
     a
 }
 
+/// One first-order recurrence per row: `a!(i,1) = u!(i,1)`, then
+/// `a!(i,j) = a!(i,j-1)·0.5 + u!(i,j)`. The rows are independent, so
+/// §10 proves the outer loop parallel while the inner loop carries a
+/// flow dependence.
+pub fn row_scan_source() -> &'static str {
+    r#"
+param n;
+input u ((1,1),(n,n));
+letrec* a = array ((1,1),(n,n))
+   ([ (i,1) := u!(i,1) | i <- [1..n] ] ++
+    [ (i,j) := a!(i,j-1) * 0.5 + u!(i,j) | i <- [1..n], j <- [2..n] ]);
+result a;
+"#
+}
+
+/// Hand-coded row scan.
+pub fn row_scan_oracle(u: &ArrayBuf, n: i64) -> ArrayBuf {
+    let mut a = matrix(n, n, |_, _| 0.0);
+    for i in 1..=n {
+        let mut acc = u.get("u", &[i, 1]).unwrap();
+        a.set("a", &[i, 1], acc).unwrap();
+        for j in 2..=n {
+            acc = acc * 0.5 + u.get("u", &[i, j]).unwrap();
+            a.set("a", &[i, j], acc).unwrap();
+        }
+    }
+    a
+}
+
 // ---------------------------------------------------------------------
 // Tridiagonal (Thomas) forward sweep — scientific substrate kernel
 // ---------------------------------------------------------------------

@@ -143,7 +143,7 @@ fn run_at(
 #[test]
 fn certificates_are_sound_and_tight_across_engines() {
     for (name, src, shapes) in &suite() {
-        for n in [4i64, 6, 16] {
+        for n in [1i64, 2, 4, 6, 16] {
             let inputs = inputs_for(shapes, n);
             let builds = builds(src, n);
             let cert = &builds[0].2.cert;

@@ -150,3 +150,38 @@ proptest! {
         daemon.join().expect("daemon exits cleanly");
     }
 }
+
+/// A tenant's `mod 0` is ordinary arithmetic (NaN), not a handler
+/// crash: the reply is a normal `ok` and no panic is recovered.
+#[test]
+fn mod_by_zero_request_gets_a_normal_reply() {
+    let daemon = spawn_daemon();
+    let stream = TcpStream::connect(daemon.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .expect("hang guard");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut out = stream;
+    let mut r = Request::new(
+        "mod0",
+        "param n;\nlet a = array (1,n) ([ i := i mod 0 | i <- [1..n-1] ] ++ [ n := 7 mod 0 ]);\n",
+    );
+    r.params.push(("n".to_string(), 4));
+    writeln!(out, "{}", r.to_json()).expect("send request");
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("reply");
+    assert!(
+        reply.contains("\"id\":\"mod0\"") && reply.contains("\"status\":\"ok\""),
+        "{reply}"
+    );
+    out.write_all(b"{\"control\":\"stats\"}\n").expect("stats");
+    let mut stats = String::new();
+    reader.read_line(&mut stats).expect("stats reply");
+    assert!(stats.contains("\"panics_recovered\":0"), "{stats}");
+    out.write_all(b"{\"control\":\"shutdown\"}\n")
+        .expect("shutdown");
+    let mut ack = String::new();
+    reader.read_line(&mut ack).expect("ack");
+    assert!(ack.contains("\"ok\":true"), "{ack}");
+    daemon.join().expect("daemon exits cleanly");
+}

@@ -3,10 +3,14 @@
 
 use std::collections::HashMap;
 
-use hac_core::pipeline::{compile, compile_and_run, run, CompileOptions, ExecMode};
+use hac_core::pipeline::{
+    compile, compile_and_run, run, run_with_options, CompileOptions, Engine, ExecMode, ExecOutput,
+    RunOptions,
+};
 use hac_lang::env::ConstEnv;
 use hac_lang::parser::parse_program;
-use hac_runtime::value::FuncTable;
+use hac_runtime::governor::Limits;
+use hac_runtime::value::{ArrayBuf, FuncTable};
 
 fn run_src(src: &str, pairs: &[(&str, i64)]) -> hac_core::pipeline::ExecOutput {
     let env = ConstEnv::from_pairs(pairs.iter().copied());
@@ -226,4 +230,83 @@ fn matmul_stays_checkless_and_fused_at_n128() {
             .collect::<Vec<_>>()
     };
     assert_eq!(bits(&out), bits(&checked));
+}
+
+/// Run `src` on the tree-walker and on the tape at one and two workers;
+/// all three must agree bit for bit. Returns the one-worker tape run.
+fn run_every_engine(
+    src: &str,
+    pairs: &[(&str, i64)],
+    inputs: &HashMap<String, ArrayBuf>,
+) -> ExecOutput {
+    hac_codegen::suppress_env_fault_plan();
+    let program = parse_program(src).unwrap();
+    let env = ConstEnv::from_pairs(pairs.iter().copied());
+    let bits = |o: &ExecOutput| {
+        let mut v: Vec<_> = o
+            .arrays
+            .iter()
+            .map(|(n, b)| {
+                let data: Vec<u64> = b.data().iter().map(|x| x.to_bits()).collect();
+                (n.clone(), b.bounds(), data)
+            })
+            .collect();
+        v.sort();
+        v
+    };
+    let mut runs = Vec::new();
+    for (engine, threads) in [(Engine::TreeWalk, 1), (Engine::Tape, 1), (Engine::Tape, 2)] {
+        let options = CompileOptions {
+            engine,
+            ..CompileOptions::default()
+        };
+        let compiled = compile(&program, &env, &options).unwrap();
+        let opts = RunOptions {
+            threads: Some(threads),
+            limits: Limits::unlimited(),
+            faults: None,
+            ceiling: None,
+        };
+        let out = run_with_options(&compiled, inputs, &FuncTable::new(), &opts)
+            .unwrap_or_else(|e| panic!("{engine:?}@{threads}: {e}"));
+        runs.push(out);
+    }
+    for out in &runs[1..] {
+        assert_eq!(bits(out), bits(&runs[0]), "engines disagree");
+    }
+    runs.swap_remove(1)
+}
+
+/// `mod` by zero has no integer result; neither has `i64::MIN mod -1`.
+/// Every engine, and the tape's constant folding, yields NaN.
+#[test]
+fn mod_without_an_integer_result_is_nan_on_every_engine() {
+    let src = "param n;\nlet a = array (1,n) \
+         ([ i := i mod 0 | i <- [1..n-2] ] ++ [ n-1 := 7 mod 0 ] ++ \
+          [ n := (0 - 9223372036854775807 - 1) mod (0 - 1) ]);\n";
+    let out = run_every_engine(src, &[("n", 5)], &HashMap::new());
+    assert!(out.array("a").data().iter().all(|v| v.is_nan()));
+}
+
+/// The out-of-place `jacobi` at n = 1 and 2 has an empty interior:
+/// its result `((2,2),(n-1,n-1))` has `hi < lo`. Every engine builds
+/// it empty, and its certificate closes at zero fuel.
+#[test]
+fn jacobi_with_an_empty_interior_returns_an_empty_array() {
+    let src = include_str!("../programs/jacobi.hac");
+    for n in [1, 2] {
+        let inputs = HashMap::from([("a".to_string(), hac_workloads::random_matrix(n, n, 5))]);
+        let out = run_every_engine(src, &[("n", n)], &inputs);
+        let b = out.array("b");
+        assert!(b.is_empty(), "n={n}");
+        assert_eq!(b.bounds(), vec![(2, n - 1), (2, n - 1)]);
+
+        let program = parse_program(src).unwrap();
+        let env = ConstEnv::from_pairs([("n", n)]);
+        let cert = compile(&program, &env, &CompileOptions::default())
+            .unwrap()
+            .cert;
+        assert_eq!(cert.fuel_value(), Some(0), "n={n}: {}", cert.render());
+        assert!(cert.mem_value().is_some(), "n={n}: {}", cert.render());
+    }
 }

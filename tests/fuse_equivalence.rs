@@ -10,7 +10,7 @@
 
 use std::collections::HashMap;
 
-use hac_codegen::fuse::fuse_tape;
+use hac_codegen::fuse::{fuse_tape, FuseDecision};
 use hac_codegen::limp::{LProgram, LStmt, StoreCheck, Vm, VmCounters};
 use hac_codegen::partape::plan_tape;
 use hac_codegen::tape::{compile_tape, TapeCtx};
@@ -276,6 +276,13 @@ fn kernels_agree_fused_vs_unfused_under_budgets() {
             HashMap::from([("u".to_string(), wl::random_vector(24, 67))]),
         ),
         (
+            // A carried column loop inside a parallel row loop.
+            "row_scan",
+            wl::row_scan_source(),
+            ConstEnv::from_pairs([("n", 10)]),
+            HashMap::from([("u".to_string(), wl::random_matrix(10, 10, 79))]),
+        ),
+        (
             // Stride-2 reads against a unit-stride destination.
             "downsample",
             DOWNSAMPLE_SOURCE,
@@ -291,7 +298,7 @@ fn kernels_agree_fused_vs_unfused_under_budgets() {
         ),
     ];
     let total = kernels.len();
-    let mut fused = 0usize;
+    let mut fused = Vec::new();
     for (label, src, env, inputs) in &kernels {
         let mut any = false;
         for f in [0, 1, 7, 23, 101, 1009, 20011] {
@@ -302,13 +309,23 @@ fn kernels_agree_fused_vs_unfused_under_budgets() {
             any |= diff_fusion(label, src, env, inputs, mem(m));
         }
         if any {
-            fused += 1;
+            fused.push(*label);
         }
     }
     assert!(
-        fused >= 9,
-        "fusion must actually engage on the affine kernels: {fused} of {total} fused"
+        fused.len() >= 9,
+        "fusion must actually engage on the affine kernels: {} of {total} fused",
+        fused.len()
     );
+    // The paper's sequential recurrences fuse on the in-order
+    // micro-kernel. (The in-place `jacobi` does not: node splitting
+    // indexes its carry buffers with `mod 2`, a dynamic subscript.)
+    for carried in ["sor", "wavefront", "thomas", "row_scan"] {
+        assert!(
+            fused.contains(&carried),
+            "carried kernel `{carried}` must fuse a loop; fused: {fused:?}"
+        );
+    }
 }
 
 /// `d!i := u!(2i) - u!(2i-1)`: stride-2 source streams feeding a
@@ -385,7 +402,9 @@ fn fused_runs_absorb_injected_faults_identically() {
 // fused path and the decline path are exercised against the oracle.
 // ---------------------------------------------------------------------
 
-struct Gen(wl::XorShift);
+/// Expression generator; the flag lets leaves read the loop's own
+/// output array at a carried offset (see [`Gen::carried_read`]).
+struct Gen(wl::XorShift, bool);
 
 impl Gen {
     fn below(&mut self, n: u64) -> u64 {
@@ -435,11 +454,23 @@ impl Gen {
             0..=1 => Expr::int(self.below(9) as i64 - 2),
             2..=3 => Expr::var("i"),
             4 => Expr::var("g"),
-            _ => Expr::index1(
-                "u",
-                Expr::add(Expr::var("i"), Expr::int(self.below(3) as i64)),
-            ),
+            _ => {
+                if self.1 && self.below(2) == 0 {
+                    return self.carried_read();
+                }
+                Expr::index1(
+                    "u",
+                    Expr::add(Expr::var("i"), Expr::int(self.below(3) as i64)),
+                )
+            }
         }
+    }
+
+    /// `out!(i-1)`, `out!(i-2)` or `out!(i+1)`: a flow carry on a
+    /// forward loop and an anti carry on a backward one, or the reverse.
+    fn carried_read(&mut self) -> Expr {
+        let lag = [-1, -2, 1][self.below(3) as usize];
+        Expr::index1("out", Expr::add(Expr::var("i"), Expr::int(lag)))
     }
 }
 
@@ -496,7 +527,7 @@ fn fresh_vm(fuel: u64) -> Vm {
 /// and the *complete* counter block — `tape_ops` included, because the
 /// bulk-charge contract says a fused loop reports the same dispatch
 /// count the scalar loop would have.
-fn diff_random_fusion(prog: &LProgram, fuel: u64) {
+fn diff_random_fusion(prog: &LProgram, fuel: u64) -> FuseDecision {
     let ctx = TapeCtx {
         shapes: HashMap::from([("u".to_string(), vec![(1i64, 12i64)])]),
         consts: HashMap::from([("n".to_string(), 8i64)]),
@@ -505,7 +536,7 @@ fn diff_random_fusion(prog: &LProgram, fuel: u64) {
     };
     let scalar = compile_tape(prog, &ctx);
     let mut fused = scalar.clone();
-    let decisions = fuse_tape(&mut fused);
+    let mut decisions = fuse_tape(&mut fused);
     assert_eq!(decisions.len(), 1, "one loop, one verdict");
 
     let mut svm = fresh_vm(fuel);
@@ -568,6 +599,7 @@ fn diff_random_fusion(prog: &LProgram, fuel: u64) {
             label(&format!("fused partape@{threads} counters"))
         );
     }
+    decisions.remove(0)
 }
 
 /// A sequential 1..=8 loop carrying `out!(i-1)` — the reduction shape.
@@ -600,6 +632,40 @@ fn harness_reduction_program(op: BinOp, acc_left: bool, e: Expr) -> LProgram {
                 step: 1,
                 par: false,
                 red: true,
+                body: vec![LStmt::Store {
+                    array: "out".to_string(),
+                    subs: vec![Expr::var("i")],
+                    value,
+                    check: StoreCheck::None,
+                }],
+            },
+        ],
+        result: "out".to_string(),
+    }
+}
+
+/// A sequential loop over `out` that neither the `par` nor the `red`
+/// verdict covers: `value` reads `out` at carried offsets, and
+/// `backward` runs it from 8 down to 1. `out` spans `(-1, 10)` so every
+/// carried read is in bounds and its check is discharged.
+fn harness_carried_program(value: Expr, backward: bool) -> LProgram {
+    let (start, end, step) = if backward { (8, 1, -1) } else { (1, 8, 1) };
+    LProgram {
+        stmts: vec![
+            LStmt::Alloc {
+                array: "out".to_string(),
+                bounds: vec![(-1, 10)],
+                fill: 1.0,
+                temp: false,
+                checked: false,
+            },
+            LStmt::For {
+                var: "i".to_string(),
+                start,
+                end,
+                step,
+                par: false,
+                red: false,
                 body: vec![LStmt::Store {
                     array: "out".to_string(),
                     subs: vec![Expr::var("i")],
@@ -646,7 +712,7 @@ proptest! {
 
     #[test]
     fn random_affine_loops_fuse_without_observable_change(seed in any::<u64>()) {
-        let mut g = Gen(wl::XorShift::new(seed | 1));
+        let mut g = Gen(wl::XorShift::new(seed | 1), false);
         let depth = 2 + (seed % 3) as u32;
         // Odd seeds generate strictly fusable bodies; even seeds mix in
         // conditionals and calls so the decline path is covered too.
@@ -663,7 +729,7 @@ proptest! {
     /// mid-kernel (fuel 2..9 lands inside the 8-trip loop).
     #[test]
     fn random_reduction_loops_fuse_without_observable_change(seed in any::<u64>()) {
-        let mut g = Gen(wl::XorShift::new(seed | 3));
+        let mut g = Gen(wl::XorShift::new(seed | 3), false);
         let op = [
             BinOp::Add,
             BinOp::Min,
@@ -679,6 +745,36 @@ proptest! {
         let prog = harness_reduction_program(op, acc_left, e);
         for fuel in [0, 1, 2, 3, 5, 9, (seed % 40), 10_000] {
             diff_random_fusion(&prog, fuel);
+        }
+    }
+
+    /// Random carried loops: a sequential body that reads `out` one or
+    /// two cells behind or one ahead, mixed with `u` reads and
+    /// constants, forward and backward, must fuse on the in-order
+    /// generic micro-kernel and match the scalar tape at every budget,
+    /// including ones that exhaust mid-kernel.
+    #[test]
+    fn random_carried_loops_fuse_without_observable_change(seed in any::<u64>()) {
+        let mut g = Gen(wl::XorShift::new(seed | 5), true);
+        let op = [
+            BinOp::Add,
+            BinOp::Sub,
+            BinOp::Mul,
+            BinOp::Div,
+            BinOp::Min,
+            BinOp::Max,
+        ][g.below(6) as usize];
+        let carry = g.carried_read();
+        let e = g.expr(1 + (seed % 3) as u32, true);
+        let value = if g.below(2) == 0 {
+            Expr::bin(op, carry, e)
+        } else {
+            Expr::bin(op, e, carry)
+        };
+        let prog = harness_carried_program(value, seed % 2 == 1);
+        for fuel in [0, 1, 2, 3, 5, 9, (seed % 40), 10_000] {
+            let d = diff_random_fusion(&prog, fuel);
+            prop_assert_eq!(d.kernel.as_deref(), Some("generic micro-kernel"), "{:?}", d);
         }
     }
 }

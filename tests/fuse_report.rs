@@ -17,11 +17,12 @@ fn fusion_verdicts_match_golden_report() {
         ("jacobi_step", wl::jacobi_step_source(), 8),
         // Weighted 3-point relaxation: fuses as a 3-point stencil.
         ("relaxation", wl::relaxation_source(), 24),
-        // In-place update: aliasing pushes the inner loop to the
-        // generic micro-kernel.
+        // In-place update: node splitting indexes its carry buffers
+        // with `mod 2`, so the inner loops take the dynamic access
+        // path and stay scalar.
         ("jacobi", wl::jacobi_source(), 8),
-        // Gauss–Seidel carries a flow dependence: a non-reassociable
-        // carry, so both loops stay scalar.
+        // Gauss–Seidel carries a flow dependence: the inner loop runs
+        // in order on the generic micro-kernel.
         ("sor", wl::sor_source(), 8),
         // Recurrence over partial sums: the init clause fuses
         // elementwise, the k-accumulation is a reduction over a

@@ -242,6 +242,32 @@ fn carried_dependence_kernels_fall_back_sequential() {
     assert_eq!(par_regions(&c), 0, "recurrence must stay sequential");
 }
 
+#[test]
+fn sequential_inner_loop_fuses_inside_parallel_region() {
+    // Independent rows, carried columns: the outer `i` loop is a
+    // parallel region and every chunk runs the fused in-order `j` loop
+    // on its sequential dispatch.
+    let n = 12;
+    let env = ConstEnv::from_pairs([("n", n)]);
+    let u = wl::random_matrix(n, n, 79);
+    let inputs = HashMap::from([("u".to_string(), u.clone())]);
+    let c = diff_kernel("row_scan", wl::row_scan_source(), &env, &inputs);
+    assert!(par_regions(&c) > 0, "independent rows parallelize");
+    assert!(
+        c.report
+            .render()
+            .contains("fusion for j in [2..12]: fused (generic micro-kernel)"),
+        "the carried column loop fuses:\n{}",
+        c.report.render()
+    );
+    let got = run(&c, &inputs, &FuncTable::new()).unwrap();
+    assert_eq!(
+        buf_bits(&got.arrays["a"]),
+        buf_bits(&wl::row_scan_oracle(&u, n)),
+        "row_scan matches the hand-coded oracle bit for bit"
+    );
+}
+
 // ---------------------------------------------------------------------
 // Property: random well-formed expression trees evaluate identically
 // on the parallel tape at every thread count — NaN propagation, lazy errors
