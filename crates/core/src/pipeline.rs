@@ -600,7 +600,11 @@ pub fn compile(
                     delta = u64::try_from(writes).ok().map(|writes| DeltaPlan {
                         params: delta_params(&program, bi),
                         writes,
-                        prefix_bytes: known.shapes.values().map(|b| ArrayBuf::data_bytes(b)).sum(),
+                        prefix_bytes: known
+                            .shapes
+                            .values()
+                            .map(|b| ArrayBuf::data_bytes(b))
+                            .fold(0, u64::saturating_add),
                     });
                 }
                 if lowered.in_place {

@@ -15,6 +15,11 @@ use hac_lang::ast::{BinOp, Expr, UnOp};
 use crate::error::RuntimeError;
 use crate::governor::Meter;
 
+/// Elements along one `(lo, hi)` dimension: 0 when `hi < lo`.
+fn extent(&(lo, hi): &(i64, i64)) -> i128 {
+    (i128::from(hi) - i128::from(lo) + 1).max(0)
+}
+
 /// A dense row-major array of `f64` with per-dimension inclusive
 /// bounds.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,10 +36,12 @@ impl ArrayBuf {
     pub fn new(bounds: &[(i64, i64)], fill: f64) -> ArrayBuf {
         let lo: Vec<i64> = bounds.iter().map(|b| b.0).collect();
         let hi: Vec<i64> = bounds.iter().map(|b| b.1).collect();
-        let mut len = 1usize;
-        for (l, h) in bounds {
-            len *= (h - l + 1).max(0) as usize;
-        }
+        let len = bounds
+            .iter()
+            .try_fold(1usize, |len, b| {
+                len.checked_mul(usize::try_from(extent(b)).ok()?)
+            })
+            .expect("array length overflows usize");
         ArrayBuf {
             lo,
             hi,
@@ -50,13 +57,13 @@ impl ArrayBuf {
     /// Element-storage bytes an allocation with `bounds` will occupy —
     /// the figure charged against a memory-metered run *before* the
     /// buffer is built. See [`ArrayBuf::footprint_bytes`] for the full
-    /// metered footprint including the definedness bitmap.
+    /// metered footprint including the definedness bitmap. Saturates
+    /// at `u64::MAX`, which no memory limit admits.
     pub fn data_bytes(bounds: &[(i64, i64)]) -> u64 {
         bounds
             .iter()
-            .map(|(l, h)| (h - l + 1).max(0) as u64)
-            .product::<u64>()
-            * 8
+            .map(|b| u64::try_from(extent(b)).unwrap_or(u64::MAX))
+            .fold(8u64, u64::saturating_mul)
     }
 
     /// Metered footprint of an allocation: payload bytes plus, for a
@@ -68,7 +75,7 @@ impl ArrayBuf {
     /// the accounting diverge between engines for the same program.
     pub fn footprint_bytes(bounds: &[(i64, i64)], checked: bool) -> u64 {
         let data = Self::data_bytes(bounds);
-        data + if checked { data / 8 } else { 0 }
+        data.saturating_add(if checked { data / 8 } else { 0 })
     }
 
     /// Per-dimension `(lo, hi)` bounds.

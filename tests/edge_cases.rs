@@ -310,3 +310,58 @@ fn jacobi_with_an_empty_interior_returns_an_empty_array() {
         assert!(cert.mem_value().is_some(), "n={n}: {}", cert.render());
     }
 }
+
+/// Array sizes past `u64::MAX` bytes saturate instead of wrapping: a
+/// memory-limited run stops on a structured limit error before it
+/// allocates (as it does at a size that fits), and each certificate
+/// prices the program at `u64::MAX` rather than a wrapped small value.
+#[test]
+fn oversized_arrays_saturate_their_memory_figures() {
+    let compile_at = |src: &str, n: i64| {
+        let program = parse_program(src).unwrap();
+        compile(
+            &program,
+            &ConstEnv::from_pairs([("n", n)]),
+            &CompileOptions::default(),
+        )
+        .unwrap()
+    };
+    let wavefront = include_str!("../programs/wavefront.hac");
+    for (n, requested) in [(1_000_000, 8_000_000_000_000), (1_518_500_250, u64::MAX)] {
+        let limits = Limits {
+            fuel: None,
+            mem_bytes: Some(1_000_000_000),
+        };
+        let err = run_with_options(
+            &compile_at(wavefront, n),
+            &HashMap::new(),
+            &FuncTable::new(),
+            &RunOptions {
+                threads: Some(1),
+                limits,
+                faults: None,
+                ceiling: None,
+            },
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            hac_runtime::RuntimeError::MemLimitExceeded {
+                limit: 1_000_000_000,
+                used: 0,
+                requested,
+            },
+            "n={n}"
+        );
+    }
+    for (src, n) in [
+        (wavefront, 1_518_500_250),
+        (include_str!("../programs/sor.hac"), 3_037_000_500),
+        // `p` holds n³ elements: 8n³ bytes pass `u64::MAX` while n³
+        // still fits the front end's `i64` element count.
+        (include_str!("../programs/matmul.hac"), 2_000_000),
+    ] {
+        let cert = compile_at(src, n).cert;
+        assert_eq!(cert.mem_value(), Some(u64::MAX), "n={n}: {}", cert.render());
+    }
+}
