@@ -272,53 +272,29 @@ pub const REG_FILE: usize = 256;
 /// The register unforwarded stores write.
 pub const REG_SINK: u8 = FUSE_MAX_STACK as u8;
 
-/// A loop-invariant scalar operand of a specialized kernel, resolved
-/// once at kernel entry.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum KScalar {
-    Const(f64),
-    /// A frame slot (enclosing binding).
-    Slot(u32),
-    /// A stride-0 stream: the same element every iteration.
-    Elem(u8),
-}
-
-/// One operand of a specialized elementwise kernel.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum KSrc {
-    /// A unit-delta stream (`stride·step == 1`), walked as a
-    /// contiguous slice.
-    Slice(u8),
-    /// A non-unit-delta stream, walked by explicit offset arithmetic
-    /// (`off(q) = off₀ + q·stride·step`) — e.g. a column of a
-    /// row-major matrix.
-    Strided(u8),
-    /// A broadcast scalar.
-    Scalar(KScalar),
-}
-
 /// The kernel shape a fused loop lowers to. Specialized shapes are
 /// hand-written contiguous-slice loops (autovectorizable); everything
 /// else runs the entry's [`RegProgram`], which still amortizes
 /// dispatch, metering, and counter traffic over the whole loop.
+///
+/// Operands are the register program's: a [`Src::Reg`] of its constant
+/// pool or invariants, or a [`Src::Mem`] stream, resolved once per call
+/// as a broadcast (stride 0), a contiguous slice (`stride·step == 1`)
+/// or a strided walk (`off(q) = off₀ + q·stride·step`, e.g. a column
+/// of a row-major matrix).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Kernel {
     /// Run the register program per element, iterations strictly in
     /// order — the kernel of every carried (sequential) loop.
     Generic,
     /// `d[i] = k`
-    Fill { dst: u8, val: KScalar },
+    Fill { dst: u8, val: Src },
     /// `d[i] = s[i]`
     Copy { dst: u8, src: u8 },
     /// `d[i] = a[i] op b[i]` (either side may broadcast).
-    Ewise2 {
-        dst: u8,
-        a: KSrc,
-        b: KSrc,
-        op: BinOp,
-    },
+    Ewise2 { dst: u8, a: Src, b: Src, op: BinOp },
     /// `d[i] = a[i]·b[i] + c[i]` (any operand may broadcast).
-    MulAdd { dst: u8, a: KSrc, b: KSrc, c: KSrc },
+    MulAdd { dst: u8, a: Src, b: Src, c: Src },
     /// `d[i] = (((s0[i]+s1[i])+s2[i])+s3[i]) ÷ c` (or `· c`): the
     /// four-point relaxation stencil of §2.
     Stencil4 {
@@ -336,13 +312,13 @@ pub enum Kernel {
     /// max}`; the fold is executed strictly left-to-right with the
     /// accumulator as the *left* operand, exactly like the scalar
     /// tape, so no FP operation is reordered or reassociated.
-    Sum { dst: u8, src: KSrc, op: BinOp },
+    Sum { dst: u8, src: Src, op: BinOp },
     /// `d[i] = acc += a[i]·b[i]` over two contiguous streams: the
     /// dot-product recurrence.
     Dot { dst: u8, a: u8, b: u8 },
     /// `d[i] = acc += a(i)·b(i)` with arbitrary operand streams (the
     /// matmul inner loop — one operand walks a strided column).
-    MulAddAcc { dst: u8, a: KSrc, b: KSrc },
+    MulAddAcc { dst: u8, a: Src, b: Src },
 }
 
 impl Kernel {
@@ -388,7 +364,9 @@ pub struct FusedEntry {
     pub loads_per_iter: u64,
     pub stores_per_iter: u64,
     pub streams: Vec<FusedStream>,
-    /// The body in register form, run by [`Kernel::Generic`].
+    /// The body in register form: [`Kernel::Generic`] runs it, and the
+    /// specialized kernels read its constant pool and invariants for
+    /// their register operands.
     pub prog: RegProgram,
     pub kernel: Kernel,
 }
@@ -1008,26 +986,6 @@ fn run_fused_kernel(
     }
 }
 
-/// Resolve a broadcast scalar operand at kernel entry.
-fn kscalar(
-    v: KScalar,
-    e: &FusedEntry,
-    bufs: &[Option<ArrayBuf>],
-    frame: &[f64],
-    iregs: &[i64],
-    i0: i64,
-) -> f64 {
-    match v {
-        KScalar::Const(c) => c,
-        KScalar::Slot(s) => frame[s as usize],
-        KScalar::Elem(s) => {
-            let st = &e.streams[s as usize];
-            let off = stream_off0(st, iregs, i0) as usize;
-            bufs[st.array as usize].as_ref().expect("bound").data()[off]
-        }
-    }
-}
-
 enum RSrc<'a> {
     S(&'a [f64]),
     /// A strided walk over a whole array buffer: element `q` lives at
@@ -1158,7 +1116,7 @@ fn run_fused_special(
         }
         match e.kernel {
             Kernel::Fill { val, .. } => {
-                let v = kscalar(val, e, bufs, frame, iregs, i0);
+                let v = rsrc!(val).at(0);
                 wloop!(|_q| v);
             }
             Kernel::Copy { src: sid, .. } => {
@@ -1224,8 +1182,9 @@ fn src_slice<'b>(
     &bufs[s.array as usize].as_ref().expect("bound").data()[o..o + n]
 }
 
-/// Resolve a [`KSrc`] operand for a kernel run starting at loop value
-/// `i0`.
+/// Resolve a specialized kernel's operand for a run of `n` ordinals
+/// from loop value `i0`: a register from the constant pool or the
+/// invariants, a stream as a broadcast, slice or strided walk.
 fn rsrc<'b>(
     e: &FusedEntry,
     bufs: &'b [Option<ArrayBuf>],
@@ -1233,19 +1192,27 @@ fn rsrc<'b>(
     iregs: &[i64],
     i0: i64,
     n: usize,
-    k: KSrc,
+    a: Src,
 ) -> RSrc<'b> {
-    match k {
-        KSrc::Slice(sid) => RSrc::S(src_slice(e, bufs, iregs, i0, n, sid)),
-        KSrc::Strided(sid) => {
-            let s = &e.streams[sid as usize];
-            RSrc::St {
-                data: bufs[s.array as usize].as_ref().expect("bound").data(),
-                o0: stream_off0(s, iregs, i0),
-                dlt: s.stride.wrapping_mul(e.step),
-            }
+    let sid = match a {
+        Src::Mem(sid) => sid,
+        Src::Reg(r) => {
+            let p = &e.prog;
+            let invariants = p.invariants.iter().map(|&(x, s)| (x, frame[s as usize]));
+            let mut values = p.consts.iter().copied().chain(invariants);
+            let (_, v) = values
+                .find(|c| c.0 == r)
+                .expect("a constant or an invariant");
+            return RSrc::K(v);
         }
-        KSrc::Scalar(v) => RSrc::K(kscalar(v, e, bufs, frame, iregs, i0)),
+    };
+    let s = &e.streams[sid as usize];
+    let data = bufs[s.array as usize].as_ref().expect("bound").data();
+    let o0 = stream_off0(s, iregs, i0);
+    match s.stride.wrapping_mul(e.step) {
+        _ if s.stride == 0 => RSrc::K(data[o0 as usize]),
+        1 => RSrc::S(&data[o0 as usize..o0 as usize + n]),
+        dlt => RSrc::St { data, o0, dlt },
     }
 }
 
@@ -1440,8 +1407,6 @@ fn run_fused_generic(
 /// Operand-stack depth limit of a fused body (deeper bodies stay
 /// scalar); the stack occupies the register program's low registers.
 pub const FUSE_MAX_STACK: usize = 16;
-/// Body-local temporary limit for fused bodies.
-pub const FUSE_MAX_TEMPS: usize = 8;
 
 /// Compute a linear access's offset, running the per-dimension checks
 /// when the compile-time proof did not discharge them.

@@ -848,6 +848,35 @@ fn forwarding_hazards_match_the_scalar_tape() {
     }
 }
 
+/// A body with nine `let` bindings fuses: each binding is a temp
+/// register keyed by its frame slot, bounded only by the register file.
+#[test]
+fn nine_body_local_bindings_fuse() {
+    let binds = (0..9)
+        .map(|k| {
+            let rhs = match k {
+                0 => u_at(0),
+                _ => Expr::add(
+                    Expr::mul(Expr::var(format!("t{}", k - 1)), Expr::Num(0.5)),
+                    Expr::int(k),
+                ),
+            };
+            (format!("t{k}"), rhs)
+        })
+        .collect();
+    let value = Expr::Let {
+        binds,
+        body: Box::new(Expr::add(Expr::var("t8"), Expr::var("g"))),
+    };
+    let e = fused_on_ladder(&harness_program(value));
+    let temps = e
+        .prog
+        .ops
+        .iter()
+        .filter(|op| matches!(op, RegOp::Mov { .. }));
+    assert_eq!(temps.count(), 9, "{:?}", e.prog);
+}
+
 /// A `par` loop whose body no specialized kernel matches runs the
 /// generic kernel in ParTape chunks, each starting at its own ordinal
 /// (`lo > 0` for every chunk but the first).
