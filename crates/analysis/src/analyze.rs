@@ -4,6 +4,7 @@
 
 use std::fmt;
 
+use hac_lang::affine::NotAffine;
 use hac_lang::ast::{ArrayDef, ArrayKind, ClauseId};
 use hac_lang::env::ConstEnv;
 use hac_lang::normalize::NormalizeError;
@@ -25,6 +26,10 @@ pub enum AnalysisError {
         array: String,
         dim: usize,
     },
+    /// A bound or the element count overflows a 64-bit integer.
+    ArrayTooLarge {
+        array: String,
+    },
 }
 
 impl fmt::Display for AnalysisError {
@@ -34,6 +39,10 @@ impl fmt::Display for AnalysisError {
             AnalysisError::NonConstantArrayBound { array, dim } => {
                 write!(f, "array `{array}` dimension {dim} bound is not constant")
             }
+            AnalysisError::ArrayTooLarge { array } => write!(
+                f,
+                "array `{array}` is too large: its bounds or element count overflow a 64-bit integer"
+            ),
         }
     }
 }
@@ -132,11 +141,16 @@ pub struct ArrayAnalysis {
 impl ArrayAnalysis {
     /// Number of elements in the array.
     pub fn element_count(&self) -> i64 {
-        self.bounds
-            .iter()
-            .map(|(lo, hi)| (hi - lo + 1).max(0))
-            .product()
+        element_count(&self.bounds).expect("counted without overflow by `analyze_array`")
     }
+}
+
+/// The number of elements within `bounds`, or `None` when it overflows
+/// `i64`.
+fn element_count(bounds: &[(i64, i64)]) -> Option<i64> {
+    bounds.iter().try_fold(1i64, |n, (lo, hi)| {
+        n.checked_mul(hi.checked_sub(*lo)?.checked_add(1)?.max(0))
+    })
 }
 
 /// Complete analysis of one `bigupd` (§9).
@@ -170,17 +184,17 @@ fn fold_bounds(def: &ArrayDef, env: &ConstEnv) -> Result<Vec<(i64, i64)>, Analys
         .iter()
         .enumerate()
         .map(|(dim, (lo, hi))| {
-            let f = |e| match Affine::from_expr(e, env) {
-                Some(a) if a.is_constant() => Some(a.constant_part()),
-                _ => None,
-            };
-            match (f(lo), f(hi)) {
-                (Some(l), Some(h)) => Ok((l, h)),
+            let f = |e| match Affine::try_from_expr(e, env) {
+                Ok(a) if a.is_constant() => Ok(a.constant_part()),
+                Err(NotAffine::Overflow) => Err(AnalysisError::ArrayTooLarge {
+                    array: def.name.clone(),
+                }),
                 _ => Err(AnalysisError::NonConstantArrayBound {
                     array: def.name.clone(),
                     dim,
                 }),
-            }
+            };
+            Ok((f(lo)?, f(hi)?))
         })
         .collect()
 }
@@ -334,7 +348,9 @@ pub fn analyze_array(
         ArrayKind::Accumulated { .. } => CollisionVerdict::Impossible,
     };
     let oob = bounds_verdict(&refs, &bounds);
-    let element_count: i64 = bounds.iter().map(|(lo, hi)| (hi - lo + 1).max(0)).product();
+    let element_count = element_count(&bounds).ok_or_else(|| AnalysisError::ArrayTooLarge {
+        array: def.name.clone(),
+    })?;
     let empties = match &def.kind {
         ArrayKind::Monolithic => empties_verdict(&refs, &collisions, &oob, element_count),
         // Accumulated arrays have a default element: empties are fine.

@@ -3,7 +3,8 @@
 //! markdown tables (the source for EXPERIMENTS.md).
 //!
 //! ```sh
-//! cargo run --release -p hac-bench --bin experiments
+//! cargo run --release -p hac-bench --bin experiments            # all
+//! cargo run --release -p hac-bench --bin experiments E29 E30    # some
 //! ```
 
 use std::collections::HashMap;
@@ -32,19 +33,39 @@ fn time_ms<T>(mut f: impl FnMut() -> T) -> (T, f64) {
 }
 
 fn main() {
+    // (id as in the section heading, runner); `E1/E2` runs for `E1` or `E2`.
+    let experiments: [(&str, fn()); 13] = [
+        ("E1/E2", e1_e2_dependence_graphs),
+        ("E3/E4", e3_e4_thunk_overhead),
+        ("E5/E6", e5_e6_checks),
+        ("E7/E10", e7_e10_updates),
+        ("E8", e8_jacobi),
+        ("E9", e9_sor),
+        ("E11", e11_deforest),
+        ("E11b", e11b_reduction),
+        ("E12", e12_test_costs),
+        ("E27", e27_compile_vs_n),
+        ("E28", e28_carried_loops),
+        ("E29", e29_register_kernel),
+        ("E30", e30_entry_cost),
+    ];
+    let wanted: Vec<String> = std::env::args().skip(1).collect();
+    let named = |id: &str| id.split('/').any(|x| wanted.iter().any(|w| w == x));
+    if let Some(w) = wanted.iter().find(|w| {
+        !experiments
+            .iter()
+            .any(|(id, _)| id.split('/').any(|x| x == w.as_str()))
+    }) {
+        let ids: Vec<&str> = experiments.iter().map(|(id, _)| *id).collect();
+        eprintln!("unknown experiment `{w}`; known: {}", ids.join(", "));
+        std::process::exit(2);
+    }
     println!("# hac experiment run\n");
-    e1_e2_dependence_graphs();
-    e3_e4_thunk_overhead();
-    e5_e6_checks();
-    e7_e10_updates();
-    e8_jacobi();
-    e9_sor();
-    e11_deforest();
-    e11b_reduction();
-    e12_test_costs();
-    e27_compile_vs_n();
-    e28_carried_loops();
-    e29_register_kernel();
+    for (id, run) in experiments {
+        if wanted.is_empty() || named(id) {
+            run();
+        }
+    }
 }
 
 /// §3.1's second claim: `foldl` over a comprehension compiles to a DO
@@ -555,6 +576,63 @@ fn e29_register_kernel() {
         );
     }
     println!();
+}
+
+/// What entering the generic kernel costs: the same 64,516 carried
+/// elements run as one row (one kernel call) and as 254 rows of 254
+/// (254 calls), scalar tape against fused. Both builds must produce the
+/// same bits.
+fn e30_entry_cost() {
+    use hac_core::pipeline::{compile, run, CompileOptions};
+
+    println!("## E30 — generic-kernel entry cost: one long row vs many short rows (best of up to 30, ms)\n");
+    println!("| shape | kernel calls | --no-fuse ms | fused ms | fused ns/element |");
+    println!("|---|---|---|---|---|");
+    let src = "param r; param c;
+input u ((1,1),(r,c));
+letrec* a = array ((1,0),(r,c))
+   ([ (i,0) := 0 | i <- [1..r] ] ++
+    [ (i,j) := a!(i,j-1) * 0.5 + u!(i,j) | i <- [1..r], j <- [1..c] ]);
+result a;";
+    let program = parse_program(src).unwrap();
+    let mut per_call = Vec::new();
+    for (r, c) in [(1i64, 64516i64), (254, 254)] {
+        let env = ConstEnv::from_pairs([("r", r), ("c", c)]);
+        let inputs = inputs(&[("u", wl::random_matrix(r, c, 11))]);
+        let build = |fuse| {
+            let options = CompileOptions {
+                fuse,
+                ..CompileOptions::default()
+            };
+            compile(&program, &env, &options).unwrap()
+        };
+        let funcs = FuncTable::new();
+        let (plain, fused) = (build(false), build(true));
+        let report = fused.report.render();
+        assert!(
+            report.contains(&format!(
+                "fusion for j in [1..{c}]: fused (generic micro-kernel)"
+            )),
+            "the carried row loop must run the generic kernel:\n{report}"
+        );
+        let (a, t_plain) = best_of_ms(|| run(&plain, &inputs, &funcs).unwrap());
+        let (b, t_fused) = best_of_ms(|| run(&fused, &inputs, &funcs).unwrap());
+        let bits = |o: &hac_core::pipeline::ExecOutput| {
+            let d = o.array("a").data();
+            d.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&a), bits(&b), "{r}×{c}: fused output differs");
+        let ns = t_fused * 1e6 / (r * c) as f64;
+        println!("| {r} × {c} | {r} | {t_plain:.3} | {t_fused:.3} | {ns:.2} |");
+        per_call.push((r, t_fused));
+    }
+    let [(r1, t1), (r2, t2)] = per_call[..] else {
+        unreachable!("two shapes")
+    };
+    println!(
+        "\nExtra time per extra kernel call: {:.2} µs\n",
+        (t2 - t1) * 1e3 / (r2 - r1) as f64
+    );
 }
 
 /// Best wall-clock time of up to 30 calls or 2 s, with the last result.

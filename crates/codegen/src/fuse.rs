@@ -38,15 +38,19 @@
 //! autovectorizes, taking their operands from it; `red` loops classify
 //! recognized folds to register-accumulator kernels. Everything else —
 //! including sequential loops that carry a value through an array from
-//! one iteration to the next — runs the generic kernel, which executes
-//! the register program strictly in order through aliasing-safe raw
-//! views, checks each stream's bounds once per call, keeps a carried
-//! cell in a register, and still amortizes dispatch and metering.
+//! one iteration to the next — runs the generic kernel: the register
+//! program, compiled here once into closures
+//! ([`crate::tape::CompiledBody`]), runs strictly in order through
+//! aliasing-safe raw views, checks each stream's bounds once per call,
+//! passes a carried cell from one iteration to the next as an argument,
+//! and still amortizes dispatch and metering.
 
 use crate::partape::trip_count;
+use std::sync::Arc;
+
 use crate::tape::{
-    FusedEntry, FusedStream, Kernel, Op, RegOp, RegProgram, Src, TapeProgram, FUSE_MAX_STACK,
-    REG_FILE, REG_SINK,
+    CompiledBody, FusedEntry, FusedStream, Kernel, Op, RegOp, RegProgram, Src, TapeProgram,
+    FUSE_MAX_STACK, REG_FILE, REG_SINK,
 };
 use hac_lang::ast::BinOp;
 
@@ -217,6 +221,7 @@ fn try_fuse(tape: &TapeProgram, init_pc: usize) -> Result<FusedEntry, &'static s
         iter_ops: (exit_pc - init_pc - 1) as u64,
         loads_per_iter: count(|op| matches!(op, Op::ReadLin(_))),
         stores_per_iter: count(|op| matches!(op, Op::StoreLin { .. })),
+        body: (kernel == Kernel::Generic).then(|| Arc::new(CompiledBody::compile(&prog))),
         streams,
         prog,
         kernel,
@@ -1064,6 +1069,15 @@ mod tests {
         assert_eq!(
             fuse_tape(&mut fused)[0].kernel.as_deref(),
             Some("generic micro-kernel")
+        );
+        // Both pending reads are written to their registers before the
+        // store and added after it, not inlined across it.
+        assert_eq!(
+            format!(
+                "{:?}",
+                fused.fused[0].body.as_ref().expect("a generic body")
+            ),
+            "[r0 := s0, r1 := s1, s1, r16 := r17, s2, r16 := (r0 + r1)]"
         );
         let run = |t: &TapeProgram| {
             let mut vm = crate::limp::Vm::new();

@@ -32,8 +32,19 @@
 //! subscript stack, slot frame, loop registers) is preallocated in
 //! [`TapeScratch`] and reused across runs, so the inner loop performs
 //! no heap allocation.
+//!
+//! A fused loop ([`Op::VecLoop`]) runs as one kernel. Loops that no
+//! hand-written kernel matches, every carried loop among them, run the
+//! generic kernel: their [`RegProgram`] compiled once, at fuse time,
+//! into a [`CompiledBody`] of closures, one step per store. A body's
+//! first forwarded carried cell is the closures' `f64` argument, so a
+//! recurrence's carried chain stays in CPU registers, and the kernel
+//! asserts each stream's window once per call before its closures read
+//! and write memory unchecked.
 
 use std::collections::HashMap;
+use std::fmt;
+use std::sync::Arc;
 
 use hac_lang::ast::{BinOp, Expr, UnOp};
 use hac_runtime::error::RuntimeError;
@@ -182,7 +193,8 @@ pub enum Src {
 /// the destination register; every operand is a [`Src`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RegOp {
-    /// `d = a op b`, through [`arith`].
+    /// `d = a op b`: `+ − × ÷` inline, every other operator through
+    /// `apply_bin`.
     Bin {
         op: BinOp,
         d: u8,
@@ -217,29 +229,29 @@ pub enum RegOp {
 }
 
 impl RegOp {
-    /// The streams this op reads from memory.
-    pub fn mem_reads(&self) -> impl Iterator<Item = u8> {
+    /// The op's operands, left to right.
+    fn srcs(&self) -> impl Iterator<Item = Src> {
         let (a, b) = match *self {
             RegOp::Bin { a, b, .. } | RegOp::BinStore { a, b, .. } => (a, Some(b)),
             RegOp::Un { a, .. } | RegOp::Mov { a, .. } | RegOp::Store { a, .. } => (a, None),
         };
-        [Some(a), b].into_iter().filter_map(|x| match x {
-            Some(Src::Mem(s)) => Some(s),
-            _ => None,
-        })
+        [Some(a), b].into_iter().flatten()
     }
-}
 
-/// `l op r`: `+ − × ÷` inline, every other operator through
-/// `apply_bin`.
-#[inline(always)]
-fn arith(op: BinOp, l: f64, r: f64) -> f64 {
-    match op {
-        BinOp::Add => l + r,
-        BinOp::Sub => l - r,
-        BinOp::Mul => l * r,
-        BinOp::Div => l / r,
-        op => apply_bin(op, l, r),
+    /// The register the op writes: `d`, or a store's `fwd`.
+    fn dest(&self) -> u8 {
+        match *self {
+            RegOp::Bin { d, .. } | RegOp::Un { d, .. } | RegOp::Mov { d, .. } => d,
+            RegOp::Store { fwd, .. } | RegOp::BinStore { fwd, .. } => fwd,
+        }
+    }
+
+    /// The streams this op reads from memory.
+    pub fn mem_reads(&self) -> impl Iterator<Item = u8> {
+        self.srcs().filter_map(|x| match x {
+            Src::Mem(s) => Some(s),
+            Src::Reg(_) => None,
+        })
     }
 }
 
@@ -274,8 +286,9 @@ pub const REG_SINK: u8 = FUSE_MAX_STACK as u8;
 
 /// The kernel shape a fused loop lowers to. Specialized shapes are
 /// hand-written contiguous-slice loops (autovectorizable); everything
-/// else runs the entry's [`RegProgram`], which still amortizes
-/// dispatch, metering, and counter traffic over the whole loop.
+/// else runs the entry's [`RegProgram`] as its [`CompiledBody`], which
+/// still amortizes dispatch, metering, and counter traffic over the
+/// whole loop.
 ///
 /// Operands are the register program's: a [`Src::Reg`] of its constant
 /// pool or invariants, or a [`Src::Mem`] stream, resolved once per call
@@ -284,8 +297,9 @@ pub const REG_SINK: u8 = FUSE_MAX_STACK as u8;
 /// of a row-major matrix).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Kernel {
-    /// Run the register program per element, iterations strictly in
-    /// order — the kernel of every carried (sequential) loop.
+    /// Run the compiled register program per element, iterations
+    /// strictly in order — the kernel of every carried (sequential)
+    /// loop.
     Generic,
     /// `d[i] = k`
     Fill { dst: u8, val: Src },
@@ -364,11 +378,16 @@ pub struct FusedEntry {
     pub loads_per_iter: u64,
     pub stores_per_iter: u64,
     pub streams: Vec<FusedStream>,
-    /// The body in register form: [`Kernel::Generic`] runs it, and the
-    /// specialized kernels read its constant pool and invariants for
-    /// their register operands.
+    /// The body in register form: [`Kernel::Generic`] runs it as
+    /// `body`, and the specialized kernels read its constant pool and
+    /// invariants for their register operands.
     pub prog: RegProgram,
     pub kernel: Kernel,
+    /// `prog` compiled to closures for [`Kernel::Generic`] (`None` for
+    /// the specialized kernels). Built once, at fuse time, and shared
+    /// by every clone of the tape; it is a pure function of `prog`, so
+    /// entry equality compares `prog` alone.
+    pub body: Option<Arc<CompiledBody>>,
 }
 
 /// A strength-reduced array access: all subscripts are affine in loop
@@ -1299,15 +1318,20 @@ fn run_fused_reduce(
     }
 }
 
-/// Run ordinals `[lo, lo + done)` of a fused loop on its register
-/// program, strictly in order.
+/// Run ordinals `[lo, lo + done)` of a fused loop on its compiled
+/// body, strictly in order.
 ///
 /// The window proof: each stream's offsets over those ordinals form an
 /// arithmetic progression, so asserting its two ends inside the array
-/// once per call covers every access the loop makes; the loop itself
-/// then reads and writes through raw pointers unchecked. Streams alias
+/// once per call covers every access the loop makes; the body's steps
+/// then read and write through raw cursors unchecked. Streams alias
 /// through one raw view per array (a fused body may read and write the
 /// same array — §4 in-place updates); no references are formed.
+///
+/// Kept out of line: inlined into [`run_fused_kernel`], its code moved
+/// the specialized and fold loops there and slowed `matmul`'s fused
+/// run by 5–10% in an interleaved measurement.
+#[inline(never)]
 fn run_fused_generic(
     e: &FusedEntry,
     bufs: &mut [Option<ArrayBuf>],
@@ -1316,6 +1340,16 @@ fn run_fused_generic(
     lo: u64,
     done: u64,
 ) {
+    let body = e.body.as_deref().expect("a generic kernel has a body");
+    let p = &e.prog;
+    // Every stream the body or a forward seed touches gets a window.
+    assert!(
+        body.reach <= e.streams.len()
+            && p.forwards
+                .iter()
+                .all(|&(_, s)| usize::from(s) < e.streams.len()),
+        "register program names a stream without a window"
+    );
     let i0 = e.start + lo as i64 * e.step;
     let mut views: Vec<(ArrayId, *mut f64, usize)> = Vec::with_capacity(e.streams.len());
     for (id, slot) in bufs.iter_mut().enumerate() {
@@ -1325,10 +1359,11 @@ fn run_fused_generic(
             views.push((id as ArrayId, b.data_mut().as_mut_ptr(), len));
         }
     }
-    // Per stream: a pointer to its element at ordinal `lo` and the
-    // per-ordinal step (the fuse pass caps streams at 256).
-    let mut cursors = [(std::ptr::null_mut::<f64>(), 0isize); 256];
-    for (cursor, s) in cursors.iter_mut().zip(&e.streams) {
+    let mut ctx = Ctx {
+        cursors: [(std::ptr::null_mut(), 0); 256],
+        regs: [0.0; REG_FILE],
+    };
+    for (cursor, s) in ctx.cursors.iter_mut().zip(&e.streams) {
         let &(_, ptr, len) = views
             .iter()
             .find(|&&(v, _, _)| v == s.array)
@@ -1343,64 +1378,388 @@ fn run_fused_generic(
         // SAFETY: `o0` lies inside the asserted window.
         *cursor = (unsafe { ptr.add(o0 as usize) }, dl as isize);
     }
-    let p = &e.prog;
-    // Every stream the program touches has its window asserted above.
-    let windowed = |s: u8| usize::from(s) < e.streams.len();
-    assert!(
-        p.forwards.iter().all(|&(_, s)| windowed(s))
-            && p.ops.iter().all(|op| match *op {
-                RegOp::Store { s, .. } | RegOp::BinStore { s, .. } => {
-                    windowed(s) && op.mem_reads().all(windowed)
-                }
-                _ => op.mem_reads().all(windowed),
-            }),
-        "register program names a stream without a window"
-    );
-    let mut regs = [0f64; REG_FILE];
     for &(r, v) in &p.consts {
-        regs[r as usize] = v;
+        ctx.regs[r as usize] = v;
     }
     for &(r, s) in &p.invariants {
-        regs[r as usize] = frame[s as usize];
+        ctx.regs[r as usize] = frame[s as usize];
     }
     for &(r, s) in &p.forwards {
-        // SAFETY: ordinal 0 of the stream, inside its window.
-        regs[r as usize] = unsafe { *cursors[s as usize].0 };
+        // SAFETY: ordinal 0 of stream `s`, inside its asserted window.
+        ctx.regs[r as usize] = unsafe { ctx.at(s, 0) };
     }
-    for q in 0..done as isize {
+    // SAFETY: as above; `body.reach` covers the carried stream.
+    let mut k = body.carried.map_or(0.0, |s| unsafe { ctx.at(s, 0) });
+    let n = done as isize;
+    let lv = |ctx: &mut Ctx, q: isize| {
         if let Some(r) = p.loop_var {
-            regs[r as usize] = (i0 + q as i64 * e.step) as f64;
+            ctx.regs[r as usize] = (i0 + q as i64 * e.step) as f64;
         }
-        // SAFETY (`get!` and `put!`): ordinal `q < done` of stream `s`
-        // lies inside the window asserted above.
-        macro_rules! get {
-            ($src:expr) => {
-                match $src {
-                    Src::Reg(r) => regs[r as usize],
-                    Src::Mem(s) => {
-                        let (ptr, dl) = cursors[s as usize];
-                        unsafe { *ptr.offset(q * dl) }
-                    }
+    };
+    // Every step touches only streams below `body.reach`, all windowed
+    // above, and runs at ordinals `q < done`, inside those windows:
+    // that is what each `put` below and each stream read in a step
+    // relies on.
+    if let [Step {
+        to: Dest::Carry { s },
+        f,
+        ..
+    }] = &body.steps[..]
+    {
+        for q in 0..n {
+            lv(&mut ctx, q);
+            k = f(&ctx, q, k);
+            // SAFETY: stream `s < body.reach` at ordinal `q < done`.
+            unsafe { ctx.put(*s, q, k) };
+        }
+        return;
+    }
+    for q in 0..n {
+        lv(&mut ctx, q);
+        for step in &body.steps {
+            let v = (step.f)(&ctx, q, k);
+            match step.to {
+                Dest::Reg(d) => ctx.regs[d as usize] = v,
+                Dest::Store { s, fwd } => {
+                    // SAFETY: stream `s < body.reach` at ordinal `q < done`.
+                    unsafe { ctx.put(s, q, v) };
+                    ctx.regs[fwd as usize] = v;
                 }
-            };
-        }
-        macro_rules! put {
-            ($s:expr, $fwd:expr, $v:expr) => {{
-                let v = $v;
-                let (ptr, dl) = cursors[$s as usize];
-                unsafe { *ptr.offset(q * dl) = v }
-                regs[$fwd as usize] = v;
-            }};
-        }
-        for op in &p.ops {
-            match *op {
-                RegOp::Bin { op, d, a, b } => regs[d as usize] = arith(op, get!(a), get!(b)),
-                RegOp::Un { op, d, a } => regs[d as usize] = apply_un(op, get!(a)),
-                RegOp::Mov { d, a } => regs[d as usize] = get!(a),
-                RegOp::Store { s, a, fwd } => put!(s, fwd, get!(a)),
-                RegOp::BinStore { op, a, b, s, fwd } => put!(s, fwd, arith(op, get!(a), get!(b))),
+                Dest::Carry { s } => {
+                    // SAFETY: stream `s < body.reach` at ordinal `q < done`.
+                    unsafe { ctx.put(s, q, v) };
+                    k = v;
+                }
             }
         }
+    }
+}
+
+/// What a compiled body's nodes read during one call of
+/// [`run_fused_generic`]: each stream's cursor at the call's first
+/// ordinal with its per-ordinal step, and the register file. Only that
+/// function builds one, after asserting every stream's window.
+struct Ctx {
+    cursors: [(*mut f64, isize); 256],
+    regs: [f64; REG_FILE],
+}
+
+impl Ctx {
+    /// Stream `s`'s element at ordinal `q` of the call.
+    ///
+    /// # Safety
+    /// `s` and `q` must lie inside the windows [`run_fused_generic`]
+    /// asserted for this context: `s` below the entry's stream count,
+    /// `0 <= q < done`.
+    #[inline(always)]
+    unsafe fn at(&self, s: u8, q: isize) -> f64 {
+        let (ptr, dl) = self.cursors[s as usize];
+        *ptr.offset(q * dl)
+    }
+
+    /// Write stream `s`'s element at ordinal `q` of the call.
+    ///
+    /// # Safety
+    /// As for [`Ctx::at`].
+    #[inline(always)]
+    unsafe fn put(&self, s: u8, q: isize, v: f64) {
+        let (ptr, dl) = self.cursors[s as usize];
+        *ptr.offset(q * dl) = v;
+    }
+}
+
+/// One compiled value: `(ctx, ordinal, carried cell) ↦ value`.
+type Node = Box<dyn Fn(&Ctx, isize, f64) -> f64 + Send + Sync>;
+
+/// The value a step computes, as the tree its closures were built
+/// from (kept for rendering).
+enum Tree {
+    /// Stream `s`'s element at the current ordinal.
+    Stream(u8),
+    /// A register of the file.
+    Reg(u8),
+    /// The carried argument.
+    Carried,
+    Bin(BinOp, Box<Tree>, Box<Tree>),
+    Un(UnOp, Box<Tree>),
+}
+
+impl fmt::Debug for Tree {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Tree::Stream(s) => write!(f, "s{s}"),
+            Tree::Reg(r) => write!(f, "r{r}"),
+            Tree::Carried => write!(f, "k"),
+            Tree::Bin(op, a, b) => write!(f, "({a:?} {} {b:?})", op.symbol()),
+            Tree::Un(op, a) => write!(f, "{}({a:?})", op.symbol()),
+        }
+    }
+}
+
+/// Where a step's value goes.
+enum Dest {
+    Reg(u8),
+    /// Stream `s`'s element, and register `fwd`.
+    Store {
+        s: u8,
+        fwd: u8,
+    },
+    /// Stream `s`'s element, and the carried argument.
+    Carry {
+        s: u8,
+    },
+}
+
+struct Step {
+    to: Dest,
+    tree: Tree,
+    f: Node,
+}
+
+impl fmt::Debug for Step {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.to {
+            Dest::Reg(d) => write!(f, "r{d}")?,
+            Dest::Store { s, fwd } => write!(f, "s{s}, r{fwd}")?,
+            Dest::Carry { s } => write!(f, "s{s}, k")?,
+        }
+        write!(f, " := {:?}", self.tree)
+    }
+}
+
+/// A [`RegProgram`] compiled to closures, built once per
+/// [`Kernel::Generic`] loop at fuse time and run by the generic kernel.
+///
+/// Each store is one step, in op order, whose value is a tree of boxed
+/// closures. A stack register inlines into its only reader when every
+/// op between them inlines too, so no store and no register write falls
+/// between the two; every other register is written by a step of its
+/// own into the register file. The body's first forwarded cell travels
+/// as the closures' `f64` argument (any further one through the
+/// register file), so a single-store recurrence runs as
+/// `k = f(ctx, q, k); store`. Every FP operation keeps its operands and
+/// its order, so the body computes the bits the register program does.
+///
+/// Renders (`Debug`) as its steps: `s3, k := ((s0 + k) / r17)` stores
+/// into stream 3 and the carried argument, `r18 := …` writes a
+/// register.
+pub struct CompiledBody {
+    steps: Vec<Step>,
+    /// The stream seeding the carried argument.
+    carried: Option<u8>,
+    /// One past the highest stream a step touches or the carried
+    /// argument is seeded from.
+    reach: usize,
+}
+
+impl fmt::Debug for CompiledBody {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(&self.steps).finish()
+    }
+}
+
+/// Every body compares equal: a body is a pure function of the
+/// [`RegProgram`] it was compiled from, which [`FusedEntry`]'s equality
+/// compares.
+impl PartialEq for CompiledBody {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl CompiledBody {
+    /// Compile `p`'s ops into steps.
+    pub(crate) fn compile(p: &RegProgram) -> CompiledBody {
+        let ops = &p.ops;
+        // The first forward that only stores write travels as the
+        // argument; any other stays in the register file.
+        let carried = p.forwards.iter().copied().find(|&(r, _)| {
+            p.loop_var != Some(r)
+                && ops.iter().all(|op| {
+                    op.dest() != r || matches!(op, RegOp::Store { .. } | RegOp::BinStore { .. })
+                })
+        });
+        // Decided last to first: an op inlines when every op between
+        // it and its reader does.
+        let mut inline = vec![false; ops.len()];
+        for i in (0..ops.len()).rev() {
+            let stack = !matches!(ops[i], RegOp::Store { .. } | RegOp::BinStore { .. })
+                && usize::from(ops[i].dest()) < FUSE_MAX_STACK;
+            inline[i] =
+                stack && sole_reader(ops, i).is_some_and(|j| inline[i + 1..j].iter().all(|&x| x));
+        }
+        let mut pending: [Option<Tree>; FUSE_MAX_STACK] = Default::default();
+        let operand = |pending: &mut [Option<Tree>; FUSE_MAX_STACK], a: Src| match a {
+            Src::Mem(s) => Tree::Stream(s),
+            Src::Reg(r) if carried.is_some_and(|c| c.0 == r) => Tree::Carried,
+            Src::Reg(r) => pending
+                .get_mut(r as usize)
+                .and_then(Option::take)
+                .unwrap_or(Tree::Reg(r)),
+        };
+        let mut steps = Vec::new();
+        for (i, op) in ops.iter().enumerate() {
+            let args: Vec<Tree> = op.srcs().map(|a| operand(&mut pending, a)).collect();
+            let mut args = args.into_iter().map(Box::new);
+            let mut arg = || args.next().expect("one tree per operand");
+            let (tree, to) = match *op {
+                RegOp::Bin { op, d, .. } => (Tree::Bin(op, arg(), arg()), Dest::Reg(d)),
+                RegOp::Un { op, d, .. } => (Tree::Un(op, arg()), Dest::Reg(d)),
+                RegOp::Mov { d, .. } => (*arg(), Dest::Reg(d)),
+                RegOp::Store { s, fwd, .. } => (*arg(), store(s, fwd, carried)),
+                RegOp::BinStore { op, s, fwd, .. } => {
+                    (Tree::Bin(op, arg(), arg()), store(s, fwd, carried))
+                }
+            };
+            match to {
+                Dest::Reg(d) if inline[i] => pending[d as usize] = Some(tree),
+                to => steps.push(Step {
+                    f: node(&tree),
+                    to,
+                    tree,
+                }),
+            }
+        }
+        let stored = |op: &RegOp| match *op {
+            RegOp::Store { s, .. } | RegOp::BinStore { s, .. } => Some(s),
+            _ => None,
+        };
+        let reach = ops
+            .iter()
+            .flat_map(|op| op.mem_reads().chain(stored(op)))
+            .chain(carried.map(|c| c.1))
+            .map(|s| usize::from(s) + 1)
+            .max()
+            .unwrap_or(0);
+        CompiledBody {
+            steps,
+            carried: carried.map(|c| c.1),
+            reach,
+        }
+    }
+}
+
+/// Where a store to stream `s` forwarding to `fwd` puts its value.
+fn store(s: u8, fwd: u8, carried: Option<(u8, u8)>) -> Dest {
+    match carried {
+        Some((r, _)) if r == fwd => Dest::Carry { s },
+        _ => Dest::Store { s, fwd },
+    }
+}
+
+/// The op that alone reads the value op `i` writes, when that read
+/// comes later in the same iteration and before the register is
+/// written again.
+fn sole_reader(ops: &[RegOp], i: usize) -> Option<usize> {
+    let d = Src::Reg(ops[i].dest());
+    let mut reader = None;
+    // Past the body's end the scan wraps to the next iteration, where a
+    // read would see this value too.
+    for j in (i + 1..ops.len()).chain(0..=i) {
+        for _ in ops[j].srcs().filter(|&a| a == d) {
+            if reader.is_some() || j <= i {
+                return None;
+            }
+            reader = Some(j);
+        }
+        if Src::Reg(ops[j].dest()) == d {
+            break;
+        }
+    }
+    reader
+}
+
+/// An operand of a compiled node, read at ordinal `q` with carried
+/// argument `k`.
+trait Leaf: Send + Sync + 'static {
+    fn at(&self, c: &Ctx, q: isize, k: f64) -> f64;
+}
+
+struct AtStream(u8);
+struct AtReg(u8);
+struct AtCarry;
+
+impl Leaf for AtStream {
+    #[inline(always)]
+    fn at(&self, c: &Ctx, q: isize, _: f64) -> f64 {
+        // SAFETY: nodes run only inside `run_fused_generic`'s loops,
+        // at `q < done` and on streams below the body's `reach`, all
+        // inside the windows it asserted for `c`.
+        unsafe { c.at(self.0, q) }
+    }
+}
+
+impl Leaf for AtReg {
+    #[inline(always)]
+    fn at(&self, c: &Ctx, _: isize, _: f64) -> f64 {
+        c.regs[self.0 as usize]
+    }
+}
+
+impl Leaf for AtCarry {
+    #[inline(always)]
+    fn at(&self, _: &Ctx, _: isize, k: f64) -> f64 {
+        k
+    }
+}
+
+impl Leaf for Node {
+    #[inline(always)]
+    fn at(&self, c: &Ctx, q: isize, k: f64) -> f64 {
+        self(c, q, k)
+    }
+}
+
+fn boxed(f: impl Fn(&Ctx, isize, f64) -> f64 + Send + Sync + 'static) -> Node {
+    Box::new(f)
+}
+
+/// Bind `$l` to tree `$t` as a [`Leaf`] of its kind (a subtree compiles
+/// to a [`Node`]), then evaluate `$body` — one instantiation per kind.
+macro_rules! with_leaf {
+    ($t:expr, |$l:ident| $body:expr) => {
+        match $t {
+            Tree::Stream(s) => {
+                let $l = AtStream(*s);
+                $body
+            }
+            Tree::Reg(r) => {
+                let $l = AtReg(*r);
+                $body
+            }
+            Tree::Carried => {
+                let $l = AtCarry;
+                $body
+            }
+            t => {
+                let $l = node(t);
+                $body
+            }
+        }
+    };
+}
+
+/// Compile a tree to closures, monomorphized over operand kinds.
+fn node(t: &Tree) -> Node {
+    match t {
+        Tree::Bin(op, a, b) => with_leaf!(&**a, |a| with_leaf!(&**b, |b| bin(*op, a, b))),
+        Tree::Un(op, a) => {
+            let op = *op;
+            with_leaf!(&**a, |a| boxed(move |c, q, k| apply_un(op, a.at(c, q, k))))
+        }
+        leaf => with_leaf!(leaf, |a| boxed(move |c, q, k| a.at(c, q, k))),
+    }
+}
+
+/// `a op b`: `+ − × ÷` inline, every other operator through
+/// `apply_bin`.
+fn bin<A: Leaf, B: Leaf>(op: BinOp, a: A, b: B) -> Node {
+    match op {
+        BinOp::Add => boxed(move |c, q, k| a.at(c, q, k) + b.at(c, q, k)),
+        BinOp::Sub => boxed(move |c, q, k| a.at(c, q, k) - b.at(c, q, k)),
+        BinOp::Mul => boxed(move |c, q, k| a.at(c, q, k) * b.at(c, q, k)),
+        BinOp::Div => boxed(move |c, q, k| a.at(c, q, k) / b.at(c, q, k)),
+        op => boxed(move |c, q, k| apply_bin(op, a.at(c, q, k), b.at(c, q, k))),
     }
 }
 

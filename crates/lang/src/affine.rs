@@ -12,6 +12,15 @@ use std::fmt;
 use crate::ast::{BinOp, Expr, UnOp};
 use crate::env::ConstEnv;
 
+/// Why [`Affine::try_from_expr`] found no affine form.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NotAffine {
+    /// The expression is not linear in its variables.
+    Nonlinear,
+    /// A coefficient or the constant overflows `i64`.
+    Overflow,
+}
+
 /// An affine integer form `c + Σ coeff(v) · v` over named variables.
 ///
 /// Variables with a zero coefficient are never stored, so structural
@@ -96,6 +105,37 @@ impl Affine {
         out
     }
 
+    /// Pointwise sum, or `None` when a coefficient or the constant
+    /// overflows `i64`.
+    pub fn checked_add(&self, other: &Affine) -> Option<Affine> {
+        let mut out = self.clone();
+        out.constant = out.constant.checked_add(other.constant)?;
+        for (v, k) in other.terms() {
+            let c = out.coeff(v).checked_add(k)?;
+            out.coeffs.insert(v.to_string(), c);
+            if c == 0 {
+                out.coeffs.remove(v);
+            }
+        }
+        Some(out)
+    }
+
+    /// Scalar multiple, or `None` when a coefficient or the constant
+    /// overflows `i64`.
+    pub fn checked_scale(&self, k: i64) -> Option<Affine> {
+        if k == 0 {
+            return Some(Affine::constant(0));
+        }
+        let mut coeffs = BTreeMap::new();
+        for (v, c) in self.terms() {
+            coeffs.insert(v.to_string(), c.checked_mul(k)?);
+        }
+        Some(Affine {
+            constant: self.constant.checked_mul(k)?,
+            coeffs,
+        })
+    }
+
     /// Pointwise difference.
     pub fn sub(&self, other: &Affine) -> Affine {
         self.add(&other.scale(-1))
@@ -113,23 +153,6 @@ impl Affine {
                 .iter()
                 .map(|(v, &c)| (v.clone(), c * k))
                 .collect(),
-        }
-    }
-
-    /// Negation.
-    pub fn neg(&self) -> Affine {
-        self.scale(-1)
-    }
-
-    /// Product, defined only when at least one side is constant
-    /// (otherwise the result is not affine).
-    pub fn mul(&self, other: &Affine) -> Option<Affine> {
-        if self.is_constant() {
-            Some(other.scale(self.constant))
-        } else if other.is_constant() {
-            Some(self.scale(other.constant))
-        } else {
-            None
         }
     }
 
@@ -160,62 +183,64 @@ impl Affine {
     }
 
     /// Extract an affine form from an expression. Returns `None` when
-    /// the expression is not linear (e.g. `i*j`, `a!k` as a subscript,
-    /// division with a remainder, or a non-constant `mod`).
+    /// [`Affine::try_from_expr`] finds no form.
+    pub fn from_expr(e: &Expr, env: &ConstEnv) -> Option<Affine> {
+        Affine::try_from_expr(e, env).ok()
+    }
+
+    /// Extract an affine form from an expression, or say why there is
+    /// none: the expression is not linear (e.g. `i*j`, `a!k` as a
+    /// subscript, division with a remainder, or a non-constant `mod`),
+    /// or a coefficient or the constant overflows `i64`.
     ///
     /// Variables bound in `env` (program parameters with known values)
     /// fold to constants; all other variables stay symbolic — those are
     /// the loop indices as far as the analysis is concerned.
-    pub fn from_expr(e: &Expr, env: &ConstEnv) -> Option<Affine> {
+    ///
+    /// # Errors
+    /// [`NotAffine`] names the reason.
+    pub fn try_from_expr(e: &Expr, env: &ConstEnv) -> Result<Affine, NotAffine> {
+        let overflow = |a: Option<Affine>| a.ok_or(NotAffine::Overflow);
         match e {
-            Expr::Int(v) => Some(Affine::constant(*v)),
-            Expr::Num(v) => {
-                // Accept integral float literals used in subscripts.
-                if v.fract() == 0.0 && v.abs() < i64::MAX as f64 {
-                    Some(Affine::constant(*v as i64))
-                } else {
-                    None
-                }
+            Expr::Int(v) => Ok(Affine::constant(*v)),
+            // Accept integral float literals used in subscripts.
+            Expr::Num(v) if v.fract() == 0.0 && v.abs() < i64::MAX as f64 => {
+                Ok(Affine::constant(*v as i64))
             }
-            Expr::Var(v) => match env.lookup(v) {
-                Some(c) => Some(Affine::constant(c)),
-                None => Some(Affine::var(v.clone())),
-            },
+            Expr::Var(v) => Ok(match env.lookup(v) {
+                Some(c) => Affine::constant(c),
+                None => Affine::var(v.clone()),
+            }),
             Expr::Unary {
                 op: UnOp::Neg,
                 expr,
-            } => Some(Affine::from_expr(expr, env)?.neg()),
+            } => overflow(Affine::try_from_expr(expr, env)?.checked_scale(-1)),
             Expr::Binary { op, lhs, rhs } => {
-                let l = Affine::from_expr(lhs, env)?;
-                let r = Affine::from_expr(rhs, env)?;
+                let l = Affine::try_from_expr(lhs, env)?;
+                let r = Affine::try_from_expr(rhs, env)?;
                 match op {
-                    BinOp::Add => Some(l.add(&r)),
-                    BinOp::Sub => Some(l.sub(&r)),
-                    BinOp::Mul => l.mul(&r),
-                    BinOp::Div => {
-                        // Linear only for exact constant division.
-                        if r.is_constant() && l.is_constant() {
-                            let (a, b) = (l.constant, r.constant);
-                            // `None` for b = 0 and for i64::MIN / -1.
-                            if a.checked_rem(b) == Some(0) {
-                                return Some(Affine::constant(a / b));
-                            }
-                        }
-                        None
-                    }
-                    BinOp::Mod => {
-                        if l.is_constant() && r.is_constant() {
-                            l.constant
-                                .checked_rem_euclid(r.constant)
-                                .map(Affine::constant)
-                        } else {
-                            None
+                    BinOp::Add => overflow(l.checked_add(&r)),
+                    BinOp::Sub => overflow(r.checked_scale(-1).and_then(|r| l.checked_add(&r))),
+                    BinOp::Mul if l.is_constant() => overflow(r.checked_scale(l.constant)),
+                    BinOp::Mul if r.is_constant() => overflow(l.checked_scale(r.constant)),
+                    // Linear only for exact constant division; `None`
+                    // for b = 0 and for i64::MIN / -1.
+                    BinOp::Div if l.is_constant() && r.is_constant() => {
+                        let (a, b) = (l.constant, r.constant);
+                        match a.checked_rem(b) {
+                            Some(0) => Ok(Affine::constant(a / b)),
+                            _ => Err(NotAffine::Nonlinear),
                         }
                     }
-                    _ => None,
+                    BinOp::Mod if l.is_constant() && r.is_constant() => l
+                        .constant
+                        .checked_rem_euclid(r.constant)
+                        .map(Affine::constant)
+                        .ok_or(NotAffine::Nonlinear),
+                    _ => Err(NotAffine::Nonlinear),
                 }
             }
-            _ => None,
+            _ => Err(NotAffine::Nonlinear),
         }
     }
 

@@ -365,3 +365,21 @@ fn oversized_arrays_saturate_their_memory_figures() {
         assert_eq!(cert.mem_value(), Some(u64::MAX), "n={n}: {}", cert.render());
     }
 }
+
+/// Past the sizes above the front end's own integers overflow: at
+/// n = 2²¹ `matmul`'s `p` holds n³ = 2⁶³ elements, and at n = 3037000500
+/// its bound n·n passes `i64::MAX`. The program is declined with a
+/// compile error naming the array, in debug and release builds alike.
+#[test]
+fn arrays_whose_size_overflows_i64_are_compile_errors() {
+    let program = parse_program(include_str!("../programs/matmul.hac")).unwrap();
+    for n in [2_097_152, 3_037_000_500] {
+        let env = ConstEnv::from_pairs([("n", n)]);
+        let err = compile(&program, &env, &CompileOptions::default()).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "array `p` is too large: its bounds or element count overflow a 64-bit integer",
+            "n={n}"
+        );
+    }
+}

@@ -1026,6 +1026,38 @@ proptest! {
             prop_assert_eq!(d.kernel.as_deref(), Some("generic micro-kernel"), "{:?}", d);
         }
     }
+
+    /// Random bodies that forward two cells: each statement reads its
+    /// own array one ordinal back (`out!(i∓1)`, `w!(i∓1)`), so one
+    /// cell travels as the compiled body's argument and the other
+    /// through the register file.
+    #[test]
+    fn random_two_forward_carried_loops_fuse_without_observable_change(seed in any::<u64>()) {
+        let mut g = Gen(wl::XorShift::new(seed | 9), true);
+        let backward = seed % 2 == 1;
+        let lag = if backward { 1 } else { -1 };
+        let carried = |array: &str| Expr::index1(array, Expr::add(Expr::var("i"), Expr::int(lag)));
+        let depth = 1 + (seed % 3) as u32;
+        let mut stmt = |array: &str| {
+            let e = g.expr(depth, true);
+            let value = if g.below(2) == 0 {
+                Expr::bin(g.op(), carried(array), e)
+            } else {
+                Expr::bin(g.op(), e, carried(array))
+            };
+            store_at(array, 0, value)
+        };
+        let (to_w, to_out) = (stmt("w"), stmt("out"));
+        let body = if g.below(2) == 0 { vec![to_w, to_out] } else { vec![to_out, to_w] };
+        let prog = harness_two_array_program(body, backward);
+        let mut tape = compile_tape(&prog, &harness_ctx());
+        fuse_tape(&mut tape);
+        prop_assert_eq!(tape.fused[0].prog.forwards.len(), 2, "{:?}", tape.fused[0].prog);
+        for fuel in [0, 1, 2, 3, 5, 9, (seed % 40), 10_000] {
+            let d = diff_random_fusion(&prog, fuel);
+            prop_assert_eq!(d.kernel.as_deref(), Some("generic micro-kernel"), "{:?}", d);
+        }
+    }
 }
 
 /// Which reads of a generic kernel's register program are forwarded,
@@ -1095,5 +1127,63 @@ fn shipped_recurrences_forward_exactly_their_carried_cells() {
     assert_eq!(
         forwarded_reads(include_str!("../programs/tridiag.hac"), 16),
         ["cp@-1 memory: 0", "dp@-1 memory: 2", "x@+1 memory: 2"]
+    );
+}
+
+/// The compiled steps of every generic kernel in `src` at `n`, one
+/// rendering per fused carried loop in tape order.
+fn compiled_steps(src: &str, n: i64) -> Vec<String> {
+    use hac_codegen::tape::Kernel;
+    use hac_core::pipeline::Unit;
+    let program = parse_program(src).unwrap();
+    let compiled = build(&program, &ConstEnv::from_pairs([("n", n)]), true);
+    let mut out = Vec::new();
+    for unit in &compiled.units {
+        let (Unit::Thunkless { tape: Some(t), .. } | Unit::Update { tape: Some(t), .. }) = unit
+        else {
+            continue;
+        };
+        for e in t.fused.iter().filter(|e| e.kernel == Kernel::Generic) {
+            out.push(format!("{:?}", e.body.as_ref().expect("a generic body")));
+        }
+    }
+    out
+}
+
+/// The compiled form is invisible except as speed, so it is pinned by
+/// structure: `sN, k := …` stores into stream N and the carried
+/// argument `k`, `rN := …` writes register N of the file.
+#[test]
+fn generic_bodies_compile_to_their_pinned_shape() {
+    // Each shipped recurrence is one store step whose carried cell is
+    // the argument: `b!(i,j-1)`, `a!(i,j-1)`, `cp!(i-1)`, `dp!(i-1)`
+    // and, backward, `x!(i+1)`.
+    assert_eq!(
+        compiled_steps(include_str!("../programs/sor.hac"), 16),
+        ["[s4, k := ((((s0 + k) + s2) + s3) / r18)]"]
+    );
+    assert_eq!(
+        compiled_steps(include_str!("../programs/wavefront.hac"), 16),
+        ["[s3, k := ((s0 + k) + s2)]"]
+    );
+    assert_eq!(
+        compiled_steps(include_str!("../programs/tridiag.hac"), 16),
+        [
+            "[s1, k := (r17 / (r18 - k))]",
+            "[s3, k := ((s0 - k) / (r18 - s2))]",
+            "[s3, k := (s0 - (s1 * k))]",
+        ]
+    );
+    // A `let` temp read twice is written to its register once.
+    let e = fused_on_ladder(&harness_carried_program(
+        let_t(
+            Expr::add(u_at(0), out_at(-1)),
+            Expr::mul(Expr::var("t"), Expr::var("t")),
+        ),
+        false,
+    ));
+    assert_eq!(
+        format!("{:?}", e.body.expect("a generic body")),
+        "[r18 := (s0 + k), s2, k := (r18 * r18)]"
     );
 }
