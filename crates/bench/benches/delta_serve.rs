@@ -23,13 +23,8 @@
 //! the same slid request. Delta cost = compile + snapshot clone
 //! (O(n) memcpy) + dirty-element replay (O(width)), so the curve
 //! flattens toward `full` as the band approaches the whole array.
-//!
-//! Every server pins the empty fault plan (fault-plan servers bypass
-//! the result cache by design, and the bench must not inherit an
-//! ambient `HAC_FAULT_PLAN`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use hac_runtime::governor::FaultPlan;
 use hac_serve::{Request, ResultClass, ServeOptions, Server};
 
 const JACOBI_N: i64 = 256;
@@ -42,7 +37,6 @@ const BAND_SRC: &str = include_str!("../../../programs/incremental/band_poke.hac
 fn opts(result_cache_cap: usize) -> ServeOptions {
     ServeOptions {
         result_cache_cap,
-        faults: Some(FaultPlan::default()),
         ..ServeOptions::default()
     }
 }

@@ -29,7 +29,5 @@ pub use cost::{expr_calls, program_cost, ConcreteCost};
 pub use fuse::{fuse_tape, FuseDecision};
 pub use limp::{LProgram, LStmt, StoreCheck, Vm, VmCounters};
 pub use lower::{lower_array, lower_update, CheckMode, LowerError, LoweredUpdate};
-pub use partape::{
-    ambient_fault_plan_active, exec_par, plan_tape, suppress_env_fault_plan, ParPlan,
-};
+pub use partape::{exec_par, plan_tape, ParPlan};
 pub use tape::{compile_tape, Op, TapeCtx, TapeProgram};

@@ -252,7 +252,7 @@ pub struct Vm {
     /// installed with [`Vm::with_meter`].
     meter: Meter,
     /// Deterministic fault-injection plan for the parallel engine
-    /// (tests / `HAC_FAULT_PLAN`).
+    /// (tests / `--fault-plan`).
     faults: Option<FaultPlan>,
     pub counters: VmCounters,
 }
@@ -305,8 +305,7 @@ impl Vm {
     }
 
     /// Install a fault-injection plan for the parallel engine. `None`
-    /// (the default) falls back to the `HAC_FAULT_PLAN` environment
-    /// variable.
+    /// (the default) injects nothing.
     pub fn with_faults(&mut self, faults: Option<FaultPlan>) -> &mut Self {
         self.faults = faults;
         self
@@ -387,10 +386,7 @@ impl Vm {
         plan: &crate::partape::ParPlan,
         threads: usize,
     ) -> Result<(), RuntimeError> {
-        let faults = self
-            .faults
-            .clone()
-            .or_else(|| crate::partape::env_fault_plan().cloned());
+        let faults = self.faults.clone();
         self.run_tape_with(tape, |tape, st| {
             crate::partape::exec_par(tape, plan, st, threads, faults.as_ref())
         })

@@ -315,7 +315,7 @@ pub(crate) fn trip_count(start: i64, end: i64, step: i64) -> u64 {
 /// [`TapeProgram::exec`]; see the module docs for the argument.
 ///
 /// `faults`, when present, is a deterministic injection plan (tests /
-/// `HAC_FAULT_PLAN`): regions are numbered in execution order and a
+/// `--fault-plan`): regions are numbered in execution order and a
 /// matching `(region, chunk)` point fires a worker panic or a
 /// simulated allocation failure. An absorbed fault degrades the region
 /// to sequential re-execution (recorded in
@@ -682,57 +682,6 @@ fn add_counters(main: &mut VmCounters, c: &VmCounters, tape_ops: &mut u64) {
     // stay bit-identical to the sequential engine on every counter.
 }
 
-/// When set, [`env_fault_plan`] returns `None` unconditionally: the
-/// process ignores any ambient `HAC_FAULT_PLAN`. See
-/// [`suppress_env_fault_plan`].
-static SUPPRESS_ENV_PLAN: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-
-/// Make this process ignore any ambient `HAC_FAULT_PLAN`, permanently.
-///
-/// Test harnesses call this so unit tests stay hermetic under the CI
-/// fault-injection job, which exports `HAC_FAULT_PLAN` for CLI smoke
-/// runs: a test that wants faults injects them explicitly via
-/// [`Vm::with_faults`](crate::limp::Vm::with_faults) (an explicit plan
-/// always wins over the environment), and every other test must see a
-/// fault-free baseline regardless of the environment it inherited.
-/// Process-global and sticky by design — tests in one binary share the
-/// process, so per-test pinning would leave every *other* test exposed.
-pub fn suppress_env_fault_plan() {
-    SUPPRESS_ENV_PLAN.store(true, std::sync::atomic::Ordering::Relaxed);
-}
-
-/// Whether an ambient `HAC_FAULT_PLAN` is in force for this process:
-/// parsed, effective (at least one injection point or snapshots
-/// disabled), and not suppressed. The serving layer's result cache
-/// consults this gate — cached outcomes must never be filled from runs
-/// an environment plan could perturb, since injected faults land on
-/// positional coordinates that differ between full and delta runs.
-pub fn ambient_fault_plan_active() -> bool {
-    env_fault_plan().is_some_and(|p| !p.points.is_empty() || !p.snapshot)
-}
-
-/// The process-wide fault plan from `HAC_FAULT_PLAN`, parsed once.
-/// A malformed spec is reported to stderr and ignored — a bad test
-/// harness variable must not change program behaviour silently.
-/// Returns `None` after [`suppress_env_fault_plan`].
-pub(crate) fn env_fault_plan() -> Option<&'static FaultPlan> {
-    if SUPPRESS_ENV_PLAN.load(std::sync::atomic::Ordering::Relaxed) {
-        return None;
-    }
-    static PLAN: OnceLock<Option<FaultPlan>> = OnceLock::new();
-    PLAN.get_or_init(|| {
-        let spec = std::env::var("HAC_FAULT_PLAN").ok()?;
-        match FaultPlan::parse(&spec) {
-            Ok(p) => Some(p),
-            Err(e) => {
-                eprintln!("ignoring HAC_FAULT_PLAN: {e}");
-                None
-            }
-        }
-    })
-    .as_ref()
-}
-
 // ---------------------------------------------------------------------
 // The worker pool: persistent `std::thread` workers, reused across
 // regions, `run` calls, and VMs. Submission checks out idle workers
@@ -898,15 +847,6 @@ mod tests {
         c
     }
 
-    /// Every test constructs its VM through this: the harness is
-    /// hermetic to an ambient `HAC_FAULT_PLAN` by default, and a test
-    /// that wants faults injects them explicitly via `with_faults`
-    /// (which always wins over the environment).
-    fn vm() -> Vm {
-        suppress_env_fault_plan();
-        Vm::new()
-    }
-
     fn squares(par: bool, n: i64) -> LProgram {
         LProgram {
             stmts: vec![
@@ -950,9 +890,9 @@ mod tests {
             let prog = squares(true, 100);
             let tape = compile_tape(&prog, &TapeCtx::default());
             let plan = plan_tape(&tape);
-            let mut seq = vm();
+            let mut seq = Vm::new();
             seq.run_tape(&tape).unwrap();
-            let mut par = vm();
+            let mut par = Vm::new();
             par.run_partape(&tape, &plan, threads).unwrap();
             assert_eq!(
                 seq.array("a").unwrap().data(),
@@ -998,10 +938,10 @@ mod tests {
         let tape = compile_tape(&prog, &TapeCtx::default());
         let plan = plan_tape(&tape);
         assert!(plan.has_regions(), "dynamic subscript stays eligible");
-        let mut seq = vm();
+        let mut seq = Vm::new();
         let want = seq.run_tape(&tape).unwrap_err();
         for threads in [1, 2, 4, 8] {
-            let mut par = vm();
+            let mut par = Vm::new();
             let got = par.run_partape(&tape, &plan, threads).unwrap_err();
             assert_eq!(format!("{want:?}"), format!("{got:?}"), "threads={threads}");
             assert_eq!(seq.counters, sans_faults(par.counters), "threads={threads}");
@@ -1118,11 +1058,11 @@ mod tests {
                 fuel: Some(fuel),
                 mem_bytes: None,
             };
-            let mut seq = vm();
+            let mut seq = Vm::new();
             seq.with_meter(Meter::new(limits));
             let want = seq.run_tape(&tape);
             for threads in [2, 4, 8] {
-                let mut par = vm();
+                let mut par = Vm::new();
                 par.with_meter(Meter::new(limits));
                 let got = par.run_partape(&tape, &plan, threads);
                 assert_eq!(
@@ -1214,10 +1154,10 @@ mod tests {
             "outer i loop must stay a parallel region around the fused reduction"
         );
 
-        let mut seq = vm();
+        let mut seq = Vm::new();
         seq.run_tape(&plain).unwrap();
         for threads in [1, 2, 4, 8] {
-            let mut par = vm();
+            let mut par = Vm::new();
             par.run_partape(&fused, &plan, threads).unwrap();
             assert_eq!(
                 seq.array("p").unwrap().data(),
@@ -1234,12 +1174,12 @@ mod tests {
                 fuel: Some(fuel),
                 mem_bytes: None,
             };
-            let mut seq = vm();
+            let mut seq = Vm::new();
             seq.with_meter(Meter::new(limits));
             let want = seq.run_tape(&plain);
             let want_fuel = seq.take_meter().fuel_left();
             for threads in [2, 4] {
-                let mut par = vm();
+                let mut par = Vm::new();
                 par.with_meter(Meter::new(limits));
                 let got = par.run_partape(&fused, &plan, threads);
                 assert_eq!(
@@ -1266,9 +1206,9 @@ mod tests {
         let prog = squares(true, 100);
         let tape = compile_tape(&prog, &TapeCtx::default());
         let plan = plan_tape(&tape);
-        let mut clean = vm();
+        let mut clean = Vm::new();
         clean.run_partape(&tape, &plan, 4).unwrap();
-        let mut faulty = vm();
+        let mut faulty = Vm::new();
         faulty.with_faults(Some(FaultPlan::parse("r0c1:panic").unwrap()));
         faulty.run_partape(&tape, &plan, 4).unwrap();
         assert_eq!(
@@ -1284,9 +1224,9 @@ mod tests {
         let prog = squares(true, 100);
         let tape = compile_tape(&prog, &TapeCtx::default());
         let plan = plan_tape(&tape);
-        let mut clean = vm();
+        let mut clean = Vm::new();
         clean.run_partape(&tape, &plan, 4).unwrap();
-        let mut faulty = vm();
+        let mut faulty = Vm::new();
         faulty.with_faults(Some(FaultPlan::parse("r0c0:allocfail").unwrap()));
         faulty.run_partape(&tape, &plan, 4).unwrap();
         assert_eq!(
@@ -1303,9 +1243,9 @@ mod tests {
         let tape = compile_tape(&prog, &TapeCtx::default());
         let plan = plan_tape(&tape);
         assert!(!plan.regions[0].retry_safe);
-        let mut clean = vm();
+        let mut clean = Vm::new();
         clean.run_partape(&tape, &plan, 4).unwrap();
-        let mut faulty = vm();
+        let mut faulty = Vm::new();
         faulty.with_faults(Some(FaultPlan::parse("r0c0:panic").unwrap()));
         faulty.run_partape(&tape, &plan, 4).unwrap();
         assert_eq!(
@@ -1321,7 +1261,7 @@ mod tests {
         let prog = incr_in_place(100);
         let tape = compile_tape(&prog, &TapeCtx::default());
         let plan = plan_tape(&tape);
-        let mut vm = vm();
+        let mut vm = Vm::new();
         vm.with_faults(Some(FaultPlan::parse("nosnapshot,r0c0:panic").unwrap()));
         let err = vm.run_partape(&tape, &plan, 4).unwrap_err();
         assert!(

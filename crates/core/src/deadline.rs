@@ -40,8 +40,8 @@ const PROBE_N: i64 = 200_000;
 /// Converts wall-clock deadlines into fuel budgets at a fixed,
 /// calibrated rate. Construct once with [`DeadlineGovernor::calibrate`]
 /// (times the probe kernel) or [`DeadlineGovernor::with_rate`] (tests
-/// and reproducible CLI runs inject the rate, e.g. via the
-/// `HAC_OPS_PER_MS` environment variable in `hacc`).
+/// and reproducible CLI runs inject the rate, e.g. via `hacc
+/// --ops-per-ms`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeadlineGovernor {
     /// Fuel units the tape engine retires per millisecond.

@@ -920,8 +920,7 @@ pub struct RunOptions {
     /// Fuel / memory caps, enforced identically on every engine. One
     /// budget spans the whole run: all units charge the same meter.
     pub limits: Limits,
-    /// Fault-injection plan for parallel units. `None` defers to the
-    /// `HAC_FAULT_PLAN` environment variable.
+    /// Fault-injection plan for parallel units. `None` injects nothing.
     pub faults: Option<FaultPlan>,
     /// Process-wide resource pool shared between concurrent requests.
     /// When set, the run's meter is admitted against it (reserving its

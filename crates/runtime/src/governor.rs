@@ -586,7 +586,9 @@ pub struct FaultPoint {
 
 /// A deterministic fault-injection plan.
 ///
-/// Parsed from `HAC_FAULT_PLAN` / `--fault-plan`:
+/// Parsed from `--fault-plan` (or a daemon's `--chaos-plan` engine
+/// tokens) and installed through `RunOptions::faults`,
+/// `ServeOptions::faults` or `Vm::with_faults`:
 /// comma-separated `r<R>c<C>:panic` or `r<R>c<C>:allocfail` points,
 /// the token `nosnapshot` to disable pre-region snapshots, or
 /// `seed:<u64>` to expand a handful of pseudo-random points from an
@@ -603,8 +605,8 @@ pub struct FaultPlan {
 }
 
 impl Default for FaultPlan {
-    /// An empty plan: no injection points, snapshots enabled. Useful
-    /// to explicitly *override* an ambient `HAC_FAULT_PLAN`.
+    /// An empty plan: no injection points, snapshots enabled. Like no
+    /// plan at all, it injects nothing.
     fn default() -> Self {
         FaultPlan {
             points: Vec::new(),
@@ -622,13 +624,18 @@ impl FaultPlan {
             .map(|p| p.kind)
     }
 
-    /// Parse the `HAC_FAULT_PLAN` spec format. Returns `Err` with a
+    /// Whether the plan differs from the empty one: it injects a fault
+    /// somewhere or disables snapshots. Runs under an active plan are
+    /// not pure functions of their request, so the serving layer's
+    /// result cache bypasses them.
+    pub fn is_active(&self) -> bool {
+        !self.points.is_empty() || !self.snapshot
+    }
+
+    /// Parse the `--fault-plan` spec format. Returns `Err` with a
     /// human-readable message on malformed input.
     pub fn parse(spec: &str) -> Result<FaultPlan, String> {
-        let mut plan = FaultPlan {
-            points: Vec::new(),
-            snapshot: true,
-        };
+        let mut plan = FaultPlan::default();
         for tok in spec.split(',').map(str::trim).filter(|t| !t.is_empty()) {
             plan.parse_token(tok)?;
         }

@@ -88,7 +88,7 @@ pub struct ConnFault {
 
 /// A deterministic I/O chaos plan: connection-coordinate faults plus an
 /// embedded engine-level [`FaultPlan`] for any `r<R>c<C>` tokens the
-/// spec carried. Parsed from `HAC_CHAOS_PLAN` / `--chaos-plan`.
+/// spec carried. Parsed from `hacc daemon --chaos-plan`.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ChaosPlan {
     pub conns: Vec<ConnFault>,

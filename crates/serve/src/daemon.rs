@@ -47,7 +47,7 @@
 //! Every armor action increments exactly one counter in the `stats`
 //! ledger, and connection/request ordinals (dense, assigned at accept
 //! and per line read) drive the deterministic chaos plans of
-//! [`chaos`](crate::chaos) — see `HAC_CHAOS_PLAN` / `--chaos-plan`.
+//! [`chaos`](crate::chaos), installed through [`DaemonOptions::chaos`].
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};

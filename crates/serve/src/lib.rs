@@ -79,10 +79,10 @@ pub struct ServeOptions {
     /// [`EngineFault`]: RuntimeError::EngineFault
     pub retry_budget: u32,
     /// Engine fault plan applied to every request's *first* attempt;
-    /// `None` defers to the ambient `HAC_FAULT_PLAN` environment.
-    /// The daemon routes a chaos plan's engine tokens here, and tests
-    /// use it to inject faults hermetically. Retries always run the
-    /// empty plan (the injected fault is modeled as transient).
+    /// `None` injects nothing. The daemon routes a chaos plan's engine
+    /// tokens here, and tests use it to inject faults. Retries always
+    /// run without a plan (the injected fault is modeled as
+    /// transient).
     pub faults: Option<FaultPlan>,
     /// Materialized-result cache capacity in entries (full outcomes +
     /// family snapshots combined); **0 disables result caching**
@@ -735,17 +735,6 @@ fn effective_limits(deadline: Option<&DeadlineGovernor>, req: &Request) -> Resul
     })
 }
 
-/// Whether `options` puts an effective fault plan in force: an
-/// explicit non-empty plan, or (when `faults` is `None`) an ambient
-/// `HAC_FAULT_PLAN`. Fault-injected runs are not pure functions of
-/// the request, so they bypass the result cache.
-fn faults_active(options: &ServeOptions) -> bool {
-    match &options.faults {
-        Some(p) => !p.points.is_empty() || !p.snapshot,
-        None => hac_core::codegen::ambient_fault_plan_active(),
-    }
-}
-
 /// How the result cache serves an admitted request, decided on the
 /// sequential admission path. Every variant but `Bypass` and `Hit`
 /// names `Pending` slots this request must resolve before returning.
@@ -1096,8 +1085,13 @@ impl Server {
         // plan in force, or a meter that draws the shared pool lazily
         // (its exhaustion point depends on sibling requests, so its
         // outcome is not a pure function of the request).
+        let faulted = self
+            .options
+            .faults
+            .as_ref()
+            .is_some_and(FaultPlan::is_active);
         if self.options.result_cache_cap == 0
-            || faults_active(&self.options)
+            || faulted
             || meter.draws_lazily()
             || meter.draws_mem_lazily()
         {
@@ -1502,11 +1496,11 @@ impl Server {
     /// the engine layer could not absorb is treated as transient: the
     /// meter is settled (refunding the pool), a fresh one is
     /// re-admitted under the same limits, and the run repeats — up to
-    /// `retry_budget` extra attempts. Retries pin the *empty* fault
-    /// plan (overriding `HAC_FAULT_PLAN`): a plan-driven fault would
-    /// recur at the same coordinates forever, and the retry models the
-    /// fault not recurring. A successful retry is therefore
-    /// byte-identical to a fault-free run except for `attempts`.
+    /// `retry_budget` extra attempts. Retries run without a fault
+    /// plan: a plan-driven fault would recur at the same coordinates
+    /// forever, and the retry models the fault not recurring. A
+    /// successful retry is therefore byte-identical to a fault-free run
+    /// except for `attempts`.
     /// (Routed requests never carry a fault plan, so fills and retries
     /// cannot co-occur.)
     fn execute_full(
@@ -1530,10 +1524,9 @@ impl Server {
                 threads: Some(self.options.threads),
                 limits: Limits::unlimited(), // the meter already embodies them
                 faults: if attempts == 1 {
-                    // `None` defers to the ambient HAC_FAULT_PLAN.
                     self.options.faults.clone()
                 } else {
-                    Some(FaultPlan::default())
+                    None
                 },
                 ceiling: None,
             };
@@ -1743,11 +1736,7 @@ mod tests {
     const RECURRENCE: &str = "param n;\nletrec* a = array (1,n) \
         ([ 1 := 1 ] ++ [ i := a!(i-1) * 2 | i <- [2..n] ]);\n";
 
-    /// The request helpers (this and `poke`) pin the test process
-    /// fault-free under an ambient `HAC_FAULT_PLAN` (suppression is
-    /// sticky); tests that want faults pass [`ServeOptions::faults`].
     fn req(id: &str, n: i64) -> Request {
-        hac_core::codegen::suppress_env_fault_plan();
         let mut r = Request::new(id, RECURRENCE);
         r.params.push(("n".to_string(), n));
         r
@@ -2060,7 +2049,6 @@ mod tests {
         result b;\n";
 
     fn poke(id: &str, n: i64, ui: i64, uv: i64) -> Request {
-        hac_core::codegen::suppress_env_fault_plan();
         let mut r = Request::new(id, POKE);
         r.params.push(("n".to_string(), n));
         r.params.push(("ui".to_string(), ui));
@@ -2328,12 +2316,8 @@ mod tests {
         // surfaces as an EngineFault the engine layer cannot absorb.
         let mut r = Request::new("s", hac_workloads::saxpy_source());
         r.params = vec![("m".to_string(), 4), ("n".to_string(), 64)];
-        // The clean baseline pins an empty plan so an ambient
-        // HAC_FAULT_PLAN (CI's fault-injection job) cannot leak
-        // absorbed faults into its counters digest.
         let clean_server = Server::new(ServeOptions {
             threads: 2,
-            faults: Some(FaultPlan::default()),
             ..ServeOptions::default()
         });
         let clean = clean_server.handle(&r);

@@ -16,6 +16,7 @@
 //!   --fuel N                      abort after N metered ops (loop iterations + calls)
 //!   --mem-limit BYTES             cap bytes of array payload allocated
 //!   --deadline-ms N               convert a deadline to fuel before running
+//!   --ops-per-ms N                the deadline's rate (default: calibrated)
 //!   --fault-plan SPEC             inject deterministic worker faults (testing)
 //!   --no-run                      only explain, do not execute
 //!   --no-fuse                     disable vector-kernel fusion of parallel
@@ -55,10 +56,8 @@
 //!                                 (default: none)
 //!   --max-line-bytes N            request-line byte cap (default 1 MiB)
 //!   --chaos-plan SPEC             deterministic I/O fault plan, e.g.
-//!                                 `c1:drop,c2r1:garbage` (or the
-//!                                 HAC_CHAOS_PLAN environment variable);
-//!                                 engine tokens like `r0c0:panic` ride in
-//!                                 the same spec
+//!                                 `c1:drop,c2r1:garbage`; engine tokens
+//!                                 like `r0c0:panic` ride in the same spec
 //! ```
 //!
 //! Requests carry optional `tenant` and `weight` fields: `hacc batch`
@@ -71,8 +70,7 @@
 //! Deadlines never reach the engines as clocks: `--deadline-ms` (and a
 //! request's `deadline_ms`) is multiplied into a fuel budget by a
 //! `DeadlineGovernor` calibrated once at startup — injectable via
-//! `--ops-per-ms` or the `HAC_OPS_PER_MS` environment variable for
-//! reproducible runs.
+//! `--ops-per-ms` for reproducible runs.
 //!
 //! Exit codes: 0 success, 1 usage or I/O error, 2 parse or compile
 //! error, 3 runtime error, 4 resource limit exhausted. `batch` and
@@ -118,8 +116,8 @@ fn usage() -> &'static str {
     "usage: hacc PROGRAM.hac [name=value ...] \
      [--mode auto|thunked|checked] [--engine treewalk|tape] \
      [--threads N] [--fill zero|random[:SEED]] \
-     [--fuel N] [--mem-limit BYTES] [--deadline-ms N] [--fault-plan SPEC] \
-     [--no-run] [--no-fuse] [--quiet] [--print NAME]\n\
+     [--fuel N] [--mem-limit BYTES] [--deadline-ms N] [--ops-per-ms N] \
+     [--fault-plan SPEC] [--no-run] [--no-fuse] [--quiet] [--print NAME]\n\
      \x20      hacc batch JOBS.json [--workers N] [--threads N] \
      [--ceiling-fuel N] [--ceiling-mem BYTES] [--cache-cap N] \
      [--result-cache-cap N] [--no-fuse] [--ops-per-ms N]\n\
@@ -297,20 +295,6 @@ const EXIT_COMPILE: u8 = 2;
 const EXIT_RUNTIME: u8 = 3;
 const EXIT_LIMIT: u8 = 4;
 
-/// The deadline governor: injected rate (flag, then environment) or a
-/// one-shot calibration run.
-fn deadline_governor(ops_per_ms: Option<u64>) -> DeadlineGovernor {
-    if let Some(rate) = ops_per_ms {
-        return DeadlineGovernor::with_rate(rate);
-    }
-    if let Ok(v) = std::env::var("HAC_OPS_PER_MS") {
-        if let Ok(rate) = v.parse::<u64>() {
-            return DeadlineGovernor::with_rate(rate);
-        }
-    }
-    DeadlineGovernor::calibrate()
-}
-
 /// Serving-layer options shared by `hacc batch`, `hacc serve`, and
 /// `hacc daemon`.
 struct ServeCli {
@@ -326,8 +310,7 @@ struct ServeCli {
     io_timeout_ms: Option<u64>,
     /// `--max-line-bytes` for `daemon`.
     max_line_bytes: usize,
-    /// `--chaos-plan` for `daemon` (the flag form; the
-    /// `HAC_CHAOS_PLAN` environment variable is the fallback).
+    /// `--chaos-plan` for `daemon`.
     chaos_plan: Option<String>,
 }
 
@@ -415,13 +398,9 @@ fn parse_serve_args(mut args: std::env::Args) -> Result<ServeCli, String> {
     // read; calibration is deferred to first use otherwise (requests
     // without deadlines shouldn't pay for it — `--deadlines` forces
     // it at startup).
-    let deadline = if ops_per_ms.is_some() || std::env::var("HAC_OPS_PER_MS").is_ok() {
-        Some(deadline_governor(ops_per_ms))
-    } else if need_deadline {
-        Some(DeadlineGovernor::calibrate())
-    } else {
-        None
-    };
+    let deadline = ops_per_ms
+        .map(DeadlineGovernor::with_rate)
+        .or_else(|| need_deadline.then(DeadlineGovernor::calibrate));
     Ok(ServeCli {
         options: ServeOptions {
             engine,
@@ -553,14 +532,10 @@ fn daemon_main(mut cli: ServeCli) -> ExitCode {
         eprintln!("daemon needs --listen ADDR (e.g. --listen 127.0.0.1:7070)");
         return ExitCode::from(EXIT_USAGE);
     };
-    // `--chaos-plan` wins over the environment; either way the plan's
-    // engine-level tokens are routed to the server so one spec faults
-    // both the sockets and the engines.
-    let chaos_spec = cli
+    // The plan's engine-level tokens are routed to the server so one
+    // spec faults both the sockets and the engines.
+    let chaos = match cli
         .chaos_plan
-        .clone()
-        .or_else(|| std::env::var("HAC_CHAOS_PLAN").ok());
-    let chaos = match chaos_spec
         .as_deref()
         .map(hac::serve::chaos::ChaosPlan::parse)
     {
@@ -571,11 +546,10 @@ fn daemon_main(mut cli: ServeCli) -> ExitCode {
             return ExitCode::from(EXIT_USAGE);
         }
     };
-    if let Some(plan) = &chaos {
-        if !plan.engine.points.is_empty() || !plan.engine.snapshot {
-            cli.options.faults = Some(plan.engine.clone());
-        }
-    }
+    cli.options.faults = chaos
+        .as_ref()
+        .map(|plan| plan.engine.clone())
+        .filter(FaultPlan::is_active);
     let listener = match std::net::TcpListener::bind(&listen) {
         Ok(l) => l,
         Err(e) => {
@@ -689,9 +663,12 @@ fn main() -> ExitCode {
     };
     // Convert a wall-clock deadline into fuel *before* execution: the
     // engines never read the clock, so the run stays deterministic for
-    // a given rate (inject `--ops-per-ms` / `HAC_OPS_PER_MS` to pin it).
+    // a given rate (inject `--ops-per-ms` to pin it).
     if let Some(ms) = opts.deadline_ms {
-        let budget = deadline_governor(opts.ops_per_ms).fuel_for_deadline(ms);
+        let governor = opts
+            .ops_per_ms
+            .map_or_else(DeadlineGovernor::calibrate, DeadlineGovernor::with_rate);
+        let budget = governor.fuel_for_deadline(ms);
         opts.limits.fuel = Some(opts.limits.fuel.map_or(budget, |f| f.min(budget)));
     }
     let opts = opts;

@@ -6,10 +6,6 @@ use std::process::Command;
 fn hacc(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_hacc"))
         .args(args)
-        // Keep these tests deterministic when the suite itself runs
-        // under an ambient fault-injection plan (the CI fault job);
-        // `env_plan_reaches_the_engine` covers the variable on purpose.
-        .env_remove("HAC_FAULT_PLAN")
         .output()
         .expect("spawn hacc")
 }
@@ -188,22 +184,33 @@ fn injected_fault_is_recovered_and_reported() {
 }
 
 #[test]
-fn env_plan_reaches_the_engine() {
-    let out = Command::new(env!("CARGO_BIN_EXE_hacc"))
-        .args([
+fn environment_variables_do_not_change_a_run() {
+    // Fault plans and deadline rates are flags only: a run under
+    // look-alike variables is byte-identical to one without them.
+    let run = |extra: &[&str], var: Option<(&str, &str)>| {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_hacc"));
+        cmd.args([
             "programs/wavefront.hac",
             "n=32",
             "--quiet",
             "--threads",
             "4",
         ])
-        .env("HAC_FAULT_PLAN", "r0c0:panic")
-        .output()
-        .expect("spawn hacc");
-    assert_eq!(out.status.code(), Some(0));
-    assert!(
-        String::from_utf8_lossy(&out.stdout).contains("engine faults: 1"),
-        "HAC_FAULT_PLAN must inject without any flag"
+        .args(extra);
+        if let Some((k, v)) = var {
+            cmd.env(k, v);
+        }
+        let out = cmd.output().expect("spawn hacc");
+        let text = |b: &[u8]| String::from_utf8_lossy(b).into_owned();
+        (out.status.code(), text(&out.stdout), text(&out.stderr))
+    };
+    let plain = run(&[], None);
+    assert_eq!(plain.0, Some(0));
+    assert_eq!(run(&[], Some(("HAC_FAULT_PLAN", "r0c0:panic"))), plain);
+    let deadline = ["--deadline-ms", "2"];
+    assert_eq!(
+        run(&deadline, Some(("HAC_OPS_PER_MS", "1"))),
+        run(&deadline, None)
     );
 }
 
@@ -265,18 +272,15 @@ fn deadline_converts_to_fuel_without_reading_the_clock() {
     // exhaustion, reproducibly, because the rate is injected — the
     // run itself involves no clock at all.
     let run = || {
-        Command::new(env!("CARGO_BIN_EXE_hacc"))
-            .args([
-                "programs/wavefront.hac",
-                "n=8",
-                "--quiet",
-                "--deadline-ms",
-                "2",
-            ])
-            .env_remove("HAC_FAULT_PLAN")
-            .env("HAC_OPS_PER_MS", "1")
-            .output()
-            .expect("spawn hacc")
+        hacc(&[
+            "programs/wavefront.hac",
+            "n=8",
+            "--quiet",
+            "--deadline-ms",
+            "2",
+            "--ops-per-ms",
+            "1",
+        ])
     };
     let (a, b) = (run(), run());
     assert_eq!(a.status.code(), Some(4), "deadline-derived fuel exhausts");
@@ -285,21 +289,16 @@ fn deadline_converts_to_fuel_without_reading_the_clock() {
     assert_eq!(a.stdout, b.stdout, "bit-identical across runs");
     assert_eq!(a.stderr, b.stderr);
 
-    // The flag wins over the environment; a huge rate completes.
-    let out = Command::new(env!("CARGO_BIN_EXE_hacc"))
-        .args([
-            "programs/wavefront.hac",
-            "n=8",
-            "--quiet",
-            "--deadline-ms",
-            "1000",
-            "--ops-per-ms",
-            "1000000",
-        ])
-        .env_remove("HAC_FAULT_PLAN")
-        .env("HAC_OPS_PER_MS", "1")
-        .output()
-        .expect("spawn hacc");
+    // A huge rate completes.
+    let out = hacc(&[
+        "programs/wavefront.hac",
+        "n=8",
+        "--quiet",
+        "--deadline-ms",
+        "1000",
+        "--ops-per-ms",
+        "1000000",
+    ]);
     assert!(
         out.status.success(),
         "{}",

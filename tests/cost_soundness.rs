@@ -32,12 +32,6 @@ use proptest::prelude::*;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
-/// Harness hermeticity: ignore any ambient `HAC_FAULT_PLAN` (the CI
-/// fault-injection job exports one suite-wide).
-fn hermetic() {
-    hac_codegen::suppress_env_fault_plan();
-}
-
 /// Input shapes for the shipped programs, keyed by what each
 /// `programs/*.hac` declares.
 enum Shape {
@@ -122,7 +116,6 @@ fn run_at(
     threads: usize,
     limits: Limits,
 ) -> Result<Option<u64>, String> {
-    hermetic();
     let funcs = FuncTable::new();
     let opts = RunOptions {
         threads: Some(threads),
@@ -218,7 +211,6 @@ proptest! {
     /// every worker-thread count.
     #[test]
     fn admission_decisions_are_pure_across_threads(seed in any::<u64>()) {
-        hermetic();
         let suite = suite();
         let (name, src, _) = &suite[(seed % suite.len() as u64) as usize];
         let n = 4 + (seed / 7 % 13) as i64;

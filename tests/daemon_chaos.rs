@@ -40,13 +40,10 @@ fn req(id: &str, n: i64) -> Request {
     r
 }
 
-/// A daemon wrapping a hermetic server (explicit empty fault plan, so
-/// an ambient `HAC_FAULT_PLAN` — CI's fault-injection job — cannot
-/// perturb the byte-identity comparison).
+/// A daemon wrapping a fresh server at `threads` workers per request.
 fn spawn_daemon(threads: usize, options: DaemonOptions) -> Daemon {
     let server = Server::new(ServeOptions {
         threads,
-        faults: Some(FaultPlan::default()),
         ..ServeOptions::default()
     });
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");

@@ -239,7 +239,6 @@ fn run_every_engine(
     pairs: &[(&str, i64)],
     inputs: &HashMap<String, ArrayBuf>,
 ) -> ExecOutput {
-    hac_codegen::suppress_env_fault_plan();
     let program = parse_program(src).unwrap();
     let env = ConstEnv::from_pairs(pairs.iter().copied());
     let bits = |o: &ExecOutput| {

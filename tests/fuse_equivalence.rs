@@ -72,15 +72,6 @@ fn snapshot(r: &Result<ExecOutput, hac_runtime::RuntimeError>) -> Snapshot {
     }
 }
 
-/// Harness hermeticity: every run driver calls this first, so the
-/// whole binary ignores an ambient `HAC_FAULT_PLAN` (the CI
-/// fault-injection job exports one for CLI smoke runs). A test that
-/// wants faults injects them explicitly via `RunOptions::faults` /
-/// `Vm::with_faults`, which always override the environment.
-fn hermetic() {
-    hac_codegen::suppress_env_fault_plan();
-}
-
 fn build(program: &hac_lang::ast::Program, env: &ConstEnv, fuse: bool) -> Compiled {
     compile(
         program,
@@ -359,8 +350,6 @@ fn fused_runs_absorb_injected_faults_identically() {
     let plain = build(&program, &env, false);
     let fused = build(&program, &env, true);
 
-    // The harness is hermetic to an ambient `HAC_FAULT_PLAN`, so the
-    // default (no explicit plan) is a genuinely fault-free baseline.
     let baseline = snapshot(&run_with_options(
         &plain,
         &inputs,
@@ -544,7 +533,6 @@ fn harness_program(value: Expr) -> LProgram {
 }
 
 fn fresh_vm(fuel: u64) -> Vm {
-    hermetic();
     let mut vm = Vm::new();
     let mut u = ArrayBuf::new(&[(1, 12)], 0.0);
     for i in 1..=12 {

@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use hac_core::pipeline::{compile, run_with_options, CompileOptions, Engine, RunOptions, Unit};
 use hac_lang::env::ConstEnv;
 use hac_lang::parser::{parse_comp, parse_expr, parse_program};
-use hac_runtime::governor::Limits;
+use hac_runtime::governor::{FaultPlan, Limits};
 use hac_runtime::value::{ArrayBuf, FuncTable};
 
 proptest! {
@@ -133,8 +133,11 @@ proptest! {
                     inputs.insert(name.clone(), buf);
                 }
             }
-            for threads in [1usize, 4] {
-                let opts = RunOptions { threads: Some(threads), limits, faults: None, ceiling: None };
+            // Injected worker faults are absorbed, so a faulted run
+            // must agree with the fault-free ones too.
+            let faulted = FaultPlan::parse("r0c0:panic,r1c1:allocfail,seed:1009").unwrap();
+            for (threads, faults) in [(1usize, None), (4, None), (4, Some(faulted))] {
+                let opts = RunOptions { threads: Some(threads), limits, faults, ceiling: None };
                 let r = run_with_options(&compiled, &inputs, &funcs, &opts);
                 outcomes.push(match r {
                     Ok(out) => {

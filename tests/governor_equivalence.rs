@@ -83,15 +83,6 @@ fn outcome(r: &Result<ExecOutput, hac_runtime::RuntimeError>) -> Outcome {
 /// Compile `src` once per engine; run each build under `limits` and
 /// demand identical outcomes across all engines and thread counts.
 /// Returns the one-worker tape outcome for extra assertions.
-/// Harness hermeticity: every run driver calls this first, so the
-/// whole binary ignores an ambient `HAC_FAULT_PLAN` (the CI
-/// fault-injection job exports one for CLI smoke runs). A test that
-/// wants faults injects them explicitly via `RunOptions::faults` /
-/// `Vm::with_faults`, which always override the environment.
-fn hermetic() {
-    hac_codegen::suppress_env_fault_plan();
-}
-
 fn diff_limits(
     label: &str,
     src: &str,
@@ -99,7 +90,6 @@ fn diff_limits(
     inputs: &HashMap<String, ArrayBuf>,
     limits: Limits,
 ) -> Outcome {
-    hermetic();
     let program = parse_program(src).unwrap();
     let funcs = FuncTable::new();
     let build = |engine| -> Compiled {
@@ -294,9 +284,6 @@ fn injected_faults_are_invisible_in_the_answer() {
     let funcs = FuncTable::new();
     let compiled = compile(&program, &env, &CompileOptions::default()).unwrap();
 
-    // The harness is hermetic to an ambient `HAC_FAULT_PLAN`, so the
-    // default (no explicit plan) is a genuinely fault-free baseline.
-    hermetic();
     let clean = run_with_options(
         &compiled,
         &inputs,
@@ -311,7 +298,12 @@ fn injected_faults_are_invisible_in_the_answer() {
     .unwrap();
     assert_eq!(clean.counters.vm.engine_faults, 0, "fault-free baseline");
 
-    for spec in ["r0c0:panic", "r0c1:allocfail", "seed:7"] {
+    for spec in [
+        "r0c0:panic",
+        "r0c1:allocfail",
+        "seed:7",
+        "r0c0:panic,r1c1:allocfail,seed:1009",
+    ] {
         let faulted = run_with_options(
             &compiled,
             &inputs,
@@ -451,7 +443,6 @@ fn harness_program(value: Expr) -> LProgram {
 }
 
 fn fresh_vm(fuel: u64) -> Vm {
-    hermetic();
     let mut vm = Vm::new();
     let mut u = ArrayBuf::new(&[(1, 12)], 0.0);
     for i in 1..=12 {
@@ -808,7 +799,6 @@ type HarnessOutcome = (Result<(), String>, u64, Option<(Vec<(i64, i64)>, Vec<u64
 /// Run the harness program once on the sequential tape engine under
 /// `meter`; returns the comparable outcome and the surviving meter.
 fn run_harness_once(prog: &LProgram, meter: Meter) -> (HarnessOutcome, Meter) {
-    hermetic();
     let ctx = TapeCtx {
         shapes: HashMap::from([("u".to_string(), vec![(1i64, 12i64)])]),
         consts: HashMap::from([("n".to_string(), 8i64)]),

@@ -17,10 +17,6 @@
 //!   * a golden file pinning the daemon's `result_cache` stats ledger
 //!     (`tests/golden/result_cache_stats.txt`, regenerate with
 //!     `UPDATE_GOLDEN=1`).
-//!
-//! Every server here pins the empty fault plan so the oracle stays
-//! deterministic under an ambient `HAC_FAULT_PLAN` (fault-plan servers
-//! bypass the result cache by design).
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -29,7 +25,6 @@ use std::sync::Arc;
 use hac::core::pipeline::Engine;
 use hac::serve::daemon::{self, DaemonOptions};
 use hac::serve::{Request, Response, ResultClass, ServeOptions, Server, Status};
-use hac_runtime::governor::FaultPlan;
 use hac_workloads::XorShift;
 use proptest::prelude::*;
 
@@ -87,9 +82,6 @@ fn opts(engine: Engine, threads: usize, fuse: bool, result_cache_cap: usize) -> 
         threads,
         fuse,
         result_cache_cap,
-        // The empty plan overrides any ambient HAC_FAULT_PLAN: the
-        // oracle must not inherit nondeterminism from the environment.
-        faults: Some(FaultPlan::default()),
         ..ServeOptions::default()
     }
 }

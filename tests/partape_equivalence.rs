@@ -31,10 +31,9 @@ fn buf_bits(b: &ArrayBuf) -> (Vec<(i64, i64)>, Vec<u64>) {
     (b.bounds(), b.data().iter().map(|v| v.to_bits()).collect())
 }
 
-/// Zero the fault-recovery counter before comparing. The harness is
-/// hermetic to an ambient `HAC_FAULT_PLAN` (see [`hermetic`]), so this
-/// only matters for tests that inject faults explicitly — everything
-/// other than the recovery count must still merge exactly.
+/// Zero the fault-recovery counter before comparing. This only matters
+/// for tests that inject faults — everything other than the recovery
+/// count must still merge exactly.
 fn sans_faults(mut c: VmCounters) -> VmCounters {
     c.engine_faults = 0;
     c
@@ -85,14 +84,6 @@ fn par_regions(compiled: &Compiled) -> usize {
         .sum()
 }
 
-/// Harness hermeticity: every run driver calls this first, so the
-/// whole binary ignores an ambient `HAC_FAULT_PLAN` (the CI
-/// fault-injection job exports one for CLI smoke runs). Faults in
-/// equivalence tests are only ever injected explicitly.
-fn hermetic() {
-    hac_codegen::suppress_env_fault_plan();
-}
-
 /// Compile `src`, run it at every thread count against the one-worker
 /// baseline, and return the compilation for region assertions.
 fn diff_kernel(
@@ -101,7 +92,6 @@ fn diff_kernel(
     env: &ConstEnv,
     inputs: &HashMap<String, ArrayBuf>,
 ) -> Compiled {
-    hermetic();
     let program = parse_program(src).unwrap();
     let funcs = FuncTable::new();
     let compiled = compile(&program, env, &CompileOptions::default())
@@ -429,7 +419,6 @@ fn harness_program(value: Expr, variant: u64) -> LProgram {
 }
 
 fn fresh_vm() -> Vm {
-    hermetic();
     let mut vm = Vm::new();
     let mut u = ArrayBuf::new(&[(1, 12)], 0.0);
     for i in 1..=12 {

@@ -358,13 +358,7 @@ proptest! {
         let poke_src = std::fs::read_to_string("programs/incremental/jacobi_poke.hac").expect("jacobi_poke");
         let band_src = std::fs::read_to_string("programs/incremental/band_poke.hac").expect("band_poke");
         let reqs = sliding_workload(seed, &poke_src, &band_src);
-        // Pin the empty fault plan: an ambient HAC_FAULT_PLAN would
-        // route every request around the result cache (by design), and
-        // this test is about the classes.
-        let options = ServeOptions {
-            faults: Some(hac_runtime::governor::FaultPlan::default()),
-            ..ServeOptions::default()
-        };
+        let options = ServeOptions::default();
 
         let predicted = Server::predicted_result_classes(&options, &reqs);
         prop_assert_eq!(predicted[0], Some(hac::serve::ResultClass::Miss));
