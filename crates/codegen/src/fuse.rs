@@ -486,9 +486,8 @@ fn classify(p: &RegProgram, streams: &[FusedStream], step: i64, red: bool) -> Ke
     // injective in the ordinal) on an array none of the sources touch
     // (lets sources borrow while the destination is written raw;
     // aliasing bodies stay on the generic raw-pointer path).
-    let dst = match p.ops.last() {
-        Some(&(RegOp::Store { s, .. } | RegOp::BinStore { s, .. })) => s,
-        _ => return Kernel::Generic,
+    let Some(dst) = p.ops.last().and_then(RegOp::stored) else {
+        return Kernel::Generic;
     };
     let dd = streams[dst as usize].stride.wrapping_mul(step);
     if dd == 0 {

@@ -572,6 +572,8 @@ impl Vm {
                     .ok_or_else(|| RuntimeError::UnboundArray(src.clone()))?
                     .len();
                 self.meter.charge_mem(len as u64 * 8)?;
+                // Charged and counted as a copy; the clone shares the
+                // elements until the update's first store copies them.
                 let buf = self.arrays[&skey].clone();
                 self.counters.elements_copied += buf.len() as u64;
                 self.counters.array_allocs += 1;

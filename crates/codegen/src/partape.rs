@@ -78,7 +78,8 @@ struct ParRegion {
     /// deterministically.
     retry_safe: bool,
     /// Arrays the body stores into (sorted, deduped) — what a
-    /// pre-region snapshot must capture when `retry_safe` is false.
+    /// pre-region snapshot must capture when `retry_safe` is false,
+    /// and what `run_region` makes unique before the workers start.
     write_ids: Vec<ArrayId>,
     /// When the fusion pass overlaid this pass's init with
     /// [`Op::VecLoop`], the fused-entry index: chunks then run the
@@ -440,6 +441,14 @@ fn run_region(
         ),
         _ => None,
     };
+    // Workers write through aliased slot tables, so a buffer they write
+    // must not copy its shared elements under them: copy here, once (an
+    // input bound at this unit, or a buffer the snapshot just shared).
+    for &id in &region.write_ids {
+        if let Some(buf) = &mut st.bufs[id as usize] {
+            buf.make_unique();
+        }
+    }
 
     let n_chunks = trip.min(threads as u64 * CHUNKS_PER_THREAD);
     // Ordinal range of chunk c: even partition of 0..trip.

@@ -246,6 +246,14 @@ impl RegOp {
         }
     }
 
+    /// The stream a `Store` / `BinStore` writes.
+    pub fn stored(&self) -> Option<u8> {
+        match *self {
+            RegOp::Store { s, .. } | RegOp::BinStore { s, .. } => Some(s),
+            RegOp::Bin { .. } | RegOp::Un { .. } | RegOp::Mov { .. } => None,
+        }
+    }
+
     /// The streams this op reads from memory.
     pub fn mem_reads(&self) -> impl Iterator<Item = u8> {
         self.srcs().filter_map(|x| match x {
@@ -796,6 +804,8 @@ impl TapeProgram {
                         })?
                         .len();
                     st.meter.charge_mem(len as u64 * 8)?;
+                    // Charged and counted as a copy; the clone shares the
+                    // elements until the update's first store copies them.
                     let buf = st.bufs[*src as usize].clone().expect("checked above");
                     st.counters.elements_copied += buf.len() as u64;
                     st.counters.array_allocs += 1;
@@ -1351,12 +1361,27 @@ fn run_fused_generic(
         "register program names a stream without a window"
     );
     let i0 = e.start + lo as i64 * e.step;
+    // Only an array the body stores to gets a writable view: asking a
+    // read-only input for one would copy its shared elements. A
+    // read-only view comes from `data()` and is only ever read through
+    // (`put` writes stored streams alone).
+    let stored = |id: usize| {
+        p.ops
+            .iter()
+            .filter_map(RegOp::stored)
+            .any(|s| e.streams[s as usize].array as usize == id)
+    };
     let mut views: Vec<(ArrayId, *mut f64, usize)> = Vec::with_capacity(e.streams.len());
     for (id, slot) in bufs.iter_mut().enumerate() {
         if e.streams.iter().any(|s| s.array as usize == id) {
             let b = slot.as_mut().expect("bound");
             let len = b.len();
-            views.push((id as ArrayId, b.data_mut().as_mut_ptr(), len));
+            let ptr = if stored(id) {
+                b.data_mut().as_mut_ptr()
+            } else {
+                b.data().as_ptr().cast_mut()
+            };
+            views.push((id as ArrayId, ptr, len));
         }
     }
     let mut ctx = Ctx {
@@ -1620,13 +1645,9 @@ impl CompiledBody {
                 }),
             }
         }
-        let stored = |op: &RegOp| match *op {
-            RegOp::Store { s, .. } | RegOp::BinStore { s, .. } => Some(s),
-            _ => None,
-        };
         let reach = ops
             .iter()
-            .flat_map(|op| op.mem_reads().chain(stored(op)))
+            .flat_map(|op| op.mem_reads().chain(op.stored()))
             .chain(carried.map(|c| c.1))
             .map(|s| usize::from(s) + 1)
             .max()

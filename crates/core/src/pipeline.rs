@@ -1015,8 +1015,10 @@ impl ExecState {
 /// prefix state of a compilation that differs from `compiled` at most
 /// in the plan's [`delta parameters`](DeltaPlan::params); determinism
 /// then makes the merged output bit-identical to a cold full run of
-/// `compiled`. The base is cloned, never consumed: in-place updates
-/// mutate the clone, so one cached prefix serves any number of deltas.
+/// `compiled`. The base is cloned, never consumed: the clone shares
+/// the base's elements, and the update copies only the array it writes
+/// (on its first write), so one cached prefix serves any number of
+/// deltas.
 ///
 /// # Errors
 /// See [`run_with_meter`]; the same failures a cold run's final unit
@@ -1081,7 +1083,17 @@ pub fn run_units(
                 let buf = inputs
                     .get(name)
                     .ok_or_else(|| RuntimeError::UnboundArray(name.clone()))?;
-                debug_assert_eq!(&buf.bounds(), bounds, "input `{name}` shape mismatch");
+                if &buf.bounds() != bounds {
+                    return Err(RuntimeError::InputShape {
+                        array: name.clone(),
+                        declared: bounds.clone(),
+                        given: buf.bounds(),
+                    });
+                }
+                // Charged as the copy value semantics would make; the
+                // clone itself shares the caller's elements, and a
+                // unit that updates the input in place copies them on
+                // its first write.
                 meter.charge_mem(buf.len() as u64 * 8)?;
                 arrays.insert(name.clone(), buf.clone());
             }
@@ -1332,6 +1344,35 @@ letrec* a = array ((1,1),(n,n))
         inputs.insert("u".to_string(), u);
         let out = run(&compiled, &inputs, &FuncTable::new()).unwrap();
         assert_eq!(out.array("a").data(), &[2.0, 4.0, 6.0]);
+    }
+
+    #[test]
+    fn outputs_share_input_storage_and_never_fresh_storage() {
+        let src = "param n;\ninput u (1,n);\n\
+                   let a = array (1,n) [ i := u!i * 2 | i <- [1..n] ];\n\
+                   let b = array (1,n) [ i := u!i * 2 | i <- [1..n] ];\n";
+        let env = ConstEnv::from_pairs([("n", 4)]);
+        let program = parse_program(src).unwrap();
+        for engine in [Engine::TreeWalk, Engine::Tape] {
+            let options = CompileOptions {
+                engine,
+                ..CompileOptions::default()
+            };
+            let compiled = compile(&program, &env, &options).unwrap();
+            let inputs = HashMap::from([("u".to_string(), ArrayBuf::new(&[(1, 4)], 3.0))]);
+            let first = run(&compiled, &inputs, &FuncTable::new()).unwrap();
+            let second = run(&compiled, &inputs, &FuncTable::new()).unwrap();
+            // Binding copied nothing: both outputs carry the caller's
+            // own elements.
+            assert!(first.array("u").shares_storage(&inputs["u"]), "{engine:?}");
+            assert!(second.array("u").shares_storage(&inputs["u"]), "{engine:?}");
+            // Equal arrays the program allocated are separate storage,
+            // within one output and across two runs.
+            assert_eq!(first.array("a"), first.array("b"));
+            assert!(!first.array("a").shares_storage(first.array("b")));
+            assert!(!first.array("a").shares_storage(second.array("a")));
+            assert!(!first.array("a").shares_storage(&inputs["u"]));
+        }
     }
 
     #[test]

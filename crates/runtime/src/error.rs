@@ -23,6 +23,12 @@ pub enum RuntimeError {
     UnboundVariable(String),
     /// An array name was unbound.
     UnboundArray(String),
+    /// An input array's bounds differ from the program's declaration.
+    InputShape {
+        array: String,
+        declared: Vec<(i64, i64)>,
+        given: Vec<(i64, i64)>,
+    },
     /// A subscript expression did not evaluate to an integer.
     NonIntegerSubscript { array: String, value: f64 },
     /// A call to an unregistered function.
@@ -72,6 +78,14 @@ impl fmt::Display for RuntimeError {
             }
             RuntimeError::UnboundVariable(v) => write!(f, "unbound variable `{v}`"),
             RuntimeError::UnboundArray(a) => write!(f, "unbound array `{a}`"),
+            RuntimeError::InputShape {
+                array,
+                declared,
+                given,
+            } => write!(
+                f,
+                "input array `{array}` is declared with bounds {declared:?} but was given bounds {given:?}"
+            ),
             RuntimeError::NonIntegerSubscript { array, value } => {
                 write!(f, "subscript {value} of `{array}` is not an integer")
             }

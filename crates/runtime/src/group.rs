@@ -327,9 +327,10 @@ impl<'a> ThunkedGroup<'a> {
         let mut out = Vec::with_capacity(self.members.len());
         for member in self.members {
             let mut buf = member.shape;
+            let data = buf.data_mut();
             for (off, c) in member.cells.into_inner().into_iter().enumerate() {
                 match c {
-                    Cell::Value(v) => buf.data_mut()[off] = v,
+                    Cell::Value(v) => data[off] = v,
                     _ => unreachable!("forced"),
                 }
             }

@@ -340,10 +340,11 @@ impl<'a> ThunkedArray<'a> {
     pub fn into_strict(self) -> Result<ArrayBuf, RuntimeError> {
         self.force_elements()?;
         let mut buf = self.shape;
+        let data = buf.data_mut();
         let cells = self.cells.into_inner();
         for (off, c) in cells.into_iter().enumerate() {
             match c {
-                Cell::Value(v) => buf.data_mut()[off] = v,
+                Cell::Value(v) => data[off] = v,
                 _ => unreachable!("force_elements evaluated every cell"),
             }
         }

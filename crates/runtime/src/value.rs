@@ -1,14 +1,16 @@
 //! Flat array buffers and the scalar expression evaluator.
 //!
 //! [`ArrayBuf`] is the dense row-major `f64` storage every execution
-//! strategy shares. [`eval_expr`] evaluates the language's scalar
-//! expressions; array selections are routed through an [`ArrayReader`]
-//! so the same evaluator serves strict buffers, the demand-driven
-//! thunked runtime, and the loop-IR VM (each with its own read
-//! semantics and instrumentation). Booleans are represented as
-//! `0.0` / `1.0`.
+//! strategy shares; its elements are copy-on-write. [`eval_expr`]
+//! evaluates the language's scalar expressions; array selections are
+//! routed through an [`ArrayReader`] so the same evaluator serves strict
+//! buffers, the demand-driven thunked runtime, and the loop-IR VM (each
+//! with its own read semantics and instrumentation). Booleans are
+//! represented as `0.0` / `1.0`.
 
 use std::collections::HashMap;
+use std::sync::atomic::{fence, Ordering};
+use std::sync::Arc;
 
 use hac_lang::ast::{BinOp, Expr, UnOp};
 
@@ -22,11 +24,19 @@ fn extent(&(lo, hi): &(i64, i64)) -> i128 {
 
 /// A dense row-major array of `f64` with per-dimension inclusive
 /// bounds.
+///
+/// The elements are shared between clones: `clone` copies the bounds
+/// and bumps a reference count, and the first write to a buffer whose
+/// elements are shared copies them (once) so the other holders never
+/// see it. Equality compares elements by value, so an array holding a
+/// NaN is unequal even to a clone that shares its storage.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArrayBuf {
     lo: Vec<i64>,
     hi: Vec<i64>,
-    data: Vec<f64>,
+    /// Never downgraded to a `Weak`: a strong count of one therefore
+    /// means this buffer is the elements' only holder.
+    data: Arc<[f64]>,
 }
 
 impl ArrayBuf {
@@ -42,11 +52,14 @@ impl ArrayBuf {
                 len.checked_mul(usize::try_from(extent(b)).ok()?)
             })
             .expect("array length overflows usize");
-        ArrayBuf {
-            lo,
-            hi,
-            data: vec![fill; len],
-        }
+        let data = if fill.to_bits() == 0 {
+            // Zeroed pages straight from the allocator, as `vec![0.0; len]`.
+            // SAFETY: the all-zero bit pattern is the `f64` `+0.0`.
+            unsafe { Arc::<[f64]>::new_zeroed_slice(len).assume_init() }
+        } else {
+            std::iter::repeat_n(fill, len).collect()
+        };
+        ArrayBuf { lo, hi, data }
     }
 
     /// The array's rank.
@@ -136,7 +149,7 @@ impl ArrayBuf {
     pub fn set(&mut self, name: &str, idx: &[i64], v: f64) -> Result<(), RuntimeError> {
         match self.offset(idx) {
             Some(o) => {
-                self.data[o] = v;
+                self.data_mut()[o] = v;
                 Ok(())
             }
             None => Err(RuntimeError::OutOfBounds {
@@ -152,9 +165,54 @@ impl ArrayBuf {
         &self.data
     }
 
-    /// Mutable raw data, row-major.
+    /// Mutable raw data, row-major. Copies the elements first when
+    /// they are shared with a clone.
+    ///
+    /// No reference count is modified when the elements are already
+    /// this buffer's alone: the check is one atomic load. Engines that
+    /// hand one buffer to several threads at once (the parallel tape)
+    /// must therefore call [`ArrayBuf::make_unique`] on every buffer
+    /// they will write *before* sharing it, so no worker ever copies.
+    #[inline]
     pub fn data_mut(&mut self) -> &mut [f64] {
-        &mut self.data
+        self.make_unique();
+        // SAFETY: `&mut self` excludes every other use of this handle,
+        // and no other handle exists: the strong count is one and the
+        // field is never downgraded to a `Weak`. The acquire fence in
+        // `is_unique` orders every access a dropped clone made before
+        // this write, exactly as `Arc::get_mut` does.
+        unsafe { &mut *Arc::as_ptr(&self.data).cast_mut() }
+    }
+
+    /// Copy the elements out of shared storage now (no-op when this
+    /// buffer already holds them alone), so later writes through
+    /// [`ArrayBuf::data_mut`] never copy.
+    #[inline]
+    pub fn make_unique(&mut self) {
+        if !self.is_unique() {
+            self.unshare();
+        }
+    }
+
+    /// Whether this buffer holds its elements alone: a write would not
+    /// copy them.
+    #[inline]
+    fn is_unique(&self) -> bool {
+        let unique = Arc::strong_count(&self.data) == 1;
+        fence(Ordering::Acquire);
+        unique
+    }
+
+    /// Whether two buffers share one element storage (a clone that
+    /// neither side has written since).
+    pub fn shares_storage(&self, other: &ArrayBuf) -> bool {
+        Arc::ptr_eq(&self.data, &other.data)
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn unshare(&mut self) {
+        self.data = Arc::from(&self.data[..]);
     }
 
     /// Row-major element strides, one per dimension: the offset of
@@ -183,8 +241,9 @@ impl ArrayBuf {
     ///
     /// # Panics
     /// Panics if `off >= len()`.
+    #[inline]
     pub fn set_linear(&mut self, off: usize, v: f64) {
-        self.data[off] = v;
+        self.data_mut()[off] = v;
     }
 }
 
@@ -628,6 +687,41 @@ mod tests {
         assert!(b.get("a", &[0, 1]).is_err());
         assert!(b.get("a", &[2, 5]).is_err());
         assert!(b.get("a", &[2]).is_err());
+    }
+
+    #[test]
+    fn clones_share_elements_until_one_writes() {
+        let mut a = ArrayBuf::new(&[(1, 4)], 1.5);
+        a.set("a", &[2], 7.0).unwrap();
+        let mut b = a.clone();
+        assert!(b.shares_storage(&a));
+        assert!(!a.is_unique() && !b.is_unique());
+        // The first write copies; the other holder keeps its elements.
+        b.set_linear(0, 9.0);
+        assert!(!b.shares_storage(&a));
+        assert!(a.is_unique() && b.is_unique());
+        assert_eq!(a.data(), &[1.5, 7.0, 1.5, 1.5]);
+        assert_eq!(b.data(), &[9.0, 7.0, 1.5, 1.5]);
+        // A unique buffer writes in place: no further copy.
+        let before = b.data().as_ptr();
+        b.data_mut()[3] = 0.5;
+        assert_eq!(b.data().as_ptr(), before);
+        let mut c = b.clone();
+        c.make_unique();
+        assert!(!c.shares_storage(&b));
+        assert_eq!(c, b);
+    }
+
+    #[test]
+    fn equality_is_by_value_even_over_shared_storage() {
+        let a = ArrayBuf::new(&[(1, 2)], f64::NAN);
+        let b = a.clone();
+        assert!(b.shares_storage(&a));
+        assert_ne!(a, b, "NaN never equals NaN, shared or not");
+        let z = ArrayBuf::new(&[(1, 3)], 0.0);
+        assert_eq!(z, ArrayBuf::new(&[(1, 3)], 0.0));
+        assert_eq!(z.data(), &[0.0, 0.0, 0.0]);
+        assert_ne!(z, ArrayBuf::new(&[(0, 2)], 0.0), "bounds count too");
     }
 
     #[test]

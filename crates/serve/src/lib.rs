@@ -1420,7 +1420,8 @@ impl Server {
     /// the family snapshot between the halves. Byte-equivalent to
     /// [`run_with_meter`] — same units, same state threading, same
     /// meter — plus a clone of the prefix state (and its measured
-    /// cost) published for the family.
+    /// cost) published for the family. The clone shares every array's
+    /// elements; the trailing update copies only the array it writes.
     #[allow(clippy::too_many_arguments)]
     fn run_split(
         &self,

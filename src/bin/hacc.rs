@@ -199,10 +199,7 @@ fn parse_args() -> Result<Options, String> {
             }
             "--ops-per-ms" => {
                 let n = args.next().ok_or("--ops-per-ms needs a value")?;
-                opts.ops_per_ms =
-                    Some(n.parse().map_err(|_| {
-                        format!("--ops-per-ms needs a positive integer, got `{n}`")
-                    })?);
+                opts.ops_per_ms = Some(positive_rate(&n)?);
             }
             "--fault-plan" => {
                 let spec = args.next().ok_or("--fault-plan needs a value")?;
@@ -314,6 +311,16 @@ struct ServeCli {
     chaos_plan: Option<String>,
 }
 
+/// An `--ops-per-ms` value: a rate of zero ops per millisecond would
+/// turn every deadline into an empty budget, so it is refused here
+/// rather than clamped.
+fn positive_rate(n: &str) -> Result<u64, String> {
+    n.parse()
+        .ok()
+        .filter(|&r: &u64| r >= 1)
+        .ok_or_else(|| format!("--ops-per-ms needs a positive integer, got `{n}`"))
+}
+
 fn parse_serve_args(mut args: std::env::Args) -> Result<ServeCli, String> {
     let mut engine = Engine::Tape;
     let mut mode = ExecMode::Auto;
@@ -369,7 +376,10 @@ fn parse_serve_args(mut args: std::env::Args) -> Result<ServeCli, String> {
             "--cache-cap" => cache_cap = uint("--cache-cap")? as usize,
             "--result-cache-cap" => result_cache_cap = uint("--result-cache-cap")? as usize,
             "--no-fuse" => fuse = false,
-            "--ops-per-ms" => ops_per_ms = Some(uint("--ops-per-ms")?),
+            "--ops-per-ms" => {
+                let n = args.next().ok_or("--ops-per-ms needs a value")?;
+                ops_per_ms = Some(positive_rate(&n)?);
+            }
             "--deadlines" => need_deadline = true,
             "--listen" => {
                 listen = Some(args.next().ok_or("--listen needs an address")?);

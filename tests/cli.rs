@@ -307,6 +307,30 @@ fn deadline_converts_to_fuel_without_reading_the_clock() {
 }
 
 #[test]
+fn a_zero_deadline_rate_is_a_usage_error() {
+    // Zero ops per millisecond would turn every deadline into an empty
+    // budget: both parsers refuse it instead of clamping it to 1.
+    let single = [
+        "programs/wavefront.hac",
+        "n=4",
+        "--quiet",
+        "--deadline-ms",
+        "3",
+        "--ops-per-ms",
+        "0",
+    ];
+    for args in [&single[..], &["batch", "--ops-per-ms", "0"]] {
+        let out = hacc(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: usage errors exit 1");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("--ops-per-ms needs a positive integer, got `0`"),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn batch_subcommand_serves_jobs_with_statuses() {
     let jobs = r#"{"jobs": [
         {"id": "a", "file": "programs/wavefront.hac", "params": {"n": 6}, "fuel": 1000},

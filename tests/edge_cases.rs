@@ -9,6 +9,7 @@ use hac_core::pipeline::{
 };
 use hac_lang::env::ConstEnv;
 use hac_lang::parser::parse_program;
+use hac_runtime::error::RuntimeError;
 use hac_runtime::governor::Limits;
 use hac_runtime::value::{ArrayBuf, FuncTable};
 
@@ -380,5 +381,42 @@ fn arrays_whose_size_overflows_i64_are_compile_errors() {
             "array `p` is too large: its bounds or element count overflow a 64-bit integer",
             "n={n}"
         );
+    }
+}
+
+/// An input whose bounds differ from the program's `input` declaration
+/// is a runtime error naming the array and both shapes, in debug and
+/// release builds alike: a shifted window would otherwise run on the
+/// wrong elements, and a short one would trip a fused kernel's window
+/// assertion.
+#[test]
+fn inputs_with_the_wrong_bounds_are_runtime_errors() {
+    let program = parse_program(include_str!("../programs/tridiag.hac")).unwrap();
+    let env = ConstEnv::from_pairs([("n", 8)]);
+    for engine in [Engine::TreeWalk, Engine::Tape] {
+        let options = CompileOptions {
+            engine,
+            ..CompileOptions::default()
+        };
+        let compiled = compile(&program, &env, &options).unwrap();
+        for (given, shown) in [((0, 7), "[(0, 7)]"), ((1, 4), "[(1, 4)]")] {
+            let inputs = HashMap::from([("d".to_string(), ArrayBuf::new(&[given], 1.0))]);
+            let err = run(&compiled, &inputs, &FuncTable::new()).unwrap_err();
+            assert_eq!(
+                err,
+                RuntimeError::InputShape {
+                    array: "d".to_string(),
+                    declared: vec![(1, 8)],
+                    given: vec![given],
+                },
+                "{engine:?}"
+            );
+            assert_eq!(
+                err.to_string(),
+                format!(
+                    "input array `d` is declared with bounds [(1, 8)] but was given bounds {shown}"
+                )
+            );
+        }
     }
 }

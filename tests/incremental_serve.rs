@@ -223,6 +223,40 @@ fn duplicate_coordinate_updates_match_cold_decisions() {
     assert_eq!(b.error, c.error);
 }
 
+/// The family snapshot shares its arrays with every delta replayed
+/// over it, and each delta writes its band in place. Many deltas in a
+/// row — each against the same snapshot, on every engine and thread
+/// count (at four workers the band is a parallel region writing an
+/// array the snapshot still holds) — must each match a cold run, and a
+/// final empty band must return the snapshot's relaxed vector exactly
+/// as a cold run computes it.
+#[test]
+fn family_snapshot_is_unchanged_after_many_deltas() {
+    let src = std::fs::read_to_string("programs/incremental/band_poke.hac").expect("band_poke");
+    let n = 256;
+    let band = |lo: i64, hi: i64, uv: i64| [("n", n), ("lo", lo), ("hi", hi), ("uv", uv)];
+    for (engine, threads) in MATRIX {
+        for fuse in [true, false] {
+            let ctx = format!("{engine:?} t{threads} fuse={fuse}");
+            let warm = Server::new(opts(engine, threads, fuse, 256));
+            let cold = Server::new(opts(engine, threads, fuse, 0));
+            let fill = warm.handle(&request("fill", &src, &band(3, 5, 7)));
+            assert_eq!(fill.result_cache, Some(ResultClass::Miss), "{ctx}");
+            let mut slides: Vec<[(&str, i64); 4]> = (0..12)
+                .map(|k| band(1 + 20 * k, 40 + 17 * k, 11 + k))
+                .collect();
+            slides.push(band(1, n, 99));
+            slides.push(band(5, 4, 0));
+            for (k, params) in slides.iter().enumerate() {
+                let w = warm.handle(&request(&format!("w{k}"), &src, params));
+                let c = cold.handle(&request(&format!("c{k}"), &src, params));
+                assert_eq!(w.result_cache, Some(ResultClass::Delta), "{ctx} slide {k}");
+                assert_same_outcome(&w, &c, &format!("{ctx} slide {k}"));
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
