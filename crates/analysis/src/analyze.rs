@@ -14,7 +14,7 @@ use hac_lang::Comp;
 use crate::depgraph::{anti_dependences, flow_dependences, output_dependences, DependenceGraph};
 use crate::equation::affine_range;
 use crate::exact::Witness;
-use crate::refs::{collect_refs, ClauseRefs};
+use crate::refs::{collect_refs, total_instances, ClauseRefs};
 use crate::search::{Confidence, TestPolicy, TestStats};
 
 /// An analysis failure.
@@ -314,7 +314,9 @@ fn empties_verdict(
             "guarded clauses make the pair count unknown at compile time".into(),
         );
     }
-    let pairs: i64 = refs.iter().map(|r| r.instance_count()).sum();
+    let Some(pairs) = total_instances(refs) else {
+        return EmptiesVerdict::Possible("the subscript/value pair count overflows".into());
+    };
     if pairs == element_count {
         EmptiesVerdict::Impossible
     } else {

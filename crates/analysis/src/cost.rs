@@ -27,11 +27,12 @@ use hac_lang::ast::{BinOp, Expr};
 pub type Monomial = BTreeMap<String, u32>;
 
 /// A multivariate polynomial with integer coefficients over the
-/// program parameters, e.g. `12n^2+4n+7`.
+/// program parameters, e.g. `12n^2+4n+7`. Coefficients are `i128`, so
+/// a constant can hold any `u64` resource figure exactly.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Poly {
     /// Monomial → coefficient; zero coefficients are never stored.
-    terms: BTreeMap<Monomial, i64>,
+    terms: BTreeMap<Monomial, i128>,
 }
 
 impl Poly {
@@ -41,7 +42,8 @@ impl Poly {
     }
 
     /// A constant polynomial.
-    pub fn constant(c: i64) -> Poly {
+    pub fn constant(c: impl Into<i128>) -> Poly {
+        let c = c.into();
         let mut p = Poly::default();
         if c != 0 {
             p.terms.insert(Monomial::new(), c);
@@ -64,7 +66,7 @@ impl Poly {
     }
 
     /// `Some(c)` when the polynomial is the constant `c`.
-    pub fn as_constant(&self) -> Option<i64> {
+    pub fn as_constant(&self) -> Option<i128> {
         match self.terms.len() {
             0 => Some(0),
             1 => self.terms.get(&Monomial::new()).copied(),
@@ -72,7 +74,7 @@ impl Poly {
         }
     }
 
-    fn insert(&mut self, m: Monomial, c: i64) {
+    fn insert(&mut self, m: Monomial, c: i128) {
         if c == 0 {
             return;
         }
@@ -162,9 +164,9 @@ impl Poly {
     pub fn eval(&self, lookup: &dyn Fn(&str) -> Option<i64>) -> Option<u64> {
         let mut total: i128 = 0;
         for (m, &c) in &self.terms {
-            let mut term: i128 = c as i128;
+            let mut term = c;
             for (v, &p) in m {
-                let val = lookup(v)? as i128;
+                let val = i128::from(lookup(v)?);
                 for _ in 0..p {
                     term = match term.checked_mul(val) {
                         Some(t) => t,
@@ -186,7 +188,7 @@ impl Poly {
         if self.terms.is_empty() {
             return "0".to_string();
         }
-        let mut terms: Vec<(&Monomial, i64)> = self.terms.iter().map(|(m, &c)| (m, c)).collect();
+        let mut terms: Vec<(&Monomial, i128)> = self.terms.iter().map(|(m, &c)| (m, c)).collect();
         terms.sort_by(|a, b| {
             let da: u32 = a.0.values().sum();
             let db: u32 = b.0.values().sum();

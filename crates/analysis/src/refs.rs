@@ -62,9 +62,11 @@ impl ClauseRefs {
     }
 
     /// Product of the nest's loop sizes: the number of instances of
-    /// this clause (ignoring guards).
-    pub fn instance_count(&self) -> i64 {
-        self.nest.iter().map(|l| l.size).product()
+    /// this clause (ignoring guards). `None` when it overflows `i64`.
+    pub fn instance_count(&self) -> Option<i64> {
+        self.nest
+            .iter()
+            .try_fold(1i64, |count, l| count.checked_mul(l.size))
     }
 
     /// `true` when the clause sits under at least one guard.
@@ -74,6 +76,13 @@ impl ClauseRefs {
             .iter()
             .any(|s| matches!(s, PathStep::Guard(_)))
     }
+}
+
+/// The instances of every clause in `refs`, summed; `None` when the
+/// count overflows `i64`.
+pub fn total_instances(refs: &[ClauseRefs]) -> Option<i64> {
+    refs.iter()
+        .try_fold(0i64, |total, r| total.checked_add(r.instance_count()?))
 }
 
 /// Collect references for every clause of a comprehension defining (or
@@ -205,7 +214,7 @@ mod tests {
         assert!(c.reads.iter().all(|r| r.array == "a" && r.norm.is_some()));
         let w = c.write.norm.as_ref().unwrap();
         assert_eq!(w.dims.len(), 2);
-        assert_eq!(c.instance_count(), 49);
+        assert_eq!(c.instance_count(), Some(49));
         assert!(!c.guarded());
     }
 
@@ -269,7 +278,8 @@ mod tests {
         let refs = collect("[ 1 := 0 ] ++ [ i := a!(i-1) | i <- [2..n] ]", "a", &env);
         assert_eq!(refs.len(), 2);
         assert!(refs[0].nest.is_empty());
-        assert_eq!(refs[0].instance_count(), 1);
+        assert_eq!(refs[0].instance_count(), Some(1));
         assert_eq!(refs[1].nest.len(), 1);
+        assert_eq!(total_instances(&refs), Some(5));
     }
 }

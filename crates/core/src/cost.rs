@@ -111,7 +111,7 @@ fn calibrate(poly: Option<Poly>, concrete: u64, env: &ConstEnv) -> Poly {
     let lookup = |n: &str| env.lookup(n);
     match poly {
         Some(p) if p.eval(&lookup) == Some(concrete) => p,
-        _ => Poly::constant(i64::try_from(concrete).unwrap_or(i64::MAX)),
+        _ => Poly::constant(concrete),
     }
 }
 
@@ -147,17 +147,15 @@ fn steps_fuel(steps: &[Step], clauses: &HashMap<ClauseId, &SvClause>) -> Option<
                     .chain(std::iter::once(&c.value))
                     .map(|e| expr_calls(e).0)
                     .sum();
-                Poly::constant(i64::try_from(calls).unwrap_or(i64::MAX))
+                Poly::constant(calls)
             }
             Step::Guard { cond, body } => {
                 let calls = expr_calls(cond).0;
-                Poly::constant(i64::try_from(calls).unwrap_or(i64::MAX))
-                    .add(&steps_fuel(body, clauses)?)
+                Poly::constant(calls).add(&steps_fuel(body, clauses)?)
             }
             Step::Let { binds, body } => {
                 let calls: u64 = binds.iter().map(|(_, e)| expr_calls(e).0).sum();
-                Poly::constant(i64::try_from(calls).unwrap_or(i64::MAX))
-                    .add(&steps_fuel(body, clauses)?)
+                Poly::constant(calls).add(&steps_fuel(body, clauses)?)
             }
         };
         total = total.add(&p);

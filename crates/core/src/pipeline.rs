@@ -16,6 +16,7 @@ use std::sync::Arc;
 
 use hac_analysis::analyze::{analyze_array, analyze_bigupd, AnalysisError, CollisionVerdict};
 use hac_analysis::cost::{CostCert, Poly};
+use hac_analysis::refs::total_instances;
 use hac_analysis::search::TestPolicy;
 use hac_codegen::cost::program_cost;
 use hac_codegen::fuse::{fuse_tape, FuseDecision};
@@ -588,7 +589,8 @@ pub fn compile(
                 // Delta plan: only for the program's sole, trailing
                 // update, and only when the write footprint is exact —
                 // a guard or non-affine write would make the static
-                // count an overestimate of the dirty set.
+                // count an overestimate of the dirty set — and only
+                // when that count fits an `i64`.
                 if is_last
                     && !units.iter().any(|u| matches!(u, Unit::Update { .. }))
                     && analysis
@@ -596,8 +598,9 @@ pub fn compile(
                         .iter()
                         .all(|r| !r.guarded() && r.write.norm.is_some())
                 {
-                    let writes: i64 = analysis.refs.iter().map(|r| r.instance_count()).sum();
-                    delta = u64::try_from(writes).ok().map(|writes| DeltaPlan {
+                    let writes =
+                        total_instances(&analysis.refs).and_then(|w| u64::try_from(w).ok());
+                    delta = writes.map(|writes| DeltaPlan {
                         params: delta_params(&program, bi),
                         writes,
                         prefix_bytes: known

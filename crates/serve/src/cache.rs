@@ -42,14 +42,18 @@
 //! and never alter membership or recency. Family snapshots hold real
 //! arrays, so their bytes are charged to the shared ceiling by the
 //! server at install and refunded on eviction or failure
-//! (`ResultCacheStats::resident_bytes` tracks the residency).
+//! (the ledger's `resident_bytes` gauge tracks the residency).
+//!
+//! Both caches count into the server's [`Ledger`] under the lock the
+//! server already holds around each call.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use hac_core::pipeline::{Compiled, ExecState};
 
-use crate::{ResultClass, Status};
+use crate::ledger::{Counter, Ledger};
+use crate::Status;
 
 /// The victim rule both caches evict by: among `(key, last_used,
 /// cost)` entries, the one minimizing `(last_used + cost, last_used,
@@ -58,22 +62,6 @@ fn victim<'a>(entries: impl Iterator<Item = (&'a u64, u64, u64)>) -> Option<(u64
     entries
         .map(|(key, last_used, cost)| (last_used + cost, last_used, *key))
         .min()
-}
-
-/// Counters over the cache's whole life. Reconciliation invariants,
-/// enforced by the eviction proptests:
-/// `hits + misses == lookups` and `insertions - evictions == live`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    pub lookups: u64,
-    pub hits: u64,
-    pub misses: u64,
-    pub insertions: u64,
-    pub evictions: u64,
-    /// Entries currently resident.
-    pub live: u64,
-    /// The configured capacity (0 = unbounded).
-    pub cap: u64,
 }
 
 #[derive(Debug)]
@@ -88,12 +76,15 @@ struct Entry {
 
 /// The bounded cache. Not internally synchronized — the server wraps
 /// it in a `Mutex` (lookups and insertions happen on the sequential
-/// admission path, so the lock is uncontended in steady state).
+/// admission path, so the lock is uncontended in steady state). It
+/// counts into the `cache` section of its ledger; the reconciliation
+/// invariants `hits + misses == lookups` and
+/// `insertions - evictions == live` hold after every call.
 #[derive(Debug)]
 pub struct ProgramCache {
     cap: usize,
     entries: HashMap<u64, Entry>,
-    stats: CacheStats,
+    ledger: Arc<Ledger>,
 }
 
 impl ProgramCache {
@@ -101,29 +92,26 @@ impl ProgramCache {
     /// unbounded (the pre-eviction behavior, available via
     /// `--cache-cap 0` for embedders that key a small closed program
     /// set).
-    pub fn new(cap: usize) -> ProgramCache {
+    pub fn new(cap: usize, ledger: Arc<Ledger>) -> ProgramCache {
         ProgramCache {
             cap,
             entries: HashMap::new(),
-            stats: CacheStats {
-                cap: cap as u64,
-                ..CacheStats::default()
-            },
+            ledger,
         }
     }
 
     /// Look `key` up, stamping the entry's recency with `ordinal` on a
     /// hit.
     pub fn lookup(&mut self, key: u64, ordinal: u64) -> Option<Arc<Compiled>> {
-        self.stats.lookups += 1;
+        self.ledger.add(Counter::CacheLookups, 1);
         match self.entries.get_mut(&key) {
             Some(e) => {
                 e.last_used = ordinal;
-                self.stats.hits += 1;
+                self.ledger.add(Counter::CacheHits, 1);
                 Some(Arc::clone(&e.program))
             }
             None => {
-                self.stats.misses += 1;
+                self.ledger.add(Counter::CacheMisses, 1);
                 None
             }
         }
@@ -149,8 +137,8 @@ impl ProgramCache {
                     victim(self.entries.iter().map(|(k, e)| (k, e.last_used, e.cost)))
                         .expect("cap > 0 and len >= cap imply an entry");
                 self.entries.remove(&key);
-                self.stats.evictions += 1;
-                self.stats.live -= 1;
+                self.ledger.add(Counter::CacheEvictions, 1);
+                self.ledger.sub(Counter::CacheLive, 1);
                 evicted += 1;
             }
         }
@@ -162,14 +150,9 @@ impl ProgramCache {
                 cost,
             },
         );
-        self.stats.insertions += 1;
-        self.stats.live += 1;
+        self.ledger.add(Counter::CacheInsertions, 1);
+        self.ledger.add(Counter::CacheLive, 1);
         evicted
-    }
-
-    /// A copy of the life-to-date counters.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
     }
 
     /// Entries currently resident.
@@ -181,35 +164,6 @@ impl ProgramCache {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-}
-
-/// Counters over the result cache's whole life. `hits + deltas`
-/// counts requests served without a full recomputation;
-/// `hits + deltas + misses` equals the routed requests that reached
-/// execution (bypassed requests never touch the cache).
-/// `resident_bytes` is the memory held by family snapshots — the same
-/// number charged against the shared ceiling.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ResultCacheStats {
-    /// Admission-time full-key probes (one per routed request).
-    pub lookups: u64,
-    /// Requests served verbatim from a cached outcome.
-    pub hits: u64,
-    /// Requests served by replaying only the trailing update over a
-    /// family snapshot.
-    pub deltas: u64,
-    /// Requests that ran the full pipeline (including every fallback).
-    pub misses: u64,
-    /// Slots resolved `Ready` by their filler.
-    pub insertions: u64,
-    /// Entries removed by the capacity rule.
-    pub evictions: u64,
-    /// Entries currently resident (full + family, any state).
-    pub live: u64,
-    /// The configured capacity (0 = result caching off).
-    pub cap: u64,
-    /// Bytes held by resident family snapshots.
-    pub resident_bytes: u64,
 }
 
 /// A memoized terminal outcome: every response field that is a pure
@@ -343,28 +297,27 @@ pub struct Evicted {
 /// eviction is therefore a pure function of the admission sequence.
 /// Execution threads resolve slots with [`ResultCache::fill`] and
 /// [`ResultCache::fail`], which change state in place and never touch
-/// membership.
+/// membership. It counts into the `result_cache` section of its
+/// ledger, except the realized hit/delta/miss classes, which the
+/// server counts as it builds each response.
 #[derive(Debug)]
 pub struct ResultCache {
     cap: usize,
     full: HashMap<u64, Slot<CachedOutcome>>,
     family: HashMap<u64, Slot<FamilyEntry>>,
-    stats: ResultCacheStats,
+    ledger: Arc<Ledger>,
 }
 
 impl ResultCache {
     /// A cache holding at most `cap` entries (full + family combined).
     /// `cap == 0` disables result caching — the server bypasses the
-    /// cache entirely, so a zero-cap instance only ever reports stats.
-    pub fn new(cap: usize) -> ResultCache {
+    /// cache entirely, so a zero-cap instance is never touched.
+    pub fn new(cap: usize, ledger: Arc<Ledger>) -> ResultCache {
         ResultCache {
             cap,
             full: HashMap::new(),
             family: HashMap::new(),
-            stats: ResultCacheStats {
-                cap: cap as u64,
-                ..ResultCacheStats::default()
-            },
+            ledger,
         }
     }
 
@@ -372,7 +325,7 @@ impl ResultCache {
     /// lookup when `T` is the full outcome.
     pub fn probe<T: Payload>(&mut self, key: u64, ordinal: u64) -> Probe<T> {
         if T::COUNTS_LOOKUP {
-            self.stats.lookups += 1;
+            self.ledger.add(Counter::ResultLookups, 1);
         }
         let Some(slot) = T::slots(self).get_mut(&key) else {
             return Probe::Absent;
@@ -410,7 +363,7 @@ impl ResultCache {
         };
         let evicted = if let Some(old) = T::slots(self).get_mut(&key) {
             let freed = std::mem::replace(old, slot).bytes;
-            self.stats.resident_bytes -= freed;
+            self.ledger.sub(Counter::ResultResidentBytes, freed);
             Evicted {
                 entries: 0,
                 bytes: freed,
@@ -418,10 +371,10 @@ impl ResultCache {
         } else {
             let evicted = self.evict_to_cap();
             T::slots(self).insert(key, slot);
-            self.stats.live += 1;
+            self.ledger.add(Counter::ResultLive, 1);
             evicted
         };
-        self.stats.resident_bytes += bytes;
+        self.ledger.add(Counter::ResultResidentBytes, bytes);
         evicted
     }
 
@@ -435,7 +388,7 @@ impl ResultCache {
             return false;
         };
         slot.state = SlotState::Ready(value);
-        self.stats.insertions += 1;
+        self.ledger.add(Counter::ResultInsertions, 1);
         true
     }
 
@@ -449,22 +402,8 @@ impl ResultCache {
         };
         slot.state = SlotState::Failed;
         let bytes = std::mem::take(&mut slot.bytes);
-        self.stats.resident_bytes -= bytes;
+        self.ledger.sub(Counter::ResultResidentBytes, bytes);
         bytes
-    }
-
-    /// Count one realized request of `class`.
-    pub fn record(&mut self, class: ResultClass) {
-        match class {
-            ResultClass::Hit => self.stats.hits += 1,
-            ResultClass::Delta => self.stats.deltas += 1,
-            ResultClass::Miss => self.stats.misses += 1,
-        }
-    }
-
-    /// A copy of the life-to-date counters.
-    pub fn result_stats(&self) -> ResultCacheStats {
-        self.stats
     }
 
     /// Evict until there is room for one more entry. The victim rule
@@ -486,13 +425,13 @@ impl ResultCache {
             };
             if in_family {
                 let slot = self.family.remove(&key).expect("victim exists");
-                self.stats.resident_bytes -= slot.bytes;
+                self.ledger.sub(Counter::ResultResidentBytes, slot.bytes);
                 out.bytes += slot.bytes;
             } else {
                 self.full.remove(&key);
             }
-            self.stats.evictions += 1;
-            self.stats.live -= 1;
+            self.ledger.add(Counter::ResultEvictions, 1);
+            self.ledger.sub(Counter::ResultLive, 1);
             out.entries += 1;
         }
         out
@@ -505,6 +444,16 @@ mod tests {
     use hac_core::pipeline::{compile, CompileOptions};
     use hac_lang::env::ConstEnv;
 
+    fn program_cache(cap: usize) -> (ProgramCache, Arc<Ledger>) {
+        let ledger = Arc::new(Ledger::default());
+        (ProgramCache::new(cap, Arc::clone(&ledger)), ledger)
+    }
+
+    fn result_cache(cap: usize) -> (ResultCache, Arc<Ledger>) {
+        let ledger = Arc::new(Ledger::default());
+        (ResultCache::new(cap, Arc::clone(&ledger)), ledger)
+    }
+
     fn compiled(n: i64) -> Arc<Compiled> {
         let src = "param n;\nlet a = array (1,2) [ i := n | i <- [1..2] ];\n";
         let program = hac_lang::parser::parse_program(src).unwrap();
@@ -515,24 +464,31 @@ mod tests {
 
     #[test]
     fn capacity_is_respected_and_counters_reconcile() {
-        let mut c = ProgramCache::new(3);
+        let (mut c, l) = program_cache(3);
         let p = compiled(1);
         for key in 0..10u64 {
             assert!(c.lookup(key, key).is_none());
             c.insert(key, Arc::clone(&p), key);
             assert!(c.len() <= 3, "cap exceeded at key {key}");
         }
-        let s = c.stats();
-        assert_eq!(s.lookups, 10);
-        assert_eq!(s.hits + s.misses, s.lookups);
-        assert_eq!(s.insertions - s.evictions, s.live);
-        assert_eq!(s.live, 3);
-        assert_eq!(s.evictions, 7);
+        let lookups = l.get(Counter::CacheLookups);
+        assert_eq!(lookups, 10);
+        assert_eq!(
+            l.get(Counter::CacheHits) + l.get(Counter::CacheMisses),
+            lookups
+        );
+        let live = l.get(Counter::CacheLive);
+        assert_eq!(
+            l.get(Counter::CacheInsertions) - l.get(Counter::CacheEvictions),
+            live
+        );
+        assert_eq!(live, 3);
+        assert_eq!(l.get(Counter::CacheEvictions), 7);
     }
 
     #[test]
     fn lru_evicts_the_stalest_entry() {
-        let mut c = ProgramCache::new(2);
+        let (mut c, _) = program_cache(2);
         let p = compiled(1);
         c.insert(10, Arc::clone(&p), 0);
         c.insert(20, Arc::clone(&p), 1);
@@ -546,24 +502,28 @@ mod tests {
 
     #[test]
     fn zero_cap_is_unbounded() {
-        let mut c = ProgramCache::new(0);
+        let (mut c, l) = program_cache(0);
         let p = compiled(1);
         for key in 0..100u64 {
             c.insert(key, Arc::clone(&p), key);
         }
         assert_eq!(c.len(), 100);
-        assert_eq!(c.stats().evictions, 0);
+        assert_eq!(l.get(Counter::CacheEvictions), 0);
     }
 
     #[test]
     fn reinserting_a_key_refreshes_without_eviction() {
-        let mut c = ProgramCache::new(2);
+        let (mut c, l) = program_cache(2);
         let p = compiled(1);
         c.insert(1, Arc::clone(&p), 0);
         c.insert(2, Arc::clone(&p), 1);
         assert_eq!(c.insert(1, Arc::clone(&p), 2), 0);
         assert_eq!(c.len(), 2);
-        assert_eq!(c.stats().insertions, 2, "refresh is not an insertion");
+        assert_eq!(
+            l.get(Counter::CacheInsertions),
+            2,
+            "refresh is not an insertion"
+        );
     }
 
     fn outcome() -> Arc<CachedOutcome> {
@@ -587,7 +547,7 @@ mod tests {
 
     #[test]
     fn result_slots_resolve_through_the_pending_protocol() {
-        let mut c = ResultCache::new(8);
+        let (mut c, l) = result_cache(8);
         assert!(matches!(c.probe::<CachedOutcome>(7, 0), Probe::Absent));
         c.install::<CachedOutcome>(7, 0, 2, 0);
         assert!(matches!(
@@ -598,13 +558,19 @@ mod tests {
         assert!(matches!(c.probe::<CachedOutcome>(7, 2), Probe::Ready(_)));
         // A second fill with a stale token is dropped.
         assert!(!c.fill(7, 0, outcome()));
-        let s = c.result_stats();
-        assert_eq!((s.lookups, s.insertions, s.live), (3, 1, 1));
+        assert_eq!(
+            (
+                l.get(Counter::ResultLookups),
+                l.get(Counter::ResultInsertions),
+                l.get(Counter::ResultLive)
+            ),
+            (3, 1, 1)
+        );
     }
 
     #[test]
     fn failed_slots_are_tombstones_until_reinstalled() {
-        let mut c = ResultCache::new(8);
+        let (mut c, l) = result_cache(8);
         c.install::<CachedOutcome>(7, 0, 1, 0);
         c.fail::<CachedOutcome>(7, 0);
         assert!(matches!(c.probe::<CachedOutcome>(7, 1), Probe::Failed));
@@ -614,29 +580,29 @@ mod tests {
             c.probe::<CachedOutcome>(7, 3),
             Probe::Pending { token: 2 }
         ));
-        assert_eq!(c.result_stats().live, 1);
+        assert_eq!(l.get(Counter::ResultLive), 1);
     }
 
     #[test]
     fn family_bytes_are_charged_and_refunded_exactly_once() {
-        let mut c = ResultCache::new(8);
+        let (mut c, l) = result_cache(8);
         c.install::<FamilyEntry>(9, 0, 1, 640);
-        assert_eq!(c.result_stats().resident_bytes, 640);
+        assert_eq!(l.get(Counter::ResultResidentBytes), 640);
         // Failure refunds early; the tombstone holds nothing.
         assert_eq!(c.fail::<FamilyEntry>(9, 0), 640);
-        assert_eq!(c.result_stats().resident_bytes, 0);
+        assert_eq!(l.get(Counter::ResultResidentBytes), 0);
         // A stale fail (wrong token) refunds nothing.
         assert_eq!(c.fail::<FamilyEntry>(9, 0), 0);
         // Re-install charges again; fill keeps the charge resident.
         c.install::<FamilyEntry>(9, 1, 1, 640);
         assert!(c.fill(9, 1, family()));
-        assert_eq!(c.result_stats().resident_bytes, 640);
+        assert_eq!(l.get(Counter::ResultResidentBytes), 640);
         assert!(matches!(c.probe::<FamilyEntry>(9, 2), Probe::Ready(_)));
     }
 
     #[test]
     fn eviction_spans_both_maps_and_frees_family_bytes() {
-        let mut c = ResultCache::new(2);
+        let (mut c, l) = result_cache(2);
         c.install::<CachedOutcome>(1, 0, 1, 0);
         assert!(c.fill(1, 0, outcome()));
         c.install::<FamilyEntry>(2, 1, 1, 100);
@@ -666,20 +632,27 @@ mod tests {
                 bytes: 100
             }
         );
-        assert_eq!(c.result_stats().resident_bytes, 0);
-        let s = c.result_stats();
-        assert_eq!((s.evictions, s.live), (2, 2));
+        assert_eq!(l.get(Counter::ResultResidentBytes), 0);
+        assert_eq!(
+            (l.get(Counter::ResultEvictions), l.get(Counter::ResultLive)),
+            (2, 2)
+        );
     }
 
     #[test]
     fn capacity_holds_while_one_map_is_empty() {
-        let mut c = ResultCache::new(1);
+        let (mut c, l) = result_cache(1);
         c.install::<CachedOutcome>(1, 0, 1, 0);
         // The family map is empty, yet installing into it must still
         // evict the full entry to stay within capacity.
         let ev = c.install::<FamilyEntry>(2, 0, 1, 64);
         assert_eq!(ev.entries, 1);
-        let s = c.result_stats();
-        assert_eq!((s.live, s.resident_bytes), (1, 64));
+        assert_eq!(
+            (
+                l.get(Counter::ResultLive),
+                l.get(Counter::ResultResidentBytes)
+            ),
+            (1, 64)
+        );
     }
 }

@@ -12,9 +12,11 @@
 //! * `{"control":"tenant","tenant":"acme"}` — attribute every later
 //!   request on this connection that names no tenant of its own to
 //!   `acme` (per-connection tenant attribution).
-//! * `{"control":"stats"}` — cache counters, per-tenant served request
-//!   counts (sorted by tenant name, so the reply is reproducible), the
-//!   daemon's armor ledger, and the server's overload/retry counters.
+//! * `{"control":"stats"}` — the life-to-date counters of the
+//!   [`ledger`](crate::ledger): program cache, result cache, the
+//!   daemon's armor, overload/retry and certificate admissions, plus
+//!   per-tenant served request counts (sorted by tenant name, so the
+//!   reply is reproducible).
 //! * `{"control":"shutdown"}` — graceful shutdown: the daemon replies
 //!   `{"control":"shutdown","ok":true}`, stops accepting, lets every
 //!   in-flight connection finish, and returns.
@@ -51,11 +53,12 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 use crate::chaos::{ChaosPlan, ConnFaultKind};
 use crate::json::{self, Json};
+use crate::ledger::{Counter, Ledger, Section};
 use crate::{Request, Server};
 
 /// Default [`DaemonOptions::max_line_bytes`]: 1 MiB.
@@ -94,49 +97,6 @@ impl Default for DaemonOptions {
     }
 }
 
-/// The daemon's armor ledger: every counter is bumped by exactly one
-/// event kind, so chaos tests can assert the whole ledger exactly.
-#[derive(Debug, Default)]
-struct Counters {
-    /// Connections accepted (also the source of dense connection
-    /// ordinals for chaos coordinates).
-    conns: AtomicU64,
-    /// Handler panics contained by `catch_unwind`.
-    panics_recovered: AtomicU64,
-    /// Lines refused before reaching the server: oversized, malformed
-    /// JSON, bad request shapes, unknown controls, injected garbage.
-    lines_rejected: AtomicU64,
-    /// Request-line bytes consumed off sockets, newlines included
-    /// (oversized lines count in full — the bytes were read, then
-    /// discarded).
-    line_bytes_read: AtomicU64,
-    /// Read deadlines that fired.
-    io_timeouts: AtomicU64,
-    /// Chaos: responses computed and then deliberately not written.
-    dropped: AtomicU64,
-    /// Chaos: simulated read-deadline firings.
-    stalled: AtomicU64,
-    /// Chaos: garbage lines injected ahead of real requests.
-    garbage_injected: AtomicU64,
-    /// Chaos: responses truncated to their first half.
-    short_writes: AtomicU64,
-}
-
-/// A snapshot of the armor ledger (exposed for tests; the wire form is
-/// the `daemon` object in the `stats` control reply).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DaemonStats {
-    pub conns: u64,
-    pub panics_recovered: u64,
-    pub lines_rejected: u64,
-    pub line_bytes_read: u64,
-    pub io_timeouts: u64,
-    pub dropped: u64,
-    pub stalled: u64,
-    pub garbage_injected: u64,
-    pub short_writes: u64,
-}
-
 /// State shared between the accept loop and connection handlers.
 struct Shared {
     server: Arc<Server>,
@@ -147,7 +107,9 @@ struct Shared {
     slot_freed: Condvar,
     /// Requests served per tenant, in first-seen order.
     tenants: Mutex<Vec<(String, u64)>>,
-    counters: Counters,
+    /// The `daemon` section: every armor action bumps exactly one
+    /// counter, so chaos tests can assert the whole section exactly.
+    ledger: Ledger,
 }
 
 impl Shared {
@@ -159,19 +121,31 @@ impl Shared {
         }
     }
 
-    fn stats(&self) -> DaemonStats {
-        let c = &self.counters;
-        DaemonStats {
-            conns: c.conns.load(Ordering::SeqCst),
-            panics_recovered: c.panics_recovered.load(Ordering::SeqCst),
-            lines_rejected: c.lines_rejected.load(Ordering::SeqCst),
-            line_bytes_read: c.line_bytes_read.load(Ordering::SeqCst),
-            io_timeouts: c.io_timeouts.load(Ordering::SeqCst),
-            dropped: c.dropped.load(Ordering::SeqCst),
-            stalled: c.stalled.load(Ordering::SeqCst),
-            garbage_injected: c.garbage_injected.load(Ordering::SeqCst),
-            short_writes: c.short_writes.load(Ordering::SeqCst),
+    /// The `stats` reply: every ledger section in reply order, with
+    /// the per-tenant counts ahead of the daemon's own section.
+    fn stats_reply(&self) -> Json {
+        let options = self.server.options();
+        let mut reply = vec![("control".to_string(), Json::Str("stats".to_string()))];
+        for section in Section::ALL {
+            let (ledger, setting) = match section {
+                Section::Cache => (self.server.ledger(), Some(options.cache_cap)),
+                Section::ResultCache => (self.server.ledger(), Some(options.result_cache_cap)),
+                Section::Daemon => (&self.ledger, Some(self.options.max_line_bytes)),
+                Section::Server | Section::Certificates => (self.server.ledger(), None),
+            };
+            if section == Section::Daemon {
+                let mut tenants = self.tenants.lock().expect("tenant lock").clone();
+                tenants.sort();
+                let tenants = tenants
+                    .into_iter()
+                    .map(|(t, n)| (t, Json::Num(n as f64)))
+                    .collect();
+                reply.push(("tenants".to_string(), Json::Obj(tenants)));
+            }
+            let setting = setting.map(|s| s as u64);
+            reply.push((section.key().to_string(), ledger.render(section, setting)));
         }
+        Json::Obj(reply)
     }
 }
 
@@ -239,7 +213,7 @@ pub fn run(
         active: Mutex::new(0),
         slot_freed: Condvar::new(),
         tenants: Mutex::new(Vec::new()),
-        counters: Counters::default(),
+        ledger: Ledger::default(),
     });
     let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
     loop {
@@ -282,7 +256,7 @@ pub fn run(
         // Dense connection ordinal: the accept loop is sequential, so
         // ordinals are assigned in accept order — the coordinate
         // system chaos plans aim at.
-        let conn = shared.counters.conns.fetch_add(1, Ordering::SeqCst);
+        let conn = shared.ledger.add(Counter::Conns, 1);
         // Reap finished handlers so a long-lived daemon's handle list
         // stays proportional to live connections.
         handlers.retain(|h| !h.is_finished());
@@ -295,7 +269,7 @@ pub fn run(
                 serve_connection(&sh, stream, conn);
             }));
             if outcome.is_err() {
-                sh.counters.panics_recovered.fetch_add(1, Ordering::SeqCst);
+                sh.ledger.add(Counter::PanicsRecovered, 1);
             }
             *sh.active.lock().expect("active lock") -= 1;
             sh.slot_freed.notify_one();
@@ -338,88 +312,7 @@ fn handle_control(shared: &Shared, control: &str, v: &Json, out: &mut TcpStream)
             true
         }
         "stats" => {
-            let s = shared.server.cache_stats();
-            let cache = Json::Obj(vec![
-                ("lookups".to_string(), Json::Num(s.lookups as f64)),
-                ("hits".to_string(), Json::Num(s.hits as f64)),
-                ("misses".to_string(), Json::Num(s.misses as f64)),
-                ("insertions".to_string(), Json::Num(s.insertions as f64)),
-                ("evictions".to_string(), Json::Num(s.evictions as f64)),
-                ("live".to_string(), Json::Num(s.live as f64)),
-                ("cap".to_string(), Json::Num(s.cap as f64)),
-            ]);
-            let r = shared.server.result_cache_stats();
-            let result_cache = Json::Obj(vec![
-                ("lookups".to_string(), Json::Num(r.lookups as f64)),
-                ("hits".to_string(), Json::Num(r.hits as f64)),
-                ("deltas".to_string(), Json::Num(r.deltas as f64)),
-                ("misses".to_string(), Json::Num(r.misses as f64)),
-                ("insertions".to_string(), Json::Num(r.insertions as f64)),
-                ("evictions".to_string(), Json::Num(r.evictions as f64)),
-                ("live".to_string(), Json::Num(r.live as f64)),
-                ("cap".to_string(), Json::Num(r.cap as f64)),
-                (
-                    "resident_bytes".to_string(),
-                    Json::Num(r.resident_bytes as f64),
-                ),
-            ]);
-            let mut tenants = shared.tenants.lock().expect("tenant lock").clone();
-            tenants.sort();
-            let tenants = Json::Obj(
-                tenants
-                    .into_iter()
-                    .map(|(t, n)| (t, Json::Num(n as f64)))
-                    .collect(),
-            );
-            let d = shared.stats();
-            let daemon = Json::Obj(vec![
-                ("conns".to_string(), Json::Num(d.conns as f64)),
-                (
-                    "panics_recovered".to_string(),
-                    Json::Num(d.panics_recovered as f64),
-                ),
-                (
-                    "lines_rejected".to_string(),
-                    Json::Num(d.lines_rejected as f64),
-                ),
-                (
-                    "line_bytes_read".to_string(),
-                    Json::Num(d.line_bytes_read as f64),
-                ),
-                (
-                    "max_line_bytes".to_string(),
-                    Json::Num(shared.options.max_line_bytes as f64),
-                ),
-                ("io_timeouts".to_string(), Json::Num(d.io_timeouts as f64)),
-                ("dropped".to_string(), Json::Num(d.dropped as f64)),
-                ("stalled".to_string(), Json::Num(d.stalled as f64)),
-                (
-                    "garbage_injected".to_string(),
-                    Json::Num(d.garbage_injected as f64),
-                ),
-                ("short_writes".to_string(), Json::Num(d.short_writes as f64)),
-            ]);
-            let sv = shared.server.server_stats();
-            let server = Json::Obj(vec![
-                ("shed".to_string(), Json::Num(sv.shed as f64)),
-                ("retried".to_string(), Json::Num(sv.retried as f64)),
-            ]);
-            let cs = shared.server.cert_stats();
-            let certificates = Json::Obj(vec![
-                ("certified".to_string(), Json::Num(cs.certified as f64)),
-                ("open".to_string(), Json::Num(cs.open as f64)),
-                ("rejected".to_string(), Json::Num(cs.rejected as f64)),
-            ]);
-            let reply = Json::Obj(vec![
-                ("control".to_string(), Json::Str("stats".to_string())),
-                ("cache".to_string(), cache),
-                ("result_cache".to_string(), result_cache),
-                ("tenants".to_string(), tenants),
-                ("daemon".to_string(), daemon),
-                ("server".to_string(), server),
-                ("certificates".to_string(), certificates),
-            ]);
-            let _ = writeln!(out, "{reply}");
+            let _ = writeln!(out, "{}", shared.stats_reply());
             let _ = out.flush();
             false
         }
@@ -433,10 +326,7 @@ fn handle_control(shared: &Shared, control: &str, v: &Json, out: &mut TcpStream)
                     ("ok".to_string(), Json::Bool(true)),
                 ])
             } else {
-                shared
-                    .counters
-                    .lines_rejected
-                    .fetch_add(1, Ordering::SeqCst);
+                shared.ledger.add(Counter::LinesRejected, 1);
                 error_line(
                     "bad-request",
                     "`tenant` control needs a string `tenant`".to_string(),
@@ -447,10 +337,7 @@ fn handle_control(shared: &Shared, control: &str, v: &Json, out: &mut TcpStream)
             false
         }
         other => {
-            shared
-                .counters
-                .lines_rejected
-                .fetch_add(1, Ordering::SeqCst);
+            shared.ledger.add(Counter::LinesRejected, 1);
             let _ = writeln!(
                 out,
                 "{}",
@@ -478,13 +365,9 @@ enum LineRead {
 
 /// Read one newline-terminated line without ever buffering more than
 /// `max` payload bytes, no matter how much the peer sends.
-/// `bytes_read` is credited with every byte consumed (newlines and
-/// discarded overflow included — they were read off the socket).
-fn read_bounded_line(
-    reader: &mut BufReader<TcpStream>,
-    max: usize,
-    bytes_read: &AtomicU64,
-) -> LineRead {
+/// `line_bytes_read` is credited with every byte consumed (newlines
+/// and discarded overflow included — they were read off the socket).
+fn read_bounded_line(reader: &mut BufReader<TcpStream>, max: usize, ledger: &Ledger) -> LineRead {
     let mut buf: Vec<u8> = Vec::new();
     let mut overflow = false;
     loop {
@@ -515,7 +398,7 @@ fn read_bounded_line(
         }
         let nl = chunk.iter().position(|&b| b == b'\n');
         let take = nl.map_or(chunk.len(), |p| p + 1);
-        bytes_read.fetch_add(take as u64, Ordering::SeqCst);
+        ledger.add(Counter::LineBytesRead, take as u64);
         if !overflow {
             let keep = nl.map_or(take, |p| p);
             if buf.len() + keep > max {
@@ -551,11 +434,11 @@ fn write_reply(
 ) -> bool {
     match fault {
         Some(ConnFaultKind::Drop) => {
-            shared.counters.dropped.fetch_add(1, Ordering::SeqCst);
+            shared.ledger.add(Counter::Dropped, 1);
             false
         }
         Some(ConnFaultKind::ShortWrite) => {
-            shared.counters.short_writes.fetch_add(1, Ordering::SeqCst);
+            shared.ledger.add(Counter::ShortWrites, 1);
             let bytes = line.as_bytes();
             let _ = out.write_all(&bytes[..bytes.len() / 2]);
             let _ = out.flush();
@@ -589,38 +472,32 @@ fn serve_connection(shared: &Shared, stream: TcpStream, conn: u64) {
     // sends, in arrival order (controls and rejected lines included).
     let mut request: u64 = 0;
     loop {
-        let line = match read_bounded_line(
-            &mut reader,
-            shared.options.max_line_bytes,
-            &shared.counters.line_bytes_read,
-        ) {
-            LineRead::Line(l) => l,
-            LineRead::TooLong => {
-                shared
-                    .counters
-                    .lines_rejected
-                    .fetch_add(1, Ordering::SeqCst);
-                request += 1;
-                let reply = error_line(
-                    "line-too-long",
-                    format!(
-                        "request line exceeds {} bytes",
-                        shared.options.max_line_bytes
-                    ),
-                );
-                let _ = writeln!(out, "{reply}");
-                let _ = out.flush();
-                continue;
-            }
-            LineRead::TimedOut => {
-                shared.counters.io_timeouts.fetch_add(1, Ordering::SeqCst);
-                let reply = error_line("io-timeout", "read deadline elapsed".to_string());
-                let _ = writeln!(out, "{reply}");
-                let _ = out.flush();
-                return;
-            }
-            LineRead::Closed => return,
-        };
+        let line =
+            match read_bounded_line(&mut reader, shared.options.max_line_bytes, &shared.ledger) {
+                LineRead::Line(l) => l,
+                LineRead::TooLong => {
+                    shared.ledger.add(Counter::LinesRejected, 1);
+                    request += 1;
+                    let reply = error_line(
+                        "line-too-long",
+                        format!(
+                            "request line exceeds {} bytes",
+                            shared.options.max_line_bytes
+                        ),
+                    );
+                    let _ = writeln!(out, "{reply}");
+                    let _ = out.flush();
+                    continue;
+                }
+                LineRead::TimedOut => {
+                    shared.ledger.add(Counter::IoTimeouts, 1);
+                    let reply = error_line("io-timeout", "read deadline elapsed".to_string());
+                    let _ = writeln!(out, "{reply}");
+                    let _ = out.flush();
+                    return;
+                }
+                LineRead::Closed => return,
+            };
         if line.trim().is_empty() {
             continue;
         }
@@ -631,7 +508,7 @@ fn serve_connection(shared: &Shared, stream: TcpStream, conn: u64) {
             Some(ConnFaultKind::Stall) => {
                 // The read deadline "fires" on this request — same
                 // wire behavior as a real timeout, no clock involved.
-                shared.counters.stalled.fetch_add(1, Ordering::SeqCst);
+                shared.ledger.add(Counter::Stalled, 1);
                 let reply = error_line("io-timeout", "read deadline elapsed".to_string());
                 let _ = writeln!(out, "{reply}");
                 let _ = out.flush();
@@ -645,14 +522,8 @@ fn serve_connection(shared: &Shared, stream: TcpStream, conn: u64) {
                 // A garbage line "arrived" just ahead of this request:
                 // the malformed-line path fires, then the real request
                 // is served completely unperturbed.
-                shared
-                    .counters
-                    .garbage_injected
-                    .fetch_add(1, Ordering::SeqCst);
-                shared
-                    .counters
-                    .lines_rejected
-                    .fetch_add(1, Ordering::SeqCst);
+                shared.ledger.add(Counter::GarbageInjected, 1);
+                shared.ledger.add(Counter::LinesRejected, 1);
                 let reply = error_line("bad-request", "chaos: injected garbage line".to_string());
                 let _ = writeln!(out, "{reply}");
                 let _ = out.flush();
@@ -662,10 +533,7 @@ fn serve_connection(shared: &Shared, stream: TcpStream, conn: u64) {
         let parsed = match json::parse(&line) {
             Ok(v) => v,
             Err(e) => {
-                shared
-                    .counters
-                    .lines_rejected
-                    .fetch_add(1, Ordering::SeqCst);
+                shared.ledger.add(Counter::LinesRejected, 1);
                 if !write_reply(
                     shared,
                     &mut out,
@@ -692,10 +560,7 @@ fn serve_connection(shared: &Shared, stream: TcpStream, conn: u64) {
         let mut req = match Request::from_json(&parsed) {
             Ok(r) => r,
             Err(e) => {
-                shared
-                    .counters
-                    .lines_rejected
-                    .fetch_add(1, Ordering::SeqCst);
+                shared.ledger.add(Counter::LinesRejected, 1);
                 if !write_reply(
                     shared,
                     &mut out,

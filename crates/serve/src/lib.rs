@@ -19,7 +19,7 @@
 //! same JSON-lines protocol over real sockets.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 use hac_core::deadline::DeadlineGovernor;
@@ -37,13 +37,12 @@ pub mod cache;
 pub mod chaos;
 pub mod daemon;
 pub mod json;
+pub mod ledger;
 pub mod sched;
 
-use cache::{
-    CacheStats, CachedOutcome, FamilyEntry, Payload, Probe, ProgramCache, ResultCache,
-    ResultCacheStats,
-};
+use cache::{CachedOutcome, FamilyEntry, Payload, Probe, ProgramCache, ResultCache};
 use json::Json;
+use ledger::{Counter, Ledger};
 
 /// Server-wide configuration.
 #[derive(Debug, Clone)]
@@ -392,6 +391,15 @@ impl ResultClass {
             ResultClass::Miss => "miss",
         }
     }
+
+    /// The ledger counter a realized request of this class bumps.
+    fn counter(self) -> Counter {
+        match self {
+            ResultClass::Hit => Counter::ResultHits,
+            ResultClass::Delta => Counter::ResultDeltas,
+            ResultClass::Miss => Counter::ResultMisses,
+        }
+    }
 }
 
 /// Compilation-report verdict counts, echoed per response so tenants
@@ -620,6 +628,18 @@ fn digest_counters(c: &hac_core::pipeline::ExecCounters) -> String {
     format!("{h:016x}")
 }
 
+/// The outcome of a run that succeeded.
+fn ok_outcome(out: &hac_core::pipeline::ExecOutput) -> CachedOutcome {
+    CachedOutcome {
+        status: Status::Ok,
+        answer_digest: Some(digest_output(out)),
+        counters_digest: Some(digest_counters(&out.counters)),
+        fuel_left: out.fuel_left,
+        engine_faults: out.counters.vm.engine_faults,
+        error: None,
+    }
+}
+
 fn verdicts_of(compiled: &Compiled) -> Verdicts {
     let mut v = Verdicts {
         units: compiled.units.len(),
@@ -815,40 +835,9 @@ pub struct Server {
     results: Mutex<ResultCache>,
     /// Wakes requests parked on a `Pending` result/family slot.
     results_cv: Condvar,
-    /// Life-to-date requests shed by the overload watermark.
-    shed: AtomicU64,
-    /// Life-to-date engine-fault retries executed (attempts beyond
-    /// the first, across all requests).
-    retried: AtomicU64,
-    /// Life-to-date certificate ledger: admissions whose program had a
-    /// closed certificate.
-    cert_certified: AtomicU64,
-    /// Admissions whose certificate was open (metered fallback).
-    cert_open: AtomicU64,
-    /// Requests rejected by the certificate before execution.
-    cert_rejected: AtomicU64,
-}
-
-/// Life-to-date overload/retry counters (see [`Server::server_stats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServerStats {
-    /// Requests shed with an `overloaded` response.
-    pub shed: u64,
-    /// Extra execution attempts spent recovering engine faults.
-    pub retried: u64,
-}
-
-/// Life-to-date certificate-admission counters (see
-/// [`Server::cert_stats`]). `rejected` counts a subset of `certified`:
-/// a rejection requires a closed certificate.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CertStats {
-    /// Admissions whose compiled program carried a closed certificate.
-    pub certified: u64,
-    /// Admissions that fell back to the metered path (`cost: open`).
-    pub open: u64,
-    /// Requests rejected before execution with `over-certificate`.
-    pub rejected: u64,
+    /// Life-to-date counters of the `cache`, `result_cache`, `server`
+    /// and `certificates` sections, shared with both caches.
+    ledger: Arc<Ledger>,
 }
 
 /// A request past compilation and admission, ready to execute.
@@ -876,19 +865,19 @@ impl Server {
     /// by every request the server ever admits.
     pub fn new(options: ServeOptions) -> Server {
         let ceiling = SharedCeiling::new(options.ceiling);
-        let cache = Mutex::new(ProgramCache::new(options.cache_cap));
-        let results = Mutex::new(ResultCache::new(options.result_cache_cap));
+        let ledger = Arc::new(Ledger::default());
+        let cache = Mutex::new(ProgramCache::new(options.cache_cap, Arc::clone(&ledger)));
+        let results = Mutex::new(ResultCache::new(
+            options.result_cache_cap,
+            Arc::clone(&ledger),
+        ));
         Server {
             options,
             ceiling,
             cache,
             results,
             results_cv: Condvar::new(),
-            shed: AtomicU64::new(0),
-            retried: AtomicU64::new(0),
-            cert_certified: AtomicU64::new(0),
-            cert_open: AtomicU64::new(0),
-            cert_rejected: AtomicU64::new(0),
+            ledger,
         }
     }
 
@@ -902,37 +891,10 @@ impl Server {
         &self.ceiling
     }
 
-    /// Life-to-date compiled-program cache counters: lookups, hits,
-    /// misses, insertions, evictions, live entries, capacity.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.lock().expect("cache lock").stats()
-    }
-
-    /// Life-to-date result-cache counters: lookups, realized
-    /// hits/deltas/misses, insertions, evictions, live entries,
-    /// capacity, and family-snapshot residency in bytes.
-    pub fn result_cache_stats(&self) -> ResultCacheStats {
-        self.results
-            .lock()
-            .expect("result cache lock")
-            .result_stats()
-    }
-
-    /// Life-to-date overload/retry counters.
-    pub fn server_stats(&self) -> ServerStats {
-        ServerStats {
-            shed: self.shed.load(Ordering::Relaxed),
-            retried: self.retried.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Life-to-date certificate-admission counters.
-    pub fn cert_stats(&self) -> CertStats {
-        CertStats {
-            certified: self.cert_certified.load(Ordering::Relaxed),
-            open: self.cert_open.load(Ordering::Relaxed),
-            rejected: self.cert_rejected.load(Ordering::Relaxed),
-        }
+    /// Life-to-date counters: program cache, result cache, sheds and
+    /// retries, certificate admissions.
+    pub fn ledger(&self) -> &Ledger {
+        &self.ledger
     }
 
     /// The fair admission order the scheduler predicts for `reqs` —
@@ -1192,11 +1154,14 @@ impl Server {
         // (upper-bound) and open certificates never reject: the
         // metered path remains the authority there.
         let cert = &compiled.cert;
-        if cert.is_closed() {
-            self.cert_certified.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.cert_open.fetch_add(1, Ordering::Relaxed);
-        }
+        self.ledger.add(
+            if cert.is_closed() {
+                Counter::CertCertified
+            } else {
+                Counter::CertOpen
+            },
+            1,
+        );
         if cert.is_exact() {
             let cert_fuel = cert.fuel_value().unwrap_or(u64::MAX);
             let cert_mem = cert.mem_value().unwrap_or(u64::MAX);
@@ -1212,7 +1177,7 @@ impl Server {
                 }
             }
             if !why.is_empty() {
-                self.cert_rejected.fetch_add(1, Ordering::Relaxed);
+                self.ledger.add(Counter::CertRejected, 1);
                 let mut resp = Response::failed(
                     &req.id,
                     Status::OverCertificate,
@@ -1304,28 +1269,7 @@ impl Server {
     /// settles untouched, refunding the whole reservation to the pool.
     fn serve_cached(&self, mut adm: Admitted, o: &CachedOutcome) -> Response {
         adm.meter.settle();
-        self.results
-            .lock()
-            .expect("result cache lock")
-            .record(ResultClass::Hit);
-        Response {
-            id: adm.id,
-            status: o.status,
-            tenant: adm.tenant,
-            admitted: Some(adm.ordinal),
-            cache_hit: Some(adm.cache_hit),
-            evictions: adm.evictions,
-            result_cache: Some(ResultClass::Hit),
-            delta_elems: None,
-            answer_digest: o.answer_digest.clone(),
-            fuel_left: o.fuel_left,
-            engine_faults: o.engine_faults,
-            counters_digest: o.counters_digest.clone(),
-            verdicts: Some(verdicts_of(&adm.compiled)),
-            attempts: 1,
-            retry_after_ops: None,
-            error: o.error.clone(),
-        }
+        self.respond(adm, o, Some(ResultClass::Hit), None, 1)
     }
 
     /// Serve by replaying only the trailing update over a family
@@ -1379,38 +1323,14 @@ impl Server {
                     adm.meter.consume_fuel(f - left);
                 }
                 adm.meter.settle();
-                let outcome = Arc::new(CachedOutcome {
-                    status: Status::Ok,
-                    answer_digest: Some(digest_output(&out)),
-                    counters_digest: Some(digest_counters(&out.counters)),
-                    fuel_left: out.fuel_left,
-                    engine_faults: out.counters.vm.engine_faults,
-                    error: None,
-                });
-                {
-                    let mut rc = self.results.lock().expect("result cache lock");
-                    rc.fill(key, token, Arc::clone(&outcome));
-                    rc.record(ResultClass::Delta);
-                }
+                let outcome = Arc::new(ok_outcome(&out));
+                self.results.lock().expect("result cache lock").fill(
+                    key,
+                    token,
+                    Arc::clone(&outcome),
+                );
                 self.results_cv.notify_all();
-                Response {
-                    id: adm.id,
-                    status: Status::Ok,
-                    tenant: adm.tenant,
-                    admitted: Some(adm.ordinal),
-                    cache_hit: Some(adm.cache_hit),
-                    evictions: adm.evictions,
-                    result_cache: Some(ResultClass::Delta),
-                    delta_elems: Some(writes),
-                    answer_digest: outcome.answer_digest.clone(),
-                    fuel_left: outcome.fuel_left,
-                    engine_faults: outcome.engine_faults,
-                    counters_digest: outcome.counters_digest.clone(),
-                    verdicts: Some(verdicts_of(&adm.compiled)),
-                    attempts: 1,
-                    retry_after_ops: None,
-                    error: None,
-                }
+                self.respond(adm, &outcome, Some(ResultClass::Delta), Some(writes), 1)
             }
             Err(_) => self.execute_full(adm, Some((key, token)), None, true),
         }
@@ -1466,27 +1386,51 @@ impl Server {
         Ok(state.into_output(meter))
     }
 
-    /// Resolve a routed request's full-slot obligation from its final
-    /// response and count the realized miss.
-    fn finish_routed(&self, guard: &mut FillGuard<'_>, routed: bool, resp: &Response) {
-        if !routed {
-            return;
-        }
-        let mut rc = self.results.lock().expect("result cache lock");
+    /// Resolve a filler's full-slot obligation, if it has one, with its
+    /// final outcome.
+    fn fill_full(&self, guard: &mut FillGuard<'_>, outcome: &Arc<CachedOutcome>) {
         if let Some((key, token)) = guard.full.take() {
-            let outcome = Arc::new(CachedOutcome {
-                status: resp.status,
-                answer_digest: resp.answer_digest.clone(),
-                counters_digest: resp.counters_digest.clone(),
-                fuel_left: resp.fuel_left,
-                engine_faults: resp.engine_faults,
-                error: resp.error.clone(),
-            });
-            rc.fill(key, token, outcome);
+            self.results
+                .lock()
+                .expect("result cache lock")
+                .fill(key, token, Arc::clone(outcome));
+            self.results_cv.notify_all();
         }
-        rc.record(ResultClass::Miss);
-        drop(rc);
-        self.results_cv.notify_all();
+    }
+
+    /// The response of an executed request: its outcome, stamped with
+    /// what admission decided and how the result cache served it. The
+    /// class is counted here, so each class counter is the number of
+    /// responses that report it.
+    fn respond(
+        &self,
+        adm: Admitted,
+        o: &CachedOutcome,
+        result_cache: Option<ResultClass>,
+        delta_elems: Option<u64>,
+        attempts: u64,
+    ) -> Response {
+        if let Some(class) = result_cache {
+            self.ledger.add(class.counter(), 1);
+        }
+        Response {
+            id: adm.id,
+            status: o.status,
+            tenant: adm.tenant,
+            admitted: Some(adm.ordinal),
+            cache_hit: Some(adm.cache_hit),
+            evictions: adm.evictions,
+            result_cache,
+            delta_elems,
+            answer_digest: o.answer_digest.clone(),
+            fuel_left: o.fuel_left,
+            engine_faults: o.engine_faults,
+            counters_digest: o.counters_digest.clone(),
+            verdicts: Some(verdicts_of(&adm.compiled)),
+            attempts,
+            retry_after_ops: None,
+            error: o.error.clone(),
+        }
     }
 
     /// Execute an admitted request on the full pipeline and settle its
@@ -1513,7 +1457,6 @@ impl Server {
     ) -> Response {
         let inputs = fill_inputs(&adm.compiled, adm.seed);
         let funcs = FuncTable::new();
-        let verdicts = Some(verdicts_of(&adm.compiled));
         let mut guard = FillGuard {
             server: self,
             full: fill,
@@ -1546,29 +1489,8 @@ impl Server {
             };
             let fuel_left = adm.meter.fuel_limited().then(|| adm.meter.fuel_left());
             adm.meter.settle();
-            match out {
-                Ok(out) => {
-                    let resp = Response {
-                        id: adm.id,
-                        status: Status::Ok,
-                        tenant: adm.tenant,
-                        admitted: Some(adm.ordinal),
-                        cache_hit: Some(adm.cache_hit),
-                        evictions: adm.evictions,
-                        result_cache: routed.then_some(ResultClass::Miss),
-                        delta_elems: None,
-                        answer_digest: Some(digest_output(&out)),
-                        fuel_left: out.fuel_left,
-                        engine_faults: out.counters.vm.engine_faults,
-                        counters_digest: Some(digest_counters(&out.counters)),
-                        verdicts,
-                        attempts,
-                        retry_after_ops: None,
-                        error: None,
-                    };
-                    self.finish_routed(&mut guard, routed, &resp);
-                    return resp;
-                }
+            let outcome = match out {
+                Ok(out) => ok_outcome(&out),
                 Err(e) => {
                     if matches!(e, RuntimeError::EngineFault { .. })
                         && attempts <= u64::from(adm.retry_budget)
@@ -1580,7 +1502,7 @@ impl Server {
                         if let Ok(meter) = Meter::admit(adm.limits, &self.ceiling) {
                             adm.meter = meter;
                             attempts += 1;
-                            self.retried.fetch_add(1, Ordering::Relaxed);
+                            self.ledger.add(Counter::Retried, 1);
                             continue;
                         }
                     }
@@ -1590,28 +1512,20 @@ impl Server {
                         | RuntimeError::CeilingExhausted { .. } => Status::Limit,
                         _ => Status::RuntimeError,
                     };
-                    let resp = Response {
-                        id: adm.id,
+                    CachedOutcome {
                         status,
-                        tenant: adm.tenant,
-                        admitted: Some(adm.ordinal),
-                        cache_hit: Some(adm.cache_hit),
-                        evictions: adm.evictions,
-                        result_cache: routed.then_some(ResultClass::Miss),
-                        delta_elems: None,
                         answer_digest: None,
+                        counters_digest: None,
                         fuel_left,
                         engine_faults: 0,
-                        counters_digest: None,
-                        verdicts,
-                        attempts,
-                        retry_after_ops: None,
                         error: Some(e.to_string()),
-                    };
-                    self.finish_routed(&mut guard, routed, &resp);
-                    return resp;
+                    }
                 }
-            }
+            };
+            let outcome = Arc::new(outcome);
+            self.fill_full(&mut guard, &outcome);
+            let class = routed.then_some(ResultClass::Miss);
+            return self.respond(adm, &outcome, class, None, attempts);
         }
     }
 
@@ -1681,7 +1595,7 @@ impl Server {
                 })
                 .sum();
             for &i in &schedule.shed {
-                self.shed.fetch_add(1, Ordering::Relaxed);
+                self.ledger.add(Counter::Shed, 1);
                 let mut resp = Response::failed(
                     &reqs[i].id,
                     Status::Overloaded,
@@ -1743,6 +1657,26 @@ mod tests {
         r
     }
 
+    /// The `certificates` section: (certified, open, rejected).
+    fn cert_counts(server: &Server) -> (u64, u64, u64) {
+        let l = server.ledger();
+        (
+            l.get(Counter::CertCertified),
+            l.get(Counter::CertOpen),
+            l.get(Counter::CertRejected),
+        )
+    }
+
+    /// Realized result-cache classes: (hits, deltas, misses).
+    fn class_counts(server: &Server) -> (u64, u64, u64) {
+        let l = server.ledger();
+        (
+            l.get(Counter::ResultHits),
+            l.get(Counter::ResultDeltas),
+            l.get(Counter::ResultMisses),
+        )
+    }
+
     #[test]
     fn repeat_requests_hit_the_cache() {
         let server = Server::new(ServeOptions::default());
@@ -1753,9 +1687,12 @@ mod tests {
         assert_eq!(b.cache_hit, Some(true));
         assert_eq!(a.answer_digest, b.answer_digest);
         assert_eq!(a.counters_digest, b.counters_digest);
-        let stats = server.cache_stats();
-        assert_eq!((stats.hits, stats.misses), (1, 1));
-        assert_eq!(stats.live, 1);
+        let l = server.ledger();
+        assert_eq!(
+            (l.get(Counter::CacheHits), l.get(Counter::CacheMisses)),
+            (1, 1)
+        );
+        assert_eq!(l.get(Counter::CacheLive), 1);
     }
 
     #[test]
@@ -1764,8 +1701,11 @@ mod tests {
         let a = server.handle(&req("a", 16));
         let b = server.handle(&req("b", 17));
         assert_ne!(a.answer_digest, b.answer_digest);
-        let stats = server.cache_stats();
-        assert_eq!((stats.hits, stats.misses), (0, 2));
+        let l = server.ledger();
+        assert_eq!(
+            (l.get(Counter::CacheHits), l.get(Counter::CacheMisses)),
+            (0, 2)
+        );
     }
 
     #[test]
@@ -1852,8 +1792,7 @@ mod tests {
         assert_eq!(resp.status, Status::Ok, "{:?}", resp.error);
         assert_eq!(resp.fuel_left, Some(0), "the certificate is tight");
 
-        let cs = server.cert_stats();
-        assert_eq!((cs.certified, cs.open, cs.rejected), (3, 0, 2));
+        assert_eq!(cert_counts(&server), (3, 0, 2));
     }
 
     #[test]
@@ -1901,8 +1840,7 @@ mod tests {
         r.fuel = Some(1);
         let resp = server.handle(&r);
         assert_eq!(resp.status, Status::Limit, "{:?}", resp.error);
-        let cs = server.cert_stats();
-        assert_eq!((cs.certified, cs.open, cs.rejected), (0, 1, 0));
+        assert_eq!(cert_counts(&server), (0, 1, 0));
     }
 
     #[test]
@@ -2068,9 +2006,8 @@ mod tests {
         assert_eq!(a.answer_digest, b.answer_digest);
         assert_eq!(a.counters_digest, b.counters_digest);
         assert_eq!(a.fuel_left, b.fuel_left);
-        let rs = server.result_cache_stats();
-        assert_eq!((rs.hits, rs.deltas, rs.misses), (1, 0, 1));
-        assert_eq!(rs.live, 1);
+        assert_eq!(class_counts(&server), (1, 0, 1));
+        assert_eq!(server.ledger().get(Counter::ResultLive), 1);
     }
 
     #[test]
@@ -2083,8 +2020,15 @@ mod tests {
         let b = server.handle(&req("b", 16));
         assert_eq!(a.result_cache, None);
         assert_eq!(b.result_cache, None);
-        let rs = server.result_cache_stats();
-        assert_eq!((rs.lookups, rs.hits, rs.misses), (0, 0, 0));
+        let l = server.ledger();
+        assert_eq!(
+            (
+                l.get(Counter::ResultLookups),
+                l.get(Counter::ResultHits),
+                l.get(Counter::ResultMisses)
+            ),
+            (0, 0, 0)
+        );
     }
 
     #[test]
@@ -2126,8 +2070,7 @@ mod tests {
         assert_eq!(b.answer_digest, c.answer_digest);
         assert_eq!(b.counters_digest, c.counters_digest);
         assert_eq!(b.fuel_left, c.fuel_left);
-        let rs = server.result_cache_stats();
-        assert_eq!((rs.hits, rs.deltas, rs.misses), (0, 1, 1));
+        assert_eq!(class_counts(&server), (0, 1, 1));
     }
 
     #[test]
@@ -2246,7 +2189,7 @@ mod tests {
         });
         let resp = server.handle(&req("a", 16));
         assert_eq!(resp.result_cache, None);
-        assert_eq!(server.result_cache_stats().lookups, 0);
+        assert_eq!(server.ledger().get(Counter::ResultLookups), 0);
     }
 
     #[test]
@@ -2279,7 +2222,7 @@ mod tests {
             assert_eq!(out[i].retry_after_ops, Some(1_000 + 1_000 + 500));
             assert_eq!(out[i].tenant.as_deref(), Some("a"));
         }
-        assert_eq!(server.server_stats().shed, 2);
+        assert_eq!(server.ledger().get(Counter::Shed), 2);
         // Survivors are byte-identical to a batch of only the
         // survivors on a fresh server — the shed never happened, as
         // far as they can tell.
@@ -2298,7 +2241,7 @@ mod tests {
                 alone_out[k].to_json().to_string()
             );
         }
-        assert_eq!(fresh.server_stats().shed, 0);
+        assert_eq!(fresh.ledger().get(Counter::Shed), 0);
     }
 
     #[test]
@@ -2307,7 +2250,7 @@ mod tests {
         let reqs: Vec<Request> = (0..8).map(|i| req(&format!("r{i}"), 8)).collect();
         let out = server.run_batch(&reqs, 2);
         assert!(out.iter().all(|r| r.status == Status::Ok));
-        assert_eq!(server.server_stats().shed, 0);
+        assert_eq!(server.ledger().get(Counter::Shed), 0);
     }
 
     #[test]
@@ -2340,7 +2283,7 @@ mod tests {
         assert_eq!(resp.status, Status::RuntimeError);
         assert!(resp.error.as_deref().unwrap().contains("engine fault"));
         assert_eq!(resp.attempts, 1);
-        assert_eq!(no_retry.server_stats().retried, 0);
+        assert_eq!(no_retry.ledger().get(Counter::Retried), 0);
 
         // Default budget (1): the retry runs the empty plan and the
         // outcome is the clean one, except `attempts`.
@@ -2350,7 +2293,7 @@ mod tests {
         assert_eq!(resp.attempts, 2);
         assert_eq!(resp.answer_digest, clean.answer_digest);
         assert_eq!(resp.counters_digest, clean.counters_digest);
-        assert_eq!(retrying.server_stats().retried, 1);
+        assert_eq!(retrying.ledger().get(Counter::Retried), 1);
 
         // A request's own budget overrides the server default.
         let server = Server::new(faulty);

@@ -87,6 +87,7 @@ use hac::core::pipeline::{
 };
 use hac::lang::parser::parse_program;
 use hac::lang::ConstEnv;
+use hac::serve::ledger::Counter;
 use hac::serve::{engine_from_str, json, mode_from_str, Request, ServeOptions, Server};
 use hac_runtime::governor::{FaultPlan, Limits};
 use hac_runtime::value::{ArrayBuf, FuncTable};
@@ -520,19 +521,18 @@ fn batch_main(cli: ServeCli) -> ExitCode {
     }
     let out = json::Json::Arr(responses.iter().map(|r| r.to_json()).collect());
     println!("{out}");
-    let stats = server.cache_stats();
-    let sv = server.server_stats();
+    let ledger = server.ledger();
     eprintln!(
         "batch: {} request(s), cache {} hit(s) / {} miss(es) / {} eviction(s), {} live of cap {}, \
          {} shed, {} retried",
         responses.len(),
-        stats.hits,
-        stats.misses,
-        stats.evictions,
-        stats.live,
-        stats.cap,
-        sv.shed,
-        sv.retried,
+        ledger.get(Counter::CacheHits),
+        ledger.get(Counter::CacheMisses),
+        ledger.get(Counter::CacheEvictions),
+        ledger.get(Counter::CacheLive),
+        server.options().cache_cap,
+        ledger.get(Counter::Shed),
+        ledger.get(Counter::Retried),
     );
     ExitCode::SUCCESS
 }

@@ -3,6 +3,7 @@
 
 use std::collections::HashMap;
 
+use hac_analysis::cost::Bound;
 use hac_core::pipeline::{
     compile, compile_and_run, run, run_with_options, CompileOptions, Engine, ExecMode, ExecOutput,
     RunOptions,
@@ -354,16 +355,51 @@ fn oversized_arrays_saturate_their_memory_figures() {
             "n={n}"
         );
     }
-    for (src, n) in [
-        (wavefront, 1_518_500_250),
-        (include_str!("../programs/sor.hac"), 3_037_000_500),
+    for (src, n, mem) in [
+        (wavefront, 1_518_500_250, u64::MAX),
+        (include_str!("../programs/sor.hac"), 3_037_000_500, u64::MAX),
         // `p` holds n³ elements: 8n³ bytes pass `u64::MAX` while n³
         // still fits the front end's `i64` element count.
-        (include_str!("../programs/matmul.hac"), 2_000_000),
+        (include_str!("../programs/matmul.hac"), 2_000_000, u64::MAX),
+        // A fuel figure between `i64::MAX` and `u64::MAX` with no
+        // symbolic form: its constant polynomial holds it exactly.
+        (OVERFLOWING_SLIDE, 3_037_000_500, 32),
     ] {
         let cert = compile_at(src, n).cert;
-        assert_eq!(cert.mem_value(), Some(u64::MAX), "n={n}: {}", cert.render());
+        assert_eq!(cert.mem_value(), Some(mem), "n={n}: {}", cert.render());
+        // The rendered polynomial evaluates to the rendered value.
+        for bound in [&cert.fuel, &cert.mem] {
+            let Bound::Closed { value, poly, .. } = bound else {
+                panic!("n={n}: {}", cert.render());
+            };
+            let lookup = |v: &str| (v == "n").then_some(n);
+            assert_eq!(poly.eval(&lookup), Some(*value), "n={n}: {}", cert.render());
+        }
     }
+    assert_eq!(
+        compile_at(OVERFLOWING_SLIDE, 3_037_000_500).cert.render(),
+        "cost fuel: 9223372040037250500 = 9223372040037250500, mem: 32 = 32 (upper bound)"
+    );
+}
+
+/// A trailing `bigupd` whose n² write instances pass `i64::MAX` at
+/// n = 3037000500, although its base array is tiny.
+const OVERFLOWING_SLIDE: &str = "param n;\ninput a (1,4);\n\
+    b = bigupd a [ i + n*j := 0 | i <- [1..n], j <- [1..n] ];\nresult b;\n";
+
+/// Clause instance counts are checked: past `i64::MAX` the update's
+/// write count is unknown, so it gets no delta plan, in debug and
+/// release builds alike. Below it the plan counts every write.
+#[test]
+fn overflowing_instance_counts_decline_the_delta_plan() {
+    let program = parse_program(OVERFLOWING_SLIDE).unwrap();
+    let compile_at = |n: i64| {
+        let env = ConstEnv::from_pairs([("n", n)]);
+        compile(&program, &env, &CompileOptions::default()).unwrap()
+    };
+    assert!(compile_at(3_037_000_500).delta.is_none());
+    let plan = compile_at(3_037_000_499).delta.expect("the count fits");
+    assert_eq!(plan.writes, 3_037_000_499u64.pow(2));
 }
 
 /// Past the sizes above the front end's own integers overflow: at

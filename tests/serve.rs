@@ -6,6 +6,7 @@
 
 use hac::core::deadline::DeadlineGovernor;
 use hac::core::pipeline::{Engine, ExecMode};
+use hac::serve::ledger::Counter;
 use hac::serve::{Request, Response, ServeOptions, Server, Status};
 use hac_runtime::governor::Limits;
 use hac_workloads as wl;
@@ -94,7 +95,7 @@ fn heavy_tenant_exhaustion_never_perturbs_light_tenant() {
     // family snapshots still hold (Gauss–Seidel is bigupd-rooted, so
     // its prefix state stays resident for the delta path); fuel is down
     // by exactly what was spent — never more than the pool.
-    let resident = server.result_cache_stats().resident_bytes;
+    let resident = server.ledger().get(Counter::ResultResidentBytes);
     assert_eq!(server.ceiling().mem_available(), (1 << 20) - resident);
     assert!(server.ceiling().fuel_available() <= 4_000);
 }
@@ -104,23 +105,28 @@ fn cache_hits_skip_the_front_end() {
     let server = Server::new(ServeOptions::default());
     let first = server.handle(&light_request("a"));
     assert_eq!(first.cache_hit, Some(false));
-    let s = server.cache_stats();
-    assert_eq!((s.hits, s.misses), (0, 1));
+    let l = server.ledger();
+    let hits_misses = || (l.get(Counter::CacheHits), l.get(Counter::CacheMisses));
+    assert_eq!(hits_misses(), (0, 1));
     for i in 0..10 {
         let resp = server.handle(&light_request(&format!("r{i}")));
         assert_eq!(resp.cache_hit, Some(true));
         assert_eq!(resp.answer_digest, first.answer_digest);
     }
     // Ten repeats, zero extra compiles.
-    let s = server.cache_stats();
-    assert_eq!((s.hits, s.misses), (10, 1));
+    assert_eq!(hits_misses(), (10, 1));
     // A different parameter binding is a different program.
     let other = server.handle(&request("other", wl::wavefront_source(), 9));
     assert_eq!(other.cache_hit, Some(false));
-    let s = server.cache_stats();
-    assert_eq!((s.hits, s.misses), (10, 2));
-    assert_eq!(s.hits + s.misses, s.lookups);
-    assert_eq!(s.insertions - s.evictions, s.live);
+    assert_eq!(hits_misses(), (10, 2));
+    assert_eq!(
+        l.get(Counter::CacheHits) + l.get(Counter::CacheMisses),
+        l.get(Counter::CacheLookups)
+    );
+    assert_eq!(
+        l.get(Counter::CacheInsertions) - l.get(Counter::CacheEvictions),
+        l.get(Counter::CacheLive)
+    );
 }
 
 #[test]
@@ -135,8 +141,12 @@ fn cache_is_keyed_by_mode_and_engine_too() {
     let ra = server.handle(&a);
     let rb = server.handle(&b);
     let rc = server.handle(&c);
-    let s = server.cache_stats();
-    assert_eq!((s.hits, s.misses), (0, 3), "three distinct cache keys");
+    let l = server.ledger();
+    assert_eq!(
+        (l.get(Counter::CacheHits), l.get(Counter::CacheMisses)),
+        (0, 3),
+        "three distinct cache keys"
+    );
     // Engines and modes agree on the answer, of course.
     assert_eq!(ra.answer_digest, rb.answer_digest);
     assert_eq!(ra.answer_digest, rc.answer_digest);
@@ -229,7 +239,6 @@ fn batch_covers_every_status_class() {
         ]
     );
     // The certificate ledger saw every admission that compiled.
-    let cs = server.cert_stats();
-    assert_eq!(cs.rejected, 1);
-    assert!(cs.certified >= 1);
+    assert_eq!(server.ledger().get(Counter::CertRejected), 1);
+    assert!(server.ledger().get(Counter::CertCertified) >= 1);
 }

@@ -11,6 +11,7 @@ use std::sync::Arc;
 use hac::core::pipeline::{compile, CompileOptions};
 use hac::lang::env::ConstEnv;
 use hac::serve::cache::ProgramCache;
+use hac::serve::ledger::{Counter, Ledger};
 use hac::serve::{Request, ServeOptions, Server, Status, DEFAULT_CACHE_CAP};
 use hac_workloads::XorShift;
 use proptest::prelude::*;
@@ -36,7 +37,8 @@ proptest! {
     fn cache_ledger_reconciles_at_every_step(seed in any::<u64>()) {
         let mut rng = XorShift::new(seed | 1);
         let cap = (rng.next_u64() % 8) as usize; // includes 0 = unbounded
-        let mut cache = ProgramCache::new(cap);
+        let ledger = Arc::new(Ledger::default());
+        let mut cache = ProgramCache::new(cap, Arc::clone(&ledger));
         let program = tiny_compiled();
         for ordinal in 0..200u64 {
             let key = rng.next_u64() % 24;
@@ -45,17 +47,29 @@ proptest! {
             } else {
                 cache.insert(key, Arc::clone(&program), ordinal);
             }
-            let s = cache.stats();
-            prop_assert_eq!(s.hits + s.misses, s.lookups, "seed {}", seed);
-            prop_assert_eq!(s.insertions - s.evictions, s.live, "seed {}", seed);
-            prop_assert_eq!(s.live as usize, cache.len(), "seed {}", seed);
+            let get = |c| ledger.get(c);
+            let live = get(Counter::CacheLive);
+            prop_assert_eq!(
+                get(Counter::CacheHits) + get(Counter::CacheMisses),
+                get(Counter::CacheLookups),
+                "seed {}", seed
+            );
+            prop_assert_eq!(
+                get(Counter::CacheInsertions) - get(Counter::CacheEvictions),
+                live,
+                "seed {}", seed
+            );
+            prop_assert_eq!(live as usize, cache.len(), "seed {}", seed);
             if cap > 0 {
                 prop_assert!(
                     cache.len() <= cap,
                     "seed {}: {} entries over cap {}", seed, cache.len(), cap
                 );
             } else {
-                prop_assert_eq!(s.evictions, 0, "seed {}: unbounded never evicts", seed);
+                prop_assert_eq!(
+                    get(Counter::CacheEvictions), 0,
+                    "seed {}: unbounded never evicts", seed
+                );
             }
         }
     }
@@ -84,10 +98,10 @@ fn rerunning_an_evicted_program_is_bit_identical() {
     assert_eq!(server.handle(&req("fill1", 7)).status, Status::Ok);
     let fill2 = server.handle(&req("fill2", 8));
     assert_eq!(fill2.status, Status::Ok);
+    let evictions = server.ledger().get(Counter::CacheEvictions);
     assert!(
-        server.cache_stats().evictions >= 1,
-        "the 2-entry cache evicted: {:?}",
-        server.cache_stats()
+        evictions >= 1,
+        "the 2-entry cache evicted: {evictions} eviction(s)"
     );
 
     let again = server.handle(&req("again", 6));
@@ -148,11 +162,18 @@ fn ten_thousand_unique_programs_hold_the_cache_at_cap() {
     let out = server.run_batch(&reqs, 8);
     assert!(out.iter().all(|r| r.status == Status::Ok));
     assert!(out.iter().all(|r| r.cache_hit == Some(false)));
-    let s = server.cache_stats();
-    assert_eq!(s.live, DEFAULT_CACHE_CAP as u64, "held at cap");
-    assert_eq!(s.cap, DEFAULT_CACHE_CAP as u64);
-    assert_eq!(s.insertions, FLOOD as u64);
-    assert_eq!(s.evictions, (FLOOD - DEFAULT_CACHE_CAP) as u64);
-    assert_eq!(s.hits, 0);
-    assert_eq!(s.misses, FLOOD as u64);
+    let l = server.ledger();
+    assert_eq!(
+        l.get(Counter::CacheLive),
+        DEFAULT_CACHE_CAP as u64,
+        "held at cap"
+    );
+    assert_eq!(server.options().cache_cap, DEFAULT_CACHE_CAP);
+    assert_eq!(l.get(Counter::CacheInsertions), FLOOD as u64);
+    assert_eq!(
+        l.get(Counter::CacheEvictions),
+        (FLOOD - DEFAULT_CACHE_CAP) as u64
+    );
+    assert_eq!(l.get(Counter::CacheHits), 0);
+    assert_eq!(l.get(Counter::CacheMisses), FLOOD as u64);
 }

@@ -20,6 +20,7 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 
 use hac::serve::daemon::{self, DaemonOptions};
+use hac::serve::ledger::Counter;
 use hac::serve::{Request, Response, ServeOptions, Server};
 use hac_workloads::XorShift;
 use proptest::prelude::*;
@@ -250,8 +251,7 @@ proptest! {
                     "seed {}: batch@{} shed hint for {}", seed, workers, reqs[i].id
                 );
             }
-            let stats = srv.server_stats();
-            prop_assert_eq!(stats.shed, schedule.shed.len() as u64);
+            prop_assert_eq!(srv.ledger().get(Counter::Shed), schedule.shed.len() as u64);
 
             // Survivors must be untouched by the sheds: byte-identical
             // to a fresh batch of only the survivors.
@@ -385,6 +385,27 @@ proptest! {
                     &line(resp), &want[i],
                     "seed {}: batch@{} request {} diverged from sequential",
                     seed, workers, reqs[i].id
+                );
+            }
+            // The result-cache ledger reconciles with the responses:
+            // every lookup realized exactly one class, and each class
+            // counter is the number of responses reporting it.
+            let l = srv.ledger();
+            let classes = [
+                (hac::serve::ResultClass::Hit, Counter::ResultHits),
+                (hac::serve::ResultClass::Delta, Counter::ResultDeltas),
+                (hac::serve::ResultClass::Miss, Counter::ResultMisses),
+            ];
+            let realized: u64 = classes.iter().map(|&(_, c)| l.get(c)).sum();
+            prop_assert_eq!(
+                l.get(Counter::ResultLookups), realized,
+                "seed {}: batch@{} lookups vs hits + deltas + misses", seed, workers
+            );
+            for (class, counter) in classes {
+                let n = out.iter().filter(|r| r.result_cache == Some(class)).count() as u64;
+                prop_assert_eq!(
+                    l.get(counter), n,
+                    "seed {}: batch@{} {} counter vs responses", seed, workers, class.as_str()
                 );
             }
         }
