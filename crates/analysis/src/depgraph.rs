@@ -17,12 +17,13 @@
 //! edge labeled with the all-`*` vector ("overestimating dependences",
 //! §1).
 
+use hac_lang::affine::Affine;
 use hac_lang::ast::ClauseId;
 
 use crate::direction::{Dir, DirVec};
 use crate::equation::{build_equations, shared_depth, DimEquation};
 use crate::refs::{ClauseRefs, RefSite};
-use crate::search::{refine_directions, Confidence, TestPolicy, TestStats};
+use crate::search::{refine_directions, Confidence, RefinementResult, TestPolicy, TestStats};
 
 /// Dependence kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -351,6 +352,43 @@ pub fn constant_distance(eqs: &[DimEquation], dv: &DirVec) -> Option<Vec<i64>> {
     Some(out)
 }
 
+/// The dependences of `read` on `write`, two references in different
+/// comprehensions that run one after the other: §6's test across
+/// bindings, which §8 needs to merge two bindings' loops. With `fused`
+/// the outermost loops of the two nests become one loop: they must
+/// have the same normalized range (start, step and size), so that an
+/// iteration of one is the same-numbered iteration of the other, and
+/// the read's loop is renamed to the write's so the two share it.
+/// Without `fused` no loop is shared, and the result says whether the
+/// read can see the write at all.
+///
+/// `None` when the question cannot be posed exactly (a nonlinear
+/// subscript, or fused loops whose ranges differ); callers assume a
+/// dependence in every direction.
+pub fn cross_dependences(
+    write: &RefSite,
+    read: &RefSite,
+    fused: bool,
+    policy: &TestPolicy,
+) -> Option<RefinementResult> {
+    let w = write.norm.as_ref()?;
+    let mut r = read.norm.clone()?;
+    if fused {
+        let (a, b) = (w.nest.first()?, r.nest.first()?);
+        if (a.lo, a.size, a.step) != (b.lo, b.size, b.step) {
+            return None;
+        }
+        let (from, to) = (b.norm_var(), Affine::var(a.norm_var()));
+        r.dims = r.dims.iter().map(|d| d.subst(&from, &to)).collect();
+        r.nest[0].id = a.id;
+    }
+    Some(match build_equations(w, &r) {
+        Some(eqs) => refine_directions(&eqs, shared_depth(w, &r), policy),
+        // Rank mismatch: distinct elements can never alias.
+        None => RefinementResult::default(),
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -496,6 +534,56 @@ mod tests {
         for e in &g.edges {
             assert_eq!(e.distance, None, "varying offset has no constant distance");
         }
+    }
+
+    #[test]
+    fn cross_binding_directions_see_the_fused_loop() {
+        // `a`'s loop writes `a!i`; `b`'s reads `a` at `i+d` in a loop
+        // over the same range. Numbered in one id space, as `compile`
+        // numbers a program, so the two loops are L0 and L1.
+        let env = ConstEnv::new();
+        let (mut c, mut l) = (0, 0);
+        let mut side = |src: &str, target: &str| {
+            let mut comp = parse_comp(src).unwrap();
+            hac_lang::number::number_comp(&mut comp, &mut c, &mut l);
+            collect_refs(&comp, target, &env).unwrap()
+        };
+        let a = side("[ i := a!(i-1) + 1 | i <- [2..9] ]", "a");
+        let b = side(
+            "[ 1 := a!9 + a!1 ] ++ \
+             [ i := a!(i-1) + a!i + a!(i+1) + a!(i+9) | i <- [2..9] ]",
+            "b",
+        );
+        let policy = TestPolicy::default();
+        let fused = |read: &RefSite| {
+            cross_dependences(&a[0].write, read, true, &policy)
+                .expect("same range")
+                .vectors()
+                .iter()
+                .map(ToString::to_string)
+                .collect::<Vec<_>>()
+        };
+        let reads = &b[1].reads;
+        assert_eq!(
+            fused(&reads[0]),
+            ["(<)"],
+            "a!(i-1): written one iteration before"
+        );
+        assert_eq!(fused(&reads[1]), ["(=)"], "a!i: this iteration");
+        assert_eq!(fused(&reads[2]), ["(>)"], "a!(i+1): one iteration later");
+        assert!(fused(&reads[3]).is_empty(), "a!(i+9): never written");
+        // Unfused, `b`'s prefix clause sees the loop's `a!9` and not
+        // `a!1`, which the loop never writes.
+        let unfused = |read: &RefSite| {
+            cross_dependences(&a[0].write, read, false, &policy)
+                .expect("affine")
+                .independent()
+        };
+        assert!(!unfused(&b[0].reads[0]));
+        assert!(unfused(&b[0].reads[1]));
+        // Loops over different ranges have no fused form.
+        let c = side("[ i := a!(i-1) | i <- [2..8] ]", "c");
+        assert!(cross_dependences(&a[0].write, &c[0].reads[0], true, &policy).is_none());
     }
 
     #[test]

@@ -34,7 +34,7 @@ fn time_ms<T>(mut f: impl FnMut() -> T) -> (T, f64) {
 
 fn main() {
     // (id as in the section heading, runner); `E1/E2` runs for `E1` or `E2`.
-    let experiments: [(&str, fn()); 13] = [
+    let experiments: [(&str, fn()); 14] = [
         ("E1/E2", e1_e2_dependence_graphs),
         ("E3/E4", e3_e4_thunk_overhead),
         ("E5/E6", e5_e6_checks),
@@ -48,6 +48,7 @@ fn main() {
         ("E28", e28_carried_loops),
         ("E29", e29_register_kernel),
         ("E30", e30_entry_cost),
+        ("E32", e32_merged_sweeps),
     ];
     let wanted: Vec<String> = std::env::args().skip(1).collect();
     let named = |id: &str| id.split('/').any(|x| wanted.iter().any(|w| w == x));
@@ -510,7 +511,9 @@ fn e28_carried_loops() {
 /// kernel, and the same loops hand-written in Rust over `Vec<f64>`
 /// (allocation and input copy included, as in a program run). The
 /// hand-written loops keep the source's operand order, so all three
-/// must produce the same bits.
+/// must produce the same bits. `tridiag` runs its `cp` and `dp` sweeps
+/// as one merged loop, and its hand-written form merges them too; the
+/// three-sweep hand-written form must give the same bits as well.
 fn e29_register_kernel() {
     use hac_core::pipeline::{compile, run, CompileOptions};
     use hac_runtime::value::ArrayBuf;
@@ -570,6 +573,11 @@ fn e29_register_kernel() {
         let (a, b) = (a.array(result).data(), b.array(result).data());
         assert_eq!(bits(a), bits(b), "{name}: fused output differs");
         assert_eq!(bits(a), bits(&c), "{name}: hand-written output differs");
+        if name == "tridiag" {
+            assert_eq!(fused.merges.len(), 1, "tridiag: cp and dp merge");
+            let apart = tridiag_sweeps_rust(n, &flat);
+            assert_eq!(bits(a), bits(&apart), "tridiag: three-sweep Rust differs");
+        }
         println!(
             "| {name} | {n} | {t_plain:.3} | {t_fused:.3} | {t_rust:.3} | {:.2}× |",
             t_fused / t_rust
@@ -635,20 +643,92 @@ result a;";
     );
 }
 
-/// Best wall-clock time of up to 30 calls or 2 s, with the last result.
-fn best_of_ms<T>(mut f: impl FnMut() -> T) -> (T, f64) {
-    let mut best = f64::INFINITY;
+/// `programs/tridiag.hac` at n=65536 with its `cp` and `dp` sweeps
+/// merged into one loop and apart (the same fused build with its merge
+/// dropped), against the scalar tape and both hand-written forms. All
+/// five must give the same bits; merged and apart the same counters.
+fn e32_merged_sweeps() {
+    use hac_core::pipeline::{compile, run, CompileOptions, ExecOutput};
+    use hac_runtime::value::ArrayBuf;
+
+    println!("## E32 — tridiag's cp and dp sweeps merged into one loop (n = 65536, ms over up to 30 runs)\n");
+    println!("| build | min ms | median ms | median ns/element |");
+    println!("|---|---|---|---|");
+    let n = 65536usize;
+    let program = parse_program(include_str!("../../../../programs/tridiag.hac")).unwrap();
+    let env = ConstEnv::from_pairs([("n", n as i64)]);
+    let d = wl::random_vector(n as i64, 5);
+    let inputs: HashMap<String, ArrayBuf> = HashMap::from([("d".to_string(), d.clone())]);
+    let build = |fuse| {
+        let options = CompileOptions {
+            fuse,
+            ..CompileOptions::default()
+        };
+        compile(&program, &env, &options).unwrap()
+    };
+    let (plain, merged) = (build(false), build(true));
+    let mut apart = merged.clone();
+    apart.merges.clear();
+    assert_eq!(merged.merges.len(), 1, "cp and dp merge");
+    let funcs = FuncTable::new();
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let mut want = None;
+    let mut row = |label: &str, f: &mut dyn FnMut() -> Vec<f64>| {
+        let (out, min, median) = min_median_ms(f);
+        let got = bits(&out);
+        assert_eq!(
+            want.get_or_insert_with(|| got.clone()),
+            &got,
+            "{label}: bits differ"
+        );
+        let ns = median * 1e6 / n as f64;
+        println!("| {label} | {min:.3} | {median:.3} | {ns:.2} |");
+    };
+    let x = |o: ExecOutput| o.array("x").data().to_vec();
+    row("`--no-fuse` (scalar tape)", &mut || {
+        x(run(&plain, &inputs, &funcs).unwrap())
+    });
+    let (a, b) = (
+        run(&apart, &inputs, &funcs).unwrap(),
+        run(&merged, &inputs, &funcs).unwrap(),
+    );
+    assert_eq!(a.counters, b.counters, "merged and apart count the same");
+    assert_eq!((a.merged_loops, b.merged_loops), (0, 1));
+    row("fused, sweeps apart", &mut || {
+        x(run(&apart, &inputs, &funcs).unwrap())
+    });
+    row("fused, cp + dp merged", &mut || {
+        x(run(&merged, &inputs, &funcs).unwrap())
+    });
+    let flat = d.data().to_vec();
+    row("Rust, sweeps apart", &mut || tridiag_sweeps_rust(n, &flat));
+    row("Rust, cp + dp merged", &mut || tridiag_rust(n, &flat));
+    println!();
+}
+
+/// Minimum and median wall-clock time of up to 30 calls or 2 s, with
+/// the last result.
+fn min_median_ms<T>(f: &mut dyn FnMut() -> T) -> (T, f64, f64) {
+    let mut times = Vec::new();
     let start = Instant::now();
     let mut out = None;
     for _ in 0..30 {
         let t = Instant::now();
         out = Some(f());
-        best = best.min(t.elapsed().as_secs_f64() * 1e3);
+        times.push(t.elapsed().as_secs_f64() * 1e3);
         if start.elapsed().as_secs() >= 2 {
             break;
         }
     }
-    (out.expect("ran at least once"), best)
+    times.sort_by(f64::total_cmp);
+    let out = out.expect("ran at least once");
+    (out, times[0], times[times.len() / 2])
+}
+
+/// Best wall-clock time of up to 30 calls or 2 s, with the last result.
+fn best_of_ms<T>(mut f: impl FnMut() -> T) -> (T, f64) {
+    let (out, min, _) = min_median_ms(&mut f);
+    (out, min)
 }
 
 /// `programs/sor.hac`: one in-place Gauss–Seidel sweep over a copy of
@@ -680,8 +760,25 @@ fn wavefront_rust(n: usize, _: &[f64]) -> Vec<f64> {
     a
 }
 
-/// `programs/tridiag.hac`: the Thomas solve of `tridiag(1,4,1) x = d`.
+/// `programs/tridiag.hac` as `hac` runs it: the Thomas solve of
+/// `tridiag(1,4,1) x = d` with the `cp` and `dp` sweeps in one loop.
 fn tridiag_rust(n: usize, d: &[f64]) -> Vec<f64> {
+    let (mut cp, mut dp, mut x) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+    cp[0] = 0.25;
+    dp[0] = d[0] / 4.0;
+    for i in 1..n {
+        cp[i] = 1.0 / (4.0 - cp[i - 1]);
+        dp[i] = (d[i] - dp[i - 1]) / (4.0 - cp[i - 1]);
+    }
+    x[n - 1] = dp[n - 1];
+    for i in (0..n - 1).rev() {
+        x[i] = dp[i] - cp[i] * x[i + 1];
+    }
+    x
+}
+
+/// [`tridiag_rust`] with the sweeps apart, as the source writes them.
+fn tridiag_sweeps_rust(n: usize, d: &[f64]) -> Vec<f64> {
     let (mut cp, mut dp, mut x) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
     cp[0] = 0.25;
     for i in 1..n {

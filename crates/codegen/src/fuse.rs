@@ -49,10 +49,11 @@ use crate::partape::trip_count;
 use std::sync::Arc;
 
 use crate::tape::{
-    CompiledBody, FusedEntry, FusedStream, Kernel, Op, RegOp, RegProgram, Src, TapeProgram,
-    FUSE_MAX_STACK, REG_FILE, REG_SINK,
+    CompiledBody, FusedEntry, FusedStream, Kernel, LinEntry, MergedLoop, MergedPart, Op, RegOp,
+    RegProgram, Src, TapeProgram, FUSE_MAX_STACK, REG_FILE, REG_SINK,
 };
 use hac_lang::ast::BinOp;
+use hac_runtime::value::ArrayBuf;
 
 /// The fusion verdict for one loop, in source (pc) order — rendered
 /// into `--report` so every decision is explained.
@@ -430,6 +431,225 @@ fn register_form(
         return Err("body too large for the register file");
     }
     Ok((streams, p))
+}
+
+/// The pc of a unit tape's `VecLoop` and its fused entry, when the tape
+/// can join a merged chain: a failure-free straight-line prefix, then
+/// one top-level loop on the generic kernel that is not a parallel
+/// region, then `Halt`. The prefix may allocate unchecked arrays and
+/// read and store through proven-in-bounds accesses; nothing in it can
+/// fail once the meter covers its allocations. A specialized kernel
+/// stays on its own (it is faster than any merged register program),
+/// and so does a `par` loop (merging would take its region away).
+pub fn chain_part(tape: &TapeProgram) -> Result<(usize, &FusedEntry), &'static str> {
+    let proven = |l: u32| tape.lins[l as usize].checks.is_none();
+    let pc = tape
+        .ops
+        .iter()
+        .position(|op| match *op {
+            Op::Const(_) | Op::LoadSlot(_) | Op::StoreSlot(_) | Op::Bin(_) | Op::Un(_) => false,
+            Op::Alloc(a) => tape.allocs[a as usize].checked,
+            Op::ReadLin(l)
+            | Op::StoreLin {
+                lin: l,
+                checked: false,
+            } => !proven(l),
+            _ => true,
+        })
+        .ok_or("no loop")?;
+    let Op::VecLoop(k) = tape.ops[pc] else {
+        return Err("prefix can fail or has control flow");
+    };
+    let e = &tape.fused[k as usize];
+    let Op::LoopHead { par, .. } = tape.ops[pc + 1] else {
+        unreachable!("VecLoop overlays a LoopInit, followed by its LoopHead");
+    };
+    if e.exit_pc as usize + 1 != tape.ops.len() {
+        return Err("ops follow the loop");
+    }
+    if e.kernel != Kernel::Generic || par {
+        return Err("loop runs a specialized kernel or a parallel region");
+    }
+    Ok((pc, e))
+}
+
+/// Append `t`'s access entry `l` to `m`, renaming its array and name
+/// into `m`'s tables and its loop register to `m`'s register 0.
+fn import_lin(
+    m: &mut TapeProgram,
+    t: &TapeProgram,
+    l: u32,
+    ireg: u32,
+) -> Result<u32, &'static str> {
+    let lin = &t.lins[l as usize];
+    if lin.terms.iter().any(|&(r, _)| r != ireg) {
+        return Err("access depends on an enclosing loop");
+    }
+    let intern = |table: &mut Vec<String>, name: &String| {
+        let i = table.iter().position(|x| x == name).unwrap_or_else(|| {
+            table.push(name.clone());
+            table.len() - 1
+        });
+        i as u32
+    };
+    let entry = LinEntry {
+        array: intern(&mut m.arrays, &t.arrays[lin.array as usize]),
+        name: intern(&mut m.names, &t.names[lin.name as usize]),
+        base: lin.base,
+        terms: lin.terms.iter().map(|&(_, s)| (0, s)).collect(),
+        checks: lin.checks.clone(),
+    };
+    m.lins.push(entry);
+    Ok((m.lins.len() - 1) as u32)
+}
+
+/// Merge the last loops of a chain of consecutive units' tapes, in chain
+/// order, into one fused loop (see [`MergedLoop`]). The caller has
+/// proved the merge legal: every loop runs the same range in the same
+/// direction, and each unit reads an earlier one's array only at cells
+/// that loop wrote at the same or an earlier iteration.
+///
+/// The body concatenates the loops' bodies, each unit's before the
+/// earlier units' when `reverse` (legal when no unit reads a cell an
+/// earlier one wrote at the same iteration), so a read of an earlier
+/// unit's cell from the previous iteration precedes that unit's store
+/// and [`register_form`] forwards it in a register. One register
+/// program holds every store, and its first two carried cells become
+/// the [`CompiledBody`]'s two arguments. Each unit's tape stays as it
+/// is.
+///
+/// # Errors
+/// The reason the chain cannot merge: a tape not of [`chain_part`]'s
+/// shape, different ranges, or a body the register file cannot hold.
+pub fn merge_loops(
+    tapes: &[&TapeProgram],
+    reverse: bool,
+) -> Result<(MergedLoop, FuseDecision), &'static str> {
+    let loops = tapes
+        .iter()
+        .map(|t| chain_part(t))
+        .collect::<Result<Vec<_>, _>>()?;
+    let (pc0, e0) = loops[0];
+    let Op::LoopHead { end, .. } = tapes[0].ops[pc0 + 1] else {
+        unreachable!("VecLoop overlays a LoopInit, followed by its LoopHead");
+    };
+    if loops
+        .iter()
+        .any(|(_, e)| (e.start, e.step, e.trip) != (e0.start, e0.step, e0.trip))
+    {
+        return Err("loops run different ranges");
+    }
+    if tapes.iter().any(|t| t.globals != tapes[0].globals) {
+        return Err("units see different globals");
+    }
+    let mut m = TapeProgram {
+        globals: tapes[0].globals.clone(),
+        ..TapeProgram::default()
+    };
+    let globals = m.globals.len() as u32;
+    // Frame: the globals, the merged loop variable, then body temps.
+    let slot = globals;
+    let mut frame = slot + 1;
+    let mut body = Vec::new();
+    let mut order: Vec<usize> = (0..tapes.len()).collect();
+    if reverse {
+        order.reverse();
+    }
+    for &u in &order {
+        let (t, (_, e)) = (tapes[u], loops[u]);
+        let mut temps: Vec<(u32, u32)> = Vec::new();
+        for op in &t.ops[e.init_pc as usize + 2..e.exit_pc as usize - 1] {
+            body.push(match *op {
+                Op::LoadSlot(s) if s < globals => Op::LoadSlot(s),
+                Op::LoadSlot(s) if s == e.slot => Op::LoadSlot(slot),
+                Op::LoadSlot(s) => match temps.iter().find(|&&(x, _)| x == s) {
+                    Some(&(_, to)) => Op::LoadSlot(to),
+                    None => return Err("body reads an enclosing binding"),
+                },
+                Op::StoreSlot(s) if s < globals || s == e.slot => {
+                    return Err("body rebinds an enclosing slot")
+                }
+                Op::StoreSlot(s) => match temps.iter().find(|&&(x, _)| x == s) {
+                    Some(&(_, to)) => Op::StoreSlot(to),
+                    None => {
+                        temps.push((s, frame));
+                        frame += 1;
+                        Op::StoreSlot(frame - 1)
+                    }
+                },
+                Op::ReadLin(l) => Op::ReadLin(import_lin(&mut m, t, l, e.ireg)?),
+                Op::StoreLin { lin, checked } => Op::StoreLin {
+                    lin: import_lin(&mut m, t, lin, e.ireg)?,
+                    checked,
+                },
+                ref op => op.clone(),
+            });
+        }
+    }
+    let (streams, prog) = register_form(&m, &body, 0, slot, e0.step)?;
+    let sum = |f: fn(&FusedEntry) -> u64| loops.iter().map(|(_, e)| f(e)).sum::<u64>();
+    m.fused.push(FusedEntry {
+        ireg: 0,
+        slot,
+        start: e0.start,
+        step: e0.step,
+        trip: e0.trip,
+        // No ops: the entry is run directly, never dispatched.
+        init_pc: 0,
+        exit_pc: 0,
+        iter_ops: sum(|e| e.iter_ops),
+        loads_per_iter: sum(|e| e.loads_per_iter),
+        stores_per_iter: sum(|e| e.stores_per_iter),
+        body: Some(Arc::new(CompiledBody::compile(&prog))),
+        streams,
+        prog,
+        kernel: Kernel::Generic,
+    });
+    m.frame_size = frame as usize;
+    m.ireg_count = 1;
+    let mut mem = 0u64;
+    let mut allocated = Vec::new();
+    for (t, &(pc, _)) in tapes.iter().zip(&loops) {
+        for op in &t.ops[..pc] {
+            if let Op::Alloc(a) = *op {
+                let a = &t.allocs[a as usize];
+                mem = mem.saturating_add(ArrayBuf::footprint_bytes(&a.bounds, a.checked));
+                allocated.push(&t.arrays[a.array as usize]);
+            }
+        }
+    }
+    let mut inputs: Vec<String> = Vec::new();
+    for name in tapes.iter().flat_map(|t| &t.arrays) {
+        if !allocated.contains(&name) && !inputs.contains(name) {
+            inputs.push(name.clone());
+        }
+    }
+    let parts = tapes
+        .iter()
+        .zip(&loops)
+        .map(|(t, &(pc, e))| MergedPart {
+            stops: (0..t.ops.len()).map(|p| p == pc).collect(),
+            iter_ops: e.iter_ops,
+            loads_per_iter: e.loads_per_iter,
+            stores_per_iter: e.stores_per_iter,
+        })
+        .collect();
+    let decision = FuseDecision {
+        var: loop_var(tapes[0], pc0 as u32 + 1),
+        start: e0.start,
+        end,
+        step: e0.step,
+        kernel: Some(Kernel::Generic.shape().to_string()),
+        reason: None,
+    };
+    let merged = MergedLoop {
+        tape: m,
+        parts,
+        fuel: e0.trip.saturating_mul(tapes.len() as u64),
+        mem,
+        inputs,
+    };
+    Ok((merged, decision))
 }
 
 /// Whether a specialized kernel can read operand `a` of a body that

@@ -392,6 +392,29 @@ impl Vm {
         })
     }
 
+    /// Run a chain of units' tapes whose last loops `merged` merges (see
+    /// [`MergedLoop`](crate::tape::MergedLoop)): every tape's prefix in
+    /// chain order, then the merged loop once. Values, counters and fuel
+    /// come out as running the tapes one after another, provided
+    /// [`MergedLoop::can_run`](crate::tape::MergedLoop::can_run) held
+    /// for this VM's meter and bindings.
+    ///
+    /// # Errors
+    /// None when that holds; a prefix's failure otherwise.
+    pub fn run_merged(
+        &mut self,
+        tapes: &[&TapeProgram],
+        merged: &crate::tape::MergedLoop,
+    ) -> Result<(), RuntimeError> {
+        for (tape, part) in tapes.iter().zip(&merged.parts) {
+            self.run_tape_with(tape, |tape, st| tape.run_prefix(st, part))?;
+        }
+        self.run_tape_with(&merged.tape, |_, st| {
+            merged.run_loop(st);
+            Ok(())
+        })
+    }
+
     fn run_tape_with(
         &mut self,
         tape: &TapeProgram,

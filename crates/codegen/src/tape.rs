@@ -37,8 +37,8 @@
 //! hand-written kernel matches, every carried loop among them, run the
 //! generic kernel: their [`RegProgram`] compiled once, at fuse time,
 //! into a [`CompiledBody`] of closures, one step per store. A body's
-//! first forwarded carried cell is the closures' `f64` argument, so a
-//! recurrence's carried chain stays in CPU registers, and the kernel
+//! first two forwarded carried cells are the closures' `f64` arguments,
+//! so a recurrence's carried chain stays in CPU registers, and the kernel
 //! asserts each stream's window once per call before its closures read
 //! and write memory unchecked.
 
@@ -979,6 +979,100 @@ impl TapeProgram {
     }
 }
 
+/// The last loops of a chain of consecutive units' tapes, merged into
+/// one fused loop (built by [`crate::fuse::merge_loops`]). Each unit
+/// keeps its own tape; the merge only changes how the chain runs: every
+/// unit's straight-line prefix in chain order, then one loop whose
+/// generic kernel does every unit's iteration at each ordinal.
+///
+/// That order differs from running the tapes one after another, and
+/// only a run that cannot stop partway hides the difference: the
+/// prefixes are failure-free by construction and the loops charge
+/// nothing but fuel, so the chain's whole charge is known, and
+/// [`MergedLoop::can_run`] holds only when the meter covers it and
+/// every array the chain reads is bound. The settlement then charges
+/// and counts exactly what the separate tapes would.
+#[derive(Debug, Clone, PartialEq)]
+pub struct MergedLoop {
+    /// The merged loop's own tape: array table, access entries and
+    /// frame layout, with the loop as its only fused entry. It has no
+    /// ops: nothing dispatches it.
+    pub(crate) tape: TapeProgram,
+    /// One per unit, in chain order.
+    pub(crate) parts: Vec<MergedPart>,
+    /// Fuel the chain charges: every loop's iterations.
+    pub(crate) fuel: u64,
+    /// Memory the chain charges: every prefix's allocations.
+    pub(crate) mem: u64,
+    /// Arrays the chain reads but does not allocate.
+    pub(crate) inputs: Vec<String>,
+}
+
+impl MergedLoop {
+    /// Whether the chain can run merged with no observable difference:
+    /// `meter` covers its fuel and memory without drawing on a ceiling
+    /// ([`Meter::covers`]) and `bound` holds for every array it reads.
+    pub fn can_run(&self, meter: &Meter, bound: impl Fn(&str) -> bool) -> bool {
+        meter.covers(self.fuel, self.mem) && self.inputs.iter().all(|n| bound(n))
+    }
+
+    /// The merged loop.
+    pub fn entry(&self) -> &FusedEntry {
+        &self.tape.fused[0]
+    }
+
+    /// Run the merged loop with `st` bound to its own tape, after every
+    /// prefix, settling each unit's loop and closing `Halt` in bulk: its
+    /// `VecLoop` fetch, its iterations, its final head check and its
+    /// `Halt` are what the unit's tape would have dispatched.
+    ///
+    /// # Panics
+    /// When the meter cannot cover the loops' fuel: callers check
+    /// [`MergedLoop::can_run`] before the chain starts.
+    pub(crate) fn run_loop(&self, st: &mut TapeState<'_>) {
+        let e = self.entry();
+        let (done, err) = st.meter.charge_fuel_block(self.fuel);
+        assert!(
+            done == self.fuel && err.is_none(),
+            "a merged loop runs only under a meter that covers it"
+        );
+        for part in &self.parts {
+            st.counters.loop_iterations += e.trip;
+            st.counters.loads += e.trip * part.loads_per_iter;
+            st.counters.stores += e.trip * part.stores_per_iter;
+            st.counters.tape_ops += e.trip * part.iter_ops + 3;
+        }
+        run_fused_kernel(e, st.bufs, &st.scratch.frame, &st.scratch.iregs, 0, e.trip);
+    }
+}
+
+/// One unit of a [`MergedLoop`]: where its prefix ends and what its own
+/// loop would have counted.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct MergedPart {
+    /// Stop bitmap with only the unit's `VecLoop` pc set: `ops` before
+    /// it are its prefix.
+    pub(crate) stops: Vec<bool>,
+    /// The unit's loop: scalar ops per complete iteration.
+    pub(crate) iter_ops: u64,
+    pub(crate) loads_per_iter: u64,
+    pub(crate) stores_per_iter: u64,
+}
+
+impl TapeProgram {
+    /// Run a merged chain unit's prefix: every op before its loop.
+    pub(crate) fn run_prefix(
+        &self,
+        st: &mut TapeState<'_>,
+        part: &MergedPart,
+    ) -> Result<(), RuntimeError> {
+        let mut tape_ops = 0;
+        let r = self.dispatch_until(st, &mut tape_ops, 0, &part.stops);
+        st.counters.tape_ops += tape_ops;
+        r.map(|_| ())
+    }
+}
+
 /// A stream's offset at the fused loop value `i0`, folding the
 /// enclosing-loop registers (loop-invariant for this run).
 #[inline]
@@ -1413,8 +1507,9 @@ fn run_fused_generic(
         // SAFETY: ordinal 0 of stream `s`, inside its asserted window.
         ctx.regs[r as usize] = unsafe { ctx.at(s, 0) };
     }
-    // SAFETY: as above; `body.reach` covers the carried stream.
-    let mut k = body.carried.map_or(0.0, |s| unsafe { ctx.at(s, 0) });
+    // SAFETY: as above; `body.reach` covers the carried streams.
+    let seed = |slot: usize| body.carried[slot].map_or(0.0, |s| unsafe { ctx.at(s, 0) });
+    let (mut k0, mut k1) = (seed(0), seed(1));
     let n = done as isize;
     let lv = |ctx: &mut Ctx, q: isize| {
         if let Some(r) = p.loop_var {
@@ -1425,24 +1520,47 @@ fn run_fused_generic(
     // above, and runs at ordinals `q < done`, inside those windows:
     // that is what each `put` below and each stream read in a step
     // relies on.
-    if let [Step {
-        to: Dest::Carry { s },
-        f,
-        ..
-    }] = &body.steps[..]
-    {
-        for q in 0..n {
-            lv(&mut ctx, q);
-            k = f(&ctx, q, k);
-            // SAFETY: stream `s < body.reach` at ordinal `q < done`.
-            unsafe { ctx.put(*s, q, k) };
+    match &body.steps[..] {
+        [Step {
+            to: Dest::Carry { s, slot: 0 },
+            f,
+            ..
+        }] => {
+            for q in 0..n {
+                lv(&mut ctx, q);
+                k0 = f(&ctx, q, k0, k1);
+                // SAFETY: stream `s < body.reach` at ordinal `q < done`.
+                unsafe { ctx.put(*s, q, k0) };
+            }
+            return;
         }
-        return;
+        // Two recurrences in one loop, e.g. two merged sweeps: both
+        // chains stay in registers.
+        [Step {
+            to: Dest::Carry { s: s0, slot: 0 },
+            f: f0,
+            ..
+        }, Step {
+            to: Dest::Carry { s: s1, slot: 1 },
+            f: f1,
+            ..
+        }] => {
+            for q in 0..n {
+                lv(&mut ctx, q);
+                k0 = f0(&ctx, q, k0, k1);
+                // SAFETY: streams below `body.reach` at ordinal `q < done`.
+                unsafe { ctx.put(*s0, q, k0) };
+                k1 = f1(&ctx, q, k0, k1);
+                unsafe { ctx.put(*s1, q, k1) };
+            }
+            return;
+        }
+        _ => {}
     }
     for q in 0..n {
         lv(&mut ctx, q);
         for step in &body.steps {
-            let v = (step.f)(&ctx, q, k);
+            let v = (step.f)(&ctx, q, k0, k1);
             match step.to {
                 Dest::Reg(d) => ctx.regs[d as usize] = v,
                 Dest::Store { s, fwd } => {
@@ -1450,10 +1568,14 @@ fn run_fused_generic(
                     unsafe { ctx.put(s, q, v) };
                     ctx.regs[fwd as usize] = v;
                 }
-                Dest::Carry { s } => {
+                Dest::Carry { s, slot } => {
                     // SAFETY: stream `s < body.reach` at ordinal `q < done`.
                     unsafe { ctx.put(s, q, v) };
-                    k = v;
+                    if slot == 0 {
+                        k0 = v;
+                    } else {
+                        k1 = v;
+                    }
                 }
             }
         }
@@ -1493,8 +1615,8 @@ impl Ctx {
     }
 }
 
-/// One compiled value: `(ctx, ordinal, carried cell) ↦ value`.
-type Node = Box<dyn Fn(&Ctx, isize, f64) -> f64 + Send + Sync>;
+/// One compiled value: `(ctx, ordinal, carried cells) ↦ value`.
+type Node = Box<dyn Fn(&Ctx, isize, f64, f64) -> f64 + Send + Sync>;
 
 /// The value a step computes, as the tree its closures were built
 /// from (kept for rendering).
@@ -1503,10 +1625,19 @@ enum Tree {
     Stream(u8),
     /// A register of the file.
     Reg(u8),
-    /// The carried argument.
-    Carried,
+    /// Carried argument 0 or 1.
+    Carried(u8),
     Bin(BinOp, Box<Tree>, Box<Tree>),
     Un(UnOp, Box<Tree>),
+}
+
+/// Carried argument 0 renders `k`, argument 1 `k1`.
+fn carry_name(slot: u8) -> &'static str {
+    if slot == 0 {
+        "k"
+    } else {
+        "k1"
+    }
 }
 
 impl fmt::Debug for Tree {
@@ -1514,7 +1645,7 @@ impl fmt::Debug for Tree {
         match self {
             Tree::Stream(s) => write!(f, "s{s}"),
             Tree::Reg(r) => write!(f, "r{r}"),
-            Tree::Carried => write!(f, "k"),
+            Tree::Carried(slot) => f.write_str(carry_name(*slot)),
             Tree::Bin(op, a, b) => write!(f, "({a:?} {} {b:?})", op.symbol()),
             Tree::Un(op, a) => write!(f, "{}({a:?})", op.symbol()),
         }
@@ -1529,9 +1660,10 @@ enum Dest {
         s: u8,
         fwd: u8,
     },
-    /// Stream `s`'s element, and the carried argument.
+    /// Stream `s`'s element, and carried argument `slot`.
     Carry {
         s: u8,
+        slot: u8,
     },
 }
 
@@ -1546,7 +1678,7 @@ impl fmt::Debug for Step {
         match self.to {
             Dest::Reg(d) => write!(f, "r{d}")?,
             Dest::Store { s, fwd } => write!(f, "s{s}, r{fwd}")?,
-            Dest::Carry { s } => write!(f, "s{s}, k")?,
+            Dest::Carry { s, slot } => write!(f, "s{s}, {}", carry_name(slot))?,
         }
         write!(f, " := {:?}", self.tree)
     }
@@ -1559,20 +1691,22 @@ impl fmt::Debug for Step {
 /// closures. A stack register inlines into its only reader when every
 /// op between them inlines too, so no store and no register write falls
 /// between the two; every other register is written by a step of its
-/// own into the register file. The body's first forwarded cell travels
-/// as the closures' `f64` argument (any further one through the
-/// register file), so a single-store recurrence runs as
-/// `k = f(ctx, q, k); store`. Every FP operation keeps its operands and
-/// its order, so the body computes the bits the register program does.
+/// own into the register file. The body's first two forwarded cells,
+/// in store order, travel as the closures' two `f64` arguments (any
+/// further one through the register file), so a single-store
+/// recurrence runs as `k = f(ctx, q, k, k1); store`, and two merged
+/// recurrences keep both chains in CPU registers. Every FP operation
+/// keeps its operands and its order, so the body computes the bits the
+/// register program does.
 ///
 /// Renders (`Debug`) as its steps: `s3, k := ((s0 + k) / r17)` stores
-/// into stream 3 and the carried argument, `r18 := …` writes a
-/// register.
+/// into stream 3 and carried argument 0 (`k1` names argument 1),
+/// `r18 := …` writes a register.
 pub struct CompiledBody {
     steps: Vec<Step>,
-    /// The stream seeding the carried argument.
-    carried: Option<u8>,
-    /// One past the highest stream a step touches or the carried
+    /// The streams seeding carried arguments 0 and 1.
+    carried: [Option<u8>; 2],
+    /// One past the highest stream a step touches or a carried
     /// argument is seeded from.
     reach: usize,
 }
@@ -1596,31 +1730,46 @@ impl CompiledBody {
     /// Compile `p`'s ops into steps.
     pub(crate) fn compile(p: &RegProgram) -> CompiledBody {
         let ops = &p.ops;
-        // The first forward that only stores write travels as the
-        // argument; any other stays in the register file.
-        let carried = p.forwards.iter().copied().find(|&(r, _)| {
-            p.loop_var != Some(r)
-                && ops.iter().all(|op| {
-                    op.dest() != r || matches!(op, RegOp::Store { .. } | RegOp::BinStore { .. })
-                })
-        });
+        // The first two forwards that only stores write, in the order
+        // of those stores, travel as the arguments; any other stays in
+        // the register file.
+        let mut carried: Vec<(u8, u8)> = Vec::new();
+        for op in ops {
+            let Some(&(r, s)) = p.forwards.iter().find(|&&(r, _)| {
+                op.stored().is_some()
+                    && op.dest() == r
+                    && p.loop_var != Some(r)
+                    && ops.iter().all(|o| o.dest() != r || o.stored().is_some())
+            }) else {
+                continue;
+            };
+            if carried.len() < 2 && !carried.iter().any(|c| c.0 == r) {
+                carried.push((r, s));
+            }
+        }
+        let slot_of = |r: u8| carried.iter().position(|c| c.0 == r).map(|k| k as u8);
         // Decided last to first: an op inlines when every op between
         // it and its reader does.
         let mut inline = vec![false; ops.len()];
         for i in (0..ops.len()).rev() {
-            let stack = !matches!(ops[i], RegOp::Store { .. } | RegOp::BinStore { .. })
-                && usize::from(ops[i].dest()) < FUSE_MAX_STACK;
+            let stack = ops[i].stored().is_none() && usize::from(ops[i].dest()) < FUSE_MAX_STACK;
             inline[i] =
                 stack && sole_reader(ops, i).is_some_and(|j| inline[i + 1..j].iter().all(|&x| x));
         }
         let mut pending: [Option<Tree>; FUSE_MAX_STACK] = Default::default();
         let operand = |pending: &mut [Option<Tree>; FUSE_MAX_STACK], a: Src| match a {
             Src::Mem(s) => Tree::Stream(s),
-            Src::Reg(r) if carried.is_some_and(|c| c.0 == r) => Tree::Carried,
-            Src::Reg(r) => pending
-                .get_mut(r as usize)
-                .and_then(Option::take)
-                .unwrap_or(Tree::Reg(r)),
+            Src::Reg(r) => match slot_of(r) {
+                Some(slot) => Tree::Carried(slot),
+                None => pending
+                    .get_mut(r as usize)
+                    .and_then(Option::take)
+                    .unwrap_or(Tree::Reg(r)),
+            },
+        };
+        let store = |s: u8, fwd: u8| match slot_of(fwd) {
+            Some(slot) => Dest::Carry { s, slot },
+            None => Dest::Store { s, fwd },
         };
         let mut steps = Vec::new();
         for (i, op) in ops.iter().enumerate() {
@@ -1631,10 +1780,8 @@ impl CompiledBody {
                 RegOp::Bin { op, d, .. } => (Tree::Bin(op, arg(), arg()), Dest::Reg(d)),
                 RegOp::Un { op, d, .. } => (Tree::Un(op, arg()), Dest::Reg(d)),
                 RegOp::Mov { d, .. } => (*arg(), Dest::Reg(d)),
-                RegOp::Store { s, fwd, .. } => (*arg(), store(s, fwd, carried)),
-                RegOp::BinStore { op, s, fwd, .. } => {
-                    (Tree::Bin(op, arg(), arg()), store(s, fwd, carried))
-                }
+                RegOp::Store { s, fwd, .. } => (*arg(), store(s, fwd)),
+                RegOp::BinStore { op, s, fwd, .. } => (Tree::Bin(op, arg(), arg()), store(s, fwd)),
             };
             match to {
                 Dest::Reg(d) if inline[i] => pending[d as usize] = Some(tree),
@@ -1648,23 +1795,15 @@ impl CompiledBody {
         let reach = ops
             .iter()
             .flat_map(|op| op.mem_reads().chain(op.stored()))
-            .chain(carried.map(|c| c.1))
+            .chain(carried.iter().map(|c| c.1))
             .map(|s| usize::from(s) + 1)
             .max()
             .unwrap_or(0);
         CompiledBody {
             steps,
-            carried: carried.map(|c| c.1),
+            carried: [0, 1].map(|k| carried.get(k).map(|c| c.1)),
             reach,
         }
-    }
-}
-
-/// Where a store to stream `s` forwarding to `fwd` puts its value.
-fn store(s: u8, fwd: u8, carried: Option<(u8, u8)>) -> Dest {
-    match carried {
-        Some((r, _)) if r == fwd => Dest::Carry { s },
-        _ => Dest::Store { s, fwd },
     }
 }
 
@@ -1691,18 +1830,19 @@ fn sole_reader(ops: &[RegOp], i: usize) -> Option<usize> {
 }
 
 /// An operand of a compiled node, read at ordinal `q` with carried
-/// argument `k`.
+/// arguments `k0`, `k1`.
 trait Leaf: Send + Sync + 'static {
-    fn at(&self, c: &Ctx, q: isize, k: f64) -> f64;
+    fn at(&self, c: &Ctx, q: isize, k0: f64, k1: f64) -> f64;
 }
 
 struct AtStream(u8);
 struct AtReg(u8);
-struct AtCarry;
+struct AtCarry0;
+struct AtCarry1;
 
 impl Leaf for AtStream {
     #[inline(always)]
-    fn at(&self, c: &Ctx, q: isize, _: f64) -> f64 {
+    fn at(&self, c: &Ctx, q: isize, _: f64, _: f64) -> f64 {
         // SAFETY: nodes run only inside `run_fused_generic`'s loops,
         // at `q < done` and on streams below the body's `reach`, all
         // inside the windows it asserted for `c`.
@@ -1712,26 +1852,33 @@ impl Leaf for AtStream {
 
 impl Leaf for AtReg {
     #[inline(always)]
-    fn at(&self, c: &Ctx, _: isize, _: f64) -> f64 {
+    fn at(&self, c: &Ctx, _: isize, _: f64, _: f64) -> f64 {
         c.regs[self.0 as usize]
     }
 }
 
-impl Leaf for AtCarry {
+impl Leaf for AtCarry0 {
     #[inline(always)]
-    fn at(&self, _: &Ctx, _: isize, k: f64) -> f64 {
-        k
+    fn at(&self, _: &Ctx, _: isize, k0: f64, _: f64) -> f64 {
+        k0
+    }
+}
+
+impl Leaf for AtCarry1 {
+    #[inline(always)]
+    fn at(&self, _: &Ctx, _: isize, _: f64, k1: f64) -> f64 {
+        k1
     }
 }
 
 impl Leaf for Node {
     #[inline(always)]
-    fn at(&self, c: &Ctx, q: isize, k: f64) -> f64 {
-        self(c, q, k)
+    fn at(&self, c: &Ctx, q: isize, k0: f64, k1: f64) -> f64 {
+        self(c, q, k0, k1)
     }
 }
 
-fn boxed(f: impl Fn(&Ctx, isize, f64) -> f64 + Send + Sync + 'static) -> Node {
+fn boxed(f: impl Fn(&Ctx, isize, f64, f64) -> f64 + Send + Sync + 'static) -> Node {
     Box::new(f)
 }
 
@@ -1748,8 +1895,12 @@ macro_rules! with_leaf {
                 let $l = AtReg(*r);
                 $body
             }
-            Tree::Carried => {
-                let $l = AtCarry;
+            Tree::Carried(0) => {
+                let $l = AtCarry0;
+                $body
+            }
+            Tree::Carried(_) => {
+                let $l = AtCarry1;
                 $body
             }
             t => {
@@ -1766,9 +1917,12 @@ fn node(t: &Tree) -> Node {
         Tree::Bin(op, a, b) => with_leaf!(&**a, |a| with_leaf!(&**b, |b| bin(*op, a, b))),
         Tree::Un(op, a) => {
             let op = *op;
-            with_leaf!(&**a, |a| boxed(move |c, q, k| apply_un(op, a.at(c, q, k))))
+            with_leaf!(&**a, |a| boxed(move |c, q, k0, k1| apply_un(
+                op,
+                a.at(c, q, k0, k1)
+            )))
         }
-        leaf => with_leaf!(leaf, |a| boxed(move |c, q, k| a.at(c, q, k))),
+        leaf => with_leaf!(leaf, |a| boxed(move |c, q, k0, k1| a.at(c, q, k0, k1))),
     }
 }
 
@@ -1776,11 +1930,11 @@ fn node(t: &Tree) -> Node {
 /// `apply_bin`.
 fn bin<A: Leaf, B: Leaf>(op: BinOp, a: A, b: B) -> Node {
     match op {
-        BinOp::Add => boxed(move |c, q, k| a.at(c, q, k) + b.at(c, q, k)),
-        BinOp::Sub => boxed(move |c, q, k| a.at(c, q, k) - b.at(c, q, k)),
-        BinOp::Mul => boxed(move |c, q, k| a.at(c, q, k) * b.at(c, q, k)),
-        BinOp::Div => boxed(move |c, q, k| a.at(c, q, k) / b.at(c, q, k)),
-        op => boxed(move |c, q, k| apply_bin(op, a.at(c, q, k), b.at(c, q, k))),
+        BinOp::Add => boxed(move |c, q, k0, k1| a.at(c, q, k0, k1) + b.at(c, q, k0, k1)),
+        BinOp::Sub => boxed(move |c, q, k0, k1| a.at(c, q, k0, k1) - b.at(c, q, k0, k1)),
+        BinOp::Mul => boxed(move |c, q, k0, k1| a.at(c, q, k0, k1) * b.at(c, q, k0, k1)),
+        BinOp::Div => boxed(move |c, q, k0, k1| a.at(c, q, k0, k1) / b.at(c, q, k0, k1)),
+        op => boxed(move |c, q, k0, k1| apply_bin(op, a.at(c, q, k0, k1), b.at(c, q, k0, k1))),
     }
 }
 

@@ -16,14 +16,16 @@ use std::sync::Arc;
 
 use hac_analysis::analyze::{analyze_array, analyze_bigupd, AnalysisError, CollisionVerdict};
 use hac_analysis::cost::{CostCert, Poly};
-use hac_analysis::refs::total_instances;
+use hac_analysis::depgraph::cross_dependences;
+use hac_analysis::direction::Dir;
+use hac_analysis::refs::{total_instances, ClauseRefs};
 use hac_analysis::search::TestPolicy;
 use hac_codegen::cost::program_cost;
-use hac_codegen::fuse::{fuse_tape, FuseDecision};
+use hac_codegen::fuse::{chain_part, fuse_tape, merge_loops, FuseDecision};
 use hac_codegen::limp::{LProgram, Vm, VmCounters};
 use hac_codegen::lower::{lower_array, lower_update, CheckMode, LowerError, LoweredUpdate};
 use hac_codegen::partape::{plan_tape, ParPlan};
-use hac_codegen::tape::{compile_tape, TapeCtx, TapeProgram};
+use hac_codegen::tape::{compile_tape, FusedEntry, MergedLoop, TapeCtx, TapeProgram};
 use hac_lang::ast::{ArrayDef, ArrayKind, Binding, ClauseId, Comp, Program};
 use hac_lang::env::ConstEnv;
 use hac_lang::number::number_comp;
@@ -281,6 +283,24 @@ pub struct Compiled {
     /// Delta-recomputation plan for the trailing `bigupd`, when the
     /// program has exactly one and its footprint is provably bounded.
     pub delta: Option<DeltaPlan>,
+    /// Chains of consecutive thunkless units whose last loops run as
+    /// one merged loop, in unit order. Empty without fusion.
+    pub merges: Vec<LoopMerge>,
+}
+
+/// A chain of consecutive thunkless units whose last loops run as one
+/// merged loop (§8 across bindings): every loop runs the same range in
+/// the same direction, and each unit reads an earlier one's array only
+/// at cells that loop wrote at the same or an earlier iteration. The
+/// units keep their own tapes; [`run_units`] runs the merge instead of
+/// them only when the outcome cannot differ, and them one by one
+/// otherwise (see [`MergedLoop`]).
+#[derive(Debug, Clone)]
+pub struct LoopMerge {
+    /// The chain: `units[self.units]`, each a [`Unit::Thunkless`] with
+    /// a tape.
+    pub units: std::ops::Range<usize>,
+    pub merged: MergedLoop,
 }
 
 /// Every variable name an expression mentions, deduplicated. Local
@@ -481,6 +501,9 @@ pub fn compile(
     }
 
     let mut delta: Option<DeltaPlan> = None;
+    // Clause references of every thunkless array, for the cross-binding
+    // legality test of loop merges.
+    let mut unit_refs: HashMap<String, Vec<ClauseRefs>> = HashMap::new();
     for (bi, b) in program.bindings.iter().enumerate() {
         let is_last = bi + 1 == program.bindings.len();
         match b {
@@ -515,6 +538,7 @@ pub fn compile(
                     &mut units,
                     &mut report,
                     &mut cert,
+                    &mut unit_refs,
                 )?;
             }
             Binding::LetrecStar(defs) => {
@@ -530,6 +554,7 @@ pub fn compile(
                     &mut units,
                     &mut report,
                     &mut cert,
+                    &mut unit_refs,
                 )?;
             }
             Binding::Reduce {
@@ -654,13 +679,134 @@ pub fn compile(
     }
     let cert = cert.finish();
     report.cost = Some(cert.render());
+    let merges = if options.fuse {
+        plan_merges(&units, &unit_refs, &options.policy, &mut report)
+    } else {
+        Vec::new()
+    };
     Ok(Compiled {
         env: env.clone(),
         units,
         report,
         cert,
         delta,
+        merges,
     })
+}
+
+/// Merge the last loops of every maximal chain of consecutive
+/// thunkless units that can merge (see [`LoopMerge`]), reporting each.
+fn plan_merges(
+    units: &[Unit],
+    refs: &HashMap<String, Vec<ClauseRefs>>,
+    policy: &TestPolicy,
+    report: &mut Report,
+) -> Vec<LoopMerge> {
+    // Each unit that can join a chain: its name, tape and loop.
+    let parts: Vec<Option<ChainLink>> = units
+        .iter()
+        .map(|u| match u {
+            Unit::Thunkless {
+                tape: Some(t),
+                name,
+                ..
+            } if refs.contains_key(name) => chain_part(t).ok().map(|(_, e)| (name.as_str(), t, e)),
+            _ => None,
+        })
+        .collect();
+    let same_range =
+        |a: &FusedEntry, b: &FusedEntry| (a.start, a.step, a.trip) == (b.start, b.step, b.trip);
+    let mut merges = Vec::new();
+    let mut start = 0;
+    while start < units.len() {
+        let mut best = None;
+        for end in start + 2..=units.len() {
+            let Some(chain) = parts[start..end]
+                .iter()
+                .copied()
+                .collect::<Option<Vec<_>>>()
+            else {
+                break;
+            };
+            if !same_range(chain[0].2, chain[chain.len() - 1].2) {
+                break;
+            }
+            let tapes: Vec<&TapeProgram> = chain.iter().map(|c| c.1).collect();
+            let merged = chain_order(&chain, refs, policy)
+                .ok_or("illegal")
+                .and_then(|reverse| merge_loops(&tapes, reverse));
+            match merged {
+                Ok(m) => best = Some((chain, m)),
+                Err(_) => break,
+            }
+        }
+        let Some((chain, (merged, decision))) = best else {
+            start += 1;
+            continue;
+        };
+        let names: Vec<String> = chain.iter().map(|c| format!("`{}`", c.0)).collect();
+        report.merges.push(format!(
+            "merged loop of {}: {}",
+            names.join(", "),
+            decision.render()
+        ));
+        merges.push(LoopMerge {
+            units: start..start + chain.len(),
+            merged,
+        });
+        start += chain.len();
+    }
+    merges
+}
+
+/// A unit that can join a merged chain: its array's name, its tape and
+/// the tape's last loop.
+type ChainLink<'u> = (&'u str, &'u TapeProgram, &'u FusedEntry);
+
+/// Whether the last loops of `chain`'s units may run as one loop, and
+/// in which order its body may put them: `Some(true)` when every unit
+/// may go before the earlier ones (no unit reads a cell an earlier one
+/// wrote at the same iteration), `Some(false)` when they must keep
+/// chain order, `None` when they may not merge.
+///
+/// For each earlier unit `a` and later unit `b`, every read of `a`'s
+/// array in `b` is tested against every write of `a`'s loop with
+/// [`cross_dependences`]: a read in `b`'s loop, with the two loops as
+/// one, must see only writes of the same or an earlier iteration in
+/// execution order; a read before `b`'s loop (its prefix runs before
+/// `a`'s loop once merged) must see none.
+fn chain_order(
+    chain: &[ChainLink<'_>],
+    refs: &HashMap<String, Vec<ClauseRefs>>,
+    policy: &TestPolicy,
+) -> Option<bool> {
+    let mut reverse = true;
+    for (k, &(a, _, e)) in chain.iter().enumerate() {
+        let writes = refs[a].iter().filter(|c| !c.nest.is_empty());
+        for (w, &(b, ..)) in writes.flat_map(|w| chain[k + 1..].iter().map(move |b| (w, b))) {
+            // The loop runs against its generator's order when the
+            // schedule reversed it: then a later index is earlier.
+            let forward = e.step.signum() == w.nest[0].step.signum();
+            let later = if forward { Dir::Gt } else { Dir::Lt };
+            for r in &refs[b] {
+                for read in r.reads_of(a) {
+                    let fused = !r.nest.is_empty();
+                    let deps = cross_dependences(&w.write, read, fused, policy)?;
+                    if !fused && !deps.independent() {
+                        return None;
+                    }
+                    for dv in deps.vectors() {
+                        match dv.first() {
+                            Some(d) if d == later => return None,
+                            Some(Dir::Eq) => reverse = false,
+                            _ => {}
+                        }
+                    }
+                }
+            }
+        }
+    }
+    Some(reverse)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -672,6 +818,7 @@ fn compile_group(
     units: &mut Vec<Unit>,
     report: &mut Report,
     cert: &mut CertBuilder,
+    unit_refs: &mut HashMap<String, Vec<ClauseRefs>>,
 ) -> Result<(), CompileError> {
     // Accumulated arrays evaluate strictly on their own.
     if defs.len() == 1 {
@@ -800,6 +947,7 @@ fn compile_group(
                 known
                     .shapes
                     .insert(def.name.clone(), analysis.bounds.clone());
+                unit_refs.insert(def.name.clone(), analysis.refs);
                 units.push(Unit::Thunkless {
                     name: def.name.clone(),
                     prog,
@@ -843,6 +991,9 @@ pub struct ExecOutput {
     /// Fuel remaining when the run finished; `None` when the budget
     /// was unlimited.
     pub fuel_left: Option<u64>,
+    /// Merged loops ([`LoopMerge`]) the run took instead of their units.
+    /// Every other field is the same either way.
+    pub merged_loops: u64,
 }
 
 impl ExecOutput {
@@ -998,6 +1149,8 @@ pub struct ExecState {
     /// map.
     pub scalars: Vec<(String, f64)>,
     pub counters: ExecCounters,
+    /// See [`ExecOutput::merged_loops`].
+    pub merged_loops: u64,
 }
 
 impl ExecState {
@@ -1009,6 +1162,7 @@ impl ExecState {
             scalars: self.scalars.into_iter().collect(),
             counters: self.counters,
             fuel_left: meter.fuel_limited().then(|| meter.fuel_left()),
+            merged_loops: self.merged_loops,
         }
     }
 }
@@ -1060,6 +1214,12 @@ pub fn run_delta(
 /// the whole range and the serving layer splits a delta-eligible
 /// program at its trailing update.
 ///
+/// A [`LoopMerge`] runs in place of its units when nothing can tell
+/// the difference: the whole chain lies in `range`, no fault plan is
+/// active, the meter covers the chain's fuel and memory and every array
+/// it reads is bound. Otherwise its units run one by one, so a run that
+/// stops partway stops exactly where the separate tapes would.
+///
 /// # Errors
 /// See [`run_with_meter`].
 pub fn run_units(
@@ -1079,8 +1239,54 @@ pub fn run_units(
     let mut arrays = std::mem::take(&mut state.arrays);
     let mut scalars = std::mem::take(&mut state.scalars);
     let mut counters = std::mem::take(&mut state.counters);
+    // A tape engine's VM over the run's bindings, charging `meter`.
+    let vm = |meter: &mut Meter, scalars: &[(String, f64)], arrays: &mut HashMap<_, _>| {
+        let mut vm = Vm::new();
+        vm.with_funcs(funcs.clone());
+        vm.with_meter(std::mem::take(meter));
+        vm.with_faults(options.faults.clone());
+        for (p, v) in compiled.env.iter() {
+            vm.set_global(p, v as f64);
+        }
+        for (n, v) in scalars {
+            vm.set_global(n.clone(), *v);
+        }
+        // Move the environment through the VM: no copies.
+        vm.bind_all(std::mem::take(arrays));
+        vm
+    };
+    let faulted = options.faults.as_ref().is_some_and(FaultPlan::is_active);
 
-    for unit in &compiled.units[range] {
+    let mut next = range.start;
+    let units = &compiled.units[..range.end];
+    for (i, unit) in units.iter().enumerate().skip(range.start) {
+        if i < next {
+            continue;
+        }
+        let merge = compiled.merges.iter().find(|m| {
+            m.units.start == i
+                && m.units.end <= range.end
+                && !faulted
+                && m.merged.can_run(meter, |n| arrays.contains_key(n))
+        });
+        if let Some(m) = merge {
+            let tapes: Vec<&TapeProgram> = compiled.units[m.units.clone()]
+                .iter()
+                .filter_map(|u| match u {
+                    Unit::Thunkless { tape, .. } => tape.as_ref(),
+                    _ => None,
+                })
+                .collect();
+            let mut vm = vm(meter, &scalars, &mut arrays);
+            let out = vm.run_merged(&tapes, &m.merged);
+            *meter = vm.take_meter();
+            out?;
+            counters.vm = add_vm(counters.vm, vm.counters);
+            arrays = vm.into_arrays();
+            state.merged_loops += 1;
+            next = m.units.end;
+            continue;
+        }
         match unit {
             Unit::Input { name, bounds } => {
                 let buf = inputs
@@ -1106,18 +1312,7 @@ pub fn run_units(
                 tape,
                 par,
             } => {
-                let mut vm = Vm::new();
-                vm.with_funcs(funcs.clone());
-                vm.with_meter(std::mem::take(meter));
-                vm.with_faults(options.faults.clone());
-                for (p, v) in compiled.env.iter() {
-                    vm.set_global(p, v as f64);
-                }
-                for (n, v) in &scalars {
-                    vm.set_global(n.clone(), *v);
-                }
-                // Move the environment through the VM: no copies.
-                vm.bind_all(std::mem::take(&mut arrays));
+                let mut vm = vm(meter, &scalars, &mut arrays);
                 let out = match (tape, par) {
                     (Some(t), Some(p)) => vm.run_partape(t, p, threads),
                     _ => vm.run(prog),
@@ -1201,17 +1396,7 @@ pub fn run_units(
                 tape,
                 par,
             } => {
-                let mut vm = Vm::new();
-                vm.with_funcs(funcs.clone());
-                vm.with_meter(std::mem::take(meter));
-                vm.with_faults(options.faults.clone());
-                for (p, v) in compiled.env.iter() {
-                    vm.set_global(p, v as f64);
-                }
-                for (n, v) in &scalars {
-                    vm.set_global(n.clone(), *v);
-                }
-                vm.bind_all(std::mem::take(&mut arrays));
+                let mut vm = vm(meter, &scalars, &mut arrays);
                 if lowered.in_place {
                     vm.alias(name.clone(), base.clone());
                 }

@@ -212,6 +212,9 @@ pub struct Report {
     pub updates: Vec<UpdateReport>,
     /// Scalar reductions (§3.1 folds compiled to DO loops).
     pub reductions: Vec<String>,
+    /// Loops merged across bindings, e.g. `merged loop of `cp`, `dp`:
+    /// for i in [2..9]: fused (generic micro-kernel)`.
+    pub merges: Vec<String>,
     /// The rendered cost certificate — `cost fuel: n-1 = 999, mem: 8n
     /// = 8000` when the bound closed, `cost: open (<reason>)` when it
     /// did not. `None` only for reports built outside [`compile`].
@@ -265,6 +268,9 @@ impl Report {
             for f in &u.fusion {
                 let _ = writeln!(out, "  fusion {f}");
             }
+        }
+        for m in &self.merges {
+            let _ = writeln!(out, "{m}");
         }
         if let Some(cost) = &self.cost {
             let _ = writeln!(out, "{cost}");

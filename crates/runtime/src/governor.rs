@@ -404,6 +404,16 @@ impl Meter {
         self.mem_left
     }
 
+    /// Whether `fuel` units and `bytes` of memory can be charged without
+    /// tripping a limit or drawing on a ceiling. When they can, the
+    /// order of those charges cannot change any outcome.
+    pub fn covers(&self, fuel: u64, bytes: u64) -> bool {
+        !self.draws_lazily()
+            && !self.draws_mem_lazily()
+            && (!self.fuel_limited() || self.fuel_left >= fuel)
+            && (!self.mem_limited() || self.mem_left >= bytes)
+    }
+
     /// Charge one fuel unit. The unlimited case still decrements —
     /// 2^64 charges are unreachable, and skipping the branch keeps
     /// the hot path to a single compare.
@@ -775,6 +785,26 @@ mod tests {
                 assert_eq!(a.fuel_left(), b.fuel_left(), "limit {limit} n {n}");
             }
         }
+    }
+
+    #[test]
+    fn covers_only_what_can_be_charged_without_a_trip_or_a_draw() {
+        let limits = Limits {
+            fuel: Some(10),
+            mem_bytes: Some(64),
+        };
+        let m = Meter::new(limits);
+        assert!(m.covers(10, 64));
+        assert!(!m.covers(11, 0));
+        assert!(!m.covers(0, 65));
+        assert!(Meter::unlimited().covers(u64::MAX, u64::MAX));
+        // A ceiling-backed meter with no local cap draws on the pool,
+        // whose balance other requests move.
+        let ceiling = SharedCeiling::new(limits);
+        let lazy = Meter::admit(Limits::unlimited(), &ceiling).unwrap();
+        assert!(!lazy.covers(0, 0));
+        let reserved = Meter::admit(limits, &ceiling).unwrap();
+        assert!(reserved.covers(10, 64));
     }
 
     #[test]

@@ -88,7 +88,7 @@ use hac::core::pipeline::{
 use hac::lang::parser::parse_program;
 use hac::lang::ConstEnv;
 use hac::serve::ledger::Counter;
-use hac::serve::{engine_from_str, json, mode_from_str, Request, ServeOptions, Server};
+use hac::serve::{engine_from_str, json, mode_from_str, Request, Response, ServeOptions, Server};
 use hac_runtime::governor::{FaultPlan, Limits};
 use hac_runtime::value::{ArrayBuf, FuncTable};
 use hac_runtime::RuntimeError;
@@ -521,18 +521,26 @@ fn batch_main(cli: ServeCli) -> ExitCode {
     }
     let out = json::Json::Arr(responses.iter().map(|r| r.to_json()).collect());
     println!("{out}");
+    // Per-request figures count the responses printed: the server's
+    // ledger also counts the first round of every resubmitted request.
+    // Evictions and live entries describe the cache itself.
+    let count = |f: fn(&Response) -> bool| responses.iter().filter(|r| f(r)).count();
     let ledger = server.ledger();
     eprintln!(
         "batch: {} request(s), cache {} hit(s) / {} miss(es) / {} eviction(s), {} live of cap {}, \
-         {} shed, {} retried",
+         {} shed, {} retried, {} resubmitted",
         responses.len(),
-        ledger.get(Counter::CacheHits),
-        ledger.get(Counter::CacheMisses),
+        count(|r| r.cache_hit == Some(true)),
+        count(|r| r.cache_hit == Some(false)),
         ledger.get(Counter::CacheEvictions),
         ledger.get(Counter::CacheLive),
         server.options().cache_cap,
-        ledger.get(Counter::Shed),
-        ledger.get(Counter::Retried),
+        count(|r| r.status == hac::serve::Status::Overloaded),
+        responses
+            .iter()
+            .map(|r| r.attempts.saturating_sub(1))
+            .sum::<u64>(),
+        shed.len(),
     );
     ExitCode::SUCCESS
 }

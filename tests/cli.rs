@@ -375,3 +375,72 @@ fn batch_subcommand_serves_jobs_with_statuses() {
     };
     assert_eq!(digest("a"), digest("b"));
 }
+
+#[test]
+fn batch_summary_reconciles_with_the_responses_under_a_watermark() {
+    use hac::serve::json::{self, Json};
+    // Each program cold, warm and starved, and an over-ask: past a
+    // queue watermark of 10 the first round sheds a dozen requests, and
+    // the one resubmission serves all but two of them.
+    let mut jobs = Vec::new();
+    for p in [
+        "dot",
+        "jacobi",
+        "matmul",
+        "matvec",
+        "sor",
+        "tridiag",
+        "wavefront",
+    ] {
+        let file = format!(r#""file": "programs/{p}.hac", "params": {{"n": 12}}"#);
+        jobs.push(format!(r#"{{"id": "{p}-cold", {file}, "fuel": 5000}}"#));
+        jobs.push(format!(r#"{{"id": "{p}-warm", {file}, "fuel": 5000}}"#));
+        jobs.push(format!(r#"{{"id": "{p}-starved", {file}, "fuel": 3}}"#));
+    }
+    jobs.push(
+        r#"{"id": "over-ask", "file": "programs/wavefront.hac", "params": {"n": 12}, "fuel": 1000000000}"#
+            .to_string(),
+    );
+    let path = scratch_file(
+        "cli_batch_watermark.json",
+        &format!(r#"{{"jobs": [{}]}}"#, jobs.join(",\n")),
+    );
+    let out = hacc(&[
+        "batch",
+        &path,
+        "--workers",
+        "2",
+        "--ceiling-fuel",
+        "100000",
+        "--ceiling-mem",
+        "16777216",
+        "--shed-watermark",
+        "10",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    let resps = json::parse(&String::from_utf8_lossy(&out.stdout)).unwrap();
+    let resps = resps.as_arr().expect("an array of responses");
+    let count = |key: &str, want: &str| {
+        resps
+            .iter()
+            .filter(|r| r.get(key).and_then(Json::as_str) == Some(want))
+            .count()
+    };
+    let summary = stderr
+        .lines()
+        .rfind(|l| l.starts_with("batch: ") && l.contains("request(s)"))
+        .unwrap_or_else(|| panic!("no summary line: {stderr}"));
+    let figure = |label: &str| -> usize {
+        let at = summary.find(label).unwrap_or_else(|| panic!("{summary}"));
+        let digits = summary[..at].trim_end().rsplit(' ').next().unwrap();
+        digits.parse().unwrap_or_else(|_| panic!("{summary}"))
+    };
+    assert_eq!(figure("hit(s)"), count("cache", "hit"), "{summary}");
+    assert_eq!(figure("miss(es)"), count("cache", "miss"), "{summary}");
+    assert_eq!(figure("shed,"), count("status", "overloaded"), "{summary}");
+    assert_eq!(figure("request(s)"), resps.len(), "{summary}");
+    // The watermark did shed, and the resubmission did run.
+    assert!(figure("resubmitted") > figure("shed,"), "{summary}");
+    assert!(figure("shed,") > 0, "{summary}");
+}

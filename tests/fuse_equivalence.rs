@@ -1162,6 +1162,25 @@ fn generic_bodies_compile_to_their_pinned_shape() {
             "[s3, k := (s0 - (s1 * k))]",
         ]
     );
+    // Merged, the `cp` and `dp` sweeps are one loop: `dp`'s step first
+    // reads `cp!(i-1)` as the carried `k1` before `cp`'s step
+    // overwrites it, and each sweep's own carry stays an argument.
+    let program = parse_program(include_str!("../programs/tridiag.hac")).unwrap();
+    let merged = build(&program, &ConstEnv::from_pairs([("n", 16)]), true).merges;
+    assert_eq!(merged.len(), 1, "cp and dp merge");
+    assert_eq!(merged[0].units, 1..3);
+    assert_eq!(
+        format!(
+            "{:?}",
+            merged[0]
+                .merged
+                .entry()
+                .body
+                .as_ref()
+                .expect("a generic body")
+        ),
+        "[s3, k := ((s0 - k) / (r18 - k1)), s4, k1 := (r20 / (r18 - k1))]"
+    );
     // A `let` temp read twice is written to its register once.
     let e = fused_on_ladder(&harness_carried_program(
         let_t(
@@ -1174,4 +1193,445 @@ fn generic_bodies_compile_to_their_pinned_shape() {
         format!("{:?}", e.body.expect("a generic body")),
         "[r18 := (s0 + k), s2, k := (r18 * r18)]"
     );
+}
+
+// ---------------------------------------------------------------------
+// Loop merges across bindings: chains of `letrec*` recurrences whose
+// last loops may run as one. Every merge must be invisible: each chain
+// runs fused (merged where legal) and unfused at several thread counts
+// over a full fuel ladder and a memory ladder, and every fallback path
+// (an active fault plan, a budget too short for the chain, a run range
+// that splits it) must be taken and match too.
+// ---------------------------------------------------------------------
+
+/// How a chain unit reads an earlier unit's array `a`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum CrossRead {
+    /// `a!(i+o)` in the loop, `o ∈ {-1, 0, 1}`.
+    At(i64),
+    /// `a!(n+2-i)` in the loop: earlier and later iterations alike.
+    Reverse,
+    /// `a!1` before the loop: a cell `a`'s own prefix wrote.
+    PrefixFirst,
+    /// `a!n` before the loop: a cell `a`'s loop writes.
+    PrefixLast,
+}
+
+/// One generated unit: `a<k> = array (1,n+1)` with a prefix covering
+/// every cell outside its loop `[lo..n]` and a recurrence reading its
+/// own previous cell (`i-1` forward, `i+1` backward) plus `reads`.
+#[derive(Debug, Clone)]
+struct ChainUnit {
+    backward: bool,
+    lo: i64,
+    reads: Vec<(usize, CrossRead)>,
+    /// A `bigupd` binding sits between this unit and the one before.
+    update_before: bool,
+}
+
+const CHAIN_N: i64 = 7;
+
+fn chain_source(units: &[ChainUnit]) -> String {
+    let mut src = String::from("param n;\ninput u (1,n+1);\ninput w (1,2);\n");
+    for (k, unit) in units.iter().enumerate() {
+        if unit.update_before {
+            src.push_str("v = bigupd w [ 1 := 3.0 ];\n");
+        }
+        // Prefix cells, the one the loop's first iteration reads last:
+        // the schedule then keeps every one of them before the loop.
+        let mut cells: Vec<String> = (1..unit.lo).map(|c| c.to_string()).collect();
+        cells.push("n+1".to_string());
+        if !unit.backward {
+            cells.rotate_right(1);
+        }
+        let prefix_value = |cell: usize| -> String {
+            let mut v = format!("{}.5", k + cell);
+            for &(j, read) in &unit.reads {
+                match read {
+                    CrossRead::PrefixFirst if cell == 0 => v.push_str(&format!(" + a{j}!1")),
+                    CrossRead::PrefixLast if cell == 0 => v.push_str(&format!(" - a{j}!n")),
+                    _ => {}
+                }
+            }
+            v
+        };
+        let clauses: Vec<String> = cells
+            .iter()
+            .enumerate()
+            .map(|(c, cell)| format!("[ {cell} := {} ]", prefix_value(c)))
+            .collect();
+        let own = if unit.backward { "i+1" } else { "i-1" };
+        let mut value = format!("a{k}!({own}) * 0.5 + u!i");
+        for (r, &(j, read)) in unit.reads.iter().enumerate() {
+            let op = ["+", "-"][r % 2];
+            match read {
+                CrossRead::At(o) => value = format!("({value}) {op} a{j}!(i + {o}) / {}", r + 2),
+                CrossRead::Reverse => value = format!("({value}) {op} a{j}!(n + 2 - i) * 0.25"),
+                CrossRead::PrefixFirst | CrossRead::PrefixLast => {}
+            }
+        }
+        src.push_str(&format!(
+            "letrec* a{k} = array (1,n+1)\n   ({} ++\n    [ i := {value} | i <- [{}..n] ]);\n",
+            clauses.join(" ++ "),
+            unit.lo
+        ));
+    }
+    src.push_str(&format!("result a{};\n", units.len() - 1));
+    src
+}
+
+/// The merges the paper's rule allows, as the planner forms them:
+/// greedy maximal chains of consecutive units with one range and one
+/// direction, where every read of a chain member's array sees only
+/// cells written at the same or an earlier iteration.
+fn expected_merges(units: &[ChainUnit]) -> Vec<Vec<String>> {
+    let legal = |a: &ChainUnit, read: CrossRead| match read {
+        CrossRead::At(o) => {
+            if a.backward {
+                o >= 0
+            } else {
+                o <= 0
+            }
+        }
+        CrossRead::Reverse | CrossRead::PrefixLast => false,
+        CrossRead::PrefixFirst => true,
+    };
+    let joins = |chain: &[usize], b: usize| {
+        let (first, unit) = (&units[chain[0]], &units[b]);
+        !unit.update_before
+            && unit.lo == first.lo
+            && unit.backward == first.backward
+            && unit
+                .reads
+                .iter()
+                .all(|&(j, read)| !chain.contains(&j) || legal(&units[j], read))
+    };
+    let mut out = Vec::new();
+    let mut start = 0;
+    while start < units.len() {
+        let mut chain = vec![start];
+        while chain.len() + start < units.len() && joins(&chain, start + chain.len()) {
+            chain.push(start + chain.len());
+        }
+        if chain.len() >= 2 {
+            out.push(chain.iter().map(|k| format!("a{k}")).collect());
+        }
+        start += chain.len();
+    }
+    out
+}
+
+fn random_chain(rng: &mut wl::XorShift) -> Vec<ChainUnit> {
+    let mut below = |n: u64| rng.next_u64() % n;
+    let len = 2 + below(2) as usize;
+    // Mostly one shape, so most chains have something to merge.
+    let (backward, lo) = (below(4) == 0, 2 + (below(4) == 0) as i64);
+    let mut units: Vec<ChainUnit> = Vec::new();
+    for k in 0..len {
+        let mut reads = Vec::new();
+        for j in 0..k {
+            let read = match below(12) {
+                0..=3 => CrossRead::At(if backward { 1 } else { -1 }),
+                4..=5 => CrossRead::At(0),
+                6 => CrossRead::At(if backward { -1 } else { 1 }),
+                7 => CrossRead::Reverse,
+                8 => CrossRead::PrefixFirst,
+                9 => CrossRead::PrefixLast,
+                _ => continue,
+            };
+            reads.push((j, read));
+        }
+        units.push(ChainUnit {
+            backward: if below(8) == 0 { !backward } else { backward },
+            lo: if below(8) == 0 { 5 - lo } else { lo },
+            reads,
+            update_before: k > 0 && !units.iter().any(|u| u.update_before) && below(8) == 0,
+        });
+    }
+    units
+}
+
+/// The chains `compiled` merges, by unit name.
+fn merged_names(compiled: &Compiled) -> Vec<Vec<String>> {
+    use hac_core::pipeline::Unit;
+    compiled
+        .merges
+        .iter()
+        .map(|m| {
+            compiled.units[m.units.clone()]
+                .iter()
+                .map(|u| match u {
+                    Unit::Thunkless { name, .. } => name.clone(),
+                    other => panic!("a merge holds only thunkless units: {other:?}"),
+                })
+                .collect()
+        })
+        .collect()
+}
+
+fn chain_inputs() -> HashMap<String, ArrayBuf> {
+    HashMap::from([
+        ("u".to_string(), wl::random_vector(CHAIN_N + 1, 83)),
+        ("w".to_string(), wl::random_vector(2, 89)),
+    ])
+}
+
+/// Run `src`'s chain fused and unfused at 1, 2 and 4 threads on a full
+/// fuel ladder, a memory ladder and unlimited, demanding bit-identical
+/// outcomes; then the fallbacks. Returns how many merges compiled.
+fn diff_merges(label: &str, src: &str, want: Option<&[Vec<String>]>) -> usize {
+    use hac_core::pipeline::{run_units, ExecState};
+    let program = parse_program(src).unwrap_or_else(|e| panic!("{label}: {e}\n{src}"));
+    let env = ConstEnv::from_pairs([("n", CHAIN_N)]);
+    let plain = build(&program, &env, false);
+    let fused = build(&program, &env, true);
+    assert!(plain.merges.is_empty(), "{label}: --no-fuse never merges");
+    if let Some(want) = want {
+        assert_eq!(merged_names(&fused), want, "{label}\n{src}");
+    }
+    let merges = fused.merges.len() as u64;
+    let inputs = chain_inputs();
+    let funcs = FuncTable::new();
+    let run = |c: &Compiled, threads: usize, limits: Limits, faults: Option<FaultPlan>| {
+        let options = RunOptions {
+            threads: Some(threads),
+            limits,
+            faults,
+            ceiling: None,
+        };
+        run_with_options(c, &inputs, &funcs, &options)
+    };
+    // The fused build through `run_units`, which leaves the count of
+    // merges taken in its state even when the run fails.
+    let run_fused = |threads: usize, limits: Limits| {
+        let options = RunOptions {
+            threads: Some(threads),
+            limits,
+            faults: None,
+            ceiling: None,
+        };
+        let mut state = ExecState::default();
+        let mut meter = Meter::new(limits);
+        let all = 0..fused.units.len();
+        let r = run_units(
+            &fused, all, &mut state, &inputs, &funcs, &options, &mut meter,
+        );
+        let merged = state.merged_loops;
+        (r.map(|()| state.into_output(&meter)), merged)
+    };
+    let oracle = run(&plain, 1, Limits::unlimited(), None).unwrap();
+    let total_fuel = oracle.counters.vm.loop_iterations;
+    let mut ladder: Vec<Limits> = (0..=total_fuel + 1).map(fuel).collect();
+    ladder.extend((0..=80).map(|k| mem(k * 8)));
+    ladder.push(Limits::unlimited());
+    // Rungs that took every merge, and rungs too short for some chain,
+    // which must have run its units one by one.
+    let (mut merged_runs, mut short_runs) = (0, 0);
+    for limits in ladder {
+        let want = snapshot(&run(&plain, 1, limits, None));
+        for threads in [1, 2, 4] {
+            let p = run(&plain, threads, limits, None);
+            let (f, merged) = run_fused(threads, limits);
+            let ctx = format!("{label} {limits:?} @{threads}t\n{src}");
+            assert_eq!(snapshot(&p), want, "unfused: {ctx}");
+            assert_eq!(snapshot(&f), want, "fused: {ctx}");
+            if merged == merges {
+                merged_runs += 1;
+            } else {
+                short_runs += 1;
+            }
+        }
+    }
+    if merges > 0 {
+        assert!(merged_runs > 0, "{label}: no rung ran the merge");
+        assert!(short_runs > 0, "{label}: no rung was too short for a chain");
+    }
+    let want = snapshot(&Ok(oracle));
+    // An active fault plan runs every unit on its own; the empty plan
+    // is no plan at all.
+    for threads in [1, 2, 4] {
+        let faulted = run(
+            &fused,
+            threads,
+            Limits::unlimited(),
+            Some(FaultPlan::parse("r0c0:panic,r1c1:allocfail").unwrap()),
+        );
+        assert_eq!(snapshot(&faulted), want, "{label} faulted @{threads}t");
+        assert_eq!(faulted.unwrap().merged_loops, 0, "{label}: fault plan");
+        let empty = run(
+            &fused,
+            threads,
+            Limits::unlimited(),
+            Some(FaultPlan::default()),
+        );
+        assert_eq!(empty.unwrap().merged_loops, merges, "{label}: empty plan");
+    }
+    // Every split of the unit range: a merge runs only when one of the
+    // two ranges holds its whole chain.
+    let len = fused.units.len();
+    for split in 0..=len {
+        let mut state = ExecState::default();
+        let mut meter = Meter::new(Limits::unlimited());
+        let options = RunOptions::default();
+        let out = run_units(
+            &fused,
+            0..split,
+            &mut state,
+            &inputs,
+            &funcs,
+            &options,
+            &mut meter,
+        )
+        .and_then(|()| {
+            run_units(
+                &fused,
+                split..len,
+                &mut state,
+                &inputs,
+                &funcs,
+                &options,
+                &mut meter,
+            )
+        })
+        .map(|()| state.into_output(&meter));
+        let whole = fused
+            .merges
+            .iter()
+            .filter(|m| m.units.end <= split || m.units.start >= split)
+            .count() as u64;
+        assert_eq!(snapshot(&out), want, "{label} split at {split}");
+        assert_eq!(out.unwrap().merged_loops, whole, "{label} split at {split}");
+    }
+    fused.merges.len()
+}
+
+fn unit(backward: bool, lo: i64, reads: &[(usize, CrossRead)]) -> ChainUnit {
+    ChainUnit {
+        backward,
+        lo,
+        reads: reads.to_vec(),
+        update_before: false,
+    }
+}
+
+/// Each legality rule on its own: what merges, what does not, and the
+/// same bits either way.
+#[test]
+fn chains_merge_exactly_where_every_read_is_forward() {
+    use CrossRead::{At, PrefixFirst, PrefixLast, Reverse};
+    let merged = |names: &[&[&str]]| -> Vec<Vec<String>> {
+        names
+            .iter()
+            .map(|c| c.iter().map(ToString::to_string).collect())
+            .collect()
+    };
+    let cases = vec![
+        (
+            "distance 1, as tridiag",
+            vec![unit(false, 2, &[]), unit(false, 2, &[(0, At(-1))])],
+            merged(&[&["a0", "a1"]]),
+        ),
+        (
+            "distance 0 keeps chain order",
+            vec![
+                unit(false, 2, &[]),
+                unit(false, 2, &[(0, At(0)), (0, At(-1))]),
+            ],
+            merged(&[&["a0", "a1"]]),
+        ),
+        (
+            "three units, backward",
+            vec![
+                unit(true, 2, &[]),
+                unit(true, 2, &[(0, At(1))]),
+                unit(true, 2, &[(0, At(0)), (1, At(1))]),
+            ],
+            merged(&[&["a0", "a1", "a2"]]),
+        ),
+        (
+            "prefix reads a prefix cell",
+            vec![unit(false, 3, &[]), unit(false, 3, &[(0, PrefixFirst)])],
+            merged(&[&["a0", "a1"]]),
+        ),
+        (
+            "negative distance",
+            vec![unit(false, 2, &[]), unit(false, 2, &[(0, At(1))])],
+            merged(&[]),
+        ),
+        (
+            "negative distance, backward",
+            vec![unit(true, 2, &[]), unit(true, 2, &[(0, At(-1))])],
+            merged(&[]),
+        ),
+        (
+            "earlier and later iterations",
+            vec![unit(false, 2, &[]), unit(false, 2, &[(0, Reverse)])],
+            merged(&[]),
+        ),
+        (
+            "prefix reads a loop cell",
+            vec![unit(false, 2, &[]), unit(false, 2, &[(0, PrefixLast)])],
+            merged(&[]),
+        ),
+        (
+            "opposite directions",
+            vec![unit(false, 2, &[]), unit(true, 2, &[])],
+            merged(&[]),
+        ),
+        (
+            "unequal ranges",
+            vec![unit(false, 2, &[]), unit(false, 3, &[(0, At(-1))])],
+            merged(&[]),
+        ),
+        (
+            "a bigupd in between",
+            vec![
+                unit(false, 2, &[]),
+                ChainUnit {
+                    update_before: true,
+                    ..unit(false, 2, &[(0, At(-1))])
+                },
+            ],
+            merged(&[]),
+        ),
+        (
+            "an illegal third unit starts afresh",
+            vec![
+                unit(false, 2, &[]),
+                unit(false, 2, &[(0, At(-1))]),
+                unit(false, 2, &[(1, At(1))]),
+            ],
+            merged(&[&["a0", "a1"]]),
+        ),
+    ];
+    for (label, units, want) in cases {
+        assert_eq!(expected_merges(&units), want, "{label}: the oracle");
+        diff_merges(label, &chain_source(&units), Some(&want));
+    }
+}
+
+/// The shipped Thomas solve: its `cp` and `dp` sweeps merge, and every
+/// fallback matches the unfused bits.
+#[test]
+fn thomas_sweeps_merge_without_observable_change() {
+    // The chain harness's inputs stand in for `d`.
+    let src = include_str!("../programs/tridiag.hac")
+        .replace("input d (1,n);", "input u (1,n+1);\ninput w (1,2);")
+        .replace("d!", "u!");
+    let want = [vec!["cp".to_string(), "dp".to_string()]];
+    assert_eq!(diff_merges("tridiag", &src, Some(&want)), 1);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Random chains of two or three recurrences, legal and illegal
+    /// merges alike: the planner merges exactly what the rule allows,
+    /// and nothing observable changes.
+    #[test]
+    fn random_chains_merge_without_observable_change(seed in any::<u64>()) {
+        let units = random_chain(&mut wl::XorShift::new(seed | 1));
+        let want = expected_merges(&units);
+        diff_merges(&format!("seed {seed}"), &chain_source(&units), Some(&want));
+    }
 }

@@ -52,7 +52,7 @@ struct Prog {
     max_elems: u64,
 }
 
-const PROGS: [Prog; 3] = [
+const PROGS: [Prog; 4] = [
     Prog {
         path: "programs/incremental/jacobi_poke.hac",
         base: &[("n", 6), ("ui", 3), ("uj", 4), ("uv", 55)],
@@ -62,6 +62,14 @@ const PROGS: [Prog; 3] = [
     },
     Prog {
         path: "programs/incremental/band_poke.hac",
+        base: &[("n", 8), ("lo", 3), ("hi", 5), ("uv", 70)],
+        slide: &[("n", 8), ("lo", 2), ("hi", 7), ("uv", 10)],
+        delta_capable: true,
+        max_elems: 8,
+    },
+    // Its prefix's `cp` and `dp` sweeps run as one merged loop.
+    Prog {
+        path: "programs/incremental/thomas_poke.hac",
         base: &[("n", 8), ("lo", 3), ("hi", 5), ("uv", 70)],
         slide: &[("n", 8), ("lo", 2), ("hi", 7), ("uv", 10)],
         delta_capable: true,
@@ -166,7 +174,7 @@ fn warm_serving_is_byte_identical_to_cold_across_engines_threads_and_fusion() {
 /// remaining fuel match the cold run at every rung.
 #[test]
 fn limit_ladders_match_cold_outcomes_byte_for_byte() {
-    for prog in &PROGS[..2] {
+    for prog in PROGS.iter().filter(|p| p.delta_capable) {
         let src = std::fs::read_to_string(prog.path).expect(prog.path);
         for fuel in [0u64, 1, 2, 4, 8, 12, 20, 40, 100, 10_000] {
             let warm = Server::new(opts(Engine::Tape, 2, true, 256));
@@ -199,6 +207,57 @@ fn limit_ladders_match_cold_outcomes_byte_for_byte() {
             assert_same_outcome(&w, &c, &format!("{} mem={mem}", prog.path));
         }
     }
+}
+
+/// A family prefix holding a merged loop: the delta split falls after
+/// the chain, so filling the prefix runs the merge and the delta runs
+/// only the update; a range that did split the chain would run its
+/// units one by one. Both end bit-identical to a cold full run.
+#[test]
+fn the_delta_split_never_splits_a_merged_loop() {
+    use hac::core::pipeline::{compile, run_units, CompileOptions, ExecState, RunOptions};
+    use hac::lang::parser::parse_program;
+    use hac::lang::ConstEnv;
+    use hac_runtime::governor::Meter;
+    use hac_runtime::value::FuncTable;
+
+    let src = std::fs::read_to_string("programs/incremental/thomas_poke.hac").expect("thomas_poke");
+    let program = parse_program(&src).unwrap();
+    let env = ConstEnv::from_pairs([("n", 8), ("lo", 2), ("hi", 7), ("uv", 10)]);
+    let compiled = compile(&program, &env, &CompileOptions::default()).unwrap();
+    let last = compiled.units.len() - 1;
+    assert!(compiled.delta.is_some(), "a trailing delta-capable bigupd");
+    assert_eq!(compiled.merges.len(), 1, "cp and dp merge");
+    assert!(compiled.merges.iter().all(|m| m.units.end <= last));
+    let inputs =
+        std::collections::HashMap::from([("d".to_string(), hac_workloads::random_vector(8, 97))]);
+    let funcs = FuncTable::new();
+    let options = RunOptions::default();
+    let split_run = |split: usize| {
+        let mut state = ExecState::default();
+        let mut meter = Meter::default();
+        for range in [0..split, split..compiled.units.len()] {
+            run_units(
+                &compiled, range, &mut state, &inputs, &funcs, &options, &mut meter,
+            )
+            .unwrap();
+        }
+        state
+    };
+    let whole = split_run(compiled.units.len());
+    for split in 0..=compiled.units.len() {
+        let state = split_run(split);
+        assert_eq!(state.arrays, whole.arrays, "split at {split}");
+        assert_eq!(state.counters, whole.counters, "split at {split}");
+        let merge = &compiled.merges[0].units;
+        let kept = split <= merge.start || split >= merge.end;
+        assert_eq!(state.merged_loops, u64::from(kept), "split at {split}");
+    }
+    assert_eq!(
+        split_run(last).merged_loops,
+        1,
+        "the delta split keeps the chain"
+    );
 }
 
 /// Overlapping update clauses write the same cell twice. Whatever the
