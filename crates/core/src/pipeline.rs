@@ -30,13 +30,12 @@ use hac_lang::ast::{ArrayDef, ArrayKind, Binding, ClauseId, Comp, Program};
 use hac_lang::env::ConstEnv;
 use hac_lang::number::number_comp;
 use hac_lang::Affine;
-use hac_runtime::accum::eval_accum_with_scalars;
+use hac_runtime::accum::eval_accum;
 use hac_runtime::error::RuntimeError;
 use hac_runtime::governor::{FaultPlan, Limits, Meter, SharedCeiling};
-use hac_runtime::group::ThunkedGroup;
+use hac_runtime::group::{ThunkedCounters, ThunkedGroup};
 use hac_runtime::reduce::eval_reduce;
-use hac_runtime::thunked::ThunkedCounters;
-use hac_runtime::value::{ArrayBuf, FuncTable};
+use hac_runtime::value::{ArrayBuf, FuncTable, XorShift};
 use hac_schedule::plan::ScheduleOutcome;
 use hac_schedule::scheduler::schedule;
 use hac_schedule::split::plan_update;
@@ -1339,7 +1338,7 @@ pub fn run_units(
                 // exact balance at the failure point.
                 let meter_cell = RefCell::new(std::mem::take(meter));
                 let results = (|| {
-                    let group = ThunkedGroup::build_metered(
+                    let group = ThunkedGroup::build(
                         &triples,
                         &compiled.env,
                         &scalars,
@@ -1367,7 +1366,7 @@ pub fn run_units(
                 else {
                     unreachable!("accum unit holds accumulated def")
                 };
-                let buf = eval_accum_with_scalars(
+                let buf = eval_accum(
                     &def.name,
                     bounds,
                     &def.comp,
@@ -1437,6 +1436,26 @@ fn add_vm(a: VmCounters, b: VmCounters) -> VmCounters {
         tape_ops: a.tape_ops + b.tape_ops,
         engine_faults: a.engine_faults + b.engine_faults,
     }
+}
+
+/// Allocate the `input` arrays of `compiled`, filled deterministically
+/// from `seed` with values rounded to one decimal in `[0, 10)`, or left
+/// zero when `seed` is `None`.
+pub fn fill_inputs(compiled: &Compiled, seed: Option<u64>) -> HashMap<String, ArrayBuf> {
+    let mut rng = seed.map(XorShift::new);
+    let mut out = HashMap::new();
+    for unit in &compiled.units {
+        if let Unit::Input { name, bounds } = unit {
+            let mut buf = ArrayBuf::new(bounds, 0.0);
+            if let Some(rng) = rng.as_mut() {
+                for v in buf.data_mut() {
+                    *v = (rng.next_f64() * 10.0).round() / 10.0;
+                }
+            }
+            out.insert(name.clone(), buf);
+        }
+    }
+    out
 }
 
 /// Convenience: parse, compile, and run in one call.

@@ -9,13 +9,17 @@
 
 use std::collections::HashMap;
 
-use hac_lang::ast::{ArrayKind, BinOp, Comp, Expr};
+use hac_lang::ast::{BinOp, Comp, Expr};
 use hac_lang::env::ConstEnv;
 
 use crate::error::RuntimeError;
-use crate::value::{apply_bin, as_int, eval_expr, ArrayBuf, FuncTable, MapReader, Scalars};
+use crate::value::{apply_bin, ArrayBuf, FuncTable};
+use crate::walk::Scope;
 
-/// Evaluate an accumulated array strictly.
+/// Evaluate an accumulated array strictly: `default` everywhere, then
+/// each instance's value combined into its element with `combine`.
+/// `extra_scalars` are runtime bindings beyond `params` (e.g. earlier
+/// reduction results).
 ///
 /// # Errors
 /// Out-of-bounds definitions and any evaluation failure.
@@ -27,152 +31,19 @@ pub fn eval_accum(
     combine: BinOp,
     default: &Expr,
     params: &ConstEnv,
-    others: &HashMap<String, ArrayBuf>,
-    funcs: &FuncTable,
-) -> Result<ArrayBuf, RuntimeError> {
-    eval_accum_with_scalars(
-        name,
-        bounds,
-        comp,
-        combine,
-        default,
-        params,
-        &[],
-        others,
-        funcs,
-    )
-}
-
-/// [`eval_accum`] with extra runtime scalar bindings.
-#[allow(clippy::too_many_arguments)]
-pub fn eval_accum_with_scalars(
-    name: &str,
-    bounds: &[(i64, i64)],
-    comp: &Comp,
-    combine: BinOp,
-    default: &Expr,
-    params: &ConstEnv,
     extra_scalars: &[(String, f64)],
     others: &HashMap<String, ArrayBuf>,
     funcs: &FuncTable,
 ) -> Result<ArrayBuf, RuntimeError> {
-    let mut scalars = Scalars::new();
-    for (p, v) in params.iter() {
-        scalars.push(p, v as f64);
-    }
-    for (n, v) in extra_scalars {
-        scalars.push(n.clone(), *v);
-    }
-    let z = {
-        let mut reader = MapReader::new(others);
-        eval_expr(default, &mut scalars, &mut reader, funcs)?
-    };
-    let mut buf = ArrayBuf::new(bounds, z);
-    walk(name, &mut buf, comp, combine, &mut scalars, others, funcs)?;
+    let mut scope = Scope::new(params, extra_scalars, others, funcs);
+    let mut buf = ArrayBuf::new(bounds, scope.eval(default)?);
+    scope.for_each_instance(comp, &mut |clause, scope| {
+        let idx = scope.subscript(name, &clause.subs)?;
+        let v = scope.eval(&clause.value)?;
+        let old = buf.get(name, &idx)?;
+        buf.set(name, &idx, apply_bin(combine, old, v))
+    })?;
     Ok(buf)
-}
-
-fn walk(
-    name: &str,
-    buf: &mut ArrayBuf,
-    comp: &Comp,
-    combine: BinOp,
-    scalars: &mut Scalars,
-    others: &HashMap<String, ArrayBuf>,
-    funcs: &FuncTable,
-) -> Result<(), RuntimeError> {
-    match comp {
-        Comp::Append(cs) => {
-            for c in cs {
-                walk(name, buf, c, combine, scalars, others, funcs)?;
-            }
-            Ok(())
-        }
-        Comp::Gen {
-            var, range, body, ..
-        } => {
-            let mut reader = MapReader::new(others);
-            let lo = eval_expr(&range.lo, scalars, &mut reader, funcs)? as i64;
-            let hi = eval_expr(&range.hi, scalars, &mut reader, funcs)? as i64;
-            let step = range.step;
-            let mut i = lo;
-            loop {
-                if (step > 0 && i > hi) || (step < 0 && i < hi) {
-                    break;
-                }
-                scalars.push(var.clone(), i as f64);
-                walk(name, buf, body, combine, scalars, others, funcs)?;
-                scalars.pop();
-                i += step;
-            }
-            Ok(())
-        }
-        Comp::Guard { cond, body } => {
-            let mut reader = MapReader::new(others);
-            if eval_expr(cond, scalars, &mut reader, funcs)? != 0.0 {
-                walk(name, buf, body, combine, scalars, others, funcs)?;
-            }
-            Ok(())
-        }
-        Comp::Let { binds, body } => {
-            let depth = scalars.depth();
-            for (n, e) in binds {
-                let mut reader = MapReader::new(others);
-                let v = eval_expr(e, scalars, &mut reader, funcs)?;
-                scalars.push(n.clone(), v);
-            }
-            walk(name, buf, body, combine, scalars, others, funcs)?;
-            scalars.truncate(depth);
-            Ok(())
-        }
-        Comp::Clause(sv) => {
-            let mut idx = Vec::with_capacity(sv.subs.len());
-            for s in &sv.subs {
-                let mut reader = MapReader::new(others);
-                let v = eval_expr(s, scalars, &mut reader, funcs)?;
-                idx.push(as_int(name, v)?);
-            }
-            let mut reader = MapReader::new(others);
-            let v = eval_expr(&sv.value, scalars, &mut reader, funcs)?;
-            let old = buf.get(name, &idx)?;
-            buf.set(name, &idx, apply_bin(combine, old, v))?;
-            Ok(())
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-/// Convenience: evaluate an [`hac_lang::ast::ArrayDef`] with
-/// `ArrayKind::Accumulated`.
-///
-/// # Errors
-/// As [`eval_accum`]; also fails on non-constant bounds.
-pub fn eval_accum_def(
-    def: &hac_lang::ast::ArrayDef,
-    params: &ConstEnv,
-    others: &HashMap<String, ArrayBuf>,
-    funcs: &FuncTable,
-) -> Result<ArrayBuf, RuntimeError> {
-    let ArrayKind::Accumulated {
-        combine, default, ..
-    } = &def.kind
-    else {
-        panic!("eval_accum_def requires an accumulated array");
-    };
-    let mut scalars = Scalars::new();
-    for (p, v) in params.iter() {
-        scalars.push(p, v as f64);
-    }
-    let mut bounds = Vec::with_capacity(def.bounds.len());
-    for (lo, hi) in &def.bounds {
-        let mut reader = MapReader::new(others);
-        let l = eval_expr(lo, &mut scalars, &mut reader, funcs)? as i64;
-        let h = eval_expr(hi, &mut scalars, &mut reader, funcs)? as i64;
-        bounds.push((l, h));
-    }
-    eval_accum(
-        &def.name, &bounds, &def.comp, *combine, default, params, others, funcs,
-    )
 }
 
 #[cfg(test)]
@@ -187,7 +58,18 @@ mod tests {
         let env = ConstEnv::from_pairs([("n", n)]);
         let others = HashMap::new();
         let funcs = FuncTable::new();
-        eval_accum("h", bounds, &c, op, &Expr::num(z), &env, &others, &funcs).unwrap()
+        eval_accum(
+            "h",
+            bounds,
+            &c,
+            op,
+            &Expr::num(z),
+            &env,
+            &[],
+            &others,
+            &funcs,
+        )
+        .unwrap()
     }
 
     #[test]
@@ -226,5 +108,31 @@ mod tests {
     fn collisions_are_not_errors() {
         let h = accum("[ 1 := 1.0 | i <- [1..n] ]", 5, &[(1, 2)], BinOp::Add, 0.0);
         assert_eq!(h.data(), &[5.0, 0.0]);
+    }
+
+    #[test]
+    fn non_integer_generator_bounds_are_errors() {
+        let mut c = parse_comp("[ 1 := 1.0 | j <- [1..s] ]").unwrap();
+        number_clauses(&mut c);
+        let (others, funcs) = (HashMap::new(), FuncTable::new());
+        for s in [2.5, f64::NAN, f64::INFINITY] {
+            let scalars = [("s".to_string(), s)];
+            let err = eval_accum(
+                "h",
+                &[(1, 1)],
+                &c,
+                BinOp::Add,
+                &Expr::num(0.0),
+                &ConstEnv::new(),
+                &scalars,
+                &others,
+                &funcs,
+            )
+            .unwrap_err();
+            assert!(
+                matches!(&err, RuntimeError::NonIntegerBound { var, .. } if var == "j"),
+                "s = {s}: {err}"
+            );
+        }
     }
 }

@@ -1,44 +1,73 @@
-//! Mutually recursive `letrec*` groups of thunked arrays (§2).
+//! The thunked (non-strict) reference evaluator (§2): `letrec*`
+//! groups of arrays whose elements evaluate on demand. Its results are
+//! the semantic ground truth for the compiled pipeline.
 //!
 //! `letrec*` can "introduce multiple mutually recursive bindings by
 //! treating x as a tuple". A [`ThunkedGroup`] evaluates such a binding
-//! group: every member's elements are thunks, and a demand on any
-//! member may transitively demand cells of any other member. Forcing
-//! the group realizes the strict context for all members at once.
+//! group; a lone array is a group of one. Every element is a *thunk*:
+//! its clause's value expression plus a snapshot of the enclosing
+//! scalar bindings, evaluated on demand and memoized. A demand on any
+//! member may transitively demand cells of any other member; a cell
+//! demanded while it is being evaluated is ⊥ (black-holing detects the
+//! cycle). [`ThunkedGroup::force_elements`] realizes the paper's
+//! strict context for all members at once.
+//!
+//! Costs are instrumented ([`ThunkedCounters`]): thunk allocations,
+//! demands, and memo hits — the quantities the thunkless pipeline is
+//! benchmarked against (experiments E3/E4).
+//!
+//! Limitations (checked at runtime): subscripts, guards, generator
+//! bounds and comprehension-path `let` bindings are evaluated eagerly
+//! while the subscript/value pairs are collected, so they must not
+//! reference group members; only element *values* are non-strict.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::rc::Rc;
 
 use hac_lang::ast::{Comp, Expr};
 use hac_lang::env::ConstEnv;
 
 use crate::error::RuntimeError;
 use crate::governor::Meter;
-use crate::thunked::{thunk_spine_bytes, ThunkedCounters};
-use crate::value::{as_int, eval_expr, ArrayBuf, ArrayReader, FuncTable, MapReader, Scalars};
+use crate::value::{eval_expr, ArrayBuf, ArrayReader, FuncTable, Scalars};
+use crate::walk::Scope;
 
-#[derive(Debug, Clone)]
-enum Cell {
+/// Metered bytes for one thunk's spine: the cell discriminant plus the
+/// shared value-expression handle (a fixed overhead) and the captured
+/// scalar snapshot (name handle + value per binding). A *model*, not a
+/// `size_of` — the figure is fixed so the charge sequence is
+/// deterministic.
+pub fn thunk_spine_bytes(captured_scalars: usize) -> u64 {
+    32 + 16 * captured_scalars as u64
+}
+
+/// Instrumentation for the thunked strategy.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ThunkedCounters {
+    /// Thunks allocated while collecting subscript/value pairs.
+    pub thunks_allocated: u64,
+    /// Cell demands (including recursive ones).
+    pub demands: u64,
+    /// Demands answered from the memoized value.
+    pub memo_hits: u64,
+}
+
+#[derive(Debug)]
+enum Cell<'a> {
     Empty,
-    Thunk(usize),
+    /// A clause's value expression and the scalars captured at its
+    /// instance.
+    Thunk(&'a Expr, Vec<(String, f64)>),
     Evaluating,
     Value(f64),
 }
 
 #[derive(Debug)]
-struct Thunk {
-    value: Rc<Expr>,
-    scalars: Vec<(String, f64)>,
-}
-
-#[derive(Debug)]
-struct Member {
+struct Member<'a> {
     name: String,
-    bounds: Vec<(i64, i64)>,
+    /// The member's shape; it becomes the strict buffer.
     shape: ArrayBuf,
-    cells: RefCell<Vec<Cell>>,
-    thunks: Vec<Thunk>,
+    cells: RefCell<Vec<Cell<'a>>>,
 }
 
 /// One group member: `(name, bounds, comprehension)`.
@@ -46,7 +75,7 @@ pub type GroupDef<'d> = (&'d str, Vec<(i64, i64)>, &'d Comp);
 
 /// A group of mutually recursive thunked arrays.
 pub struct ThunkedGroup<'a> {
-    members: Vec<Member>,
+    members: Vec<Member<'a>>,
     others: &'a HashMap<String, ArrayBuf>,
     funcs: &'a FuncTable,
     counters: RefCell<ThunkedCounters>,
@@ -57,190 +86,74 @@ pub struct ThunkedGroup<'a> {
 
 impl std::fmt::Debug for ThunkedGroup<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let names: Vec<&str> = self.members.iter().map(|m| m.name.as_str()).collect();
         f.debug_struct("ThunkedGroup")
-            .field(
-                "members",
-                &self
-                    .members
-                    .iter()
-                    .map(|m| m.name.as_str())
-                    .collect::<Vec<_>>(),
-            )
+            .field("members", &names)
             .field("counters", &self.counters.borrow())
             .finish()
     }
 }
 
 impl<'a> ThunkedGroup<'a> {
-    /// Build a group from `(name, bounds, comprehension)` triples.
+    /// Collect the subscript/value pairs of every member's
+    /// comprehension into thunked cells. Scalars in scope are `params`,
+    /// then `extra_scalars` (e.g. earlier reduction results). A `meter`
+    /// is charged spine bytes per allocated thunk now, and one fuel
+    /// unit per thunk forced later (the non-strict analog of the
+    /// compiled engines' per-iteration charge).
     ///
     /// # Errors
-    /// Collisions, out-of-bounds definitions, and eager-evaluation
-    /// failures while collecting pairs (subscripts/guards/bounds may
-    /// not reference group members).
+    /// Collisions, out-of-bounds definitions, eager-evaluation failures
+    /// (subscripts/guards/bounds may not reference group members), and
+    /// budget exhaustion.
     pub fn build(
-        defs: &[GroupDef<'_>],
-        params: &ConstEnv,
-        others: &'a HashMap<String, ArrayBuf>,
-        funcs: &'a FuncTable,
-    ) -> Result<ThunkedGroup<'a>, RuntimeError> {
-        ThunkedGroup::build_with_scalars(defs, params, &[], others, funcs)
-    }
-
-    /// [`ThunkedGroup::build`] with extra runtime scalar bindings
-    /// (e.g. earlier reduction results).
-    pub fn build_with_scalars(
-        defs: &[GroupDef<'_>],
-        params: &ConstEnv,
-        extra_scalars: &[(String, f64)],
-        others: &'a HashMap<String, ArrayBuf>,
-        funcs: &'a FuncTable,
-    ) -> Result<ThunkedGroup<'a>, RuntimeError> {
-        ThunkedGroup::build_metered(defs, params, extra_scalars, others, funcs, None)
-    }
-
-    /// [`ThunkedGroup::build_with_scalars`] charging a shared
-    /// [`Meter`]: spine bytes per allocated thunk during collection,
-    /// one fuel unit per thunk forced later (the non-strict analog of
-    /// the compiled engines' per-iteration charge).
-    ///
-    /// # Errors
-    /// As [`ThunkedGroup::build_with_scalars`], plus budget exhaustion.
-    pub fn build_metered(
-        defs: &[GroupDef<'_>],
+        defs: &[GroupDef<'a>],
         params: &ConstEnv,
         extra_scalars: &[(String, f64)],
         others: &'a HashMap<String, ArrayBuf>,
         funcs: &'a FuncTable,
         meter: Option<&'a RefCell<Meter>>,
     ) -> Result<ThunkedGroup<'a>, RuntimeError> {
-        let mut group = ThunkedGroup {
-            members: Vec::new(),
-            others,
-            funcs,
-            counters: RefCell::new(ThunkedCounters::default()),
-            meter,
-        };
-        for (name, bounds, _) in defs {
+        let mut members = Vec::with_capacity(defs.len());
+        let mut thunks_allocated = 0;
+        for &(name, ref bounds, comp) in defs {
             let shape = ArrayBuf::new(bounds, 0.0);
-            group.members.push(Member {
-                name: name.to_string(),
-                bounds: bounds.clone(),
-                cells: RefCell::new(vec![Cell::Empty; shape.len()]),
-                shape,
-                thunks: Vec::new(),
-            });
-        }
-        for (m, (_, _, comp)) in defs.iter().enumerate() {
-            let mut scalars = Scalars::new();
-            for (p, v) in params.iter() {
-                scalars.push(p, v as f64);
-            }
-            for (n, v) in extra_scalars {
-                scalars.push(n.clone(), *v);
-            }
-            let mut values: HashMap<u32, Rc<Expr>> = HashMap::new();
-            comp.walk(&mut |c| {
-                if let Comp::Clause(sv) = c {
-                    values.insert(sv.id.0, Rc::new(sv.value.clone()));
-                }
-            });
-            group.collect(m, comp, &mut scalars, &values)?;
-        }
-        Ok(group)
-    }
-
-    fn collect(
-        &mut self,
-        m: usize,
-        comp: &Comp,
-        scalars: &mut Scalars,
-        values: &HashMap<u32, Rc<Expr>>,
-    ) -> Result<(), RuntimeError> {
-        match comp {
-            Comp::Append(cs) => {
-                for c in cs {
-                    self.collect(m, c, scalars, values)?;
-                }
-                Ok(())
-            }
-            Comp::Gen {
-                var, range, body, ..
-            } => {
-                let mut reader = MapReader::new(self.others);
-                let lo = eval_expr(&range.lo, scalars, &mut reader, self.funcs)?;
-                let hi = eval_expr(&range.hi, scalars, &mut reader, self.funcs)?;
-                if lo.fract() != 0.0 || hi.fract() != 0.0 {
-                    return Err(RuntimeError::NonIntegerBound {
-                        var: var.clone(),
-                        value: if lo.fract() != 0.0 { lo } else { hi },
-                    });
-                }
-                let (lo, hi, step) = (lo as i64, hi as i64, range.step);
-                let mut i = lo;
-                loop {
-                    if (step > 0 && i > hi) || (step < 0 && i < hi) {
-                        break;
-                    }
-                    scalars.push(var.clone(), i as f64);
-                    self.collect(m, body, scalars, values)?;
-                    scalars.pop();
-                    i += step;
-                }
-                Ok(())
-            }
-            Comp::Guard { cond, body } => {
-                let mut reader = MapReader::new(self.others);
-                if eval_expr(cond, scalars, &mut reader, self.funcs)? != 0.0 {
-                    self.collect(m, body, scalars, values)?;
-                }
-                Ok(())
-            }
-            Comp::Let { binds, body } => {
-                let depth = scalars.depth();
-                for (n, e) in binds {
-                    let mut reader = MapReader::new(self.others);
-                    let v = eval_expr(e, scalars, &mut reader, self.funcs)?;
-                    scalars.push(n.clone(), v);
-                }
-                self.collect(m, body, scalars, values)?;
-                scalars.truncate(depth);
-                Ok(())
-            }
-            Comp::Clause(sv) => {
-                let mut idx = Vec::with_capacity(sv.subs.len());
-                for s in &sv.subs {
-                    let mut reader = MapReader::new(self.others);
-                    let v = eval_expr(s, scalars, &mut reader, self.funcs)?;
-                    idx.push(as_int(&self.members[m].name, v)?);
-                }
-                let member = &mut self.members[m];
-                let off = member.shape.offset(&idx).ok_or(RuntimeError::OutOfBounds {
-                    array: member.name.clone(),
-                    index: idx.clone(),
-                    bounds: member.bounds.clone(),
-                })?;
-                let mut cells = member.cells.borrow_mut();
-                if !matches!(cells[off], Cell::Empty) {
+            let mut cells: Vec<Cell<'a>> = (0..shape.len()).map(|_| Cell::Empty).collect();
+            let mut scope = Scope::new(params, extra_scalars, others, funcs);
+            scope.for_each_instance(comp, &mut |clause, scope| {
+                let idx = scope.subscript(name, &clause.subs)?;
+                let cell = &mut cells[offset(name, &shape, &idx)?];
+                if !matches!(cell, Cell::Empty) {
                     return Err(RuntimeError::WriteCollision {
-                        array: member.name.clone(),
+                        array: name.to_string(),
                         index: idx,
                     });
                 }
-                let snap = scalars.snapshot();
-                if let Some(m) = self.meter {
-                    m.borrow_mut().charge_mem(thunk_spine_bytes(snap.len()))?;
+                let captured = scope.snapshot();
+                if let Some(m) = meter {
+                    m.borrow_mut()
+                        .charge_mem(thunk_spine_bytes(captured.len()))?;
                 }
-                let tid = member.thunks.len();
-                member.thunks.push(Thunk {
-                    value: Rc::clone(&values[&sv.id.0]),
-                    scalars: snap,
-                });
-                cells[off] = Cell::Thunk(tid);
-                self.counters.borrow_mut().thunks_allocated += 1;
+                *cell = Cell::Thunk(&clause.value, captured);
+                thunks_allocated += 1;
                 Ok(())
-            }
+            })?;
+            members.push(Member {
+                name: name.to_string(),
+                shape,
+                cells: RefCell::new(cells),
+            });
         }
+        Ok(ThunkedGroup {
+            members,
+            others,
+            funcs,
+            counters: RefCell::new(ThunkedCounters {
+                thunks_allocated,
+                ..ThunkedCounters::default()
+            }),
+            meter,
+        })
     }
 
     fn member_of(&self, name: &str) -> Option<usize> {
@@ -255,64 +168,67 @@ impl<'a> ThunkedGroup<'a> {
         let m = self
             .member_of(name)
             .ok_or_else(|| RuntimeError::UnboundArray(name.to_string()))?;
-        let member = &self.members[m];
-        let off = member.shape.offset(idx).ok_or(RuntimeError::OutOfBounds {
-            array: name.to_string(),
-            index: idx.to_vec(),
-            bounds: member.bounds.clone(),
-        })?;
+        let off = offset(name, &self.members[m].shape, idx)?;
         self.demand_off(m, off, idx)
     }
 
     fn demand_off(&self, m: usize, off: usize, idx: &[i64]) -> Result<f64, RuntimeError> {
         self.counters.borrow_mut().demands += 1;
         let member = &self.members[m];
-        let state = member.cells.borrow()[off].clone();
-        match state {
+        let mut cells = member.cells.borrow_mut();
+        match cells[off] {
             Cell::Value(v) => {
                 self.counters.borrow_mut().memo_hits += 1;
-                Ok(v)
+                return Ok(v);
             }
-            Cell::Evaluating => Err(RuntimeError::Bottom {
-                array: member.name.clone(),
-                index: idx.to_vec(),
-            }),
-            Cell::Empty => Err(RuntimeError::UndefinedElement {
-                array: member.name.clone(),
-                index: idx.to_vec(),
-            }),
-            Cell::Thunk(tid) => {
-                // One fuel unit per *forced* thunk — the demand-driven
-                // counterpart of a taken loop iteration.
-                if let Some(m) = self.meter {
-                    m.borrow_mut().charge_fuel()?;
-                }
-                member.cells.borrow_mut()[off] = Cell::Evaluating;
-                let thunk = &member.thunks[tid];
-                let mut scalars = Scalars::new();
-                for (n, v) in &thunk.scalars {
-                    scalars.push(n.clone(), *v);
-                }
-                let expr = Rc::clone(&thunk.value);
-                let mut reader = GroupReader { group: self };
-                let v = eval_expr(&expr, &mut scalars, &mut reader, self.funcs)?;
-                member.cells.borrow_mut()[off] = Cell::Value(v);
-                Ok(v)
+            Cell::Evaluating => {
+                return Err(RuntimeError::Bottom {
+                    array: member.name.clone(),
+                    index: idx.to_vec(),
+                })
             }
+            Cell::Empty => {
+                return Err(RuntimeError::UndefinedElement {
+                    array: member.name.clone(),
+                    index: idx.to_vec(),
+                })
+            }
+            Cell::Thunk(..) => {}
         }
+        // One fuel unit per *forced* thunk — the demand-driven
+        // counterpart of a taken loop iteration.
+        if let Some(meter) = self.meter {
+            meter.borrow_mut().charge_fuel()?;
+        }
+        let Cell::Thunk(value, captured) = std::mem::replace(&mut cells[off], Cell::Evaluating)
+        else {
+            unreachable!("matched a thunk above");
+        };
+        drop(cells);
+        let mut scalars = Scalars::new();
+        for (n, v) in captured {
+            scalars.push(n, v);
+        }
+        let v = eval_expr(
+            value,
+            &mut scalars,
+            &mut GroupReader { group: self },
+            self.funcs,
+        )?;
+        member.cells.borrow_mut()[off] = Cell::Value(v);
+        Ok(v)
     }
 
-    /// Force every element of every member (`force-elements` over the
-    /// binding tuple, §2).
+    /// Force every element of every member, in member then row-major
+    /// order (`force-elements` over the binding tuple, §2).
     ///
     /// # Errors
     /// The first ⊥ / undefined / failing element.
     pub fn force_elements(&self) -> Result<(), RuntimeError> {
-        for m in 0..self.members.len() {
-            let member = &self.members[m];
+        for (m, member) in self.members.iter().enumerate() {
+            let bounds = member.shape.bounds();
             for off in 0..member.shape.len() {
-                let idx = unravel(&member.bounds, off);
-                self.demand_off(m, off, &idx)?;
+                self.demand_off(m, off, &unravel(&bounds, off))?;
             }
         }
         Ok(())
@@ -324,25 +240,32 @@ impl<'a> ThunkedGroup<'a> {
     /// As [`ThunkedGroup::force_elements`].
     pub fn into_strict(self) -> Result<Vec<(String, ArrayBuf)>, RuntimeError> {
         self.force_elements()?;
-        let mut out = Vec::with_capacity(self.members.len());
-        for member in self.members {
+        let strict = |member: Member<'_>| {
             let mut buf = member.shape;
-            let data = buf.data_mut();
-            for (off, c) in member.cells.into_inner().into_iter().enumerate() {
-                match c {
-                    Cell::Value(v) => data[off] = v,
-                    _ => unreachable!("forced"),
-                }
+            for (slot, cell) in buf.data_mut().iter_mut().zip(member.cells.into_inner()) {
+                let Cell::Value(v) = cell else {
+                    unreachable!("force_elements evaluated every cell");
+                };
+                *slot = v;
             }
-            out.push((member.name, buf));
-        }
-        Ok(out)
+            (member.name, buf)
+        };
+        Ok(self.members.into_iter().map(strict).collect())
     }
 
     /// Instrumentation snapshot.
     pub fn counters(&self) -> ThunkedCounters {
         *self.counters.borrow()
     }
+}
+
+/// The row-major offset of `idx` in member `name`.
+fn offset(name: &str, shape: &ArrayBuf, idx: &[i64]) -> Result<usize, RuntimeError> {
+    shape.offset(idx).ok_or_else(|| RuntimeError::OutOfBounds {
+        array: name.to_string(),
+        index: idx.to_vec(),
+        bounds: shape.bounds(),
+    })
 }
 
 fn unravel(bounds: &[(i64, i64)], mut off: usize) -> Vec<i64> {
@@ -356,6 +279,8 @@ fn unravel(bounds: &[(i64, i64)], mut off: usize) -> Vec<i64> {
     idx
 }
 
+/// Routes reads of group members back into `demand`; other arrays come
+/// from the finished environment.
 struct GroupReader<'r, 'a> {
     group: &'r ThunkedGroup<'a>,
 }
@@ -395,8 +320,10 @@ mod tests {
         let g = ThunkedGroup::build(
             &[("a", vec![(1, 4)], &ca), ("b", vec![(1, 4)], &cb)],
             &env,
+            &[],
             &others,
             &funcs,
+            None,
         )
         .unwrap();
         let bufs = g.into_strict().unwrap();
@@ -420,26 +347,16 @@ mod tests {
         let g = ThunkedGroup::build(
             &[("a", vec![(1, 1)], &ca), ("b", vec![(1, 1)], &cb)],
             &env,
+            &[],
             &others,
             &funcs,
+            None,
         )
         .unwrap();
         assert!(matches!(
             g.force_elements(),
             Err(RuntimeError::Bottom { .. })
         ));
-    }
-
-    #[test]
-    fn singleton_group_behaves_like_thunked_array() {
-        let mut c = parse_comp("[ 1 := 1 ] ++ [ i := a!(i-1) * 3 | i <- [2..n] ]").unwrap();
-        number_clauses(&mut c);
-        let env = ConstEnv::from_pairs([("n", 4)]);
-        let others = HashMap::new();
-        let funcs = FuncTable::new();
-        let g = ThunkedGroup::build(&[("a", vec![(1, 4)], &c)], &env, &others, &funcs).unwrap();
-        let bufs = g.into_strict().unwrap();
-        assert_eq!(bufs[0].1.data(), &[1.0, 3.0, 9.0, 27.0]);
     }
 
     #[test]
@@ -452,8 +369,15 @@ mod tests {
         let env = ConstEnv::new();
         let others = HashMap::new();
         let funcs = FuncTable::new();
-        let err =
-            ThunkedGroup::build(&[("a", vec![(1, 2)], &ca)], &env, &others, &funcs).unwrap_err();
+        let err = ThunkedGroup::build(
+            &[("a", vec![(1, 2)], &ca)],
+            &env,
+            &[],
+            &others,
+            &funcs,
+            None,
+        )
+        .unwrap_err();
         assert!(matches!(err, RuntimeError::UnboundArray(n) if n == "a"));
     }
 
@@ -471,10 +395,217 @@ mod tests {
         let g = ThunkedGroup::build(
             &[("a", vec![(1, 1)], &ca), ("b", vec![(1, 1)], &cb)],
             &env,
+            &[],
+            &others,
+            &funcs,
+            None,
+        )
+        .unwrap();
+        g.force_elements().unwrap();
+    }
+
+    /// A one-member group `a` over `src`. The comprehension is leaked:
+    /// the group's thunks borrow their value expressions from it.
+    fn build<'a>(
+        src: &str,
+        n: i64,
+        bounds: &[(i64, i64)],
+        others: &'a HashMap<String, ArrayBuf>,
+        funcs: &'a FuncTable,
+    ) -> Result<ThunkedGroup<'a>, RuntimeError> {
+        let mut c = parse_comp(src).unwrap();
+        number_clauses(&mut c);
+        let c: &'a Comp = Box::leak(Box::new(c));
+        let env = ConstEnv::from_pairs([("n", n)]);
+        ThunkedGroup::build(&[("a", bounds.to_vec(), c)], &env, &[], others, funcs, None)
+    }
+
+    fn strict(g: ThunkedGroup<'_>) -> ArrayBuf {
+        g.into_strict().unwrap().remove(0).1
+    }
+
+    #[test]
+    fn squares_vector() {
+        let others = HashMap::new();
+        let funcs = FuncTable::new();
+        let a = build("[ i := i*i | i <- [1..n] ]", 5, &[(1, 5)], &others, &funcs).unwrap();
+        let buf = strict(a);
+        assert_eq!(buf.data(), &[1.0, 4.0, 9.0, 16.0, 25.0]);
+    }
+
+    #[test]
+    fn recursive_fibonacci_like() {
+        let others = HashMap::new();
+        let funcs = FuncTable::new();
+        let a = build(
+            "[ 1 := 1 ] ++ [ 2 := 1 ] ++ [ i := a!(i-1) + a!(i-2) | i <- [3..n] ]",
+            8,
+            &[(1, 8)],
             &others,
             &funcs,
         )
         .unwrap();
-        g.force_elements().unwrap();
+        let buf = strict(a);
+        assert_eq!(buf.data(), &[1.0, 1.0, 2.0, 3.0, 5.0, 8.0, 13.0, 21.0]);
+    }
+
+    #[test]
+    fn order_irrelevance() {
+        // The recurrence written "backwards" in the pair list still
+        // evaluates: that is the point of non-strict arrays (§3).
+        let others = HashMap::new();
+        let funcs = FuncTable::new();
+        let a = build(
+            "[ i := a!(i-1) * 2 | i <- [2..n] ] ++ [ 1 := 1 ]",
+            6,
+            &[(1, 6)],
+            &others,
+            &funcs,
+        )
+        .unwrap();
+        let buf = strict(a);
+        assert_eq!(buf.data(), &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0]);
+    }
+
+    #[test]
+    fn wavefront_2d() {
+        let others = HashMap::new();
+        let funcs = FuncTable::new();
+        let src = "[ (1,j) := 1 | j <- [1..n] ] ++ [ (i,1) := 1 | i <- [2..n] ] ++ \
+                   [ (i,j) := a!(i-1,j) + a!(i,j-1) + a!(i-1,j-1) | i <- [2..n], j <- [2..n] ]";
+        let a = build(src, 4, &[(1, 4), (1, 4)], &others, &funcs).unwrap();
+        let buf = strict(a);
+        // Row 2: 1, 3, 5, 7; row 3: 1, 5, 13, 25 (Delannoy numbers).
+        assert_eq!(buf.get("a", &[2, 2]).unwrap(), 3.0);
+        assert_eq!(buf.get("a", &[3, 3]).unwrap(), 13.0);
+        assert_eq!(buf.get("a", &[4, 4]).unwrap(), 63.0);
+    }
+
+    #[test]
+    fn bottom_cycle_detected() {
+        let others = HashMap::new();
+        let funcs = FuncTable::new();
+        let a = build(
+            "[ 1 := a!2 ] ++ [ 2 := a!1 ]",
+            0,
+            &[(1, 2)],
+            &others,
+            &funcs,
+        )
+        .unwrap();
+        let err = a.force_elements().unwrap_err();
+        assert!(matches!(err, RuntimeError::Bottom { .. }));
+    }
+
+    #[test]
+    fn collision_and_empty_detected() {
+        let others = HashMap::new();
+        let funcs = FuncTable::new();
+        let err = build(
+            "[ i := 0 | i <- [1..n] ] ++ [ 3 := 1 ]",
+            5,
+            &[(1, 5)],
+            &others,
+            &funcs,
+        )
+        .unwrap_err();
+        assert!(matches!(err, RuntimeError::WriteCollision { .. }));
+
+        let a = build("[ i := 0 | i <- [2..n] ]", 5, &[(1, 5)], &others, &funcs).unwrap();
+        let err = a.force_elements().unwrap_err();
+        assert!(matches!(err, RuntimeError::UndefinedElement { .. }));
+    }
+
+    #[test]
+    fn guards_filter_instances() {
+        let others = HashMap::new();
+        let funcs = FuncTable::new();
+        let a = build(
+            "[ i := 1 | i <- [1..n], i mod 2 == 1 ] ++ [ i := 2 | i <- [1..n], i mod 2 == 0 ]",
+            4,
+            &[(1, 4)],
+            &others,
+            &funcs,
+        )
+        .unwrap();
+        let buf = strict(a);
+        assert_eq!(buf.data(), &[1.0, 2.0, 1.0, 2.0]);
+    }
+
+    #[test]
+    fn reads_other_arrays() {
+        let mut others = HashMap::new();
+        let mut u = ArrayBuf::new(&[(1, 3)], 0.0);
+        for i in 1..=3 {
+            u.set("u", &[i], (i * 10) as f64).unwrap();
+        }
+        others.insert("u".to_string(), u);
+        let funcs = FuncTable::new();
+        let a = build(
+            "[ i := u!i + 1 | i <- [1..3] ]",
+            0,
+            &[(1, 3)],
+            &others,
+            &funcs,
+        )
+        .unwrap();
+        let buf = strict(a);
+        assert_eq!(buf.data(), &[11.0, 21.0, 31.0]);
+    }
+
+    #[test]
+    fn counters_track_costs() {
+        let others = HashMap::new();
+        let funcs = FuncTable::new();
+        let a = build(
+            "[ 1 := 1 ] ++ [ i := a!(i-1) + 1 | i <- [2..n] ]",
+            10,
+            &[(1, 10)],
+            &others,
+            &funcs,
+        )
+        .unwrap();
+        a.force_elements().unwrap();
+        let c = a.counters();
+        assert_eq!(c.thunks_allocated, 10);
+        // Each cell demanded at least once; recursive demands memo-hit.
+        assert!(c.demands >= 10);
+        assert!(c.memo_hits > 0);
+    }
+
+    #[test]
+    fn out_of_bounds_definition_rejected() {
+        let others = HashMap::new();
+        let funcs = FuncTable::new();
+        let err = build(
+            "[ i + 3 := 0 | i <- [1..n] ]",
+            5,
+            &[(1, 5)],
+            &others,
+            &funcs,
+        )
+        .unwrap_err();
+        assert!(matches!(err, RuntimeError::OutOfBounds { .. }));
+    }
+
+    #[test]
+    fn backward_generator() {
+        let others = HashMap::new();
+        let funcs = FuncTable::new();
+        let a = build("[ i := i | i <- [5,4..1] ]", 0, &[(1, 5)], &others, &funcs).unwrap();
+        let buf = strict(a);
+        assert_eq!(buf.data(), &[1.0, 2.0, 3.0, 4.0, 5.0]);
+    }
+
+    #[test]
+    fn stepped_generator_leaves_empties() {
+        let others = HashMap::new();
+        let funcs = FuncTable::new();
+        let a = build("[ i := 0 | i <- [1,3..n] ]", 5, &[(1, 5)], &others, &funcs).unwrap();
+        assert!(a.demand("a", &[1]).is_ok());
+        assert!(matches!(
+            a.demand("a", &[2]),
+            Err(RuntimeError::UndefinedElement { .. })
+        ));
     }
 }

@@ -14,7 +14,8 @@ use hac_lang::ast::{BinOp, Comp, Expr};
 use hac_lang::env::ConstEnv;
 
 use crate::error::RuntimeError;
-use crate::value::{apply_bin, eval_expr, ArrayBuf, FuncTable, MapReader, Scalars};
+use crate::value::{apply_bin, ArrayBuf, FuncTable};
+use crate::walk::Scope;
 
 /// Fold a scalar comprehension (clauses with empty subscripts) with
 /// `op`, starting from `init`, in list order (left fold — required for
@@ -22,7 +23,6 @@ use crate::value::{apply_bin, eval_expr, ArrayBuf, FuncTable, MapReader, Scalars
 ///
 /// # Errors
 /// Any evaluation failure.
-#[allow(clippy::too_many_arguments)]
 pub fn eval_reduce(
     op: BinOp,
     init: &Expr,
@@ -32,79 +32,14 @@ pub fn eval_reduce(
     arrays: &HashMap<String, ArrayBuf>,
     funcs: &FuncTable,
 ) -> Result<f64, RuntimeError> {
-    let mut scalars = Scalars::new();
-    for (p, v) in params.iter() {
-        scalars.push(p, v as f64);
-    }
-    for (n, v) in extra_scalars {
-        scalars.push(n.clone(), *v);
-    }
-    let mut reader = MapReader::new(arrays);
-    let mut acc = eval_expr(init, &mut scalars, &mut reader, funcs)?;
-    fold(op, comp, &mut acc, &mut scalars, arrays, funcs)?;
+    let mut scope = Scope::new(params, extra_scalars, arrays, funcs);
+    let mut acc = scope.eval(init)?;
+    scope.for_each_instance(comp, &mut |clause, scope| {
+        debug_assert!(clause.subs.is_empty(), "scalar comprehension clause");
+        acc = apply_bin(op, acc, scope.eval(&clause.value)?);
+        Ok(())
+    })?;
     Ok(acc)
-}
-
-fn fold(
-    op: BinOp,
-    comp: &Comp,
-    acc: &mut f64,
-    scalars: &mut Scalars,
-    arrays: &HashMap<String, ArrayBuf>,
-    funcs: &FuncTable,
-) -> Result<(), RuntimeError> {
-    match comp {
-        Comp::Append(cs) => {
-            for c in cs {
-                fold(op, c, acc, scalars, arrays, funcs)?;
-            }
-            Ok(())
-        }
-        Comp::Gen {
-            var, range, body, ..
-        } => {
-            let mut reader = MapReader::new(arrays);
-            let lo = eval_expr(&range.lo, scalars, &mut reader, funcs)? as i64;
-            let hi = eval_expr(&range.hi, scalars, &mut reader, funcs)? as i64;
-            let step = range.step;
-            let mut i = lo;
-            loop {
-                if (step > 0 && i > hi) || (step < 0 && i < hi) {
-                    break;
-                }
-                scalars.push(var.clone(), i as f64);
-                fold(op, body, acc, scalars, arrays, funcs)?;
-                scalars.pop();
-                i += step;
-            }
-            Ok(())
-        }
-        Comp::Guard { cond, body } => {
-            let mut reader = MapReader::new(arrays);
-            if eval_expr(cond, scalars, &mut reader, funcs)? != 0.0 {
-                fold(op, body, acc, scalars, arrays, funcs)?;
-            }
-            Ok(())
-        }
-        Comp::Let { binds, body } => {
-            let depth = scalars.depth();
-            for (n, e) in binds {
-                let mut reader = MapReader::new(arrays);
-                let v = eval_expr(e, scalars, &mut reader, funcs)?;
-                scalars.push(n.clone(), v);
-            }
-            fold(op, body, acc, scalars, arrays, funcs)?;
-            scalars.truncate(depth);
-            Ok(())
-        }
-        Comp::Clause(sv) => {
-            debug_assert!(sv.subs.is_empty(), "scalar comprehension clause");
-            let mut reader = MapReader::new(arrays);
-            let v = eval_expr(&sv.value, scalars, &mut reader, funcs)?;
-            *acc = apply_bin(op, *acc, v);
-            Ok(())
-        }
-    }
 }
 
 #[cfg(test)]

@@ -6,7 +6,8 @@
 //! routed through an [`ArrayReader`] so the same evaluator serves strict
 //! buffers, the demand-driven thunked runtime, and the loop-IR VM (each
 //! with its own read semantics and instrumentation). Booleans are
-//! represented as `0.0` / `1.0`.
+//! represented as `0.0` / `1.0`. [`XorShift`] seeds reproducible input
+//! arrays.
 
 use std::collections::HashMap;
 use std::sync::atomic::{fence, Ordering};
@@ -659,6 +660,32 @@ pub fn as_int(array: &str, v: f64) -> Result<i64, RuntimeError> {
             array: array.to_string(),
             value: v,
         })
+    }
+}
+
+/// A tiny deterministic xorshift PRNG for reproducible inputs.
+#[derive(Debug, Clone)]
+pub struct XorShift(u64);
+
+impl XorShift {
+    /// Seeded generator (seed must be nonzero; zero is remapped).
+    pub fn new(seed: u64) -> XorShift {
+        XorShift(if seed == 0 { 0x9E3779B97F4A7C15 } else { seed })
+    }
+
+    /// Next raw 64-bit value.
+    pub fn next_u64(&mut self) -> u64 {
+        let mut x = self.0;
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        self.0 = x;
+        x
+    }
+
+    /// Uniform-ish f64 in [0, 1).
+    pub fn next_f64(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 }
 

@@ -24,14 +24,13 @@ use std::sync::{Arc, Condvar, Mutex};
 
 use hac_core::deadline::DeadlineGovernor;
 use hac_core::pipeline::{
-    compile, run_delta, run_units, run_with_meter, CompileOptions, Compiled, Engine, ExecMode,
-    ExecState, RunOptions, Unit,
+    compile, fill_inputs, run_delta, run_units, run_with_meter, CompileOptions, Compiled, Engine,
+    ExecMode, ExecState, RunOptions, Unit,
 };
 use hac_lang::env::ConstEnv;
 use hac_runtime::error::RuntimeError;
 use hac_runtime::governor::{FaultPlan, Limits, Meter, SharedCeiling};
 use hac_runtime::value::{ArrayBuf, FuncTable};
-use hac_workloads::XorShift;
 
 pub mod cache;
 pub mod chaos;
@@ -656,23 +655,6 @@ fn verdicts_of(compiled: &Compiled) -> Verdicts {
     v
 }
 
-/// Fill `input` arrays deterministically from `seed` (the same scheme
-/// as the CLI's `--fill random`).
-fn fill_inputs(compiled: &Compiled, seed: u64) -> HashMap<String, ArrayBuf> {
-    let mut rng = XorShift::new(seed);
-    let mut out = HashMap::new();
-    for unit in &compiled.units {
-        if let Unit::Input { name, bounds } = unit {
-            let mut buf = ArrayBuf::new(bounds, 0.0);
-            for v in buf.data_mut() {
-                *v = (rng.next_f64() * 10.0).round() / 10.0;
-            }
-            out.insert(name.clone(), buf);
-        }
-    }
-    out
-}
-
 fn limit_key(h: u64, v: Option<u64>) -> u64 {
     match v {
         Some(v) => fnv1a(fnv1a(h, &[1]), &v.to_le_bytes()),
@@ -1213,6 +1195,27 @@ impl Server {
         })
     }
 
+    /// Admission's rejection of a request that no retry could admit: it
+    /// declares more fuel or memory than the ceiling's whole pool.
+    /// `None` when a later attempt could be admitted. Holds nothing and
+    /// takes no ordinal.
+    fn never_admissible(&self, req: &Request) -> Option<Response> {
+        let limits = effective_limits(self.options.deadline.as_ref(), req).ok()?;
+        let pool = self.options.ceiling;
+        let over = |want: Option<u64>, cap: Option<u64>| {
+            want.zip(cap).is_some_and(|(want, cap)| want > cap)
+        };
+        if !over(limits.fuel, pool.fuel) && !over(limits.mem_bytes, pool.mem_bytes) {
+            return None;
+        }
+        // The pool never holds more than its capacity, so this
+        // admission fails, holding nothing.
+        let error = Meter::admit(limits, &self.ceiling).err()?;
+        let mut resp = Response::failed(&req.id, Status::Rejected, None, error.to_string());
+        resp.tenant = req.tenant.clone();
+        Some(resp)
+    }
+
     /// Execute an admitted request along its result route and settle
     /// its meter. Hit- and delta-served responses are byte-identical
     /// (digest and error class) to the cold full recomputation — the
@@ -1455,7 +1458,7 @@ impl Server {
         family: Option<(u64, u64)>,
         routed: bool,
     ) -> Response {
-        let inputs = fill_inputs(&adm.compiled, adm.seed);
+        let inputs = fill_inputs(&adm.compiled, Some(adm.seed));
         let funcs = FuncTable::new();
         let mut guard = FillGuard {
             server: self,
@@ -1550,7 +1553,10 @@ impl Server {
     /// [`sched::fair_schedule`] with `overloaded` responses carrying a
     /// `retry_after_ops` hint — the surviving backlog priced by
     /// effective fuel caps, with certified-but-uncapped survivors
-    /// priced at their evaluated certificate bound. Survivors are then
+    /// priced at their evaluated certificate bound. A shed request no
+    /// retry could admit (it asks more than the ceiling's whole pool)
+    /// is answered `rejected` with admission's message instead, as it
+    /// would be without a watermark. Survivors are then
     /// scheduled **as if the shed requests never arrived**: their
     /// responses are byte-identical (ordinals included) to a batch of
     /// only the survivors.
@@ -1595,6 +1601,10 @@ impl Server {
                 })
                 .sum();
             for &i in &schedule.shed {
+                if let Some(resp) = self.never_admissible(&reqs[i]) {
+                    slots[i] = Some(resp);
+                    continue;
+                }
                 self.ledger.add(Counter::Shed, 1);
                 let mut resp = Response::failed(
                     &reqs[i].id,
@@ -2251,6 +2261,54 @@ mod tests {
         let out = server.run_batch(&reqs, 2);
         assert!(out.iter().all(|r| r.status == Status::Ok));
         assert_eq!(server.ledger().get(Counter::Shed), 0);
+    }
+
+    #[test]
+    fn a_shed_request_past_the_pools_capacity_is_rejected() {
+        // The over-ask declares more fuel than the whole pool holds, so
+        // no retry can admit it: past the watermark it gets admission's
+        // `rejected`, as without one, and no hint invites a retry.
+        let mut reqs: Vec<Request> = (0..3)
+            .map(|i| {
+                let mut r = req(&format!("r{i}"), 8);
+                r.fuel = Some(1_000);
+                r
+            })
+            .collect();
+        let mut over = req("over-ask", 8);
+        over.fuel = Some(1_000_000_000);
+        reqs.push(over);
+        for watermark in [0, 2] {
+            let server = Server::new(ServeOptions {
+                ceiling: Limits {
+                    fuel: Some(100_000),
+                    mem_bytes: None,
+                },
+                shed_watermark: watermark,
+                ..ServeOptions::default()
+            });
+            let schedule = Server::predicted_schedule(&reqs, watermark);
+            let shed_over = schedule.shed.contains(&3);
+            assert_eq!(shed_over, watermark > 0);
+            let out = server.run_batch(&reqs, 2);
+            let resp = &out[3];
+            assert_eq!(resp.status, Status::Rejected, "watermark {watermark}");
+            let error = resp.error.as_deref().unwrap_or_default();
+            assert!(
+                error.starts_with("global fuel ceiling exhausted: 1000000000 requested"),
+                "{error}"
+            );
+            assert_eq!(resp.retry_after_ops, None);
+            // Only the sheds a retry could admit count as shed, and the
+            // realized admission order is still the predicted one.
+            let shed = schedule.shed.len() - usize::from(shed_over);
+            assert_eq!(server.ledger().get(Counter::Shed), shed as u64);
+            let overloaded = out.iter().filter(|r| r.status == Status::Overloaded);
+            assert_eq!(overloaded.count(), shed);
+            let mut realized = schedule.order.clone();
+            realized.sort_by_key(|&i| out[i].admitted.expect("admitted"));
+            assert_eq!(realized, schedule.order);
+        }
     }
 
     #[test]

@@ -1,32 +1,7 @@
 //! Shared helpers: deterministic input generation and buffer builders.
 
 use hac_runtime::value::ArrayBuf;
-
-/// A tiny deterministic xorshift PRNG for reproducible inputs.
-#[derive(Debug, Clone)]
-pub struct XorShift(u64);
-
-impl XorShift {
-    /// Seeded generator (seed must be nonzero; zero is remapped).
-    pub fn new(seed: u64) -> XorShift {
-        XorShift(if seed == 0 { 0x9E3779B97F4A7C15 } else { seed })
-    }
-
-    /// Next raw 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x
-    }
-
-    /// Uniform-ish f64 in [0, 1).
-    pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
+pub use hac_runtime::value::XorShift;
 
 /// A 1-D buffer `[1..n]` filled by `f(i)`.
 pub fn vector(n: i64, mut f: impl FnMut(i64) -> f64) -> ArrayBuf {

@@ -77,13 +77,13 @@
 //! `serve` report per-request statuses in their JSON output and exit 0
 //! whenever the batch itself was processed.
 
-use std::collections::HashMap;
 use std::io::{BufRead, Write};
 use std::process::ExitCode;
 
 use hac::core::deadline::DeadlineGovernor;
 use hac::core::pipeline::{
-    compile, default_threads, run_with_options, CompileOptions, Engine, ExecMode, RunOptions, Unit,
+    compile, default_threads, fill_inputs, run_with_options, CompileOptions, Engine, ExecMode,
+    RunOptions, Unit,
 };
 use hac::lang::parser::parse_program;
 use hac::lang::ConstEnv;
@@ -92,7 +92,6 @@ use hac::serve::{engine_from_str, json, mode_from_str, Request, Response, ServeO
 use hac_runtime::governor::{FaultPlan, Limits};
 use hac_runtime::value::{ArrayBuf, FuncTable};
 use hac_runtime::RuntimeError;
-use hac_workloads::XorShift;
 
 struct Options {
     file: String,
@@ -235,26 +234,6 @@ fn parse_args() -> Result<Options, String> {
         return Err(usage().to_string());
     }
     Ok(opts)
-}
-
-fn fill_inputs(
-    compiled: &hac::core::pipeline::Compiled,
-    opts: &Options,
-) -> HashMap<String, ArrayBuf> {
-    let mut rng = XorShift::new(opts.seed);
-    let mut out = HashMap::new();
-    for unit in &compiled.units {
-        if let Unit::Input { name, bounds } = unit {
-            let mut buf = ArrayBuf::new(bounds, 0.0);
-            if opts.fill_random {
-                for v in buf.data_mut() {
-                    *v = (rng.next_f64() * 10.0).round() / 10.0;
-                }
-            }
-            out.insert(name.clone(), buf);
-        }
-    }
-    out
 }
 
 fn print_array(name: &str, buf: &ArrayBuf) {
@@ -744,7 +723,7 @@ fn main() -> ExitCode {
     if !opts.run_it {
         return ExitCode::SUCCESS;
     }
-    let inputs = fill_inputs(&compiled, &opts);
+    let inputs = fill_inputs(&compiled, opts.fill_random.then_some(opts.seed));
     let run_opts = RunOptions {
         threads: Some(opts.threads),
         limits: opts.limits,

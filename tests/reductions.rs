@@ -8,6 +8,7 @@ use hac_core::pipeline::compile_and_run;
 use hac_lang::env::ConstEnv;
 use hac_lang::parser::parse_program;
 use hac_lang::pretty::program_to_string;
+use hac_runtime::error::RuntimeError;
 use hac_workloads as wl;
 
 #[test]
@@ -113,4 +114,28 @@ let a = array (1,1) [ 1 := s ];
     let env = ConstEnv::from_pairs([("n", 5)]);
     let out = compile_and_run(src, &env, &HashMap::new()).unwrap();
     assert_eq!(out.scalar("s"), 20.0 + 40.0 + 5.0);
+}
+
+/// Reductions convert generator bounds as the thunked evaluator does:
+/// a bound that is not a finite integer is `NonIntegerBound`, never
+/// truncated (`2.5` to 2, NaN to 0, `+inf` to a loop that does not
+/// end). Accumulated arrays share the walk; their bounds must be
+/// constant at compile time, so `hac-runtime`'s accum tests cover them.
+#[test]
+fn non_integer_generator_bounds_are_errors() {
+    for (bound, value) in [("5 / 2", "2.5"), ("0 / 0", "NaN"), ("1 / 0", "inf")] {
+        let src = format!(
+            "param n;\nlet s = sum [ {bound} | i <- [1..n] ];\nlet t = sum [ 1 | j <- [1..s] ];\n"
+        );
+        let env = ConstEnv::from_pairs([("n", 1)]);
+        let err = compile_and_run(&src, &env, &HashMap::new()).unwrap_err();
+        assert!(
+            matches!(
+                err.downcast_ref::<RuntimeError>(),
+                Some(RuntimeError::NonIntegerBound { var, .. }) if var == "j"
+            ),
+            "s = {value}: {err}"
+        );
+        assert!(err.to_string().contains(value), "{err}");
+    }
 }

@@ -9,7 +9,7 @@ use hac_lang::env::ConstEnv;
 use hac_lang::number::number_clauses;
 use hac_lang::parser::{parse_comp, parse_program};
 use hac_runtime::error::RuntimeError;
-use hac_runtime::thunked::ThunkedArray;
+use hac_runtime::group::ThunkedGroup;
 use hac_runtime::value::FuncTable;
 use hac_workloads as wl;
 
@@ -23,9 +23,10 @@ fn force_elements_is_strict_in_every_element() {
     let env = ConstEnv::new();
     let others = HashMap::new();
     let funcs = FuncTable::new();
-    let a = ThunkedArray::build("a", &[(1, 3)], &c, &env, &others, &funcs).unwrap();
+    let a =
+        ThunkedGroup::build(&[("a", vec![(1, 3)], &c)], &env, &[], &others, &funcs, None).unwrap();
     // Non-strict semantics: element 1 is perfectly demandable...
-    assert_eq!(a.demand(&[1]).unwrap(), 42.0);
+    assert_eq!(a.demand("a", &[1]).unwrap(), 42.0);
     // ...but the strict context demands everything, and 2↔3 is ⊥.
     assert!(matches!(
         a.force_elements(),
