@@ -4,7 +4,7 @@
 
 use std::fmt;
 
-use hac_lang::affine::NotAffine;
+use hac_lang::affine::{NotAffine, Var};
 use hac_lang::ast::{ArrayDef, ArrayKind, ClauseId};
 use hac_lang::env::ConstEnv;
 use hac_lang::normalize::NormalizeError;
@@ -121,11 +121,11 @@ pub enum BoundsVerdict {
 /// Complete analysis of one monolithic (or accumulated) array
 /// definition.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ArrayAnalysis {
+pub struct ArrayAnalysis<'a> {
     pub array: String,
     /// Folded per-dimension bounds.
     pub bounds: Vec<(i64, i64)>,
-    pub refs: Vec<ClauseRefs>,
+    pub refs: Vec<ClauseRefs<'a>>,
     /// Flow dependences on the array itself (drives thunkless
     /// scheduling).
     pub flow: DependenceGraph,
@@ -138,7 +138,7 @@ pub struct ArrayAnalysis {
     pub stats: TestStats,
 }
 
-impl ArrayAnalysis {
+impl ArrayAnalysis<'_> {
     /// Number of elements in the array.
     pub fn element_count(&self) -> i64 {
         element_count(&self.bounds).expect("counted without overflow by `analyze_array`")
@@ -155,13 +155,13 @@ fn element_count(bounds: &[(i64, i64)]) -> Option<i64> {
 
 /// Complete analysis of one `bigupd` (§9).
 #[derive(Debug, Clone, PartialEq)]
-pub struct UpdateAnalysis {
+pub struct UpdateAnalysis<'a> {
     /// The old array being overwritten.
     pub base: String,
     /// The name bound to the updated array (its reads are *new*
     /// values, producing flow dependences — the paper's Gauss–Seidel).
     pub result: String,
-    pub refs: Vec<ClauseRefs>,
+    pub refs: Vec<ClauseRefs<'a>>,
     /// Flow dependences (reads of the result's new values).
     pub flow: DependenceGraph,
     /// Anti dependences (read-of-old before overwrite).
@@ -243,16 +243,16 @@ fn witness_element(src: &ClauseRefs, w: &Witness) -> Option<Vec<i64>> {
     if norm.nest.len() != shared_len + w.src_only.len() {
         return None;
     }
-    let mut assignment = std::collections::BTreeMap::new();
-    for (k, nl) in norm.nest.iter().enumerate() {
-        let v = if k < shared_len {
+    let value = |v: &Var| {
+        let Var::Loop(id) = v else { return None };
+        let k = norm.nest.iter().position(|nl| nl.id == *id)?;
+        Some(if k < shared_len {
             w.shared[k].0
         } else {
             w.src_only[k - shared_len]
-        };
-        assignment.insert(nl.norm_var(), v);
-    }
-    Some(norm.dims.iter().map(|a| a.eval(&assignment)).collect())
+        })
+    };
+    Some(norm.dims.iter().map(|a| a.eval(value)).collect())
 }
 
 fn bounds_verdict(refs: &[ClauseRefs], bounds: &[(i64, i64)]) -> BoundsVerdict {
@@ -331,11 +331,11 @@ fn empties_verdict(
 /// # Errors
 /// Fails when loop or array bounds do not fold to constants under
 /// `env`.
-pub fn analyze_array(
-    def: &ArrayDef,
+pub fn analyze_array<'a>(
+    def: &'a ArrayDef,
     env: &ConstEnv,
     policy: &TestPolicy,
-) -> Result<ArrayAnalysis, AnalysisError> {
+) -> Result<ArrayAnalysis<'a>, AnalysisError> {
     let bounds = fold_bounds(def, env)?;
     let refs = collect_refs(&def.comp, &def.name, env)?;
     let flow = flow_dependences(&refs, &def.name, policy);
@@ -381,13 +381,13 @@ pub fn analyze_array(
 ///
 /// # Errors
 /// Fails when loop bounds do not fold to constants under `env`.
-pub fn analyze_bigupd(
+pub fn analyze_bigupd<'a>(
     base: &str,
     result: &str,
-    comp: &Comp,
+    comp: &'a Comp,
     env: &ConstEnv,
     policy: &TestPolicy,
-) -> Result<UpdateAnalysis, AnalysisError> {
+) -> Result<UpdateAnalysis<'a>, AnalysisError> {
     let refs = collect_refs(comp, base, env)?;
     let flow = flow_dependences(&refs, result, policy);
     let anti = anti_dependences(&refs, base, policy);
@@ -401,7 +401,7 @@ pub fn analyze_bigupd(
     let mut subs_read_result = false;
     for r in &refs {
         for sub in &r.ctx.clause.subs {
-            let inlined = hac_lang::normalize::inline_path_lets(&r.ctx, sub);
+            let inlined = hac_lang::normalize::path_inlined(&r.ctx, sub);
             for a in inlined.referenced_arrays() {
                 if a == base {
                     subs_read_base = true;
@@ -432,22 +432,8 @@ mod tests {
     use hac_lang::number::number_clauses;
     use hac_lang::parser::parse_program;
 
-    fn analyzed(src: &str, name: &str, env: &ConstEnv) -> ArrayAnalysis {
-        let mut p = parse_program(src).unwrap();
-        let (mut c, mut l) = (0, 0);
-        for b in &mut p.bindings {
-            match b {
-                hac_lang::ast::Binding::Let(d) => {
-                    hac_lang::number::number_comp(&mut d.comp, &mut c, &mut l)
-                }
-                hac_lang::ast::Binding::LetrecStar(ds) => {
-                    for d in ds {
-                        hac_lang::number::number_comp(&mut d.comp, &mut c, &mut l);
-                    }
-                }
-                _ => {}
-            }
-        }
+    fn analyzed(src: &str, name: &str, env: &ConstEnv) -> ArrayAnalysis<'static> {
+        let p = Box::leak(Box::new(parse_program(src).unwrap()));
         let def = p.array_def(name).unwrap();
         analyze_array(def, env, &TestPolicy::default()).unwrap()
     }
@@ -548,7 +534,7 @@ letrec* a = array ((1,1),(n,n))
     #[test]
     fn bigupd_row_swap_analysis() {
         let env = ConstEnv::from_pairs([("n", 8)]);
-        let mut p = parse_program(
+        let p = parse_program(
             r#"
 param n;
 input a ((1,2),(1,n));
@@ -557,12 +543,8 @@ b = bigupd a ([ (1,j) := a!(2,j) | j <- [1..n] ] ++
 "#,
         )
         .unwrap();
-        let (mut cc, mut ll) = (0, 0);
-        let (base, comp) = match &mut p.bindings[1] {
-            hac_lang::ast::Binding::BigUpd { base, comp, .. } => {
-                hac_lang::number::number_comp(comp, &mut cc, &mut ll);
-                (base.clone(), comp.clone())
-            }
+        let (base, comp) = match &p.bindings[1] {
+            hac_lang::ast::Binding::BigUpd { base, comp, .. } => (base.clone(), comp.clone()),
             _ => unreachable!(),
         };
         let u = analyze_bigupd(&base, "b", &comp, &env, &TestPolicy::default()).unwrap();

@@ -75,42 +75,23 @@ impl Poly {
     }
 
     fn insert(&mut self, m: Monomial, c: i128) {
+        use std::collections::btree_map::Entry;
         if c == 0 {
             return;
         }
-        let slot = self.terms.entry(m).or_insert(0);
-        *slot = slot.saturating_add(c);
-        if *slot == 0 {
-            let m: Vec<Monomial> = self
-                .terms
-                .iter()
-                .filter(|(_, &c)| c == 0)
-                .map(|(m, _)| m.clone())
-                .collect();
-            for m in m {
-                self.terms.remove(&m);
+        match self.terms.entry(m) {
+            Entry::Vacant(slot) => {
+                slot.insert(c);
+            }
+            Entry::Occupied(mut slot) => {
+                let sum = slot.get().saturating_add(c);
+                if sum == 0 {
+                    slot.remove();
+                } else {
+                    *slot.get_mut() = sum;
+                }
             }
         }
-    }
-
-    /// `self + other`.
-    #[must_use]
-    pub fn add(&self, other: &Poly) -> Poly {
-        let mut out = self.clone();
-        for (m, &c) in &other.terms {
-            out.insert(m.clone(), c);
-        }
-        out
-    }
-
-    /// `self - other`.
-    #[must_use]
-    pub fn sub(&self, other: &Poly) -> Poly {
-        let mut out = self.clone();
-        for (m, &c) in &other.terms {
-            out.insert(m.clone(), c.saturating_neg());
-        }
-        out
     }
 
     /// `self * other`.
@@ -143,8 +124,8 @@ impl Poly {
                 let l = Poly::from_expr(lhs)?;
                 let r = Poly::from_expr(rhs)?;
                 match op {
-                    BinOp::Add => Some(l.add(&r)),
-                    BinOp::Sub => Some(l.sub(&r)),
+                    BinOp::Add => Some(l + r),
+                    BinOp::Sub => Some(l - r),
                     BinOp::Mul => Some(l.mul(&r)),
                     _ => None,
                 }
@@ -152,7 +133,7 @@ impl Poly {
             Expr::Unary {
                 op: hac_lang::ast::UnOp::Neg,
                 expr,
-            } => Some(Poly::zero().sub(&Poly::from_expr(expr)?)),
+            } => Some(Poly::zero() - Poly::from_expr(expr)?),
             _ => None,
         }
     }
@@ -223,6 +204,28 @@ impl Poly {
             }
         }
         out
+    }
+}
+
+impl std::ops::Add for Poly {
+    type Output = Poly;
+
+    fn add(mut self, other: Poly) -> Poly {
+        for (m, c) in other.terms {
+            self.insert(m, c);
+        }
+        self
+    }
+}
+
+impl std::ops::Sub for Poly {
+    type Output = Poly;
+
+    fn sub(mut self, other: Poly) -> Poly {
+        for (m, c) in other.terms {
+            self.insert(m, c.saturating_neg());
+        }
+        self
     }
 }
 
@@ -354,20 +357,16 @@ mod tests {
 
     #[test]
     fn poly_arithmetic_and_eval() {
-        let p = Poly::var("n").mul(&Poly::var("n")).add(&Poly::constant(7));
+        let p = Poly::var("n").mul(&Poly::var("n")) + Poly::constant(7);
         assert_eq!(p.render(), "n^2+7");
         assert_eq!(p.eval(&|_| n(10)), Some(107));
-        let q = p
-            .mul(&Poly::constant(12))
-            .add(&Poly::var("n").mul(&Poly::constant(4)));
+        let q = p.mul(&Poly::constant(12)) + Poly::var("n").mul(&Poly::constant(4));
         assert_eq!(q.render(), "12n^2+4n+84");
     }
 
     #[test]
     fn render_orders_by_degree_and_handles_signs() {
-        let p = Poly::constant(3)
-            .sub(&Poly::var("n"))
-            .add(&Poly::var("m").mul(&Poly::var("n")));
+        let p = Poly::constant(3) - Poly::var("n") + Poly::var("m").mul(&Poly::var("n"));
         assert_eq!(p.render(), "m*n-n+3");
         assert_eq!(Poly::zero().render(), "0");
     }
@@ -401,7 +400,7 @@ mod tests {
         let cert = CostCert {
             fuel: Bound::Closed {
                 value: 999,
-                poly: Poly::var("n").sub(&Poly::constant(1)),
+                poly: Poly::var("n") - Poly::constant(1),
                 exact: true,
             },
             mem: Bound::Closed {

@@ -17,7 +17,7 @@
 //! edge labeled with the all-`*` vector ("overestimating dependences",
 //! §1).
 
-use hac_lang::affine::Affine;
+use hac_lang::affine::{Affine, Var};
 use hac_lang::ast::ClauseId;
 
 use crate::direction::{Dir, DirVec};
@@ -378,9 +378,15 @@ pub fn cross_dependences(
         if (a.lo, a.size, a.step) != (b.lo, b.size, b.step) {
             return None;
         }
-        let (from, to) = (b.norm_var(), Affine::var(a.norm_var()));
-        r.dims = r.dims.iter().map(|d| d.subst(&from, &to)).collect();
-        r.nest[0].id = a.id;
+        let (from, to) = (Var::Loop(b.id), Affine::var(a.id));
+        r.dims = r
+            .dims
+            .iter()
+            .map(|d| d.checked_subst(&from, &to))
+            .collect::<Option<_>>()?;
+        let mut nest = r.nest.to_vec();
+        nest[0].id = a.id;
+        r.nest = nest.into();
     }
     Some(match build_equations(w, &r) {
         Some(eqs) => refine_directions(&eqs, shared_depth(w, &r), policy),
@@ -398,10 +404,10 @@ mod tests {
 
     use crate::refs::collect_refs;
 
-    fn refs(src: &str, target: &str, env: &ConstEnv) -> Vec<ClauseRefs> {
+    fn refs(src: &str, target: &str, env: &ConstEnv) -> Vec<ClauseRefs<'static>> {
         let mut c = parse_comp(src).unwrap();
         number_clauses(&mut c);
-        collect_refs(&c, target, env).unwrap()
+        collect_refs(Box::leak(Box::new(c)), target, env).unwrap()
     }
 
     fn dirs(g: &DependenceGraph, src: u32, dst: u32) -> Vec<String> {
@@ -546,7 +552,7 @@ mod tests {
         let mut side = |src: &str, target: &str| {
             let mut comp = parse_comp(src).unwrap();
             hac_lang::number::number_comp(&mut comp, &mut c, &mut l);
-            collect_refs(&comp, target, &env).unwrap()
+            collect_refs(Box::leak(Box::new(comp)), target, &env).unwrap()
         };
         let a = side("[ i := a!(i-1) + 1 | i <- [2..9] ]", "a");
         let b = side(

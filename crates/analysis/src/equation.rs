@@ -13,6 +13,8 @@
 //! the GCD, Banerjee and exact tests; multi-dimensional subscripts AND
 //! the per-dimension tests together (§6).
 
+use std::sync::Arc;
+
 use hac_lang::affine::Affine;
 use hac_lang::normalize::NormalizedLoop;
 
@@ -152,7 +154,7 @@ impl DimEquation {
 #[derive(Debug, Clone, PartialEq)]
 pub struct NormRef {
     pub dims: Vec<Affine>,
-    pub nest: Vec<NormalizedLoop>,
+    pub nest: Arc<[NormalizedLoop]>,
 }
 
 impl NormRef {
@@ -182,21 +184,21 @@ pub fn build_equations(src: &NormRef, snk: &NormRef) -> Option<Vec<DimEquation>>
         let shared = (0..shared_len)
             .map(|k| LoopTerm {
                 size: src.nest[k].size,
-                a: f.coeff(&src.nest[k].norm_var()),
-                b: g.coeff(&snk.nest[k].norm_var()),
+                a: f.loop_coeff(src.nest[k].id),
+                b: g.loop_coeff(snk.nest[k].id),
             })
             .collect();
         let src_only = src.nest[shared_len..]
             .iter()
             .map(|nl| UnsharedTerm {
-                coeff: f.coeff(&nl.norm_var()),
+                coeff: f.loop_coeff(nl.id),
                 size: nl.size,
             })
             .collect();
         let snk_only = snk.nest[shared_len..]
             .iter()
             .map(|nl| UnsharedTerm {
-                coeff: -g.coeff(&nl.norm_var()),
+                coeff: -g.loop_coeff(nl.id),
                 size: nl.size,
             })
             .collect();
@@ -231,7 +233,7 @@ pub fn affine_range(a: &Affine, nest: &[NormalizedLoop]) -> Option<(i64, i64)> {
         if nl.size < 1 {
             return None;
         }
-        let k = a.coeff(&nl.norm_var()) as i128;
+        let k = a.loop_coeff(nl.id) as i128;
         let (p, q) = (k, k * nl.size as i128);
         lo += p.min(q);
         hi += p.max(q);
@@ -268,7 +270,6 @@ mod tests {
     fn nl(id: u32, size: i64) -> NormalizedLoop {
         NormalizedLoop {
             id: LoopId(id),
-            var: format!("v{id}"),
             size,
             lo: 1,
             step: 1,
@@ -327,12 +328,12 @@ mod tests {
     fn build_shared_prefix() {
         // src nest: L0(10), L1(20); snk nest: L0(10), L2(5)
         let src = NormRef {
-            dims: vec![Affine::term("L0", 2).add(&Affine::term("L1", 1))],
-            nest: vec![nl(0, 10), nl(1, 20)],
+            dims: vec![Affine::term(LoopId(0), 2).add(&Affine::term(LoopId(1), 1))],
+            nest: vec![nl(0, 10), nl(1, 20)].into(),
         };
         let snk = NormRef {
-            dims: vec![Affine::term("L0", 1).add(&Affine::term("L2", 3))],
-            nest: vec![nl(0, 10), nl(2, 5)],
+            dims: vec![Affine::term(LoopId(0), 1).add(&Affine::term(LoopId(2), 3))],
+            nest: vec![nl(0, 10), nl(2, 5)].into(),
         };
         let eqs = build_equations(&src, &snk).unwrap();
         assert_eq!(shared_depth(&src, &snk), 1);
@@ -353,11 +354,11 @@ mod tests {
     fn rank_mismatch_rejected() {
         let src = NormRef {
             dims: vec![Affine::constant(1)],
-            nest: vec![],
+            nest: Arc::new([]),
         };
         let snk = NormRef {
             dims: vec![Affine::constant(1), Affine::constant(2)],
-            nest: vec![],
+            nest: Arc::new([]),
         };
         assert!(build_equations(&src, &snk).is_none());
     }
@@ -365,8 +366,8 @@ mod tests {
     #[test]
     fn affine_range_over_box() {
         // 3x - 2y + 1, x ∈ [1..4], y ∈ [1..5]
-        let a = Affine::term("L0", 3)
-            .add(&Affine::term("L1", -2))
+        let a = Affine::term(LoopId(0), 3)
+            .add(&Affine::term(LoopId(1), -2))
             .add(&Affine::constant(1));
         let nest = vec![nl(0, 4), nl(1, 5)];
         assert_eq!(affine_range(&a, &nest), Some((3 - 10 + 1, 12 - 2 + 1)));

@@ -64,7 +64,10 @@ impl LoopParallelism {
 /// Classify every generator of `comp` against a set of dependence
 /// edges (flow for monolithic arrays; flow + anti for in-place
 /// updates). `*` components are treated as possibly-carried.
-pub fn loop_parallelism(comp: &Comp, edges: &[DepEdge]) -> Vec<LoopParallelism> {
+pub fn loop_parallelism<'e>(
+    comp: &Comp,
+    edges: impl IntoIterator<Item = &'e DepEdge>,
+) -> Vec<LoopParallelism> {
     // Collect loops with depth and innermost-ness, in source order.
     let mut loops: Vec<LoopParallelism> = Vec::new();
     collect(comp, 0, &mut loops);
@@ -84,31 +87,22 @@ pub fn loop_parallelism(comp: &Comp, edges: &[DepEdge]) -> Vec<LoopParallelism> 
         let (Some(sc), Some(dc)) = (ctx_of(e.src), ctx_of(e.dst)) else {
             continue;
         };
-        let shared: Vec<LoopId> = sc
+        let shared = sc
             .loops()
-            .iter()
-            .zip(dc.loops().iter())
+            .zip(dc.loops())
             .take_while(|(a, b)| a.id == b.id)
-            .map(|(a, _)| a.id)
-            .collect();
+            .map(|(a, _)| a.id);
         // Every level whose component could be the first non-`=` one
         // is (possibly) carrying. For concrete vectors that is exactly
         // the carried level; leading `*`s make the prefix ambiguous.
-        for (k, d) in e.dv.0.iter().enumerate() {
+        for (k, (d, l)) in e.dv.0.iter().zip(shared).enumerate() {
             match d {
                 Dir::Eq => continue,
-                Dir::Any => {
-                    if let Some(l) = shared.get(k) {
-                        // An ambiguous component is never a proven
-                        // distance-one recurrence.
-                        mark(&mut carried, *l, false);
-                    }
-                    continue; // a `*` may be `=`: keep scanning
-                }
+                // An ambiguous component is never a proven distance-one
+                // recurrence; a `*` may be `=`: keep scanning.
+                Dir::Any => mark(&mut carried, l, false),
                 Dir::Lt | Dir::Gt => {
-                    if let Some(l) = shared.get(k) {
-                        mark(&mut carried, *l, reduction_edge(e, k, &dc.clause.value));
-                    }
+                    mark(&mut carried, l, reduction_edge(e, k, &dc.clause.value));
                     break; // definite carried level found
                 }
             }

@@ -8,12 +8,14 @@
 //! reference whose subscript is not linear in the loop indices gets
 //! `norm = None` and is treated pessimistically downstream.
 
+use std::sync::Arc;
+
 use hac_lang::ast::{ClauseId, Comp, Expr};
 use hac_lang::env::ConstEnv;
 use hac_lang::normalize::{
-    inline_path_lets, normalize_nest, normalized_subscript, NormalizeError, NormalizedLoop,
+    normalize_nest, normalized_subscript, path_inlined, NormalizeError, NormalizedLoop,
 };
-use hac_lang::number::{clause_contexts, ClauseContext, PathStep};
+use hac_lang::number::{clause_contexts, ClauseContext};
 
 use crate::equation::NormRef;
 
@@ -39,18 +41,21 @@ pub struct RefSite {
     pub conditional: bool,
 }
 
-/// All references made by one clause.
+/// All references made by one clause, borrowing its context from the
+/// comprehension.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ClauseRefs {
-    pub ctx: ClauseContext,
-    pub nest: Vec<NormalizedLoop>,
+pub struct ClauseRefs<'a> {
+    pub ctx: ClauseContext<'a>,
+    /// The normalized loop nest, shared by every reference's
+    /// [`NormRef`].
+    pub nest: Arc<[NormalizedLoop]>,
     /// The clause's write (to the array being defined/updated).
     pub write: RefSite,
     /// Every read in the value expression, in occurrence order.
     pub reads: Vec<RefSite>,
 }
 
-impl ClauseRefs {
+impl ClauseRefs<'_> {
     /// The clause id.
     pub fn id(&self) -> ClauseId {
         self.ctx.clause.id
@@ -71,16 +76,13 @@ impl ClauseRefs {
 
     /// `true` when the clause sits under at least one guard.
     pub fn guarded(&self) -> bool {
-        self.ctx
-            .path
-            .iter()
-            .any(|s| matches!(s, PathStep::Guard(_)))
+        self.ctx.guarded()
     }
 }
 
 /// The instances of every clause in `refs`, summed; `None` when the
 /// count overflows `i64`.
-pub fn total_instances(refs: &[ClauseRefs]) -> Option<i64> {
+pub fn total_instances(refs: &[ClauseRefs<'_>]) -> Option<i64> {
     refs.iter()
         .try_fold(0i64, |total, r| total.checked_add(r.instance_count()?))
 }
@@ -92,23 +94,23 @@ pub fn total_instances(refs: &[ClauseRefs]) -> Option<i64> {
 /// # Errors
 /// Propagates [`NormalizeError`] from loop normalization (unbound
 /// parameters, triangular bounds).
-pub fn collect_refs(
-    comp: &Comp,
+pub fn collect_refs<'a>(
+    comp: &'a Comp,
     target: &str,
     env: &ConstEnv,
-) -> Result<Vec<ClauseRefs>, NormalizeError> {
+) -> Result<Vec<ClauseRefs<'a>>, NormalizeError> {
     let mut out = Vec::new();
     for ctx in clause_contexts(comp) {
-        let nest = normalize_nest(&ctx, env)?;
-        let write_dims: Option<Vec<_>> = ctx
-            .clause
+        let nest: Arc<[NormalizedLoop]> = normalize_nest(&ctx, env)?.into();
+        let clause = ctx.clause;
+        let write_dims: Option<Vec<_>> = clause
             .subs
             .iter()
             .map(|s| normalized_subscript(s, &nest, &ctx, env))
             .collect();
-        let guarded = ctx.path.iter().any(|s| matches!(s, PathStep::Guard(_)));
+        let guarded = ctx.guarded();
         let write = RefSite {
-            clause: ctx.clause.id,
+            clause: clause.id,
             array: target.to_string(),
             access: Access::Write,
             norm: write_dims.map(|dims| NormRef {
@@ -117,7 +119,7 @@ pub fn collect_refs(
             }),
             conditional: guarded,
         };
-        let value = inline_path_lets(&ctx, &ctx.clause.value);
+        let value = path_inlined(&ctx, &clause.value);
         let mut reads = Vec::new();
         collect_reads(&value, &ctx, &nest, env, guarded, &mut reads);
         out.push(ClauseRefs {
@@ -133,7 +135,7 @@ pub fn collect_refs(
 fn collect_reads(
     e: &Expr,
     ctx: &ClauseContext,
-    nest: &[NormalizedLoop],
+    nest: &Arc<[NormalizedLoop]>,
     env: &ConstEnv,
     conditional: bool,
     out: &mut Vec<RefSite>,
@@ -150,7 +152,7 @@ fn collect_reads(
                 access: Access::Read,
                 norm: dims.map(|dims| NormRef {
                     dims,
-                    nest: nest.to_vec(),
+                    nest: nest.clone(),
                 }),
                 conditional,
             });
@@ -194,10 +196,10 @@ mod tests {
     use hac_lang::number::number_clauses;
     use hac_lang::parser::parse_comp;
 
-    fn collect(src: &str, target: &str, env: &ConstEnv) -> Vec<ClauseRefs> {
+    fn collect(src: &str, target: &str, env: &ConstEnv) -> Vec<ClauseRefs<'static>> {
         let mut c = parse_comp(src).unwrap();
         number_clauses(&mut c);
-        collect_refs(&c, target, env).unwrap()
+        collect_refs(Box::leak(Box::new(c)), target, env).unwrap()
     }
 
     #[test]
@@ -268,7 +270,7 @@ mod tests {
         assert_eq!(refs[0].reads.len(), 1);
         let norm = refs[0].reads[0].norm.as_ref().unwrap();
         // i ∈ [2..9] normalizes to i = x + 1; subscript i - 1 = x.
-        assert_eq!(norm.dims[0].coeff(&refs[0].nest[0].norm_var()), 1);
+        assert_eq!(norm.dims[0].loop_coeff(refs[0].nest[0].id), 1);
         assert_eq!(norm.dims[0].constant_part(), 0);
     }
 

@@ -200,7 +200,7 @@ pub fn lower_update(
 }
 
 struct Lowerer<'a> {
-    refs: &'a [ClauseRefs],
+    refs: &'a [ClauseRefs<'a>],
     env: &'a ConstEnv,
     /// The array clauses store into.
     target: String,
@@ -215,7 +215,7 @@ struct Lowerer<'a> {
 }
 
 impl Lowerer<'_> {
-    fn clause_refs(&self, id: ClauseId) -> Result<&ClauseRefs, LowerError> {
+    fn clause_refs(&self, id: ClauseId) -> Result<&ClauseRefs<'_>, LowerError> {
         self.refs
             .iter()
             .find(|r| r.id() == id)
@@ -275,8 +275,8 @@ impl Lowerer<'_> {
             } => {
                 let frame = LoopFrame {
                     id: hac_lang::ast::LoopId(u32::MAX),
-                    var: var.clone(),
-                    range: range.clone(),
+                    var,
+                    range,
                 };
                 let nl = normalize_loop(&frame, self.env)
                     .map_err(|_| LowerError::NonConstantLoopBound { var: var.clone() })?;
@@ -332,8 +332,8 @@ fn loop_params(nl: &NormalizedLoop, dirn: Dirn) -> (i64, i64, i64) {
 
 /// `(var - (lo - step)) / step` — the normalized 1-based position of a
 /// loop's index variable.
-fn norm_pos_expr(nl: &NormalizedLoop) -> Expr {
-    let num = Expr::sub(Expr::var(nl.var.clone()), Expr::int(nl.lo - nl.step));
+fn norm_pos_expr(var: &str, nl: &NormalizedLoop) -> Expr {
+    let num = Expr::sub(Expr::var(var), Expr::int(nl.lo - nl.step));
     if nl.step == 1 {
         num
     } else {
@@ -343,8 +343,8 @@ fn norm_pos_expr(nl: &NormalizedLoop) -> Expr {
 
 /// The execution-order step number (1-based) of the loop at `level` in
 /// the clause's nest under the plan's chosen direction.
-fn exec_step_expr(nl: &NormalizedLoop, dirn: Dirn) -> Expr {
-    let pos = norm_pos_expr(nl);
+fn exec_step_expr(var: &str, nl: &NormalizedLoop, dirn: Dirn) -> Expr {
+    let pos = norm_pos_expr(var, nl);
     match dirn {
         Dirn::Forward => pos,
         Dirn::Backward => Expr::sub(Expr::int(nl.size + 1), pos),
@@ -372,7 +372,12 @@ fn lower_splits(
                         read: *read_index,
                     })?;
                 let temp = format!("__pre_{}_{}", clause.0, read_index);
-                let norm_subs: Vec<Expr> = cr.nest.iter().map(norm_pos_expr).collect();
+                let norm_subs: Vec<Expr> = cr
+                    .ctx
+                    .loops()
+                    .zip(cr.nest.iter())
+                    .map(|(f, nl)| norm_pos_expr(f.var, nl))
+                    .collect();
                 let bounds: Vec<(i64, i64)> = cr.nest.iter().map(|nl| (1, nl.size)).collect();
                 out.prelude.push(LStmt::Alloc {
                     array: temp.clone(),
@@ -412,9 +417,11 @@ fn lower_splits(
                     .get(*level)
                     .ok_or(LowerError::ClauseNotInPlan(*clause))?;
                 let nl = &cr.nest[*level];
+                let vars: Vec<&str> = cr.ctx.loops().map(|f| f.var).collect();
+                let var = vars[*level];
                 let ring = lag + 1;
                 let temp = format!("__carry_{}_{}", clause.0, read_index);
-                let inner: Vec<&NormalizedLoop> = cr.nest[*level + 1..].iter().collect();
+                let inner = &cr.nest[*level + 1..];
                 let mut bounds = vec![(0, *lag)];
                 bounds.extend(inner.iter().map(|l| (1, l.size)));
                 out.prelude.push(LStmt::Alloc {
@@ -424,14 +431,18 @@ fn lower_splits(
                     temp: true,
                     checked: false,
                 });
-                let s_expr = exec_step_expr(nl, dirn);
+                let s_expr = exec_step_expr(var, nl, dirn);
                 let slot_save = Expr::bin(BinOp::Mod, s_expr.clone(), Expr::int(ring));
                 let slot_read = Expr::bin(
                     BinOp::Mod,
                     Expr::sub(s_expr.clone(), Expr::int(*lag)),
                     Expr::int(ring),
                 );
-                let inner_pos: Vec<Expr> = inner.iter().map(|l| norm_pos_expr(l)).collect();
+                let inner_pos: Vec<Expr> = vars[*level + 1..]
+                    .iter()
+                    .zip(inner)
+                    .map(|(v, l)| norm_pos_expr(v, l))
+                    .collect();
 
                 // Save phase: store the about-to-be-clobbered values.
                 let write_subs: Vec<Expr> = cr
@@ -463,7 +474,7 @@ fn lower_splits(
                 // Redirect: ring when the source iteration exists.
                 let mut read_subs = vec![slot_read];
                 read_subs.extend(inner_pos);
-                let cond = Expr::bin(BinOp::Gt, exec_step_expr(nl, dirn), Expr::int(*lag));
+                let cond = Expr::bin(BinOp::Gt, exec_step_expr(var, nl, dirn), Expr::int(*lag));
                 out.rewrites.entry(*clause).or_default().insert(
                     *read_index,
                     ReadRewrite::Wrap {
@@ -481,7 +492,7 @@ fn lower_splits(
 }
 
 /// The clause-path steps strictly below the `level`-th loop.
-fn path_below_level(ctx: &ClauseContext, level: usize) -> &[PathStep] {
+fn path_below_level<'c, 'a>(ctx: &'c ClauseContext<'a>, level: usize) -> &'c [PathStep<'a>] {
     let mut seen = 0usize;
     for (i, s) in ctx.path.iter().enumerate() {
         if let PathStep::Loop(_) = s {
@@ -501,14 +512,14 @@ fn lower_path(path: &[PathStep], leaf: LStmt, env: &ConstEnv) -> Result<LStmt, L
         None => Ok(leaf),
         Some(PathStep::Loop(frame)) => {
             let nl = normalize_loop(frame, env).map_err(|_| LowerError::NonConstantLoopBound {
-                var: frame.var.clone(),
+                var: frame.var.to_string(),
             })?;
             let (start, end, step) = loop_params(&nl, Dirn::Forward);
             let inner = lower_path(&path[1..], leaf, env)?;
             // Synthesized prelude/save loops carry no §10 verdict:
             // always sequential.
             Ok(LStmt::For {
-                var: frame.var.clone(),
+                var: frame.var.to_string(),
                 start,
                 end,
                 step,
@@ -520,7 +531,7 @@ fn lower_path(path: &[PathStep], leaf: LStmt, env: &ConstEnv) -> Result<LStmt, L
         Some(PathStep::Guard(cond)) => {
             let inner = lower_path(&path[1..], leaf, env)?;
             Ok(LStmt::If {
-                cond: cond.clone(),
+                cond: (*cond).clone(),
                 then: vec![inner],
                 els: vec![],
             })
@@ -528,7 +539,7 @@ fn lower_path(path: &[PathStep], leaf: LStmt, env: &ConstEnv) -> Result<LStmt, L
         Some(PathStep::Let(binds)) => {
             let inner = lower_path(&path[1..], leaf, env)?;
             Ok(LStmt::Let {
-                binds: binds.clone(),
+                binds: binds.to_vec(),
                 body: vec![inner],
             })
         }

@@ -1269,10 +1269,10 @@ fn run_fused_special(
             }
             Kernel::Stencil4 { s, c, div, .. } => {
                 let (s0, s1, s2, s3) = (src!(s[0]), src!(s[1]), src!(s[2]), src!(s[3]));
-                if div {
-                    wloop!(|q| (((s0[q] + s1[q]) + s2[q]) + s3[q]) / c);
-                } else {
-                    wloop!(|q| (((s0[q] + s1[q]) + s2[q]) + s3[q]) * c);
+                match (div, exact_reciprocal(c)) {
+                    (true, Some(r)) => wloop!(|q| (((s0[q] + s1[q]) + s2[q]) + s3[q]) * r),
+                    (true, None) => wloop!(|q| (((s0[q] + s1[q]) + s2[q]) + s3[q]) / c),
+                    (false, _) => wloop!(|q| (((s0[q] + s1[q]) + s2[q]) + s3[q]) * c),
                 }
             }
             Kernel::Stencil3 { w, s, .. } => {
@@ -1288,6 +1288,17 @@ fn run_fused_special(
             }
         }
     }
+}
+
+/// `1/c` when multiplying by it gives `x / c` bit for bit for every
+/// `x`: `c` is a normal power of two whose reciprocal is normal too.
+/// Both operations then scale the same exact quotient by a power of
+/// two and round it once, so NaNs, infinities, signed zeros and
+/// subnormal results agree as well. `None` for any other divisor.
+pub(crate) fn exact_reciprocal(c: f64) -> Option<f64> {
+    const MANTISSA: u64 = (1 << 52) - 1;
+    let r = 1.0 / c;
+    (c.is_normal() && r.is_normal() && c.to_bits() & MANTISSA == 0).then_some(r)
 }
 
 /// Borrow stream `sid`'s elements for ordinals `0..n` as a contiguous
@@ -2045,7 +2056,7 @@ struct Compiler<'a> {
     allocs: Vec<AllocEntry>,
     /// Canonical name → shape; `None` = statically unknown (dynamic
     /// subscript path only).
-    shapes: HashMap<String, Option<Vec<(i64, i64)>>>,
+    shapes: HashMap<&'a str, Option<&'a [(i64, i64)]>>,
     scope: Vec<ScopeVar>,
     next_slot: usize,
     frame_size: usize,
@@ -2087,14 +2098,14 @@ impl<'a> Compiler<'a> {
             loop_vars: vec![],
         };
         for (name, shape) in &ctx.shapes {
-            let canon = c.canonical(name).to_string();
-            match c.shapes.get(&canon) {
-                Some(Some(s)) if s != shape => {
+            let canon = c.canonical(name);
+            match c.shapes.get(canon) {
+                Some(Some(s)) if *s != shape.as_slice() => {
                     c.shapes.insert(canon, None);
                 }
                 Some(_) => {}
                 None => {
-                    c.shapes.insert(canon, Some(shape.clone()));
+                    c.shapes.insert(canon, Some(shape));
                 }
             }
         }
@@ -2132,29 +2143,25 @@ impl<'a> Compiler<'a> {
 
     /// Pre-pass: collect static shapes from `Alloc`/`CopyArray`, on top
     /// of the context's shapes. Conflicts poison a name to "unknown".
-    fn scan_shapes(&mut self, stmts: &[LStmt]) {
+    fn scan_shapes(&mut self, stmts: &'a [LStmt]) {
         for s in stmts {
             match s {
                 LStmt::Alloc { array, bounds, .. } => {
-                    let canon = self.canonical(array).to_string();
-                    match self.shapes.get(&canon) {
-                        Some(Some(b)) if b != bounds => {
+                    let canon = self.canonical(array);
+                    match self.shapes.get(canon) {
+                        Some(Some(b)) if *b != bounds.as_slice() => {
                             self.shapes.insert(canon, None);
                         }
                         Some(_) => {}
                         None => {
-                            self.shapes.insert(canon, Some(bounds.clone()));
+                            self.shapes.insert(canon, Some(bounds));
                         }
                     }
                 }
                 LStmt::CopyArray { dst, src } => {
-                    let sshape = self
-                        .shapes
-                        .get(self.canonical(src))
-                        .cloned()
-                        .unwrap_or(None);
-                    let canon = self.canonical(dst).to_string();
-                    match (self.shapes.get(&canon), &sshape) {
+                    let sshape = self.shapes.get(self.canonical(src)).copied().flatten();
+                    let canon = self.canonical(dst);
+                    match (self.shapes.get(canon), &sshape) {
                         (Some(Some(d)), Some(s)) if d == s => {}
                         (None, Some(_)) => {
                             self.shapes.insert(canon, sshape);
@@ -2351,7 +2358,7 @@ impl<'a> Compiler<'a> {
         let shape = self
             .shapes
             .get(self.canonical(array_raw))
-            .cloned()
+            .copied()
             .flatten()?;
         if shape.len() != subs.len() {
             return None;
@@ -2362,7 +2369,7 @@ impl<'a> Compiler<'a> {
             .collect::<Option<_>>()?;
         let mut in_bounds = true;
         let mut ivals = Vec::with_capacity(forms.len());
-        for (f, &(lo, hi)) in forms.iter().zip(&shape) {
+        for (f, &(lo, hi)) in forms.iter().zip(shape) {
             let (mn, mx) = self.interval(f)?;
             ivals.push((mn, mx));
             if !(mn >= lo && mx <= hi) {
@@ -2408,7 +2415,7 @@ impl<'a> Compiler<'a> {
                 checks: Some(
                     forms
                         .iter()
-                        .zip(&shape)
+                        .zip(shape)
                         .map(|(f, &(lo, hi))| LinDim {
                             c: f.c,
                             terms: f.terms.clone(),
@@ -2779,6 +2786,78 @@ mod tests {
     use super::*;
     use crate::limp::Vm;
     use hac_lang::parser::parse_expr;
+
+    /// Dividing by a power of two whose reciprocal is normal equals
+    /// multiplying by that reciprocal, bit for bit, for normal,
+    /// subnormal, zero, infinite and NaN operands, and for quotients
+    /// that overflow or underflow.
+    #[test]
+    fn power_of_two_division_equals_reciprocal_multiplication() {
+        let mut xs = vec![
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            3.0,
+            0.1,
+            f64::EPSILON,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 3.0,
+            f64::from_bits(1),
+            f64::MAX,
+            -f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..2048 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            xs.push(f64::from_bits(state));
+        }
+        let mut divisors = 0;
+        for e in -1100..=1100 {
+            for sign in [1.0, -1.0] {
+                let c: f64 = sign * 2f64.powi(e);
+                let Some(r) = exact_reciprocal(c) else {
+                    assert!(!(c.is_normal() && (1.0 / c).is_normal()), "{c:e}");
+                    continue;
+                };
+                assert_eq!(r, 1.0 / c);
+                for &x in &xs {
+                    assert_eq!((x / c).to_bits(), (x * r).to_bits(), "{x:e} / {c:e}");
+                }
+                divisors += 1;
+            }
+        }
+        // 2^-1022 ..= 2^1022, both signs.
+        assert_eq!(divisors, 2 * 2045);
+    }
+
+    /// Any other divisor keeps its division: the rounded reciprocal of
+    /// 3 would move the last bit of some quotients.
+    #[test]
+    fn other_divisors_keep_their_division() {
+        for c in [
+            3.0,
+            -3.0,
+            0.1,
+            10.0,
+            1.5,
+            f64::MIN_POSITIVE / 2.0,
+            2f64.powi(1023),
+            0.0,
+            f64::INFINITY,
+            f64::NAN,
+        ] {
+            assert_eq!(exact_reciprocal(c), None, "{c:e}");
+        }
+        assert!((1..100).any(|k| (k as f64 / 3.0).to_bits() != (k as f64 * (1.0 / 3.0)).to_bits()));
+    }
 
     fn store(array: &str, sub: &str, value: &str, check: StoreCheck) -> LStmt {
         LStmt::Store {

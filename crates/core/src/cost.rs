@@ -73,8 +73,8 @@ impl CertBuilder {
         self.fuel = self.fuel.saturating_add(fuel);
         self.mem = self.mem.saturating_add(mem);
         self.exact &= exact;
-        self.fuel_poly = self.fuel_poly.add(&calibrate(fuel_poly, fuel, env));
-        self.mem_poly = self.mem_poly.add(&calibrate(mem_poly, mem, env));
+        self.fuel_poly = std::mem::take(&mut self.fuel_poly) + calibrate(fuel_poly, fuel, env);
+        self.mem_poly = std::mem::take(&mut self.mem_poly) + calibrate(mem_poly, mem, env);
     }
 
     /// The bound does not close; the first reason wins.
@@ -135,9 +135,9 @@ fn steps_fuel(steps: &[Step], clauses: &HashMap<ClauseId, &SvClause>) -> Option<
                 }
                 let lo = Poly::from_expr(&range.lo)?;
                 let hi = Poly::from_expr(&range.hi)?;
-                let trip = hi.sub(&lo).add(&Poly::constant(1));
+                let trip = hi - lo + Poly::constant(1);
                 let body = steps_fuel(body, clauses)?;
-                trip.mul(&body.add(&Poly::constant(1)))
+                trip.mul(&(body + Poly::constant(1)))
             }
             Step::Clause(id) => {
                 let c = clauses.get(id)?;
@@ -151,14 +151,14 @@ fn steps_fuel(steps: &[Step], clauses: &HashMap<ClauseId, &SvClause>) -> Option<
             }
             Step::Guard { cond, body } => {
                 let calls = expr_calls(cond).0;
-                Poly::constant(calls).add(&steps_fuel(body, clauses)?)
+                Poly::constant(calls) + steps_fuel(body, clauses)?
             }
             Step::Let { binds, body } => {
                 let calls: u64 = binds.iter().map(|(_, e)| expr_calls(e).0).sum();
-                Poly::constant(calls).add(&steps_fuel(body, clauses)?)
+                Poly::constant(calls) + steps_fuel(body, clauses)?
             }
         };
-        total = total.add(&p);
+        total = total + p;
     }
     Some(total)
 }
@@ -172,11 +172,11 @@ pub(crate) fn bounds_mem_poly(bounds: &[(Expr, Expr)], checked: bool) -> Option<
     for (lo, hi) in bounds {
         let l = Poly::from_expr(lo)?;
         let h = Poly::from_expr(hi)?;
-        len = len.mul(&h.sub(&l).add(&Poly::constant(1)));
+        len = len.mul(&(h - l + Poly::constant(1)));
     }
     let mut mem = len.mul(&Poly::constant(8));
     if checked {
-        mem = mem.add(&len);
+        mem = mem + len;
     }
     Some(mem)
 }

@@ -14,21 +14,25 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-use hac_analysis::analyze::{analyze_array, analyze_bigupd, AnalysisError, CollisionVerdict};
+use hac_analysis::analyze::{
+    analyze_array, analyze_bigupd, AnalysisError, ArrayAnalysis, BoundsVerdict, CollisionVerdict,
+    EmptiesVerdict,
+};
 use hac_analysis::cost::{CostCert, Poly};
 use hac_analysis::depgraph::cross_dependences;
 use hac_analysis::direction::Dir;
+use hac_analysis::parallel::{loop_parallelism, LoopParallelism};
 use hac_analysis::refs::{total_instances, ClauseRefs};
 use hac_analysis::search::TestPolicy;
 use hac_codegen::cost::program_cost;
-use hac_codegen::fuse::{chain_part, fuse_tape, merge_loops, FuseDecision};
+use hac_codegen::fuse::{chain_part, fuse_tape, merge_loops};
 use hac_codegen::limp::{LProgram, Vm, VmCounters};
 use hac_codegen::lower::{lower_array, lower_update, CheckMode, LowerError, LoweredUpdate};
 use hac_codegen::partape::{plan_tape, ParPlan};
 use hac_codegen::tape::{compile_tape, FusedEntry, MergedLoop, TapeCtx, TapeProgram};
 use hac_lang::ast::{ArrayDef, ArrayKind, Binding, ClauseId, Comp, Program};
 use hac_lang::env::ConstEnv;
-use hac_lang::number::number_comp;
+use hac_lang::number::{is_numbered, number_program};
 use hac_lang::Affine;
 use hac_runtime::accum::eval_accum;
 use hac_runtime::error::RuntimeError;
@@ -41,7 +45,7 @@ use hac_schedule::scheduler::schedule;
 use hac_schedule::split::plan_update;
 
 use crate::cost::{bounds_mem_poly, plan_fuel_poly, CertBuilder};
-use crate::report::{ArrayReport, Report, UpdateReport};
+use crate::report::{edge_facts, ArrayFacts, ArrayOutcome, LazyReport, ReportFacts, UpdateFacts};
 
 /// Execution strategy selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -275,7 +279,8 @@ pub struct DeltaPlan {
 pub struct Compiled {
     pub env: ConstEnv,
     pub units: Vec<Unit>,
-    pub report: Report,
+    /// The compilation report, rendered when first read.
+    pub report: LazyReport,
     /// Static worst-case fuel/memory certificate, exact-or-over for
     /// every engine at any thread count (see `hac_analysis::cost`).
     pub cert: CostCert,
@@ -419,30 +424,24 @@ pub fn compile(
     env: &ConstEnv,
     options: &CompileOptions,
 ) -> Result<Compiled, CompileError> {
-    // Number every comprehension in one id space.
-    let mut program = program.clone();
-    let (mut c, mut l) = (0u32, 0u32);
-    for b in &mut program.bindings {
-        match b {
-            Binding::Let(d) => number_comp(&mut d.comp, &mut c, &mut l),
-            Binding::LetrecStar(ds) => {
-                for d in ds {
-                    number_comp(&mut d.comp, &mut c, &mut l);
-                }
-            }
-            Binding::BigUpd { comp, .. } | Binding::Reduce { comp, .. } => {
-                number_comp(comp, &mut c, &mut l)
-            }
-            Binding::Input { .. } => {}
-        }
-    }
+    // Every comprehension numbered in one id space; parsed and built
+    // programs already are.
+    let renumbered;
+    let program = if is_numbered(program) {
+        program
+    } else {
+        let mut p = program.clone();
+        number_program(&mut p);
+        renumbered = p;
+        &renumbered
+    };
 
-    let mut seen: Vec<String> = Vec::new();
+    let mut seen: Vec<&str> = Vec::new();
     // Arrays whose storage an in-place update consumed: any later
     // reference would observe the new values under the old name.
-    let mut consumed: Vec<String> = Vec::new();
+    let mut consumed: Vec<&str> = Vec::new();
     let mut units = Vec::new();
-    let mut report = Report::default();
+    let mut report = ReportFacts::default();
     let mut cert = CertBuilder::new();
     // Accumulated tape-compilation context: shapes of every array bound
     // so far, reduction scalars (runtime globals) in binding order, and
@@ -452,15 +451,20 @@ pub fn compile(
         ..TapeCtx::default()
     };
 
-    fn check_consumed(consumed: &[String], user: &str, comp: &Comp) -> Result<(), CompileError> {
+    fn check_consumed(consumed: &[&str], user: &str, comp: &Comp) -> Result<(), CompileError> {
+        if consumed.is_empty() {
+            return Ok(());
+        }
         let mut hit: Option<String> = None;
         comp.walk(&mut |c| {
             let mut scan = |e: &hac_lang::ast::Expr| {
-                for a in e.referenced_arrays() {
-                    if consumed.contains(&a) && hit.is_none() {
-                        hit = Some(a);
+                e.walk(&mut |x| {
+                    if let hac_lang::ast::Expr::Index { array, .. } = x {
+                        if hit.is_none() && consumed.contains(&array.as_str()) {
+                            hit = Some(array.clone());
+                        }
                     }
-                }
+                });
             };
             match c {
                 Comp::Clause(sv) => {
@@ -491,11 +495,11 @@ pub fn compile(
         }
     }
 
-    fn check_dup(seen: &mut Vec<String>, name: &str) -> Result<(), CompileError> {
-        if seen.iter().any(|s| s == name) {
+    fn check_dup<'n>(seen: &mut Vec<&'n str>, name: &'n str) -> Result<(), CompileError> {
+        if seen.contains(&name) {
             return Err(CompileError::DuplicateName(name.to_string()));
         }
-        seen.push(name.to_string());
+        seen.push(name);
         Ok(())
     }
 
@@ -564,9 +568,7 @@ pub fn compile(
             } => {
                 check_dup(&mut seen, name)?;
                 check_consumed(&consumed, name, comp)?;
-                report
-                    .reductions
-                    .push(format!("scalar `{name}` = fold ({op}) over comprehension"));
+                report.reductions.push((name.clone(), *op));
                 // Scalar reductions run unmetered: zero contribution,
                 // but their failures can stop a run early, so the
                 // certificate is no longer exact.
@@ -582,13 +584,13 @@ pub fn compile(
             Binding::BigUpd { name, base, comp } => {
                 check_dup(&mut seen, name)?;
                 check_consumed(&consumed, name, comp)?;
-                if consumed.iter().any(|s| s == base) {
+                if consumed.contains(&base.as_str()) {
                     return Err(CompileError::UseAfterUpdate {
                         array: base.clone(),
                         user: name.clone(),
                     });
                 }
-                if !seen.iter().any(|s| s == base) {
+                if !seen.contains(&base.as_str()) {
                     return Err(CompileError::UnknownBase(base.clone()));
                 }
                 let analysis = analyze_bigupd(base, name, comp, env, &options.policy)?;
@@ -606,9 +608,6 @@ pub fn compile(
                     }
                 })?;
                 let lowered = lower_update(base, name, &analysis.refs, &update, env)?;
-                report.updates.push(UpdateReport::new(
-                    name, base, comp, &analysis, &update, &lowered,
-                ));
                 report.stats.absorb(&analysis.stats);
                 // Delta plan: only for the program's sole, trailing
                 // update, and only when the write footprint is exact —
@@ -625,7 +624,7 @@ pub fn compile(
                     let writes =
                         total_instances(&analysis.refs).and_then(|w| u64::try_from(w).ok());
                     delta = writes.map(|writes| DeltaPlan {
-                        params: delta_params(&program, bi),
+                        params: delta_params(program, bi),
                         writes,
                         prefix_bytes: known
                             .shapes
@@ -635,7 +634,7 @@ pub fn compile(
                     });
                 }
                 if lowered.in_place {
-                    consumed.push(base.clone());
+                    consumed.push(base);
                 }
                 let mut fusion = Vec::new();
                 let tape = (options.engine != Engine::TreeWalk).then(|| {
@@ -647,13 +646,20 @@ pub fn compile(
                     }
                     let mut t = compile_tape(&lowered.prog, &tctx);
                     if options.fuse {
-                        fusion = fuse_tape(&mut t).iter().map(FuseDecision::render).collect();
+                        fusion = fuse_tape(&mut t);
                     }
                     t
                 });
-                if let Some(u) = report.updates.last_mut() {
-                    u.fusion = fusion;
-                }
+                report.updates.push(UpdateFacts {
+                    name: name.clone(),
+                    base: base.clone(),
+                    flow: edge_facts(analysis.flow.edges),
+                    anti: edge_facts(analysis.anti.edges),
+                    strategy: update.strategy,
+                    in_place: lowered.in_place,
+                    loops: update.plan.loops,
+                    fusion,
+                });
                 let par = tape.as_ref().map(plan_tape);
                 if let Some(b) = known.shapes.get(base).cloned() {
                     known.shapes.insert(name.clone(), b);
@@ -686,7 +692,7 @@ pub fn compile(
     Ok(Compiled {
         env: env.clone(),
         units,
-        report,
+        report: LazyReport::new(report),
         cert,
         delta,
         merges,
@@ -699,7 +705,7 @@ fn plan_merges(
     units: &[Unit],
     refs: &HashMap<String, Vec<ClauseRefs>>,
     policy: &TestPolicy,
-    report: &mut Report,
+    report: &mut ReportFacts,
 ) -> Vec<LoopMerge> {
     // Each unit that can join a chain: its name, tape and loop.
     let parts: Vec<Option<ChainLink>> = units
@@ -743,12 +749,8 @@ fn plan_merges(
             start += 1;
             continue;
         };
-        let names: Vec<String> = chain.iter().map(|c| format!("`{}`", c.0)).collect();
-        report.merges.push(format!(
-            "merged loop of {}: {}",
-            names.join(", "),
-            decision.render()
-        ));
+        let names = chain.iter().map(|c| c.0.to_string()).collect();
+        report.merges.push((names, decision));
         merges.push(LoopMerge {
             units: start..start + chain.len(),
             merged,
@@ -808,25 +810,47 @@ fn chain_order(
     Some(reverse)
 }
 
+/// The report facts of an analyzed array, taking its edges and
+/// verdicts; `bounds` and `refs` stay behind.
+fn array_facts(
+    def: &ArrayDef,
+    analysis: &mut ArrayAnalysis<'_>,
+    outcome: ArrayOutcome,
+    loops: Vec<LoopParallelism>,
+) -> ArrayFacts {
+    ArrayFacts {
+        name: def.name.clone(),
+        edges: edge_facts(std::mem::take(&mut analysis.flow.edges)),
+        collisions: std::mem::replace(&mut analysis.collisions, CollisionVerdict::Impossible),
+        empties: std::mem::replace(&mut analysis.empties, EmptiesVerdict::Impossible),
+        oob: std::mem::replace(&mut analysis.oob, BoundsVerdict::InBounds),
+        outcome,
+        loops,
+        fusion: Vec::new(),
+    }
+}
+
 #[allow(clippy::too_many_arguments)]
-fn compile_group(
-    defs: &[ArrayDef],
+fn compile_group<'p>(
+    defs: &'p [ArrayDef],
     env: &ConstEnv,
     options: &CompileOptions,
     known: &mut TapeCtx,
     units: &mut Vec<Unit>,
-    report: &mut Report,
+    report: &mut ReportFacts,
     cert: &mut CertBuilder,
-    unit_refs: &mut HashMap<String, Vec<ClauseRefs>>,
+    unit_refs: &mut HashMap<String, Vec<ClauseRefs<'p>>>,
 ) -> Result<(), CompileError> {
     // Accumulated arrays evaluate strictly on their own.
     if defs.len() == 1 {
         if let ArrayKind::Accumulated { .. } = defs[0].kind {
             let def = &defs[0];
-            let analysis = analyze_array(def, env, &options.policy)?;
-            report.arrays.push(ArrayReport::accumulated(def, &analysis));
+            let mut analysis = analyze_array(def, env, &options.policy)?;
             report.stats.absorb(&analysis.stats);
-            let bounds = analysis.bounds.clone();
+            let mut facts = array_facts(def, &mut analysis, ArrayOutcome::Accumulated, Vec::new());
+            facts.edges.clear();
+            report.arrays.push(facts);
+            let bounds = analysis.bounds;
             known.shapes.insert(def.name.clone(), bounds.clone());
             // Accumulations run unmetered: zero contribution, but the
             // certificate stops being exact (see `Reduce`).
@@ -860,7 +884,7 @@ fn compile_group(
         });
         let mut group = Vec::new();
         for def in defs {
-            let analysis = analyze_array(def, env, &options.policy)?;
+            let mut analysis = analyze_array(def, env, &options.policy)?;
             if let CollisionVerdict::Certain { pair, element, .. } = &analysis.collisions {
                 return Err(CompileError::CertainCollision {
                     array: def.name.clone(),
@@ -869,25 +893,29 @@ fn compile_group(
                 });
             }
             let reason = if mutual {
-                "mutually recursive letrec* group".to_string()
+                "mutually recursive letrec* group"
             } else {
-                "thunked execution forced".to_string()
+                "thunked execution forced"
+            };
+            report.stats.absorb(&analysis.stats);
+            let loops = loop_parallelism(&def.comp, &analysis.flow.edges);
+            let outcome = ArrayOutcome::Thunked {
+                reason: reason.to_string(),
             };
             report
                 .arrays
-                .push(ArrayReport::thunked(def, &analysis, &reason));
-            report.stats.absorb(&analysis.stats);
+                .push(array_facts(def, &mut analysis, outcome, loops));
             known
                 .shapes
                 .insert(def.name.clone(), analysis.bounds.clone());
-            group.push((def.name.clone(), analysis.bounds.clone(), def.comp.clone()));
+            group.push((def.name.clone(), analysis.bounds, def.comp.clone()));
         }
         units.push(Unit::Thunked { defs: group });
         return Ok(());
     }
 
     for def in defs {
-        let analysis = analyze_array(def, env, &options.policy)?;
+        let mut analysis = analyze_array(def, env, &options.policy)?;
         if let CollisionVerdict::Certain { pair, element, .. } = &analysis.collisions {
             return Err(CompileError::CertainCollision {
                 array: def.name.clone(),
@@ -895,11 +923,12 @@ fn compile_group(
                 element: element.clone(),
             });
         }
+        report.stats.absorb(&analysis.stats);
         match schedule(&def.comp, &analysis.flow.edges) {
-            ScheduleOutcome::Thunkless(plan) => {
+            ScheduleOutcome::Thunkless(mut plan) => {
                 let elidable = analysis.collisions.checks_elidable()
                     && analysis.empties.checks_elidable()
-                    && analysis.oob == hac_analysis::analyze::BoundsVerdict::InBounds;
+                    && analysis.oob == BoundsVerdict::InBounds;
                 let checks = if options.mode == ExecMode::ForceChecked || !elidable {
                     CheckMode::Checked
                 } else {
@@ -924,28 +953,24 @@ fn compile_group(
                         def.name
                     )),
                 }
-                report.arrays.push(ArrayReport::thunkless(
-                    def,
-                    &analysis,
-                    &plan,
-                    checks == CheckMode::Elide,
-                ));
-                report.stats.absorb(&analysis.stats);
                 let mut fusion = Vec::new();
                 let tape = (options.engine != Engine::TreeWalk).then(|| {
                     let mut t = compile_tape(&prog, known);
                     if options.fuse {
-                        fusion = fuse_tape(&mut t).iter().map(FuseDecision::render).collect();
+                        fusion = fuse_tape(&mut t);
                     }
                     t
                 });
-                if let Some(a) = report.arrays.last_mut() {
-                    a.fusion = fusion;
-                }
+                let loops = std::mem::take(&mut plan.loops);
+                let outcome = ArrayOutcome::Thunkless {
+                    plan,
+                    checks_elided: checks == CheckMode::Elide,
+                };
+                let mut facts = array_facts(def, &mut analysis, outcome, loops);
+                facts.fusion = fusion;
+                report.arrays.push(facts);
                 let par = tape.as_ref().map(plan_tape);
-                known
-                    .shapes
-                    .insert(def.name.clone(), analysis.bounds.clone());
+                known.shapes.insert(def.name.clone(), analysis.bounds);
                 unit_refs.insert(def.name.clone(), analysis.refs);
                 units.push(Unit::Thunkless {
                     name: def.name.clone(),
@@ -956,15 +981,18 @@ fn compile_group(
             }
             ScheduleOutcome::NeedsThunks(reason) => {
                 cert.mark_open(&format!("thunked: {reason}"));
+                let loops = loop_parallelism(&def.comp, &analysis.flow.edges);
+                let outcome = ArrayOutcome::Thunked {
+                    reason: reason.to_string(),
+                };
                 report
                     .arrays
-                    .push(ArrayReport::thunked(def, &analysis, &reason.to_string()));
-                report.stats.absorb(&analysis.stats);
+                    .push(array_facts(def, &mut analysis, outcome, loops));
                 known
                     .shapes
                     .insert(def.name.clone(), analysis.bounds.clone());
                 units.push(Unit::Thunked {
-                    defs: vec![(def.name.clone(), analysis.bounds.clone(), def.comp.clone())],
+                    defs: vec![(def.name.clone(), analysis.bounds, def.comp.clone())],
                 });
             }
         }

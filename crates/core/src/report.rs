@@ -15,17 +15,18 @@
 //! [`ExecOutput`]: crate::pipeline::ExecOutput
 
 use std::fmt::Write as _;
+use std::ops::Deref;
+use std::sync::OnceLock;
 
-use hac_analysis::analyze::{
-    ArrayAnalysis, BoundsVerdict, CollisionVerdict, EmptiesVerdict, UpdateAnalysis,
-};
-use hac_analysis::depgraph::DepEdge;
-use hac_analysis::parallel::{loop_parallelism, parallelism_summary};
+use hac_analysis::analyze::{BoundsVerdict, CollisionVerdict, EmptiesVerdict};
+use hac_analysis::depgraph::{DepEdge, DepKind};
+use hac_analysis::direction::DirVec;
+use hac_analysis::parallel::{parallelism_summary, LoopParallelism};
 use hac_analysis::search::{Confidence, TestStats};
-use hac_codegen::lower::LoweredUpdate;
-use hac_lang::ast::{ArrayDef, Comp};
+use hac_codegen::fuse::FuseDecision;
+use hac_lang::ast::{BinOp, ClauseId};
 use hac_schedule::plan::Plan;
-use hac_schedule::split::{UpdatePlan, UpdateStrategy};
+use hac_schedule::split::UpdateStrategy;
 
 /// Report for one array definition.
 #[derive(Debug, Clone)]
@@ -48,19 +49,46 @@ pub struct ArrayReport {
     pub fusion: Vec<String>,
 }
 
-fn parallelism_lines(comp: &Comp, edges: &[DepEdge]) -> Vec<(String, Vec<String>)> {
-    let loops = loop_parallelism(comp, edges);
-    parallelism_summary(&loops)
+fn parallelism_lines(loops: &[LoopParallelism]) -> Vec<(String, Vec<String>)> {
+    parallelism_summary(loops)
         .into_iter()
         .map(|(k, v)| (k.to_string(), v))
         .collect()
 }
 
-fn render_edge(e: &DepEdge) -> String {
-    let conf = match &e.confidence {
-        Confidence::Confirmed(_) => " [exact]",
-        Confidence::Possible => " [possible]",
-    };
+/// A dependence edge as the report prints it: the witness, array name
+/// and read ordinals are dropped, since a cached program keeps these
+/// facts for its whole life.
+#[derive(Debug, Clone)]
+pub(crate) struct EdgeFact {
+    src: ClauseId,
+    dst: ClauseId,
+    kind: DepKind,
+    dv: DirVec,
+    distance: Option<Vec<i64>>,
+    exact: bool,
+}
+
+impl From<DepEdge> for EdgeFact {
+    fn from(e: DepEdge) -> EdgeFact {
+        EdgeFact {
+            src: e.src,
+            dst: e.dst,
+            kind: e.kind,
+            dv: e.dv,
+            distance: e.distance,
+            exact: matches!(e.confidence, Confidence::Confirmed(_)),
+        }
+    }
+}
+
+/// The facts of a list of edges.
+pub(crate) fn edge_facts(edges: Vec<DepEdge>) -> Vec<EdgeFact> {
+    edges.into_iter().map(EdgeFact::from).collect()
+}
+
+fn render_edge(e: &EdgeFact) -> String {
+    let conf = if e.exact { " [exact]" } else { " [possible]" };
     let dist = match &e.distance {
         Some(d) => format!(" dist {d:?}"),
         None => String::new(),
@@ -94,54 +122,69 @@ fn render_bounds(v: &BoundsVerdict) -> String {
     }
 }
 
-impl ArrayReport {
-    /// Report a thunkless compilation.
-    pub fn thunkless(
-        def: &ArrayDef,
-        analysis: &ArrayAnalysis,
-        plan: &Plan,
-        checks_elided: bool,
-    ) -> ArrayReport {
+fn render_fusion(decisions: &[FuseDecision]) -> Vec<String> {
+    decisions.iter().map(FuseDecision::render).collect()
+}
+
+/// How an array was compiled, as far as its report tells.
+#[derive(Debug, Clone)]
+pub(crate) enum ArrayOutcome {
+    Thunkless { plan: Plan, checks_elided: bool },
+    Thunked { reason: String },
+    Accumulated,
+}
+
+/// What compilation established about one array definition, kept
+/// unrendered until a report is asked for.
+#[derive(Debug, Clone)]
+pub(crate) struct ArrayFacts {
+    pub name: String,
+    /// Flow edges; empty for an accumulated array.
+    pub edges: Vec<EdgeFact>,
+    pub collisions: CollisionVerdict,
+    pub empties: EmptiesVerdict,
+    pub oob: BoundsVerdict,
+    pub outcome: ArrayOutcome,
+    /// §10 verdicts against `edges` (a thunkless plan's own `loops`).
+    pub loops: Vec<LoopParallelism>,
+    pub fusion: Vec<FuseDecision>,
+}
+
+impl ArrayFacts {
+    fn render(&self) -> ArrayReport {
+        let accumulated = matches!(self.outcome, ArrayOutcome::Accumulated);
+        let (collisions, empties) = if accumulated {
+            (
+                "combined by accumArray".to_string(),
+                "filled by default value".to_string(),
+            )
+        } else {
+            (
+                render_collisions(&self.collisions),
+                render_empties(&self.empties),
+            )
+        };
+        let (outcome, checks_elided) = match &self.outcome {
+            ArrayOutcome::Thunkless {
+                plan,
+                checks_elided,
+            } => (
+                format!("thunkless\n{}", indent(&plan.render())),
+                *checks_elided,
+            ),
+            ArrayOutcome::Thunked { reason } => (format!("thunked ({reason})"), false),
+            ArrayOutcome::Accumulated => ("accumulated (strict, list order)".to_string(), true),
+        };
         ArrayReport {
-            name: def.name.clone(),
-            edges: analysis.flow.edges.iter().map(render_edge).collect(),
-            collisions: render_collisions(&analysis.collisions),
-            empties: render_empties(&analysis.empties),
-            bounds: render_bounds(&analysis.oob),
-            outcome: format!("thunkless\n{}", indent(&plan.render())),
+            name: self.name.clone(),
+            edges: self.edges.iter().map(render_edge).collect(),
+            collisions,
+            empties,
+            bounds: render_bounds(&self.oob),
+            outcome,
             checks_elided,
-            parallelism: parallelism_lines(&def.comp, &analysis.flow.edges),
-            fusion: Vec::new(),
-        }
-    }
-
-    /// Report a thunked fallback.
-    pub fn thunked(def: &ArrayDef, analysis: &ArrayAnalysis, reason: &str) -> ArrayReport {
-        ArrayReport {
-            name: def.name.clone(),
-            edges: analysis.flow.edges.iter().map(render_edge).collect(),
-            collisions: render_collisions(&analysis.collisions),
-            empties: render_empties(&analysis.empties),
-            bounds: render_bounds(&analysis.oob),
-            outcome: format!("thunked ({reason})"),
-            checks_elided: false,
-            parallelism: parallelism_lines(&def.comp, &analysis.flow.edges),
-            fusion: Vec::new(),
-        }
-    }
-
-    /// Report an accumulated array.
-    pub fn accumulated(def: &ArrayDef, analysis: &ArrayAnalysis) -> ArrayReport {
-        ArrayReport {
-            name: def.name.clone(),
-            edges: Vec::new(),
-            collisions: "combined by accumArray".to_string(),
-            empties: "filled by default value".to_string(),
-            bounds: render_bounds(&analysis.oob),
-            outcome: "accumulated (strict, list order)".to_string(),
-            checks_elided: true,
-            parallelism: Vec::new(),
-            fusion: Vec::new(),
+            parallelism: parallelism_lines(&self.loops),
+            fusion: render_fusion(&self.fusion),
         }
     }
 }
@@ -163,24 +206,24 @@ pub struct UpdateReport {
     pub fusion: Vec<String>,
 }
 
-impl UpdateReport {
-    /// Build from the analysis and planning artifacts.
-    pub fn new(
-        name: &str,
-        base: &str,
-        comp: &Comp,
-        analysis: &UpdateAnalysis,
-        update: &UpdatePlan,
-        lowered: &LoweredUpdate,
-    ) -> UpdateReport {
-        let full: Vec<DepEdge> = analysis
-            .flow
-            .edges
-            .iter()
-            .chain(analysis.anti.edges.iter())
-            .cloned()
-            .collect();
-        let strategy = match &update.strategy {
+/// What compilation established about one `bigupd`, kept unrendered
+/// until a report is asked for.
+#[derive(Debug, Clone)]
+pub(crate) struct UpdateFacts {
+    pub name: String,
+    pub base: String,
+    pub flow: Vec<EdgeFact>,
+    pub anti: Vec<EdgeFact>,
+    pub strategy: UpdateStrategy,
+    pub in_place: bool,
+    /// §10 verdicts over the full (flow + anti) edge set.
+    pub loops: Vec<LoopParallelism>,
+    pub fusion: Vec<FuseDecision>,
+}
+
+impl UpdateFacts {
+    fn render(&self) -> UpdateReport {
+        let strategy = match &self.strategy {
             UpdateStrategy::InPlace => "in place, zero copies".to_string(),
             UpdateStrategy::Split(actions) => format!(
                 "in place after node splitting: {}",
@@ -193,15 +236,89 @@ impl UpdateReport {
             UpdateStrategy::CopyWhole => "whole-array copy".to_string(),
         };
         UpdateReport {
-            name: name.to_string(),
-            base: base.to_string(),
-            anti_edges: analysis.anti.edges.iter().map(render_edge).collect(),
-            flow_edges: analysis.flow.edges.iter().map(render_edge).collect(),
+            name: self.name.clone(),
+            base: self.base.clone(),
+            anti_edges: self.anti.iter().map(render_edge).collect(),
+            flow_edges: self.flow.iter().map(render_edge).collect(),
             strategy,
-            in_place: lowered.in_place,
-            parallelism: parallelism_lines(comp, &full),
-            fusion: Vec::new(),
+            in_place: self.in_place,
+            parallelism: parallelism_lines(&self.loops),
+            fusion: render_fusion(&self.fusion),
         }
+    }
+}
+
+/// Everything a compilation [`Report`] says, as the compiler's own
+/// values: verdicts, edges, plans and fusion decisions. Rendering them
+/// to text is left to the first reader.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ReportFacts {
+    pub arrays: Vec<ArrayFacts>,
+    pub updates: Vec<UpdateFacts>,
+    /// Scalar reductions: name and fold operator.
+    pub reductions: Vec<(String, BinOp)>,
+    /// Merged loops: the chain's array names and the merged loop's
+    /// fusion decision.
+    pub merges: Vec<(Vec<String>, FuseDecision)>,
+    /// The rendered certificate line: one short string, where the
+    /// certificate's polynomials would take kilobytes in every cached
+    /// program.
+    pub cost: Option<String>,
+    pub stats: TestStats,
+}
+
+impl ReportFacts {
+    fn render(&self) -> Report {
+        Report {
+            arrays: self.arrays.iter().map(ArrayFacts::render).collect(),
+            updates: self.updates.iter().map(UpdateFacts::render).collect(),
+            reductions: self
+                .reductions
+                .iter()
+                .map(|(name, op)| format!("scalar `{name}` = fold ({op}) over comprehension"))
+                .collect(),
+            merges: self
+                .merges
+                .iter()
+                .map(|(names, decision)| {
+                    let names: Vec<String> = names.iter().map(|n| format!("`{n}`")).collect();
+                    format!("merged loop of {}: {}", names.join(", "), decision.render())
+                })
+                .collect(),
+            cost: self.cost.clone(),
+            stats: self.stats,
+        }
+    }
+}
+
+/// A compilation [`Report`] rendered on first use: [`compile`] records
+/// the [`ReportFacts`] it derives anyway, and only a reader of the
+/// report (through `Deref`) pays for the text.
+///
+/// [`compile`]: crate::pipeline::compile
+#[derive(Debug, Clone, Default)]
+pub struct LazyReport {
+    facts: ReportFacts,
+    text: OnceLock<Report>,
+}
+
+impl LazyReport {
+    pub(crate) fn new(mut facts: ReportFacts) -> LazyReport {
+        // A cached program keeps these for its whole life.
+        facts.arrays.shrink_to_fit();
+        facts.updates.shrink_to_fit();
+        LazyReport {
+            facts,
+            text: OnceLock::new(),
+        }
+    }
+}
+
+impl Deref for LazyReport {
+    type Target = Report;
+
+    fn deref(&self) -> &Report {
+        self.text.get_or_init(|| self.facts.render())
     }
 }
 

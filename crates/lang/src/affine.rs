@@ -1,4 +1,5 @@
-//! Affine (linear) integer forms over named variables.
+//! Affine (linear) integer forms over source names and normalized loop
+//! indices.
 //!
 //! Subscript analysis (§6 of the paper) applies when subscript
 //! expressions are *linear in the loop indices*:
@@ -6,10 +7,9 @@
 //! [`Affine::from_expr`] is the extraction that decides whether an
 //! expression is linear (folding compile-time constants on the way).
 
-use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::ast::{BinOp, Expr, UnOp};
+use crate::ast::{BinOp, Expr, LoopId, UnOp};
 use crate::env::ConstEnv;
 
 /// Why [`Affine::try_from_expr`] found no affine form.
@@ -21,15 +21,51 @@ pub enum NotAffine {
     Overflow,
 }
 
-/// An affine integer form `c + Σ coeff(v) · v` over named variables.
+/// A variable of an affine form: a source-level name, or the
+/// normalized index of a loop (§6; rendered `L<k>`).
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum Var {
+    Name(String),
+    Loop(LoopId),
+}
+
+impl From<&str> for Var {
+    fn from(v: &str) -> Var {
+        Var::Name(v.to_string())
+    }
+}
+
+impl From<String> for Var {
+    fn from(v: String) -> Var {
+        Var::Name(v)
+    }
+}
+
+impl From<LoopId> for Var {
+    fn from(id: LoopId) -> Var {
+        Var::Loop(id)
+    }
+}
+
+impl fmt::Display for Var {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Var::Name(v) => f.write_str(v),
+            Var::Loop(id) => write!(f, "{id}"),
+        }
+    }
+}
+
+/// An affine integer form `c + Σ coeff(v) · v` over [`Var`]s.
 ///
 /// Variables with a zero coefficient are never stored, so structural
 /// equality coincides with mathematical equality.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Affine {
     constant: i64,
-    /// Sorted by variable name; never contains zero coefficients.
-    coeffs: BTreeMap<String, i64>,
+    /// Sorted by variable; never contains zero coefficients. Subscripts
+    /// have a term or two, so a sorted vector beats a map.
+    coeffs: Vec<(Var, i64)>,
 }
 
 impl Affine {
@@ -37,25 +73,26 @@ impl Affine {
     pub fn constant(c: i64) -> Affine {
         Affine {
             constant: c,
-            coeffs: BTreeMap::new(),
+            coeffs: Vec::new(),
         }
     }
 
     /// The single-variable form `1·v`.
-    pub fn var(v: impl Into<String>) -> Affine {
-        let mut coeffs = BTreeMap::new();
-        coeffs.insert(v.into(), 1);
+    pub fn var(v: impl Into<Var>) -> Affine {
+        Affine::term(v, 1)
+    }
+
+    /// The form `k·v`.
+    pub fn term(v: impl Into<Var>, k: i64) -> Affine {
+        let coeffs = if k == 0 {
+            Vec::new()
+        } else {
+            vec![(v.into(), k)]
+        };
         Affine {
             constant: 0,
             coeffs,
         }
-    }
-
-    /// The form `k·v`.
-    pub fn term(v: impl Into<String>, k: i64) -> Affine {
-        let mut a = Affine::constant(0);
-        a.add_term(&v.into(), k);
-        a
     }
 
     /// The constant part `a0`.
@@ -63,20 +100,31 @@ impl Affine {
         self.constant
     }
 
-    /// The coefficient of `v` (zero if absent).
+    fn find(&self, v: &Var) -> Result<usize, usize> {
+        self.coeffs.binary_search_by(|(w, _)| w.cmp(v))
+    }
+
+    /// The coefficient of the named variable `v` (zero if absent).
     pub fn coeff(&self, v: &str) -> i64 {
-        self.coeffs.get(v).copied().unwrap_or(0)
+        self.coeffs
+            .iter()
+            .find(|(w, _)| matches!(w, Var::Name(n) if n == v))
+            .map_or(0, |&(_, k)| k)
+    }
+
+    /// The coefficient of loop `id`'s normalized index (zero if
+    /// absent).
+    pub fn loop_coeff(&self, id: LoopId) -> i64 {
+        self.coeffs
+            .iter()
+            .find(|(w, _)| *w == Var::Loop(id))
+            .map_or(0, |&(_, k)| k)
     }
 
     /// Iterate over `(variable, coefficient)` pairs with nonzero
-    /// coefficients, in variable-name order.
-    pub fn terms(&self) -> impl Iterator<Item = (&str, i64)> {
-        self.coeffs.iter().map(|(v, &k)| (v.as_str(), k))
-    }
-
-    /// The set of variables with nonzero coefficients.
-    pub fn vars(&self) -> impl Iterator<Item = &str> {
-        self.coeffs.keys().map(|s| s.as_str())
+    /// coefficients, in variable order.
+    pub fn terms(&self) -> impl Iterator<Item = (&Var, i64)> {
+        self.coeffs.iter().map(|(v, k)| (v, *k))
     }
 
     /// `true` if the form is a plain constant.
@@ -84,99 +132,67 @@ impl Affine {
         self.coeffs.is_empty()
     }
 
-    fn add_term(&mut self, v: &str, k: i64) {
-        if k == 0 {
-            return;
-        }
-        let entry = self.coeffs.entry(v.to_string()).or_insert(0);
-        *entry += k;
-        if *entry == 0 {
-            self.coeffs.remove(v);
-        }
-    }
-
-    /// Pointwise sum.
-    pub fn add(&self, other: &Affine) -> Affine {
-        let mut out = self.clone();
-        out.constant += other.constant;
-        for (v, k) in other.terms() {
-            out.add_term(v, k);
-        }
-        out
-    }
-
     /// Pointwise sum, or `None` when a coefficient or the constant
     /// overflows `i64`.
     pub fn checked_add(&self, other: &Affine) -> Option<Affine> {
         let mut out = self.clone();
         out.constant = out.constant.checked_add(other.constant)?;
-        for (v, k) in other.terms() {
-            let c = out.coeff(v).checked_add(k)?;
-            out.coeffs.insert(v.to_string(), c);
-            if c == 0 {
-                out.coeffs.remove(v);
+        for (v, k) in &other.coeffs {
+            match out.find(v) {
+                Ok(at) => {
+                    let c = out.coeffs[at].1.checked_add(*k)?;
+                    if c == 0 {
+                        out.coeffs.remove(at);
+                    } else {
+                        out.coeffs[at].1 = c;
+                    }
+                }
+                Err(at) => out.coeffs.insert(at, (v.clone(), *k)),
             }
         }
         Some(out)
     }
 
+    /// Pointwise sum.
+    ///
+    /// # Panics
+    /// Panics when a coefficient or the constant overflows `i64`.
+    pub fn add(&self, other: &Affine) -> Affine {
+        self.checked_add(other).expect("affine sum overflows i64")
+    }
+
     /// Scalar multiple, or `None` when a coefficient or the constant
     /// overflows `i64`.
-    pub fn checked_scale(&self, k: i64) -> Option<Affine> {
+    pub fn checked_scale(mut self, k: i64) -> Option<Affine> {
         if k == 0 {
             return Some(Affine::constant(0));
         }
-        let mut coeffs = BTreeMap::new();
-        for (v, c) in self.terms() {
-            coeffs.insert(v.to_string(), c.checked_mul(k)?);
+        self.constant = self.constant.checked_mul(k)?;
+        for (_, c) in &mut self.coeffs {
+            *c = c.checked_mul(k)?;
         }
-        Some(Affine {
-            constant: self.constant.checked_mul(k)?,
-            coeffs,
-        })
+        Some(self)
     }
 
-    /// Pointwise difference.
-    pub fn sub(&self, other: &Affine) -> Affine {
-        self.add(&other.scale(-1))
-    }
-
-    /// Scalar multiple.
-    pub fn scale(&self, k: i64) -> Affine {
-        if k == 0 {
-            return Affine::constant(0);
-        }
-        Affine {
-            constant: self.constant * k,
-            coeffs: self
-                .coeffs
-                .iter()
-                .map(|(v, &c)| (v.clone(), c * k))
-                .collect(),
-        }
-    }
-
-    /// Substitute an affine form for a variable: `self[v := repl]`.
-    pub fn subst(&self, v: &str, repl: &Affine) -> Affine {
-        let k = self.coeff(v);
-        if k == 0 {
-            return self.clone();
-        }
+    /// Substitute `repl` for the variable `v`: `self[v := repl]`, or
+    /// `None` when the result overflows `i64`.
+    pub fn checked_subst(&self, v: &Var, repl: &Affine) -> Option<Affine> {
+        let Ok(at) = self.find(v) else {
+            return Some(self.clone());
+        };
         let mut out = self.clone();
-        out.coeffs.remove(v);
-        out.add(&repl.scale(k))
+        let (_, k) = out.coeffs.remove(at);
+        out.checked_add(&repl.clone().checked_scale(k)?)
     }
 
-    /// Evaluate under a total assignment of the form's variables.
+    /// Evaluate under an assignment of the form's variables.
     ///
     /// # Panics
-    /// Panics if a variable is missing from `assignment`.
-    pub fn eval(&self, assignment: &BTreeMap<String, i64>) -> i64 {
+    /// Panics if `value` has no value for a variable of the form.
+    pub fn eval(&self, value: impl Fn(&Var) -> Option<i64>) -> i64 {
         let mut acc = self.constant;
-        for (v, k) in self.terms() {
-            let val = assignment
-                .get(v)
-                .unwrap_or_else(|| panic!("affine eval: unbound variable `{v}`"));
+        for (v, k) in &self.coeffs {
+            let val = value(v).unwrap_or_else(|| panic!("affine eval: unbound variable `{v}`"));
             acc += k * val;
         }
         acc
@@ -200,6 +216,23 @@ impl Affine {
     /// # Errors
     /// [`NotAffine`] names the reason.
     pub fn try_from_expr(e: &Expr, env: &ConstEnv) -> Result<Affine, NotAffine> {
+        Affine::try_from_expr_with(e, &|v| {
+            Ok(env
+                .lookup(v)
+                .map_or_else(|| Affine::var(v), Affine::constant))
+        })
+    }
+
+    /// [`Affine::try_from_expr`] with the form of each variable
+    /// occurrence given by `leaf` — so a caller can map loop indices
+    /// straight to their normalized forms.
+    ///
+    /// # Errors
+    /// [`NotAffine`] names the reason; `leaf`'s errors pass through.
+    pub fn try_from_expr_with(
+        e: &Expr,
+        leaf: &impl Fn(&str) -> Result<Affine, NotAffine>,
+    ) -> Result<Affine, NotAffine> {
         let overflow = |a: Option<Affine>| a.ok_or(NotAffine::Overflow);
         match e {
             Expr::Int(v) => Ok(Affine::constant(*v)),
@@ -207,17 +240,14 @@ impl Affine {
             Expr::Num(v) if v.fract() == 0.0 && v.abs() < i64::MAX as f64 => {
                 Ok(Affine::constant(*v as i64))
             }
-            Expr::Var(v) => Ok(match env.lookup(v) {
-                Some(c) => Affine::constant(c),
-                None => Affine::var(v.clone()),
-            }),
+            Expr::Var(v) => leaf(v),
             Expr::Unary {
                 op: UnOp::Neg,
                 expr,
-            } => overflow(Affine::try_from_expr(expr, env)?.checked_scale(-1)),
+            } => overflow(Affine::try_from_expr_with(expr, leaf)?.checked_scale(-1)),
             Expr::Binary { op, lhs, rhs } => {
-                let l = Affine::try_from_expr(lhs, env)?;
-                let r = Affine::try_from_expr(rhs, env)?;
+                let l = Affine::try_from_expr_with(lhs, leaf)?;
+                let r = Affine::try_from_expr_with(rhs, leaf)?;
                 match op {
                     BinOp::Add => overflow(l.checked_add(&r)),
                     BinOp::Sub => overflow(r.checked_scale(-1).and_then(|r| l.checked_add(&r))),
@@ -249,9 +279,9 @@ impl Affine {
         let mut acc: Option<Expr> = None;
         for (v, k) in self.terms() {
             let term = if k == 1 {
-                Expr::var(v)
+                Expr::var(v.to_string())
             } else {
-                Expr::mul(Expr::int(k), Expr::var(v))
+                Expr::mul(Expr::int(k), Expr::var(v.to_string()))
             };
             acc = Some(match acc {
                 None => term,
@@ -357,7 +387,7 @@ mod tests {
         // i ↦ 2*i' - 1 inside 3i + 4:  3(2i'-1)+4 = 6i' + 1
         let a = Affine::term("i", 3).add(&Affine::constant(4));
         let repl = Affine::term("ip", 2).add(&Affine::constant(-1));
-        let s = a.subst("i", &repl);
+        let s = a.checked_subst(&Var::from("i"), &repl).unwrap();
         assert_eq!(s.coeff("ip"), 6);
         assert_eq!(s.constant_part(), 1);
     }
@@ -365,12 +395,16 @@ mod tests {
     #[test]
     fn eval_matches_terms() {
         let a = Affine::term("i", 3)
-            .add(&Affine::term("j", -2))
+            .add(&Affine::term(LoopId(2), -2))
             .add(&Affine::constant(7));
-        let mut asg = BTreeMap::new();
-        asg.insert("i".to_string(), 4);
-        asg.insert("j".to_string(), 5);
-        assert_eq!(a.eval(&asg), 3 * 4 - 2 * 5 + 7);
+        let asg = |v: &Var| match v {
+            Var::Name(n) if n == "i" => Some(4),
+            Var::Loop(LoopId(2)) => Some(5),
+            _ => None,
+        };
+        assert_eq!(a.eval(asg), 3 * 4 - 2 * 5 + 7);
+        assert_eq!(a.loop_coeff(LoopId(2)), -2);
+        assert_eq!(a.coeff("L2"), 0);
     }
 
     #[test]

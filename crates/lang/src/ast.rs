@@ -618,6 +618,34 @@ impl Program {
         None
     }
 
+    /// Every binding's comprehension, in binding order.
+    pub fn comps(&self) -> impl Iterator<Item = &Comp> {
+        self.bindings.iter().flat_map(|b| {
+            let (one, defs): (Option<&Comp>, &[ArrayDef]) = match b {
+                Binding::Let(d) => (Some(&d.comp), &[]),
+                Binding::LetrecStar(ds) => (None, ds),
+                Binding::BigUpd { comp, .. } | Binding::Reduce { comp, .. } => (Some(comp), &[]),
+                Binding::Input { .. } => (None, &[]),
+            };
+            one.into_iter().chain(defs.iter().map(|d| &d.comp))
+        })
+    }
+
+    /// [`Program::comps`], mutably.
+    pub fn comps_mut(&mut self) -> impl Iterator<Item = &mut Comp> {
+        self.bindings.iter_mut().flat_map(|b| {
+            let (one, defs): (Option<&mut Comp>, &mut [ArrayDef]) = match b {
+                Binding::Let(d) => (Some(&mut d.comp), &mut []),
+                Binding::LetrecStar(ds) => (None, ds),
+                Binding::BigUpd { comp, .. } | Binding::Reduce { comp, .. } => {
+                    (Some(comp), &mut [])
+                }
+                Binding::Input { .. } => (None, &mut []),
+            };
+            one.into_iter().chain(defs.iter_mut().map(|d| &mut d.comp))
+        })
+    }
+
     /// The names this program produces (explicit `results`, else the
     /// names of the final binding).
     pub fn result_names(&self) -> Vec<String> {

@@ -321,8 +321,9 @@ impl ProgramBuilder {
         self
     }
 
-    /// Finish into a [`Program`].
-    pub fn finish(self) -> Program {
+    /// Finish into a [`Program`], numbered as the parser numbers one.
+    pub fn finish(mut self) -> Program {
+        crate::number::number_program(&mut self.program);
         self.program
     }
 }

@@ -147,7 +147,15 @@ impl std::error::Error for LexError {}
 /// literals.
 pub fn lex(src: &str) -> Result<Vec<SpannedTok>, LexError> {
     let bytes: Vec<char> = src.chars().collect();
-    let mut out = Vec::new();
+    // Byte offset of each char, plus the end: token text is sliced from
+    // `src`, never collected.
+    let offsets: Vec<usize> = src
+        .char_indices()
+        .map(|(at, _)| at)
+        .chain(std::iter::once(src.len()))
+        .collect();
+    let text = |start: usize, end: usize| &src[offsets[start]..offsets[end]];
+    let mut out = Vec::with_capacity(src.len() / 4);
     let mut i = 0usize;
     let mut line = 1u32;
     let n = bytes.len();
@@ -301,14 +309,14 @@ pub fn lex(src: &str) -> Result<Vec<SpannedTok>, LexError> {
                             i += 1;
                         }
                     }
-                    let text: String = bytes[start..i].iter().collect();
+                    let text = text(start, i);
                     let v = text.parse::<f64>().map_err(|e| LexError {
                         line,
                         message: format!("bad float literal `{text}`: {e}"),
                     })?;
                     push!(Tok::Float(v));
                 } else {
-                    let text: String = bytes[start..i].iter().collect();
+                    let text = text(start, i);
                     let v = text.parse::<i64>().map_err(|e| LexError {
                         line,
                         message: format!("bad integer literal `{text}`: {e}"),
@@ -321,8 +329,8 @@ pub fn lex(src: &str) -> Result<Vec<SpannedTok>, LexError> {
                 while i < n && (bytes[i].is_alphanumeric() || bytes[i] == '_' || bytes[i] == '\'') {
                     i += 1;
                 }
-                let text: String = bytes[start..i].iter().collect();
-                let tok = match text.as_str() {
+                let text = text(start, i);
+                let tok = match text {
                     "param" => Tok::Param,
                     "input" => Tok::Input,
                     "let" => Tok::Let,
@@ -353,7 +361,7 @@ pub fn lex(src: &str) -> Result<Vec<SpannedTok>, LexError> {
                     "not" => Tok::Not,
                     "min" => Tok::Min,
                     "max" => Tok::Max,
-                    _ => Tok::Ident(text),
+                    _ => Tok::Ident(text.to_string()),
                 };
                 push!(tok);
             }

@@ -9,9 +9,10 @@
 //! [`LoopId`] (rendered `L<k>`) so that same-named indices of different
 //! generators can never be confused.
 
+use std::borrow::Cow;
 use std::fmt;
 
-use crate::affine::Affine;
+use crate::affine::{Affine, NotAffine, Var};
 use crate::ast::{Expr, LoopId};
 use crate::env::ConstEnv;
 use crate::number::{ClauseContext, LoopFrame, PathStep};
@@ -19,13 +20,23 @@ use crate::number::{ClauseContext, LoopFrame, PathStep};
 /// A normalization failure.
 #[derive(Debug, Clone, PartialEq)]
 pub enum NormalizeError {
-    /// A loop bound is not an affine constant under the parameter
-    /// environment (e.g. depends on an unbound parameter or an array).
+    /// A loop bound is not affine under the parameter environment
+    /// (e.g. it reads an array).
     NonConstantBound { var: String, bound: String },
     /// A triangular loop — the bound depends on an outer loop index.
     /// Supported by neither the paper's §6 formulation nor this
     /// implementation.
     TriangularBound { var: String, bound: String },
+    /// The bound depends on `name`, which is neither a bound parameter
+    /// nor an enclosing loop index: a run-time scalar (a reduction
+    /// result) or a parameter left unbound.
+    RuntimeBound {
+        var: String,
+        bound: String,
+        name: String,
+    },
+    /// The loop runs more than `i64::MAX` times.
+    TripCountOverflow { var: String, count: i128 },
 }
 
 impl fmt::Display for NormalizeError {
@@ -39,6 +50,15 @@ impl fmt::Display for NormalizeError {
                 f,
                 "loop `{var}` has triangular bound `{bound}` depending on an outer index"
             ),
+            NormalizeError::RuntimeBound { var, bound, name } => write!(
+                f,
+                "loop `{var}` has bound `{bound}` depending on `{name}`, which is neither a \
+                 bound parameter nor an outer loop index (a run-time scalar cannot bound a loop)"
+            ),
+            NormalizeError::TripCountOverflow { var, count } => write!(
+                f,
+                "loop `{var}` runs {count} times, more than a 64-bit count holds"
+            ),
         }
     }
 }
@@ -47,11 +67,9 @@ impl std::error::Error for NormalizeError {}
 
 /// A generator rewritten to run over `x ∈ [1..size]` with
 /// `original = lo + (x-1)·step`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct NormalizedLoop {
     pub id: LoopId,
-    /// The original index variable name (for diagnostics/codegen).
-    pub var: String,
     /// Iteration count `M_k` (zero for an empty loop).
     pub size: i64,
     /// Original low value.
@@ -61,15 +79,12 @@ pub struct NormalizedLoop {
 }
 
 impl NormalizedLoop {
-    /// The canonical name of the normalized index variable.
-    pub fn norm_var(&self) -> String {
-        format!("L{}", self.id.0)
-    }
-
-    /// The original index as an affine form of the normalized index:
-    /// `lo + (x-1)·step = (lo - step) + step·x`.
-    pub fn original_as_affine(&self) -> Affine {
-        Affine::term(self.norm_var(), self.step).add(&Affine::constant(self.lo - self.step))
+    /// The original index as an affine form of the normalized index
+    /// `x` ([`Var::Loop`]): `lo + (x-1)·step = (lo - step) + step·x`,
+    /// or `None` when `lo - step` overflows `i64`.
+    pub fn original_as_affine(&self) -> Option<Affine> {
+        Affine::term(self.id, self.step)
+            .checked_add(&Affine::constant(self.lo.checked_sub(self.step)?))
     }
 
     /// Original index value at normalized position `x` (1-based).
@@ -81,39 +96,67 @@ impl NormalizedLoop {
 /// Normalize a single generator under a parameter environment.
 ///
 /// # Errors
-/// Fails when a bound does not fold to a constant ([`NormalizeError`]).
+/// Fails when a bound does not fold to a constant, or when the loop
+/// runs more than `i64::MAX` times ([`NormalizeError`]).
 pub fn normalize_loop(frame: &LoopFrame, env: &ConstEnv) -> Result<NormalizedLoop, NormalizeError> {
+    normalize_under(frame, &[], env)
+}
+
+/// [`normalize_loop`] for a generator nested in loops over `outer`, so
+/// that a bound depending on one of them is named triangular.
+fn normalize_under(
+    frame: &LoopFrame,
+    outer: &[LoopFrame],
+    env: &ConstEnv,
+) -> Result<NormalizedLoop, NormalizeError> {
+    let var = || frame.var.to_string();
     let fold = |e: &Expr| -> Result<i64, NormalizeError> {
-        match Affine::from_expr(e, env) {
-            Some(a) if a.is_constant() => Ok(a.constant_part()),
-            Some(a) => Err(NormalizeError::TriangularBound {
-                var: frame.var.clone(),
-                bound: a.to_string(),
-            }),
-            None => Err(NormalizeError::NonConstantBound {
-                var: frame.var.clone(),
+        let Some(a) = Affine::from_expr(e, env) else {
+            return Err(NormalizeError::NonConstantBound {
+                var: var(),
                 bound: crate::pretty::expr_str(e),
-            }),
+            });
+        };
+        if a.is_constant() {
+            return Ok(a.constant_part());
         }
+        let names: Vec<&str> = a
+            .terms()
+            .filter_map(|(v, _)| match v {
+                Var::Name(n) => Some(n.as_str()),
+                Var::Loop(_) => None,
+            })
+            .collect();
+        let bound = a.to_string();
+        Err(if names.iter().any(|n| outer.iter().any(|f| f.var == *n)) {
+            NormalizeError::TriangularBound { var: var(), bound }
+        } else {
+            NormalizeError::RuntimeBound {
+                var: var(),
+                bound,
+                name: names.first().map_or_else(String::new, |n| n.to_string()),
+            }
+        })
     };
     let lo = fold(&frame.range.lo)?;
     let hi = fold(&frame.range.hi)?;
     let step = frame.range.step;
     debug_assert!(step != 0, "parser guarantees nonzero step");
-    let size = if step > 0 {
-        if hi >= lo {
-            (hi - lo) / step + 1
-        } else {
-            0
-        }
-    } else if hi <= lo {
-        (lo - hi) / (-step) + 1
+    // Exact in i128: `hi - lo` alone can overflow i64.
+    let span = if step > 0 {
+        hi as i128 - lo as i128
     } else {
-        0
+        lo as i128 - hi as i128
     };
+    let count = if span < 0 {
+        0
+    } else {
+        span / (step as i128).abs() + 1
+    };
+    let size = i64::try_from(count)
+        .map_err(|_| NormalizeError::TripCountOverflow { var: var(), count })?;
     Ok(NormalizedLoop {
         id: frame.id,
-        var: frame.var.clone(),
         size,
         lo,
         step,
@@ -128,10 +171,25 @@ pub fn normalize_nest(
     ctx: &ClauseContext,
     env: &ConstEnv,
 ) -> Result<Vec<NormalizedLoop>, NormalizeError> {
-    ctx.loops()
-        .into_iter()
-        .map(|f| normalize_loop(f, env))
+    let frames: Vec<LoopFrame> = ctx.loops().copied().collect();
+    frames
+        .iter()
+        .enumerate()
+        .map(|(k, f)| normalize_under(f, &frames[..k], env))
         .collect()
+}
+
+/// `expr` with the `let` bindings of the clause's path (and inside
+/// `expr` itself) inlined, as [`inline_path_lets`] builds it — borrowed
+/// unchanged when there is nothing to inline.
+pub fn path_inlined<'e>(ctx: &ClauseContext, expr: &'e Expr) -> Cow<'e, Expr> {
+    let mut has_let = ctx.path.iter().any(|s| matches!(s, PathStep::Let(_)));
+    expr.walk(&mut |e| has_let |= matches!(e, Expr::Let { .. }));
+    if has_let {
+        Cow::Owned(inline_path_lets(ctx, expr))
+    } else {
+        Cow::Borrowed(expr)
+    }
 }
 
 /// Inline `let` bindings from a clause's path (and inside the
@@ -144,15 +202,11 @@ pub fn inline_path_lets(ctx: &ClauseContext, expr: &Expr) -> Expr {
     // shadowing resolves to the nearest binder. A path binding's RHS may
     // itself use outer bindings, so each substituted RHS is processed
     // against the remaining outer path.
-    let lets: Vec<&Vec<(String, Expr)>> = ctx
-        .path
-        .iter()
-        .filter_map(|s| match s {
-            PathStep::Let(b) => Some(b),
-            _ => None,
-        })
-        .collect();
-    for binds in lets.iter().rev() {
+    let lets = ctx.path.iter().rev().filter_map(|s| match s {
+        PathStep::Let(b) => Some(b),
+        _ => None,
+    });
+    for binds in lets {
         for (name, rhs) in binds.iter().rev() {
             let rhs = inline_expr_lets(rhs);
             e = e.subst(name, &rhs);
@@ -198,58 +252,74 @@ pub fn inline_expr_lets(e: &Expr) -> Expr {
 }
 
 /// Extract a subscript expression as an affine form over *normalized*
-/// loop variables (`L<k>`), folding parameters. Returns `None` when the
-/// subscript is not linear in the loop indices.
+/// loop variables ([`Var::Loop`]), folding parameters. Returns `None`
+/// when the subscript is not linear in the loop indices, or when its
+/// coefficients overflow `i64`.
+///
+/// A name resolves to its parameter value first; otherwise to the
+/// innermost loop of `nest` (which must be `ctx`'s normalized loops)
+/// with that index; otherwise it stays a free [`Var::Name`].
 pub fn normalized_subscript(
     expr: &Expr,
     nest: &[NormalizedLoop],
     ctx: &ClauseContext,
     env: &ConstEnv,
 ) -> Option<Affine> {
-    let inlined = inline_path_lets(ctx, expr);
-    let raw = Affine::from_expr(&inlined, env)?;
-    // Substitute innermost loops first so inner shadowing of a reused
-    // index name resolves correctly.
-    let mut a = raw;
-    for nl in nest.iter().rev() {
-        a = a.subst(&nl.var, &nl.original_as_affine());
-    }
-    Some(a)
+    let e = path_inlined(ctx, expr);
+    Affine::try_from_expr_with(&e, &|v| {
+        if let Some(c) = env.lookup(v) {
+            return Ok(Affine::constant(c));
+        }
+        let innermost = ctx.loops().zip(nest).filter(|(f, _)| f.var == v).last();
+        match innermost {
+            Some((_, nl)) => nl.original_as_affine().ok_or(NotAffine::Overflow),
+            None => Ok(Affine::var(v)),
+        }
+    })
+    .ok()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::Range;
+    use crate::ast::{Comp, Range};
     use crate::number::{clause_contexts, number_clauses};
     use crate::parser::parse_comp;
 
-    fn ctx_of(src: &str, env: &ConstEnv) -> (ClauseContext, Vec<NormalizedLoop>) {
+    fn numbered(src: &str) -> Comp {
         let mut c = parse_comp(src).unwrap();
         number_clauses(&mut c);
-        let ctxs = clause_contexts(&c);
-        let ctx = ctxs.into_iter().next().unwrap();
-        let nest = normalize_nest(&ctx, env).unwrap();
-        (ctx, nest)
+        c
+    }
+
+    fn nest_of(c: &Comp, env: &ConstEnv) -> Result<Vec<NormalizedLoop>, NormalizeError> {
+        normalize_nest(&clause_contexts(c)[0], env)
+    }
+
+    fn subscript(c: &Comp, env: &ConstEnv) -> (Affine, Vec<NormalizedLoop>) {
+        let ctx = &clause_contexts(c)[0];
+        let nest = normalize_nest(ctx, env).unwrap();
+        let a = normalized_subscript(&ctx.clause.subs[0], &nest, ctx, env).unwrap();
+        (a, nest)
     }
 
     #[test]
     fn unit_range_is_identity() {
         let env = ConstEnv::from_pairs([("n", 10)]);
-        let (_, nest) = ctx_of("[ i := 0 | i <- [1..n] ]", &env);
+        let nest = nest_of(&numbered("[ i := 0 | i <- [1..n] ]"), &env).unwrap();
         assert_eq!(nest[0].size, 10);
         assert_eq!(nest[0].lo, 1);
         assert_eq!(nest[0].step, 1);
         // i = 0 + 1*x
-        let a = nest[0].original_as_affine();
-        assert_eq!(a.coeff(&nest[0].norm_var()), 1);
+        let a = nest[0].original_as_affine().unwrap();
+        assert_eq!(a.loop_coeff(nest[0].id), 1);
         assert_eq!(a.constant_part(), 0);
     }
 
     #[test]
     fn offset_range_shifts() {
         let env = ConstEnv::from_pairs([("n", 10)]);
-        let (_, nest) = ctx_of("[ i := 0 | i <- [2..n] ]", &env);
+        let nest = nest_of(&numbered("[ i := 0 | i <- [2..n] ]"), &env).unwrap();
         assert_eq!(nest[0].size, 9);
         assert_eq!(nest[0].original_at(1), 2);
         assert_eq!(nest[0].original_at(9), 10);
@@ -257,8 +327,7 @@ mod tests {
 
     #[test]
     fn backward_range_normalizes() {
-        let env = ConstEnv::new();
-        let (_, nest) = ctx_of("[ i := 0 | i <- [9,7..1] ]", &env);
+        let nest = nest_of(&numbered("[ i := 0 | i <- [9,7..1] ]"), &ConstEnv::new()).unwrap();
         assert_eq!(nest[0].size, 5);
         assert_eq!(nest[0].original_at(1), 9);
         assert_eq!(nest[0].original_at(5), 1);
@@ -266,48 +335,85 @@ mod tests {
 
     #[test]
     fn empty_range_size_zero() {
-        let env = ConstEnv::new();
-        let (_, nest) = ctx_of("[ i := 0 | i <- [5..4] ]", &env);
+        let nest = nest_of(&numbered("[ i := 0 | i <- [5..4] ]"), &ConstEnv::new()).unwrap();
         assert_eq!(nest[0].size, 0);
     }
 
     #[test]
+    fn trip_count_spanning_the_whole_i64_range_is_exact() {
+        // `hi - lo` overflows i64; the count is 3.
+        let c = numbered("[ 1 := i | i <- [-9223372036854775807, 0 .. 9223372036854775807] ]");
+        let nest = nest_of(&c, &ConstEnv::new()).unwrap();
+        assert_eq!(nest[0].size, 3);
+        assert_eq!(nest[0].step, 9223372036854775807);
+        // Its affine form's constant `lo - step` overflows: no form.
+        assert_eq!(nest[0].original_as_affine(), None);
+        let down = numbered("[ 1 := i | i <- [9223372036854775807, 0 .. -9223372036854775807] ]");
+        assert_eq!(nest_of(&down, &ConstEnv::new()).unwrap()[0].size, 3);
+    }
+
+    #[test]
+    fn trip_count_beyond_i64_is_an_error() {
+        let c = numbered("[ 1 := i | i <- [-9223372036854775807-1..9223372036854775807] ]");
+        let err = nest_of(&c, &ConstEnv::new()).unwrap_err();
+        assert_eq!(
+            err,
+            NormalizeError::TripCountOverflow {
+                var: "i".into(),
+                count: 1i128 << 64,
+            }
+        );
+        assert!(err.to_string().contains("18446744073709551616 times"));
+    }
+
+    #[test]
     fn subscript_normalizes_through_stride() {
-        // i <- [2..10] step 2 → i = 2x, so subscript 3*i - 1 = 6x - 1... :
         // lo=2, step=2: i = 2 + (x-1)*2 = 2x. 3i - 1 = 6x - 1.
-        let env = ConstEnv::new();
-        let (ctx, nest) = ctx_of("[ 3*i - 1 := 0 | i <- [2,4..10] ]", &env);
-        let a = normalized_subscript(&ctx.clause.subs[0], &nest, &ctx, &env).unwrap();
-        assert_eq!(a.coeff(&nest[0].norm_var()), 6);
+        let (a, nest) = subscript(
+            &numbered("[ 3*i - 1 := 0 | i <- [2,4..10] ]"),
+            &ConstEnv::new(),
+        );
+        assert_eq!(a.loop_coeff(nest[0].id), 6);
         assert_eq!(a.constant_part(), -1);
     }
 
     #[test]
-    fn unbound_parameter_is_error() {
-        let mut c = parse_comp("[ i := 0 | i <- [1..n] ]").unwrap();
-        number_clauses(&mut c);
-        let ctx = clause_contexts(&c).into_iter().next().unwrap();
-        let err = normalize_nest(&ctx, &ConstEnv::new()).unwrap_err();
-        assert!(matches!(err, NormalizeError::TriangularBound { .. }));
+    fn unbound_parameter_is_not_an_outer_index() {
+        let err = nest_of(&numbered("[ i := 0 | i <- [1..n] ]"), &ConstEnv::new()).unwrap_err();
+        assert!(matches!(err, NormalizeError::RuntimeBound { ref name, .. } if name == "n"));
     }
 
     #[test]
-    fn triangular_bound_rejected() {
+    fn triangular_bound_names_the_outer_index() {
         let env = ConstEnv::from_pairs([("n", 10)]);
-        let mut c = parse_comp("[ (i,j) := 0 | i <- [1..n], j <- [1..i] ]").unwrap();
-        number_clauses(&mut c);
-        let ctx = clause_contexts(&c).into_iter().next().unwrap();
-        let err = normalize_nest(&ctx, &env).unwrap_err();
+        let c = numbered("[ (i,j) := 0 | i <- [1..n], j <- [1..i] ]");
+        let err = nest_of(&c, &env).unwrap_err();
         assert!(matches!(err, NormalizeError::TriangularBound { .. }));
+        assert_eq!(
+            err.to_string(),
+            "loop `j` has triangular bound `i` depending on an outer index"
+        );
+    }
+
+    #[test]
+    fn scalar_bound_is_not_called_triangular() {
+        // `s` is no loop index: a reduction result, say.
+        let env = ConstEnv::from_pairs([("n", 10)]);
+        let c = numbered("[ (i,j) := 0 | i <- [1..n], j <- [1..s] ]");
+        let err = nest_of(&c, &env).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "loop `j` has bound `s` depending on `s`, which is neither a bound parameter \
+             nor an outer loop index (a run-time scalar cannot bound a loop)"
+        );
     }
 
     #[test]
     fn path_lets_inline_into_subscripts() {
-        let env = ConstEnv::new();
-        let (ctx, nest) = ctx_of("[* ([ v := 0 ] where v = i + 1) | i <- [1..5] *]", &env);
-        let a = normalized_subscript(&ctx.clause.subs[0], &nest, &ctx, &env).unwrap();
+        let c = numbered("[* ([ v := 0 ] where v = i + 1) | i <- [1..5] *]");
+        let (a, nest) = subscript(&c, &ConstEnv::new());
         // v = i + 1, i = x  →  x + 1
-        assert_eq!(a.coeff(&nest[0].norm_var()), 1);
+        assert_eq!(a.loop_coeff(nest[0].id), 1);
         assert_eq!(a.constant_part(), 1);
     }
 
@@ -323,29 +429,37 @@ mod tests {
     fn shadowed_loop_vars_resolve_innermost() {
         // Outer i and inner i: subscript `i` inside inner loop refers to
         // the inner generator.
-        let env = ConstEnv::new();
-        let mut c = parse_comp("[* [* [ i := 0 ] | i <- [5..8] *] | i <- [1..3] *]").unwrap();
-        number_clauses(&mut c);
-        let ctx = clause_contexts(&c).into_iter().next().unwrap();
-        let nest = normalize_nest(&ctx, &env).unwrap();
+        let c = numbered("[* [* [ i := 0 ] | i <- [5..8] *] | i <- [1..3] *]");
+        let (a, nest) = subscript(&c, &ConstEnv::new());
         assert_eq!(nest.len(), 2);
-        let a = normalized_subscript(&ctx.clause.subs[0], &nest, &ctx, &env).unwrap();
         // Inner loop is nest[1]: i = 4 + x  (lo=5, step=1).
-        assert_eq!(a.coeff(&nest[1].norm_var()), 1);
-        assert_eq!(a.coeff(&nest[0].norm_var()), 0);
+        assert_eq!(a.loop_coeff(nest[1].id), 1);
+        assert_eq!(a.loop_coeff(nest[0].id), 0);
         assert_eq!(a.constant_part(), 4);
+    }
+
+    #[test]
+    fn parameters_shadow_loop_indices_and_free_names_stay_symbolic() {
+        let env = ConstEnv::from_pairs([("n", 7)]);
+        let c = numbered("[ n + i + s := 0 | n <- [1..3], i <- [2..4] ]");
+        let (a, nest) = subscript(&c, &env);
+        assert_eq!(a.loop_coeff(nest[0].id), 0);
+        assert_eq!(a.loop_coeff(nest[1].id), 1);
+        assert_eq!(a.coeff("s"), 1);
+        assert_eq!(a.constant_part(), 7 + 1);
     }
 
     #[test]
     fn frame_for_direct_use() {
         let env = ConstEnv::from_pairs([("n", 7)]);
+        let range = Range::new(Expr::int(1), Expr::var("n"));
         let frame = LoopFrame {
             id: LoopId(3),
-            var: "k".into(),
-            range: Range::new(Expr::int(1), Expr::var("n")),
+            var: "k",
+            range: &range,
         };
         let nl = normalize_loop(&frame, &env).unwrap();
-        assert_eq!(nl.norm_var(), "L3");
+        assert_eq!(Var::Loop(nl.id).to_string(), "L3");
         assert_eq!(nl.size, 7);
     }
 }

@@ -9,57 +9,59 @@
 //! guards and `let` bindings from the comprehension root down to the
 //! clause.
 
-use crate::ast::{ClauseId, Comp, Expr, LoopId, Range, SvClause};
+use crate::ast::{ClauseId, Comp, Expr, LoopId, Program, Range, SvClause};
 
 /// One generator on the path to a clause.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LoopFrame {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LoopFrame<'a> {
     pub id: LoopId,
-    pub var: String,
-    pub range: Range,
+    pub var: &'a str,
+    pub range: &'a Range,
 }
 
 /// One step on the path from a comprehension root to a clause.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PathStep {
-    Loop(LoopFrame),
-    Guard(Expr),
-    Let(Vec<(String, Expr)>),
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum PathStep<'a> {
+    Loop(LoopFrame<'a>),
+    Guard(&'a Expr),
+    Let(&'a [(String, Expr)]),
 }
 
-/// A clause together with its full context inside the comprehension.
+/// A clause together with its full context inside the comprehension,
+/// borrowed from the comprehension tree.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ClauseContext {
-    pub clause: SvClause,
+pub struct ClauseContext<'a> {
+    pub clause: &'a SvClause,
     /// Outside-in path of loops/guards/lets enclosing the clause.
-    pub path: Vec<PathStep>,
+    pub path: Vec<PathStep<'a>>,
 }
 
-impl ClauseContext {
+impl<'a> ClauseContext<'a> {
     /// The enclosing loops, outermost first.
-    pub fn loops(&self) -> Vec<&LoopFrame> {
-        self.path
-            .iter()
-            .filter_map(|s| match s {
-                PathStep::Loop(f) => Some(f),
-                _ => None,
-            })
-            .collect()
+    pub fn loops(&self) -> impl Iterator<Item = &LoopFrame<'a>> + '_ {
+        self.path.iter().filter_map(|s| match s {
+            PathStep::Loop(f) => Some(f),
+            _ => None,
+        })
     }
 
     /// Depth of loop nesting around the clause.
     pub fn depth(&self) -> usize {
-        self.loops().len()
+        self.loops().count()
     }
 
     /// The number of leading loops shared with another clause context
     /// (shared = same [`LoopId`]).
-    pub fn shared_prefix_len(&self, other: &ClauseContext) -> usize {
+    pub fn shared_prefix_len(&self, other: &ClauseContext<'_>) -> usize {
         self.loops()
-            .iter()
-            .zip(other.loops().iter())
+            .zip(other.loops())
             .take_while(|(a, b)| a.id == b.id)
             .count()
+    }
+
+    /// `true` when the clause sits under at least one guard.
+    pub fn guarded(&self) -> bool {
+        self.path.iter().any(|s| matches!(s, PathStep::Guard(_)))
     }
 }
 
@@ -89,6 +91,37 @@ pub fn number_comp(comp: &mut Comp, next_clause: &mut u32, next_loop: &mut u32) 
     }
 }
 
+/// Number every comprehension of `program` in one id space, in binding
+/// order: the numbering compilation analyzes under. The parser and the
+/// builder hand out programs numbered this way.
+pub fn number_program(program: &mut Program) {
+    let (mut c, mut l) = (0, 0);
+    for comp in program.comps_mut() {
+        number_comp(comp, &mut c, &mut l);
+    }
+}
+
+/// Whether `program` already carries [`number_program`]'s numbering,
+/// so numbering it again would change nothing.
+pub fn is_numbered(program: &Program) -> bool {
+    let (mut c, mut l) = (0, 0);
+    let mut ok = true;
+    for comp in program.comps() {
+        comp.walk(&mut |x| match x {
+            Comp::Gen { id, .. } => {
+                ok &= *id == LoopId(l);
+                l += 1;
+            }
+            Comp::Clause(sv) => {
+                ok &= sv.id == ClauseId(c);
+                c += 1;
+            }
+            _ => {}
+        });
+    }
+    ok
+}
+
 /// Assign ids starting at zero. Returns `(clause_count, loop_count)`.
 pub fn number_clauses(comp: &mut Comp) -> (u32, u32) {
     let (mut c, mut l) = (0, 0);
@@ -100,14 +133,14 @@ pub fn number_clauses(comp: &mut Comp) -> (u32, u32) {
 ///
 /// Call [`number_clauses`] first; contexts of unnumbered trees are still
 /// produced but carry the placeholder ids.
-pub fn clause_contexts(comp: &Comp) -> Vec<ClauseContext> {
+pub fn clause_contexts(comp: &Comp) -> Vec<ClauseContext<'_>> {
     let mut out = Vec::new();
     let mut path = Vec::new();
     collect(comp, &mut path, &mut out);
     out
 }
 
-fn collect(comp: &Comp, path: &mut Vec<PathStep>, out: &mut Vec<ClauseContext>) {
+fn collect<'a>(comp: &'a Comp, path: &mut Vec<PathStep<'a>>, out: &mut Vec<ClauseContext<'a>>) {
     match comp {
         Comp::Append(cs) => {
             for c in cs {
@@ -122,25 +155,25 @@ fn collect(comp: &Comp, path: &mut Vec<PathStep>, out: &mut Vec<ClauseContext>) 
         } => {
             path.push(PathStep::Loop(LoopFrame {
                 id: *id,
-                var: var.clone(),
-                range: range.clone(),
+                var,
+                range,
             }));
             collect(body, path, out);
             path.pop();
         }
         Comp::Guard { cond, body } => {
-            path.push(PathStep::Guard(cond.clone()));
+            path.push(PathStep::Guard(cond));
             collect(body, path, out);
             path.pop();
         }
         Comp::Let { binds, body } => {
-            path.push(PathStep::Let(binds.clone()));
+            path.push(PathStep::Let(binds));
             collect(body, path, out);
             path.pop();
         }
         Comp::Clause(sv) => {
             out.push(ClauseContext {
-                clause: sv.clone(),
+                clause: sv,
                 path: path.clone(),
             });
         }
@@ -187,7 +220,7 @@ mod tests {
         assert_eq!(ctxs.len(), 2);
         for ctx in &ctxs {
             assert_eq!(ctx.depth(), 1);
-            assert_eq!(ctx.loops()[0].var, "i");
+            assert_eq!(ctx.loops().next().unwrap().var, "i");
         }
         assert_eq!(ctxs[0].shared_prefix_len(&ctxs[1]), 1);
     }

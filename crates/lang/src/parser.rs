@@ -51,8 +51,8 @@ impl From<LexError> for ParseError {
     }
 }
 
-/// Parse a whole program. Clause and loop ids are **not** assigned here;
-/// run [`crate::number::number_clauses`] (the pipeline does this).
+/// Parse a whole program, its comprehensions numbered by
+/// [`crate::number::number_program`].
 ///
 /// # Errors
 /// Returns [`ParseError`] describing the first offending token.
@@ -63,7 +63,9 @@ pub fn parse_program(src: &str) -> Result<Program, ParseError> {
         pos: 0,
         depth: 0,
     };
-    p.program()
+    let mut program = p.program()?;
+    crate::number::number_program(&mut program);
+    Ok(program)
 }
 
 /// Parse a single list-comprehension expression (useful in tests).
@@ -125,12 +127,12 @@ impl Parser {
             .unwrap_or(0)
     }
 
+    /// Consume the next token, moving it out of the stream: the parser
+    /// never looks back.
     fn bump(&mut self) -> Option<Tok> {
-        let t = self.toks.get(self.pos).map(|s| s.tok.clone());
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
+        let slot = self.toks.get_mut(self.pos)?;
+        self.pos += 1;
+        Some(std::mem::replace(&mut slot.tok, Tok::Semi))
     }
 
     fn err<T>(&self, msg: impl Into<String>) -> Result<T, ParseError> {
@@ -537,7 +539,7 @@ impl Parser {
         let env = ConstEnv::new();
         let diff = Affine::from_expr(second, &env)
             .zip(Affine::from_expr(first, &env))
-            .map(|(s, f)| s.sub(&f));
+            .and_then(|(s, f)| s.checked_add(&f.checked_scale(-1)?));
         match diff {
             Some(d) if d.is_constant() && d.constant_part() != 0 => Ok(d.constant_part()),
             _ => self.err(
@@ -732,12 +734,12 @@ impl Parser {
     }
 
     fn atom(&mut self) -> Result<Expr, ParseError> {
-        match self.peek().cloned() {
-            Some(Tok::Int(v)) => {
+        match self.peek() {
+            Some(&Tok::Int(v)) => {
                 self.bump();
                 Ok(Expr::Int(v))
             }
-            Some(Tok::Float(v)) => {
+            Some(&Tok::Float(v)) => {
                 self.bump();
                 Ok(Expr::Num(v))
             }
@@ -754,8 +756,8 @@ impl Parser {
                 self.expect(&Tok::RParen)?;
                 Ok(Expr::bin(op, a, b))
             }
-            Some(Tok::Ident(name)) => {
-                self.bump();
+            Some(Tok::Ident(_)) => {
+                let name = self.ident()?;
                 if self.peek() == Some(&Tok::LParen) && self.peek2() != Some(&Tok::RParen) {
                     // A call `f(x, y)`. Array selection uses `!`, so an
                     // identifier followed by `(` is unambiguous here.

@@ -13,7 +13,7 @@ use std::fmt;
 
 use hac_analysis::depgraph::DepEdge;
 use hac_analysis::direction::Dir;
-use hac_lang::ast::{ClauseId, Comp, LoopId, Range};
+use hac_lang::ast::{ClauseId, Comp, LoopId};
 use hac_lang::env::ConstEnv;
 use hac_lang::normalize::{normalize_loop, NormalizeError};
 use hac_lang::number::{clause_contexts, LoopFrame};
@@ -82,8 +82,7 @@ pub fn check_plan(
         let dc = ctx_of(e.dst);
         let shared: Vec<LoopId> = sc
             .loops()
-            .iter()
-            .zip(dc.loops().iter())
+            .zip(dc.loops())
             .take_while(|(a, b)| a.id == b.id)
             .map(|(a, _)| a.id)
             .collect();
@@ -174,12 +173,8 @@ fn simulate(
         } => {
             let frame = LoopFrame {
                 id: *id,
-                var: var.clone(),
-                range: Range {
-                    lo: range.lo.clone(),
-                    hi: range.hi.clone(),
-                    step: range.step,
-                },
+                var,
+                range,
             };
             let nl = normalize_loop(&frame, env)?;
             let positions: Vec<i64> = match dirn {

@@ -8,6 +8,7 @@
 
 use std::fmt;
 
+use hac_analysis::parallel::LoopParallelism;
 use hac_lang::ast::{ClauseId, Expr, LoopId, Range};
 
 /// A loop traversal direction.
@@ -109,9 +110,28 @@ pub struct Plan {
     /// dispatch, but must preserve the scalar order of operations.
     /// Computed against the same edge set as `par_loops`.
     pub red_loops: Vec<LoopId>,
+    /// The §10 classification of every generator, computed once per
+    /// schedule: against the flow edges for a monolithic array, and
+    /// against the full flow + anti set for an update (which may then
+    /// narrow `par_loops` and `red_loops`). Reports read it.
+    pub loops: Vec<LoopParallelism>,
 }
 
 impl Plan {
+    /// A plan whose `par_loops` and `red_loops` are exactly the
+    /// parallelizable and reducible loops of `loops`.
+    pub fn new(steps: Vec<Step>, loops: Vec<LoopParallelism>) -> Plan {
+        let ids = |keep: fn(&LoopParallelism) -> bool| {
+            loops.iter().filter(|l| keep(l)).map(|l| l.id).collect()
+        };
+        Plan {
+            steps,
+            par_loops: ids(LoopParallelism::parallelizable),
+            red_loops: ids(LoopParallelism::reducible),
+            loops,
+        }
+    }
+
     /// All clause ids in schedule order (with repetition if a clause
     /// appears in several passes — it never should).
     pub fn clauses(&self) -> Vec<ClauseId> {
@@ -253,6 +273,7 @@ mod tests {
             ],
             par_loops: Vec::new(),
             red_loops: Vec::new(),
+            loops: Vec::new(),
         };
         assert_eq!(plan.clauses(), vec![ClauseId(1), ClauseId(0), ClauseId(2)]);
         assert_eq!(plan.loop_count(), 1);
@@ -273,6 +294,7 @@ mod tests {
             }],
             par_loops: Vec::new(),
             red_loops: Vec::new(),
+            loops: Vec::new(),
         };
         let r = plan.render();
         assert!(r.contains("for i (L0) backward:"));

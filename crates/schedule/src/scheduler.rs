@@ -25,25 +25,26 @@ use std::collections::BTreeSet;
 
 use hac_analysis::depgraph::DepEdge;
 use hac_analysis::direction::{Dir, DirVec};
+use hac_analysis::parallel::loop_parallelism;
 use hac_graph::{mark_not_ready, tarjan_scc, topo_sort, DiGraph, NodeId, TopoResult};
 use hac_lang::ast::{ClauseId, Comp, Expr, LoopId, Range, SvClause};
 
 use crate::plan::{Dirn, Plan, ScheduleOutcome, Step, ThunkReason};
 
 /// A guard or `let` wrapper between a level and one of its entities.
-#[derive(Debug, Clone, PartialEq)]
-enum Wrapper {
-    Guard(Expr),
-    Let(Vec<(String, Expr)>),
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Wrapper<'a> {
+    Guard(&'a Expr),
+    Let(&'a [(String, Expr)]),
 }
 
 /// An entity at one scheduling level.
 #[derive(Debug, Clone)]
 struct Entity<'a> {
-    wrappers: Vec<Wrapper>,
+    wrappers: Vec<Wrapper<'a>>,
     node: EntityNode<'a>,
-    /// All clause ids inside this entity.
-    clause_set: BTreeSet<ClauseId>,
+    /// All clause ids inside this entity, ascending (source order).
+    clause_set: Vec<ClauseId>,
 }
 
 #[derive(Debug, Clone)]
@@ -73,7 +74,11 @@ fn entities(comp: &Comp) -> Vec<Entity<'_>> {
     out
 }
 
-fn collect_entities<'a>(comp: &'a Comp, wrappers: &mut Vec<Wrapper>, out: &mut Vec<Entity<'a>>) {
+fn collect_entities<'a>(
+    comp: &'a Comp,
+    wrappers: &mut Vec<Wrapper<'a>>,
+    out: &mut Vec<Entity<'a>>,
+) {
     match comp {
         Comp::Append(cs) => {
             for c in cs {
@@ -81,12 +86,12 @@ fn collect_entities<'a>(comp: &'a Comp, wrappers: &mut Vec<Wrapper>, out: &mut V
             }
         }
         Comp::Guard { cond, body } => {
-            wrappers.push(Wrapper::Guard(cond.clone()));
+            wrappers.push(Wrapper::Guard(cond));
             collect_entities(body, wrappers, out);
             wrappers.pop();
         }
         Comp::Let { binds, body } => {
-            wrappers.push(Wrapper::Let(binds.clone()));
+            wrappers.push(Wrapper::Let(binds));
             collect_entities(body, wrappers, out);
             wrappers.pop();
         }
@@ -96,12 +101,13 @@ fn collect_entities<'a>(comp: &'a Comp, wrappers: &mut Vec<Wrapper>, out: &mut V
             range,
             body,
         } => {
-            let mut clause_set = BTreeSet::new();
+            let mut clause_set = Vec::new();
             body.walk(&mut |c| {
                 if let Comp::Clause(sv) = c {
-                    clause_set.insert(sv.id);
+                    clause_set.push(sv.id);
                 }
             });
+            clause_set.sort_unstable();
             out.push(Entity {
                 wrappers: wrappers.clone(),
                 node: EntityNode::Gen {
@@ -114,12 +120,10 @@ fn collect_entities<'a>(comp: &'a Comp, wrappers: &mut Vec<Wrapper>, out: &mut V
             });
         }
         Comp::Clause(sv) => {
-            let mut clause_set = BTreeSet::new();
-            clause_set.insert(sv.id);
             out.push(Entity {
                 wrappers: wrappers.clone(),
                 node: EntityNode::Clause(sv),
-                clause_set,
+                clause_set: vec![sv.id],
             });
         }
     }
@@ -173,36 +177,9 @@ pub fn schedule(comp: &Comp, edges: &[DepEdge]) -> ScheduleOutcome {
 pub fn schedule_with(comp: &Comp, edges: &[DepEdge], opts: &SchedOptions) -> ScheduleOutcome {
     let level = expand_any(edges);
     match schedule_top(comp, &level, opts) {
-        Ok(steps) => ScheduleOutcome::Thunkless(Plan {
-            steps,
-            par_loops: par_loops(comp, edges),
-            red_loops: reduction_loops(comp, edges),
-        }),
+        Ok(steps) => ScheduleOutcome::Thunkless(Plan::new(steps, loop_parallelism(comp, edges))),
         Err(reason) => ScheduleOutcome::NeedsThunks(reason),
     }
-}
-
-/// §10 verdicts for the edge set the plan was scheduled under: the ids
-/// of every generator that carries no dependence. Iterations of such a
-/// loop are mutually independent, so any pass over it may be reordered
-/// or run concurrently.
-pub fn par_loops(comp: &Comp, edges: &[DepEdge]) -> Vec<LoopId> {
-    hac_analysis::parallel::loop_parallelism(comp, edges)
-        .into_iter()
-        .filter(|l| l.parallelizable())
-        .map(|l| l.id)
-        .collect()
-}
-
-/// Reduction verdicts for the same edge set: ids of every generator
-/// whose carried dependences are all reassociable accumulator
-/// recurrences (see [`hac_analysis::parallel::LoopParallelism::reducible`]).
-pub fn reduction_loops(comp: &Comp, edges: &[DepEdge]) -> Vec<LoopId> {
-    hac_analysis::parallel::loop_parallelism(comp, edges)
-        .into_iter()
-        .filter(|l| l.reducible())
-        .map(|l| l.id)
-        .collect()
 }
 
 /// Schedule the root level: no surrounding loop, so every cross-entity
@@ -519,15 +496,15 @@ fn emit_entity(
     Ok(wrap(inner, &ent.wrappers))
 }
 
-fn wrap(mut steps: Vec<Step>, wrappers: &[Wrapper]) -> Vec<Step> {
+fn wrap(mut steps: Vec<Step>, wrappers: &[Wrapper<'_>]) -> Vec<Step> {
     for w in wrappers.iter().rev() {
-        steps = vec![match w {
+        steps = vec![match *w {
             Wrapper::Guard(cond) => Step::Guard {
                 cond: cond.clone(),
                 body: steps,
             },
             Wrapper::Let(binds) => Step::Let {
-                binds: binds.clone(),
+                binds: binds.to_vec(),
                 body: steps,
             },
         }];

@@ -22,6 +22,7 @@ use std::collections::BTreeSet;
 
 use hac_analysis::analyze::UpdateAnalysis;
 use hac_analysis::depgraph::{DepEdge, DepKind};
+use hac_analysis::parallel::loop_parallelism;
 use hac_lang::ast::{ClauseId, Comp, LoopId};
 
 use crate::plan::{Dirn, Plan, ScheduleOutcome, Step, ThunkReason};
@@ -199,10 +200,10 @@ pub fn plan_update_with(
             clause: analysis.refs.first().map(|r| r.id()).unwrap_or(ClauseId(0)),
         });
     }
-    let flow: Vec<DepEdge> = analysis.flow.edges.clone();
+    let flow = &analysis.flow.edges;
     if analysis.subs_read_base {
         // Subscript reads of the old array must see the pristine copy.
-        return finish_with_copy(comp, analysis, &flow);
+        return finish_with_copy(comp, analysis, flow);
     }
     let anti: Vec<DepEdge> = analysis
         .anti
@@ -349,7 +350,7 @@ pub fn plan_update_with(
                     // subscript its guard would have skipped: copy the
                     // whole old array instead.
                     _ => {
-                        return finish_with_copy(comp, analysis, &flow);
+                        return finish_with_copy(comp, analysis, flow);
                     }
                 }
             }
@@ -365,19 +366,11 @@ pub fn plan_update_with(
             let has_carry = actions
                 .iter()
                 .any(|a| matches!(a, SplitAction::CarryBuffer { .. }));
+            let full = analysis.flow.edges.iter().chain(&analysis.anti.edges);
+            plan = Plan::new(plan.steps, loop_parallelism(comp, full));
             if has_carry || !analysis.collisions.checks_elidable() {
                 plan.par_loops = Vec::new();
                 plan.red_loops = Vec::new();
-            } else {
-                let full: Vec<DepEdge> = analysis
-                    .flow
-                    .edges
-                    .iter()
-                    .chain(analysis.anti.edges.iter())
-                    .cloned()
-                    .collect();
-                plan.par_loops = crate::scheduler::par_loops(comp, &full);
-                plan.red_loops = crate::scheduler::reduction_loops(comp, &full);
             }
             let strategy = if actions.is_empty() {
                 UpdateStrategy::InPlace
@@ -386,7 +379,7 @@ pub fn plan_update_with(
             };
             Ok(UpdatePlan { plan, strategy })
         }
-        None => finish_with_copy(comp, analysis, &flow),
+        None => finish_with_copy(comp, analysis, flow),
     }
 }
 
@@ -405,6 +398,9 @@ fn finish_with_copy(
                 plan.par_loops = Vec::new();
                 plan.red_loops = Vec::new();
             }
+            // The report shows the verdicts of the full edge set.
+            let full = analysis.flow.edges.iter().chain(&analysis.anti.edges);
+            plan.loops = loop_parallelism(comp, full);
             Ok(UpdatePlan {
                 plan,
                 strategy: UpdateStrategy::CopyWhole,

@@ -456,3 +456,121 @@ fn inputs_with_the_wrong_bounds_are_runtime_errors() {
         }
     }
 }
+
+/// A generator spanning almost all of `i64` has three instances; its
+/// trip count must not wrap. Every mode then sees all three writes of
+/// `a!1` and rejects the program with the same compile error.
+#[test]
+fn trip_count_spanning_i64_agrees_in_every_mode() {
+    let program = parse_program(
+        "let a = array (1,1) \
+         [ 1 := i | i <- [-9223372036854775807, 0 .. 9223372036854775807] ];\n",
+    )
+    .unwrap();
+    for mode in [
+        ExecMode::Auto,
+        ExecMode::ForceChecked,
+        ExecMode::ForceThunked,
+    ] {
+        let options = CompileOptions {
+            mode,
+            ..CompileOptions::default()
+        };
+        let err = compile(&program, &ConstEnv::new(), &options).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "array `a`: clauses c0 and c0 definitely write the same element [1]",
+            "{mode:?}"
+        );
+    }
+}
+
+fn compile_error(src: &str, pairs: &[(&str, i64)]) -> String {
+    let env = ConstEnv::from_pairs(pairs.iter().copied());
+    compile(
+        &parse_program(src).unwrap(),
+        &env,
+        &CompileOptions::default(),
+    )
+    .unwrap_err()
+    .to_string()
+}
+
+/// A loop bounded by an enclosing loop's index is triangular.
+#[test]
+fn a_bound_on_an_outer_index_is_named_triangular() {
+    let err = compile_error(
+        "param n;\nlet a = array ((1,1),(n,n)) [ (i,j) := 1 | i <- [1..n], j <- [1..i] ];\n",
+        &[("n", 4)],
+    );
+    assert_eq!(
+        err,
+        "loop `j` has triangular bound `i` depending on an outer index"
+    );
+}
+
+/// A loop bounded by a reduction result depends on a run-time scalar,
+/// not on an outer index.
+#[test]
+fn a_bound_on_a_runtime_scalar_is_not_called_triangular() {
+    let err = compile_error(
+        "let s = sum [ 5 / 2 | i <- [1..1] ];\n\
+         let h = accumArray (+) 0 (1,1) [ 1 := 1 | j <- [1..s] ];\n",
+        &[],
+    );
+    assert_eq!(
+        err,
+        "loop `j` has bound `s` depending on `s`, which is neither a bound parameter \
+         nor an outer loop index (a run-time scalar cannot bound a loop)"
+    );
+}
+
+/// The fused 4-point stencil divides exactly as the scalar code does:
+/// by multiplying with `1/4` (the same bits), and by dividing by 3
+/// (whose rounded reciprocal would not give them).
+#[test]
+fn fused_stencils_divide_bit_for_bit() {
+    let n = 24;
+    let a = hac_workloads::random_matrix(n, n, 41);
+    let inputs = HashMap::from([("a".to_string(), a.clone())]);
+    let at = |i: i64, j: i64| a.get("a", &[i, j]).unwrap();
+    for divisor in [4, 3] {
+        let src = format!(
+            "param n;\ninput a ((1,1),(n,n));\n\
+             let b = array ((2,2),(n-1,n-1))\n\
+             [ (i,j) := (a!(i-1,j) + a!(i,j-1) + a!(i+1,j) + a!(i,j+1)) / {divisor}\n\
+             | i <- [2..n-1], j <- [2..n-1] ];\n"
+        );
+        let compiled = compile(
+            &parse_program(&src).unwrap(),
+            &ConstEnv::from_pairs([("n", n)]),
+            &CompileOptions::default(),
+        )
+        .unwrap();
+        assert!(
+            compiled
+                .report
+                .render()
+                .contains(": fused (4-point stencil)"),
+            "{}",
+            compiled.report.render()
+        );
+        let out = run(&compiled, &inputs, &FuncTable::new()).unwrap();
+        let b = out.array("b");
+        let mut reciprocal_differs = false;
+        for i in 2..n {
+            for j in 2..n {
+                let sum = ((at(i - 1, j) + at(i, j - 1)) + at(i + 1, j)) + at(i, j + 1);
+                let want = sum / divisor as f64;
+                reciprocal_differs |= want.to_bits() != (sum * (1.0 / divisor as f64)).to_bits();
+                assert_eq!(
+                    b.get("b", &[i, j]).unwrap().to_bits(),
+                    want.to_bits(),
+                    "/{divisor} at ({i},{j})"
+                );
+            }
+        }
+        // The mesh tells the two apart for 3, and cannot for 4.
+        assert_eq!(reciprocal_differs, divisor == 3);
+    }
+}
