@@ -6,8 +6,9 @@
 //! environment, so both streams pay parse + compile per request and
 //! the measured gap is exactly the execution work the delta path
 //! avoids. `hit` repeats one request verbatim; the hit route resolves
-//! on the result key alone (a source/param/limit digest), before any
-//! parse or compile, so it prices the cache-lookup floor.
+//! on the result key alone (the request's source, params, seed, mode,
+//! engine and limits), before any parse or compile, so it prices the
+//! cache-lookup floor.
 //!
 //!   * `full`  — result caching disabled (`result_cache_cap: 0`):
 //!     every slid request re-fills inputs and re-runs the whole

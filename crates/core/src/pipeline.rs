@@ -48,7 +48,7 @@ use crate::cost::{bounds_mem_poly, plan_fuel_poly, CertBuilder};
 use crate::report::{edge_facts, ArrayFacts, ArrayOutcome, LazyReport, ReportFacts, UpdateFacts};
 
 /// Execution strategy selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecMode {
     /// Thunkless when the scheduler succeeds, thunked otherwise.
     #[default]
@@ -60,9 +60,8 @@ pub enum ExecMode {
     ForceChecked,
 }
 
-/// Which engine executes compiled Limp programs. The explicit
-/// discriminants are part of the serving layer's cache keys.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// Which engine executes compiled Limp programs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Engine {
     /// Compile each Limp program once into a register-slot bytecode
     /// tape (names resolved to indices, affine subscripts
@@ -71,10 +70,10 @@ pub enum Engine {
     /// are partitioned over [`RunOptions::threads`] workers; at one
     /// worker everything runs on the sequential path.
     #[default]
-    Tape = 1,
+    Tape,
     /// The recursive tree-walking evaluator (reference semantics; also
     /// the baseline for the `vm_dispatch` benchmark).
-    TreeWalk = 2,
+    TreeWalk,
 }
 
 impl Engine {

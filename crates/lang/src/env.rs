@@ -8,7 +8,7 @@
 use std::collections::BTreeMap;
 
 /// A mapping from parameter names to concrete integer values.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct ConstEnv {
     vals: BTreeMap<String, i64>,
 }

@@ -253,12 +253,14 @@ pub fn inline_expr_lets(e: &Expr) -> Expr {
 
 /// Extract a subscript expression as an affine form over *normalized*
 /// loop variables ([`Var::Loop`]), folding parameters. Returns `None`
-/// when the subscript is not linear in the loop indices, or when its
-/// coefficients overflow `i64`.
+/// when the subscript is not linear in the loop indices, when its
+/// coefficients overflow `i64`, or when it names anything else.
 ///
 /// A name resolves to its parameter value first; otherwise to the
 /// innermost loop of `nest` (which must be `ctx`'s normalized loops)
-/// with that index; otherwise it stays a free [`Var::Name`].
+/// with that index. Any other name (a run-time scalar) is unknown at
+/// compile time, so the subscript is not affine and the analysis
+/// falls back to run-time checks, as for any dynamic subscript.
 pub fn normalized_subscript(
     expr: &Expr,
     nest: &[NormalizedLoop],
@@ -273,7 +275,7 @@ pub fn normalized_subscript(
         let innermost = ctx.loops().zip(nest).filter(|(f, _)| f.var == v).last();
         match innermost {
             Some((_, nl)) => nl.original_as_affine().ok_or(NotAffine::Overflow),
-            None => Ok(Affine::var(v)),
+            None => Err(NotAffine::Nonlinear),
         }
     })
     .ok()
@@ -439,14 +441,21 @@ mod tests {
     }
 
     #[test]
-    fn parameters_shadow_loop_indices_and_free_names_stay_symbolic() {
+    fn parameters_shadow_loop_indices_and_free_names_are_not_affine() {
         let env = ConstEnv::from_pairs([("n", 7)]);
-        let c = numbered("[ n + i + s := 0 | n <- [1..3], i <- [2..4] ]");
+        let c = numbered("[ n + i := 0 | n <- [1..3], i <- [2..4] ]");
         let (a, nest) = subscript(&c, &env);
         assert_eq!(a.loop_coeff(nest[0].id), 0);
         assert_eq!(a.loop_coeff(nest[1].id), 1);
-        assert_eq!(a.coeff("s"), 1);
         assert_eq!(a.constant_part(), 7 + 1);
+        // A run-time scalar is unknown at compile time.
+        let c = numbered("[ n + i + s := 0 | n <- [1..3], i <- [2..4] ]");
+        let ctx = &clause_contexts(&c)[0];
+        let nest = normalize_nest(ctx, &env).unwrap();
+        assert_eq!(
+            normalized_subscript(&ctx.clause.subs[0], &nest, ctx, &env),
+            None
+        );
     }
 
     #[test]

@@ -26,7 +26,7 @@ use std::sync::Arc;
 use crate::error::RuntimeError;
 
 /// Caps on a single run. `None` means unlimited.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct Limits {
     /// Op budget: one unit per taken loop iteration and per function
     /// call, identical across engines.

@@ -11,12 +11,17 @@
 //! in the same order, at any worker count (admission is sequential).
 //!
 //! The victim rule: evict the entry minimizing
-//! `(last_used + cost, last_used, key)`, where `cost` is the number of
+//! `(last_used + cost, last_used)`, where `cost` is the number of
 //! compiled units in the program — a deterministic proxy for how
 //! expensive the entry is to rebuild. Costlier programs thus survive a
-//! few ordinals longer than cheap ones touched at the same time, and
-//! the final `key` component makes the choice total even for equal
-//! scores.
+//! few ordinals longer than cheap ones touched at the same time. The
+//! choice is total: an admission stamps at most one entry of a map, so
+//! no two entries of one map share `last_used`.
+//!
+//! Entries are keyed by the request content they are valid for — a
+//! [`ProgramKey`] is the whole source, the parameter environment, the
+//! mode and the engine — and every probe compares whole keys, so two
+//! requests share an entry exactly when they share that content.
 //!
 //! Evicting is never incorrect, only slower: a re-admitted evicted
 //! program recompiles from the same source and parameters, and the
@@ -48,20 +53,94 @@
 //! server already holds around each call.
 
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::Arc;
 
-use hac_core::pipeline::{Compiled, ExecState};
+use hac_core::pipeline::{Compiled, Engine, ExecMode, ExecState};
+use hac_lang::env::ConstEnv;
+use hac_runtime::governor::Limits;
 
 use crate::ledger::{Counter, Ledger};
 use crate::Status;
 
+/// What a compiled program is a pure function of, and what the server
+/// compiles it from: the source, the parameter environment, the mode
+/// and the engine. The environment is a name-ordered map, so the order
+/// bindings were given in never splits a key, and a name given twice
+/// binds its last value. Seed and limits are absent: they change a
+/// run, not its program.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct ProgramKey {
+    pub(crate) source: Arc<str>,
+    pub(crate) env: ConstEnv,
+    pub(crate) mode: ExecMode,
+    pub(crate) engine: Engine,
+}
+
+impl ProgramKey {
+    pub fn new(source: Arc<str>, params: &[(String, i64)], mode: ExecMode, engine: Engine) -> Self {
+        let env = params.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+        ProgramKey {
+            source,
+            env,
+            mode,
+            engine,
+        }
+    }
+}
+
+/// What a memoized outcome is a pure function of: the program, the
+/// input seed, and the *effective* limits (post deadline conversion
+/// and certificate fill-in). Limits are in the key so error outcomes
+/// (which quote budgets) cache soundly and a hit never needs a budget
+/// re-check. Thread count is deliberately absent: the determinism
+/// contract makes outcomes thread-invariant.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct ResultKey {
+    pub program: ProgramKey,
+    pub seed: u64,
+    pub limits: Limits,
+}
+
+/// The key a family snapshot is shared under: every request whose
+/// params differ only in the *values* of the trailing update's own
+/// parameters. It is the program key without those bindings, plus
+/// their names and the seed. Limits are absent: a snapshot is priced
+/// per request.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct FamilyKey {
+    prefix: ProgramKey,
+    delta_params: Vec<String>,
+    seed: u64,
+}
+
+impl FamilyKey {
+    pub fn new(program: &ProgramKey, delta_params: &[String], seed: u64) -> FamilyKey {
+        let env = program
+            .env
+            .iter()
+            .filter(|(k, _)| !delta_params.iter().any(|d| d == k));
+        let prefix = ProgramKey {
+            env: env.collect(),
+            ..program.clone()
+        };
+        let mut delta_params = delta_params.to_vec();
+        delta_params.sort();
+        FamilyKey {
+            prefix,
+            delta_params,
+            seed,
+        }
+    }
+}
+
 /// The victim rule both caches evict by: among `(key, last_used,
-/// cost)` entries, the one minimizing `(last_used + cost, last_used,
-/// key)`, returned as that triple.
-fn victim<'a>(entries: impl Iterator<Item = (&'a u64, u64, u64)>) -> Option<(u64, u64, u64)> {
+/// cost)` entries, the one minimizing `(last_used + cost, last_used)`,
+/// returned as that rank and its key.
+fn victim<K>(entries: impl Iterator<Item = (K, u64, u64)>) -> Option<((u64, u64), K)> {
     entries
-        .map(|(key, last_used, cost)| (last_used + cost, last_used, *key))
-        .min()
+        .map(|(key, last_used, cost)| ((last_used + cost, last_used), key))
+        .min_by_key(|&(rank, _)| rank)
 }
 
 #[derive(Debug)]
@@ -83,7 +162,7 @@ struct Entry {
 #[derive(Debug)]
 pub struct ProgramCache {
     cap: usize,
-    entries: HashMap<u64, Entry>,
+    entries: HashMap<ProgramKey, Entry>,
     ledger: Arc<Ledger>,
 }
 
@@ -102,9 +181,9 @@ impl ProgramCache {
 
     /// Look `key` up, stamping the entry's recency with `ordinal` on a
     /// hit.
-    pub fn lookup(&mut self, key: u64, ordinal: u64) -> Option<Arc<Compiled>> {
+    pub fn lookup(&mut self, key: &ProgramKey, ordinal: u64) -> Option<Arc<Compiled>> {
         self.ledger.add(Counter::CacheLookups, 1);
-        match self.entries.get_mut(&key) {
+        match self.entries.get_mut(key) {
             Some(e) => {
                 e.last_used = ordinal;
                 self.ledger.add(Counter::CacheHits, 1);
@@ -122,7 +201,7 @@ impl ProgramCache {
     /// entries were evicted (0 or 1 in steady state; more only after a
     /// capacity reconfiguration). Re-inserting an existing key
     /// refreshes it in place and never evicts.
-    pub fn insert(&mut self, key: u64, program: Arc<Compiled>, ordinal: u64) -> u64 {
+    pub fn insert(&mut self, key: ProgramKey, program: Arc<Compiled>, ordinal: u64) -> u64 {
         let cost = (program.units.len() as u64).max(1);
         if let Some(e) = self.entries.get_mut(&key) {
             e.program = program;
@@ -133,10 +212,11 @@ impl ProgramCache {
         let mut evicted = 0;
         if self.cap > 0 {
             while self.entries.len() >= self.cap {
-                let (_, _, key) =
+                let (_, victim) =
                     victim(self.entries.iter().map(|(k, e)| (k, e.last_used, e.cost)))
                         .expect("cap > 0 and len >= cap imply an entry");
-                self.entries.remove(&key);
+                let victim = victim.clone();
+                self.entries.remove(&victim);
                 self.ledger.add(Counter::CacheEvictions, 1);
                 self.ledger.sub(Counter::CacheLive, 1);
                 evicted += 1;
@@ -253,27 +333,32 @@ pub enum Probe<T> {
 /// A value the result cache stores: selects the slot map a generic
 /// [`ResultCache`] method addresses.
 pub trait Payload: Sized {
+    /// The key this payload's slots are stored under.
+    type Key: Eq + Hash;
+
     /// Whether an admission probe of this kind counts a lookup. Only
     /// the full-key probe does: a family probe always follows its
     /// request's full-key probe.
     const COUNTS_LOOKUP: bool;
 
     /// The map holding this payload's slots.
-    fn slots(rc: &mut ResultCache) -> &mut HashMap<u64, Slot<Self>>;
+    fn slots(rc: &mut ResultCache) -> &mut HashMap<Self::Key, Slot<Self>>;
 }
 
 impl Payload for CachedOutcome {
+    type Key = ResultKey;
     const COUNTS_LOOKUP: bool = true;
 
-    fn slots(rc: &mut ResultCache) -> &mut HashMap<u64, Slot<Self>> {
+    fn slots(rc: &mut ResultCache) -> &mut HashMap<ResultKey, Slot<Self>> {
         &mut rc.full
     }
 }
 
 impl Payload for FamilyEntry {
+    type Key = FamilyKey;
     const COUNTS_LOOKUP: bool = false;
 
-    fn slots(rc: &mut ResultCache) -> &mut HashMap<u64, Slot<Self>> {
+    fn slots(rc: &mut ResultCache) -> &mut HashMap<FamilyKey, Slot<Self>> {
         &mut rc.family
     }
 }
@@ -303,8 +388,8 @@ pub struct Evicted {
 #[derive(Debug)]
 pub struct ResultCache {
     cap: usize,
-    full: HashMap<u64, Slot<CachedOutcome>>,
-    family: HashMap<u64, Slot<FamilyEntry>>,
+    full: HashMap<ResultKey, Slot<CachedOutcome>>,
+    family: HashMap<FamilyKey, Slot<FamilyEntry>>,
     ledger: Arc<Ledger>,
 }
 
@@ -323,11 +408,11 @@ impl ResultCache {
 
     /// Admission-time probe: stamps recency on `Ready`, and counts one
     /// lookup when `T` is the full outcome.
-    pub fn probe<T: Payload>(&mut self, key: u64, ordinal: u64) -> Probe<T> {
+    pub fn probe<T: Payload>(&mut self, key: &T::Key, ordinal: u64) -> Probe<T> {
         if T::COUNTS_LOOKUP {
             self.ledger.add(Counter::ResultLookups, 1);
         }
-        let Some(slot) = T::slots(self).get_mut(&key) else {
+        let Some(slot) = T::slots(self).get_mut(key) else {
             return Probe::Absent;
         };
         if matches!(slot.state, SlotState::Ready(_)) {
@@ -338,8 +423,8 @@ impl ResultCache {
 
     /// Execution-time peek (no stats, no recency) for waiters parked
     /// on a `Pending` slot.
-    pub fn peek<T: Payload>(&mut self, key: u64) -> Probe<T> {
-        T::slots(self).get(&key).map_or(Probe::Absent, Slot::probe)
+    pub fn peek<T: Payload>(&mut self, key: &T::Key) -> Probe<T> {
+        T::slots(self).get(key).map_or(Probe::Absent, Slot::probe)
     }
 
     /// Install a `Pending` slot holding `bytes` of (already
@@ -349,7 +434,7 @@ impl ResultCache {
     /// only the difference counts); a new key first evicts to capacity.
     pub fn install<T: Payload>(
         &mut self,
-        key: u64,
+        key: T::Key,
         ordinal: u64,
         cost: u64,
         bytes: u64,
@@ -383,8 +468,8 @@ impl ResultCache {
     /// slot was evicted or re-installed and the fill is dropped — a
     /// dropped family fill wastes only the snapshot clone, its bytes
     /// were refunded at eviction). Returns whether it landed.
-    pub fn fill<T: Payload>(&mut self, key: u64, token: u64, value: Arc<T>) -> bool {
-        let Some(slot) = T::slots(self).get_mut(&key).filter(|s| s.pending_as(token)) else {
+    pub fn fill<T: Payload>(&mut self, key: &T::Key, token: u64, value: Arc<T>) -> bool {
+        let Some(slot) = T::slots(self).get_mut(key).filter(|s| s.pending_as(token)) else {
             return false;
         };
         slot.state = SlotState::Ready(value);
@@ -396,8 +481,8 @@ impl ResultCache {
     /// value), releasing its bytes early. Token-gated like
     /// [`ResultCache::fill`]. Returns the bytes the caller must refund
     /// to the ceiling (0 when the fail did not land).
-    pub fn fail<T: Payload>(&mut self, key: u64, token: u64) -> u64 {
-        let Some(slot) = T::slots(self).get_mut(&key).filter(|s| s.pending_as(token)) else {
+    pub fn fail<T: Payload>(&mut self, key: &T::Key, token: u64) -> u64 {
+        let Some(slot) = T::slots(self).get_mut(key).filter(|s| s.pending_as(token)) else {
             return 0;
         };
         slot.state = SlotState::Failed;
@@ -407,8 +492,8 @@ impl ResultCache {
     }
 
     /// Evict until there is room for one more entry. The victim rule
-    /// is the program cache's, totalized across both maps: minimize
-    /// `(last_used + cost, last_used, map, key)`, full before family.
+    /// is the program cache's across both maps, full before family on
+    /// equal ranks.
     /// Pending slots are evicted like any other — membership must stay
     /// a pure function of the admission sequence, and fillers/waiters
     /// tolerate a vanished slot (token-gated fills drop; waiters fall
@@ -416,19 +501,19 @@ impl ResultCache {
     fn evict_to_cap(&mut self) -> Evicted {
         let mut out = Evicted::default();
         while self.cap > 0 && self.full.len() + self.family.len() >= self.cap {
-            let full = victim(self.full.iter().map(|(k, s)| (k, s.last_used, s.cost)))
-                .map(|(score, last_used, key)| (score, last_used, false, key));
-            let family = victim(self.family.iter().map(|(k, s)| (k, s.last_used, s.cost)))
-                .map(|(score, last_used, key)| (score, last_used, true, key));
-            let Some((_, _, in_family, key)) = full.into_iter().chain(family).min() else {
-                break;
-            };
-            if in_family {
+            let full = victim(self.full.iter().map(|(k, s)| (k, s.last_used, s.cost)));
+            let family = victim(self.family.iter().map(|(k, s)| (k, s.last_used, s.cost)));
+            let full = full.filter(|(rank, _)| family.as_ref().is_none_or(|(f, _)| rank <= f));
+            if let Some((_, key)) = full {
+                let key = key.clone();
+                self.full.remove(&key);
+            } else if let Some((_, key)) = family {
+                let key = key.clone();
                 let slot = self.family.remove(&key).expect("victim exists");
                 self.ledger.sub(Counter::ResultResidentBytes, slot.bytes);
                 out.bytes += slot.bytes;
             } else {
-                self.full.remove(&key);
+                break;
             }
             self.ledger.add(Counter::ResultEvictions, 1);
             self.ledger.sub(Counter::ResultLive, 1);
@@ -454,6 +539,24 @@ mod tests {
         (ResultCache::new(cap, Arc::clone(&ledger)), ledger)
     }
 
+    /// The typed keys the tests draw from: one per `n`.
+    fn pkey(n: u64) -> ProgramKey {
+        let params = [("n".to_string(), n as i64)];
+        ProgramKey::new(Arc::from("src"), &params, ExecMode::Auto, Engine::Tape)
+    }
+
+    fn rkey(n: u64) -> ResultKey {
+        ResultKey {
+            program: pkey(n),
+            seed: 0,
+            limits: Limits::unlimited(),
+        }
+    }
+
+    fn fkey(n: u64) -> FamilyKey {
+        FamilyKey::new(&pkey(n), &[], 0)
+    }
+
     fn compiled(n: i64) -> Arc<Compiled> {
         let src = "param n;\nlet a = array (1,2) [ i := n | i <- [1..2] ];\n";
         let program = hac_lang::parser::parse_program(src).unwrap();
@@ -467,8 +570,8 @@ mod tests {
         let (mut c, l) = program_cache(3);
         let p = compiled(1);
         for key in 0..10u64 {
-            assert!(c.lookup(key, key).is_none());
-            c.insert(key, Arc::clone(&p), key);
+            assert!(c.lookup(&pkey(key), key).is_none());
+            c.insert(pkey(key), Arc::clone(&p), key);
             assert!(c.len() <= 3, "cap exceeded at key {key}");
         }
         let lookups = l.get(Counter::CacheLookups);
@@ -490,14 +593,14 @@ mod tests {
     fn lru_evicts_the_stalest_entry() {
         let (mut c, _) = program_cache(2);
         let p = compiled(1);
-        c.insert(10, Arc::clone(&p), 0);
-        c.insert(20, Arc::clone(&p), 1);
+        c.insert(pkey(10), Arc::clone(&p), 0);
+        c.insert(pkey(20), Arc::clone(&p), 1);
         // Touch 10 so 20 becomes the LRU victim.
-        assert!(c.lookup(10, 2).is_some());
-        c.insert(30, Arc::clone(&p), 3);
-        assert!(c.lookup(10, 4).is_some());
-        assert!(c.lookup(20, 5).is_none(), "20 was evicted");
-        assert!(c.lookup(30, 6).is_some());
+        assert!(c.lookup(&pkey(10), 2).is_some());
+        c.insert(pkey(30), Arc::clone(&p), 3);
+        assert!(c.lookup(&pkey(10), 4).is_some());
+        assert!(c.lookup(&pkey(20), 5).is_none(), "20 was evicted");
+        assert!(c.lookup(&pkey(30), 6).is_some());
     }
 
     #[test]
@@ -505,7 +608,7 @@ mod tests {
         let (mut c, l) = program_cache(0);
         let p = compiled(1);
         for key in 0..100u64 {
-            c.insert(key, Arc::clone(&p), key);
+            c.insert(pkey(key), Arc::clone(&p), key);
         }
         assert_eq!(c.len(), 100);
         assert_eq!(l.get(Counter::CacheEvictions), 0);
@@ -515,9 +618,9 @@ mod tests {
     fn reinserting_a_key_refreshes_without_eviction() {
         let (mut c, l) = program_cache(2);
         let p = compiled(1);
-        c.insert(1, Arc::clone(&p), 0);
-        c.insert(2, Arc::clone(&p), 1);
-        assert_eq!(c.insert(1, Arc::clone(&p), 2), 0);
+        c.insert(pkey(1), Arc::clone(&p), 0);
+        c.insert(pkey(2), Arc::clone(&p), 1);
+        assert_eq!(c.insert(pkey(1), Arc::clone(&p), 2), 0);
         assert_eq!(c.len(), 2);
         assert_eq!(
             l.get(Counter::CacheInsertions),
@@ -548,16 +651,22 @@ mod tests {
     #[test]
     fn result_slots_resolve_through_the_pending_protocol() {
         let (mut c, l) = result_cache(8);
-        assert!(matches!(c.probe::<CachedOutcome>(7, 0), Probe::Absent));
-        c.install::<CachedOutcome>(7, 0, 2, 0);
         assert!(matches!(
-            c.probe::<CachedOutcome>(7, 1),
+            c.probe::<CachedOutcome>(&rkey(7), 0),
+            Probe::Absent
+        ));
+        c.install::<CachedOutcome>(rkey(7), 0, 2, 0);
+        assert!(matches!(
+            c.probe::<CachedOutcome>(&rkey(7), 1),
             Probe::Pending { token: 0 }
         ));
-        assert!(c.fill(7, 0, outcome()));
-        assert!(matches!(c.probe::<CachedOutcome>(7, 2), Probe::Ready(_)));
+        assert!(c.fill(&rkey(7), 0, outcome()));
+        assert!(matches!(
+            c.probe::<CachedOutcome>(&rkey(7), 2),
+            Probe::Ready(_)
+        ));
         // A second fill with a stale token is dropped.
-        assert!(!c.fill(7, 0, outcome()));
+        assert!(!c.fill(&rkey(7), 0, outcome()));
         assert_eq!(
             (
                 l.get(Counter::ResultLookups),
@@ -571,13 +680,19 @@ mod tests {
     #[test]
     fn failed_slots_are_tombstones_until_reinstalled() {
         let (mut c, l) = result_cache(8);
-        c.install::<CachedOutcome>(7, 0, 1, 0);
-        c.fail::<CachedOutcome>(7, 0);
-        assert!(matches!(c.probe::<CachedOutcome>(7, 1), Probe::Failed));
-        // Re-install in place: no membership change, fresh token.
-        assert_eq!(c.install::<CachedOutcome>(7, 2, 1, 0), Evicted::default());
+        c.install::<CachedOutcome>(rkey(7), 0, 1, 0);
+        c.fail::<CachedOutcome>(&rkey(7), 0);
         assert!(matches!(
-            c.probe::<CachedOutcome>(7, 3),
+            c.probe::<CachedOutcome>(&rkey(7), 1),
+            Probe::Failed
+        ));
+        // Re-install in place: no membership change, fresh token.
+        assert_eq!(
+            c.install::<CachedOutcome>(rkey(7), 2, 1, 0),
+            Evicted::default()
+        );
+        assert!(matches!(
+            c.probe::<CachedOutcome>(&rkey(7), 3),
             Probe::Pending { token: 2 }
         ));
         assert_eq!(l.get(Counter::ResultLive), 1);
@@ -586,30 +701,36 @@ mod tests {
     #[test]
     fn family_bytes_are_charged_and_refunded_exactly_once() {
         let (mut c, l) = result_cache(8);
-        c.install::<FamilyEntry>(9, 0, 1, 640);
+        c.install::<FamilyEntry>(fkey(9), 0, 1, 640);
         assert_eq!(l.get(Counter::ResultResidentBytes), 640);
         // Failure refunds early; the tombstone holds nothing.
-        assert_eq!(c.fail::<FamilyEntry>(9, 0), 640);
+        assert_eq!(c.fail::<FamilyEntry>(&fkey(9), 0), 640);
         assert_eq!(l.get(Counter::ResultResidentBytes), 0);
         // A stale fail (wrong token) refunds nothing.
-        assert_eq!(c.fail::<FamilyEntry>(9, 0), 0);
+        assert_eq!(c.fail::<FamilyEntry>(&fkey(9), 0), 0);
         // Re-install charges again; fill keeps the charge resident.
-        c.install::<FamilyEntry>(9, 1, 1, 640);
-        assert!(c.fill(9, 1, family()));
+        c.install::<FamilyEntry>(fkey(9), 1, 1, 640);
+        assert!(c.fill(&fkey(9), 1, family()));
         assert_eq!(l.get(Counter::ResultResidentBytes), 640);
-        assert!(matches!(c.probe::<FamilyEntry>(9, 2), Probe::Ready(_)));
+        assert!(matches!(
+            c.probe::<FamilyEntry>(&fkey(9), 2),
+            Probe::Ready(_)
+        ));
     }
 
     #[test]
     fn eviction_spans_both_maps_and_frees_family_bytes() {
         let (mut c, l) = result_cache(2);
-        c.install::<CachedOutcome>(1, 0, 1, 0);
-        assert!(c.fill(1, 0, outcome()));
-        c.install::<FamilyEntry>(2, 1, 1, 100);
-        assert!(c.fill(2, 1, family()));
+        c.install::<CachedOutcome>(rkey(1), 0, 1, 0);
+        assert!(c.fill(&rkey(1), 0, outcome()));
+        c.install::<FamilyEntry>(fkey(2), 1, 1, 100);
+        assert!(c.fill(&fkey(2), 1, family()));
         // Touch the family entry so the full entry is the victim.
-        assert!(matches!(c.probe::<FamilyEntry>(2, 2), Probe::Ready(_)));
-        let ev = c.install::<CachedOutcome>(3, 3, 1, 0);
+        assert!(matches!(
+            c.probe::<FamilyEntry>(&fkey(2), 2),
+            Probe::Ready(_)
+        ));
+        let ev = c.install::<CachedOutcome>(rkey(3), 3, 1, 0);
         assert_eq!(
             ev,
             Evicted {
@@ -617,14 +738,17 @@ mod tests {
                 bytes: 0
             }
         );
-        assert!(matches!(c.probe::<CachedOutcome>(1, 4), Probe::Absent));
+        assert!(matches!(
+            c.probe::<CachedOutcome>(&rkey(1), 4),
+            Probe::Absent
+        ));
         // Now the family snapshot is the stalest; evicting it frees
         // its bytes for the caller to refund.
         assert!(matches!(
-            c.probe::<CachedOutcome>(3, 5),
+            c.probe::<CachedOutcome>(&rkey(3), 5),
             Probe::Pending { .. }
         ));
-        let ev = c.install::<CachedOutcome>(4, 6, 1, 0);
+        let ev = c.install::<CachedOutcome>(rkey(4), 6, 1, 0);
         assert_eq!(
             ev,
             Evicted {
@@ -642,10 +766,10 @@ mod tests {
     #[test]
     fn capacity_holds_while_one_map_is_empty() {
         let (mut c, l) = result_cache(1);
-        c.install::<CachedOutcome>(1, 0, 1, 0);
+        c.install::<CachedOutcome>(rkey(1), 0, 1, 0);
         // The family map is empty, yet installing into it must still
         // evict the full entry to stay within capacity.
-        let ev = c.install::<FamilyEntry>(2, 0, 1, 64);
+        let ev = c.install::<FamilyEntry>(fkey(2), 0, 1, 64);
         assert_eq!(ev.entries, 1);
         assert_eq!(
             (

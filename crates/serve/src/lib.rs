@@ -2,9 +2,9 @@
 //!
 //! A multi-tenant serving layer over the `hac` pipeline: one process
 //! hosts many concurrent requests, each compiled once (a cache keyed
-//! by source hash skips parse/schedule/lower on repeats) and executed
-//! under a per-request [`Meter`] admitted against a process-wide
-//! [`SharedCeiling`].
+//! by source, parameters, mode and engine skips parse/schedule/lower
+//! on repeats) and executed under a per-request [`Meter`] admitted
+//! against a process-wide [`SharedCeiling`].
 //!
 //! The layer inherits the repo's determinism contract: a request's
 //! outcome — answer digest, exhaustion point, fuel left, counters — is
@@ -27,7 +27,6 @@ use hac_core::pipeline::{
     compile, fill_inputs, run_delta, run_units, run_with_meter, CompileOptions, Compiled, Engine,
     ExecMode, ExecState, RunOptions, Unit,
 };
-use hac_lang::env::ConstEnv;
 use hac_runtime::error::RuntimeError;
 use hac_runtime::governor::{FaultPlan, Limits, Meter, SharedCeiling};
 use hac_runtime::value::{ArrayBuf, FuncTable};
@@ -39,7 +38,10 @@ pub mod json;
 pub mod ledger;
 pub mod sched;
 
-use cache::{CachedOutcome, FamilyEntry, Payload, Probe, ProgramCache, ResultCache};
+use cache::{
+    CachedOutcome, FamilyEntry, FamilyKey, Payload, Probe, ProgramCache, ProgramKey, ResultCache,
+    ResultKey,
+};
 use json::Json;
 use ledger::{Counter, Ledger};
 
@@ -655,71 +657,6 @@ fn verdicts_of(compiled: &Compiled) -> Verdicts {
     v
 }
 
-fn limit_key(h: u64, v: Option<u64>) -> u64 {
-    match v {
-        Some(v) => fnv1a(fnv1a(h, &[1]), &v.to_le_bytes()),
-        None => fnv1a(h, &[0]),
-    }
-}
-
-/// FNV-1a over `source`, then over `params` sorted by name and value —
-/// the prefix every cache key starts from, so the order bindings were
-/// given in never splits a key.
-fn source_key<'a>(source: &str, params: impl Iterator<Item = &'a (String, i64)>) -> u64 {
-    let mut params: Vec<&(String, i64)> = params.collect();
-    params.sort();
-    params
-        .into_iter()
-        .fold(fnv1a(FNV_OFFSET, source.as_bytes()), |h, (k, v)| {
-            fnv1a(fnv1a(h, k.as_bytes()), &v.to_le_bytes())
-        })
-}
-
-/// The compiled-program key: source, params, mode, and engine.
-fn program_key(req: &Request, mode: ExecMode, engine: Engine) -> u64 {
-    fnv1a(
-        source_key(&req.source, req.params.iter()),
-        &[mode as u8, engine as u8],
-    )
-}
-
-/// The memoized-result key: every bit of request state the terminal
-/// outcome is a pure function of — source, params, seed, mode,
-/// engine, and the *effective* limits (post deadline conversion and
-/// certificate fill-in). Limits are in the key so error outcomes
-/// (which quote budgets) cache soundly and a hit never needs a budget
-/// re-check. Thread count is deliberately absent: the determinism
-/// contract makes outcomes thread-invariant.
-fn result_key(req: &Request, mode: ExecMode, engine: Engine, limits: Limits) -> u64 {
-    let mut h = source_key(&req.source, req.params.iter());
-    h = fnv1a(h, &req.seed.to_le_bytes());
-    h = fnv1a(h, &[mode as u8, engine as u8, 0xF1]);
-    h = limit_key(h, limits.fuel);
-    h = limit_key(h, limits.mem_bytes);
-    h
-}
-
-/// The family key shared by every request whose params differ only in
-/// the update's own parameters: like [`result_key`] but excluding
-/// limits and the delta parameters' *values* (their names still key —
-/// the prefix state is identical across the family precisely because
-/// those parameters appear nowhere outside the trailing update).
-fn family_key(req: &Request, delta_params: &[String], mode: ExecMode, engine: Engine) -> u64 {
-    let mut h = source_key(
-        &req.source,
-        req.params.iter().filter(|(k, _)| !delta_params.contains(k)),
-    );
-    let mut names: Vec<&String> = delta_params.iter().collect();
-    names.sort();
-    for n in names {
-        h = fnv1a(h, n.as_bytes());
-        h = fnv1a(h, &[2]);
-    }
-    h = fnv1a(h, &req.seed.to_le_bytes());
-    h = fnv1a(h, &[mode as u8, engine as u8, 0xFA]);
-    h
-}
-
 /// The request's effective limits: its own caps, with a deadline
 /// converted to fuel at the calibrated rate (the *tighter* of the two
 /// fuel numbers wins when both are given).
@@ -739,7 +676,8 @@ fn effective_limits(deadline: Option<&DeadlineGovernor>, req: &Request) -> Resul
 
 /// How the result cache serves an admitted request, decided on the
 /// sequential admission path. Every variant but `Bypass` and `Hit`
-/// names `Pending` slots this request must resolve before returning.
+/// names `Pending` slots this request must resolve before returning;
+/// it installed them, so their token is its admission ordinal.
 enum ResultRoute {
     /// Result caching is off for this request.
     Bypass,
@@ -747,28 +685,25 @@ enum ResultRoute {
     Hit(Arc<CachedOutcome>),
     /// An earlier-admitted filler is computing this exact outcome:
     /// wait for it (safe — waits only ever target earlier ordinals).
-    WaitHit { key: u64, token: u64 },
+    WaitHit { key: ResultKey, token: u64 },
     /// A family snapshot was `Ready`: replay only the update.
     Delta {
-        key: u64,
-        token: u64,
+        key: ResultKey,
         fam: Arc<FamilyEntry>,
     },
-    /// An earlier-admitted filler is snapshotting this family: wait,
-    /// then replay the update against its snapshot.
+    /// An earlier-admitted filler (install `ftoken`) is snapshotting
+    /// this family: wait, then replay the update against its snapshot.
     WaitDelta {
-        key: u64,
-        token: u64,
-        fkey: u64,
+        key: ResultKey,
+        fkey: FamilyKey,
         ftoken: u64,
     },
     /// Cold: run the full pipeline and fill the result slot — and the
-    /// family slot `(fkey, token)`, when this request was elected the
-    /// family filler (its bytes were ceiling-reserved at admission).
+    /// `family` slot, when this request was elected the family filler
+    /// (its bytes were ceiling-reserved at admission).
     Miss {
-        key: u64,
-        token: u64,
-        family: Option<(u64, u64)>,
+        key: ResultKey,
+        family: Option<FamilyKey>,
     },
 }
 
@@ -778,8 +713,10 @@ enum ResultRoute {
 /// Disarmed piecewise as each obligation is met.
 struct FillGuard<'a> {
     server: &'a Server,
-    full: Option<(u64, u64)>,
-    family: Option<(u64, u64)>,
+    /// The filler's admission ordinal: the token of its slots.
+    token: u64,
+    full: Option<ResultKey>,
+    family: Option<FamilyKey>,
 }
 
 impl Drop for FillGuard<'_> {
@@ -788,11 +725,11 @@ impl Drop for FillGuard<'_> {
             return;
         }
         let mut rc = self.server.results.lock().expect("result cache lock");
-        if let Some((key, token)) = self.full.take() {
-            rc.fail::<CachedOutcome>(key, token);
+        if let Some(key) = self.full.take() {
+            rc.fail::<CachedOutcome>(&key, self.token);
         }
-        if let Some((fkey, token)) = self.family.take() {
-            let bytes = rc.fail::<FamilyEntry>(fkey, token);
+        if let Some(fkey) = self.family.take() {
+            let bytes = rc.fail::<FamilyEntry>(&fkey, self.token);
             self.server.ceiling.refund_mem(bytes);
         }
         drop(rc);
@@ -807,8 +744,8 @@ impl Drop for FillGuard<'_> {
 pub struct Server {
     options: ServeOptions,
     ceiling: Arc<SharedCeiling>,
-    /// Bounded cache of compiled programs keyed by FNV(source, params,
-    /// mode, engine); recency is stamped in admission ordinals.
+    /// Bounded cache of compiled programs keyed by source, params,
+    /// mode, and engine; recency is stamped in admission ordinals.
     cache: Mutex<ProgramCache>,
     /// Materialized-result cache: memoized outcomes and family
     /// snapshots. Membership changes only on the admission path;
@@ -947,21 +884,18 @@ impl Server {
                 ResultRoute::Hit(_) | ResultRoute::WaitHit { .. } => {
                     (Some(ResultClass::Hit), None, None)
                 }
-                ResultRoute::Delta { key, token, .. }
-                | ResultRoute::WaitDelta { key, token, .. } => {
-                    (Some(ResultClass::Delta), Some((key, token)), None)
+                ResultRoute::Delta { key, .. } | ResultRoute::WaitDelta { key, .. } => {
+                    (Some(ResultClass::Delta), Some(key), None)
                 }
-                ResultRoute::Miss { key, token, family } => {
-                    (Some(ResultClass::Miss), Some((key, token)), family)
-                }
+                ResultRoute::Miss { key, family } => (Some(ResultClass::Miss), Some(key), family),
             };
             classes[i] = class;
             let mut rc = server.results.lock().expect("result cache lock");
-            if let Some((key, token)) = full {
-                rc.fill(key, token, Arc::clone(&outcome));
+            if let Some(key) = full {
+                rc.fill(&key, adm.ordinal, Arc::clone(&outcome));
             }
-            if let Some((fkey, token)) = family {
-                rc.fill(fkey, token, Arc::clone(&snapshot));
+            if let Some(fkey) = family {
+                rc.fill(&fkey, adm.ordinal, Arc::clone(&snapshot));
             }
         }
         classes
@@ -974,38 +908,31 @@ impl Server {
     /// cheap to reproduce (the front end rejects early) and rare.
     fn compile_cached(
         &self,
-        req: &Request,
-        mode: ExecMode,
-        engine: Engine,
+        key: &ProgramKey,
         ordinal: u64,
     ) -> Result<(Arc<Compiled>, bool, u64), String> {
-        let key = program_key(req, mode, engine);
         if let Some(hit) = self.cache.lock().expect("cache lock").lookup(key, ordinal) {
             return Ok((hit, true, 0));
         }
-        let program = hac_lang::parser::parse_program(&req.source)
+        let program = hac_lang::parser::parse_program(&key.source)
             .map_err(|e| format!("parse error: {e}"))?;
-        let mut env = ConstEnv::new();
-        for (k, v) in &req.params {
-            env.bind(k, *v);
-        }
         let compiled = compile(
             &program,
-            &env,
+            &key.env,
             &CompileOptions {
-                mode,
-                engine,
+                mode: key.mode,
+                engine: key.engine,
                 fuse: self.options.fuse,
                 ..CompileOptions::default()
             },
         )
         .map_err(|e| format!("compile error: {e}"))?;
         let compiled = Arc::new(compiled);
-        let evicted =
-            self.cache
-                .lock()
-                .expect("cache lock")
-                .insert(key, Arc::clone(&compiled), ordinal);
+        let evicted = self.cache.lock().expect("cache lock").insert(
+            key.clone(),
+            Arc::clone(&compiled),
+            ordinal,
+        );
         Ok((compiled, false, evicted))
     }
 
@@ -1014,14 +941,10 @@ impl Server {
     /// eviction, and filler election are pure functions of the
     /// admission sequence — execution threads later only resolve the
     /// slots installed here.
-    #[allow(clippy::too_many_arguments)]
     fn route_result(
         &self,
-        req: &Request,
+        key: ResultKey,
         compiled: &Compiled,
-        mode: ExecMode,
-        engine: Engine,
-        limits: Limits,
         meter: &Meter,
         ordinal: u64,
     ) -> ResultRoute {
@@ -1041,33 +964,25 @@ impl Server {
         {
             return ResultRoute::Bypass;
         }
-        let key = result_key(req, mode, engine, limits);
         let cost = compiled.units.len() as u64;
         let mut rc = self.results.lock().expect("result cache lock");
-        match rc.probe::<CachedOutcome>(key, ordinal) {
+        match rc.probe::<CachedOutcome>(&key, ordinal) {
             Probe::Ready(o) => return ResultRoute::Hit(o),
             Probe::Pending { token } => return ResultRoute::WaitHit { key, token },
             Probe::Absent | Probe::Failed => {}
         }
         // Cold at the full key: this request becomes its filler.
-        let mut freed = rc.install::<CachedOutcome>(key, ordinal, cost, 0).bytes;
+        let mut freed = rc
+            .install::<CachedOutcome>(key.clone(), ordinal, cost, 0)
+            .bytes;
         let route = match &compiled.delta {
-            None => ResultRoute::Miss {
-                key,
-                token: ordinal,
-                family: None,
-            },
+            None => ResultRoute::Miss { key, family: None },
             Some(plan) => {
-                let fkey = family_key(req, &plan.params, mode, engine);
-                match rc.probe::<FamilyEntry>(fkey, ordinal) {
-                    Probe::Ready(fam) => ResultRoute::Delta {
-                        key,
-                        token: ordinal,
-                        fam,
-                    },
+                let fkey = FamilyKey::new(&key.program, &plan.params, key.seed);
+                match rc.probe::<FamilyEntry>(&fkey, ordinal) {
+                    Probe::Ready(fam) => ResultRoute::Delta { key, fam },
                     Probe::Pending { token } => ResultRoute::WaitDelta {
                         key,
-                        token: ordinal,
                         fkey,
                         ftoken: token,
                     },
@@ -1080,15 +995,11 @@ impl Server {
                             let family_cost = cost.saturating_sub(1);
                             let bytes = plan.prefix_bytes;
                             freed += rc
-                                .install::<FamilyEntry>(fkey, ordinal, family_cost, bytes)
+                                .install::<FamilyEntry>(fkey.clone(), ordinal, family_cost, bytes)
                                 .bytes;
-                            (fkey, ordinal)
+                            fkey
                         });
-                        ResultRoute::Miss {
-                            key,
-                            token: ordinal,
-                            family,
-                        }
+                        ResultRoute::Miss { key, family }
                     }
                 }
             }
@@ -1117,9 +1028,9 @@ impl Server {
         let engine = req.engine.unwrap_or(self.options.engine);
         let mut limits = effective_limits(self.options.deadline.as_ref(), req)
             .map_err(|e| stamp(Response::failed(&req.id, Status::Rejected, None, e)))?;
-        let (compiled, cache_hit, evictions) = self
-            .compile_cached(req, mode, engine, ordinal)
-            .map_err(|e| {
+        let program_key = ProgramKey::new(req.source.as_str().into(), &req.params, mode, engine);
+        let (compiled, cache_hit, evictions) =
+            self.compile_cached(&program_key, ordinal).map_err(|e| {
                 stamp(Response::failed(
                     &req.id,
                     Status::CompileError,
@@ -1179,7 +1090,12 @@ impl Server {
             resp.evictions = evictions;
             stamp(resp)
         })?;
-        let route = self.route_result(req, &compiled, mode, engine, limits, &meter, ordinal);
+        let key = ResultKey {
+            program: program_key,
+            seed: req.seed,
+            limits,
+        };
+        let route = self.route_result(key, &compiled, &meter, ordinal);
         Ok(Admitted {
             id: req.id.clone(),
             tenant: req.tenant.clone(),
@@ -1226,25 +1142,18 @@ impl Server {
         match std::mem::replace(&mut adm.route, ResultRoute::Bypass) {
             ResultRoute::Bypass => self.execute_full(adm, None, None, false),
             ResultRoute::Hit(o) => self.serve_cached(adm, &o),
-            ResultRoute::WaitHit { key, token } => match self.await_slot(key, token) {
+            ResultRoute::WaitHit { key, token } => match self.await_slot(&key, token) {
                 Some(o) => self.serve_cached(adm, &o),
                 // The filler died (or its slot was evicted): run full.
                 // No fill — membership changed only at admission.
                 None => self.execute_full(adm, None, None, true),
             },
-            ResultRoute::Delta { key, token, fam } => self.serve_delta(adm, key, token, &fam),
-            ResultRoute::WaitDelta {
-                key,
-                token,
-                fkey,
-                ftoken,
-            } => match self.await_slot(fkey, ftoken) {
-                Some(fam) => self.serve_delta(adm, key, token, &fam),
-                None => self.execute_full(adm, Some((key, token)), None, true),
+            ResultRoute::Delta { key, fam } => self.serve_delta(adm, key, &fam),
+            ResultRoute::WaitDelta { key, fkey, ftoken } => match self.await_slot(&fkey, ftoken) {
+                Some(fam) => self.serve_delta(adm, key, &fam),
+                None => self.execute_full(adm, Some(key), None, true),
             },
-            ResultRoute::Miss { key, token, family } => {
-                self.execute_full(adm, Some((key, token)), family, true)
-            }
+            ResultRoute::Miss { key, family } => self.execute_full(adm, Some(key), family, true),
         }
     }
 
@@ -1255,7 +1164,7 @@ impl Server {
     /// deadlock a single-worker batch. The install this waits on was
     /// admitted earlier, so its filler is already running (workers
     /// drain in admission order): the wait always makes progress.
-    fn await_slot<T: Payload>(&self, key: u64, token: u64) -> Option<Arc<T>> {
+    fn await_slot<T: Payload>(&self, key: &T::Key, token: u64) -> Option<Arc<T>> {
         let mut rc = self.results.lock().expect("result cache lock");
         loop {
             match rc.peek::<T>(key) {
@@ -1284,7 +1193,7 @@ impl Server {
     /// not). On success the admitted meter is charged for precisely
     /// what the cold run would have spent, so the pool's settlement
     /// is identical.
-    fn serve_delta(&self, mut adm: Admitted, key: u64, token: u64, fam: &FamilyEntry) -> Response {
+    fn serve_delta(&self, mut adm: Admitted, key: ResultKey, fam: &FamilyEntry) -> Response {
         let writes = adm
             .compiled
             .delta
@@ -1298,12 +1207,12 @@ impl Server {
         let probe_fuel = match (adm.limits.fuel, fam.prefix_fuel) {
             (None, _) => None,
             (Some(f), Some(pf)) if pf <= f => Some(f - pf),
-            _ => return self.execute_full(adm, Some((key, token)), None, true),
+            _ => return self.execute_full(adm, Some(key), None, true),
         };
         let probe_mem = match (adm.limits.mem_bytes, fam.prefix_mem) {
             (None, _) => None,
             (Some(m), Some(pm)) if pm <= m => Some(m - pm),
-            _ => return self.execute_full(adm, Some((key, token)), None, true),
+            _ => return self.execute_full(adm, Some(key), None, true),
         };
         let mut probe = Meter::new(Limits {
             fuel: probe_fuel,
@@ -1328,14 +1237,14 @@ impl Server {
                 adm.meter.settle();
                 let outcome = Arc::new(ok_outcome(&out));
                 self.results.lock().expect("result cache lock").fill(
-                    key,
-                    token,
+                    &key,
+                    adm.ordinal,
                     Arc::clone(&outcome),
                 );
                 self.results_cv.notify_all();
                 self.respond(adm, &outcome, Some(ResultClass::Delta), Some(writes), 1)
             }
-            Err(_) => self.execute_full(adm, Some((key, token)), None, true),
+            Err(_) => self.execute_full(adm, Some(key), None, true),
         }
     }
 
@@ -1363,7 +1272,7 @@ impl Server {
         // finite (routing already excluded lazily-drawing meters).
         let prefix_fuel = limits.fuel.map(|f| f - meter.fuel_left());
         let prefix_mem = limits.mem_bytes.map(|m| m - meter.mem_left());
-        if let Some((fkey, token)) = guard.family.take() {
+        if let Some(fkey) = guard.family.take() {
             let entry = Arc::new(FamilyEntry {
                 state: state.clone(),
                 prefix_fuel,
@@ -1374,7 +1283,7 @@ impl Server {
             self.results
                 .lock()
                 .expect("result cache lock")
-                .fill(fkey, token, entry);
+                .fill(&fkey, guard.token, entry);
             self.results_cv.notify_all();
         }
         run_units(
@@ -1392,11 +1301,12 @@ impl Server {
     /// Resolve a filler's full-slot obligation, if it has one, with its
     /// final outcome.
     fn fill_full(&self, guard: &mut FillGuard<'_>, outcome: &Arc<CachedOutcome>) {
-        if let Some((key, token)) = guard.full.take() {
-            self.results
-                .lock()
-                .expect("result cache lock")
-                .fill(key, token, Arc::clone(outcome));
+        if let Some(key) = guard.full.take() {
+            self.results.lock().expect("result cache lock").fill(
+                &key,
+                guard.token,
+                Arc::clone(outcome),
+            );
             self.results_cv.notify_all();
         }
     }
@@ -1454,14 +1364,15 @@ impl Server {
     fn execute_full(
         &self,
         mut adm: Admitted,
-        fill: Option<(u64, u64)>,
-        family: Option<(u64, u64)>,
+        fill: Option<ResultKey>,
+        family: Option<FamilyKey>,
         routed: bool,
     ) -> Response {
         let inputs = fill_inputs(&adm.compiled, Some(adm.seed));
         let funcs = FuncTable::new();
         let mut guard = FillGuard {
             server: self,
+            token: adm.ordinal,
             full: fill,
             family,
         };
@@ -2164,25 +2075,83 @@ mod tests {
     }
 
     #[test]
-    fn cache_keys_are_pinned() {
-        // Eviction breaks ties on the key, so key values are part of
-        // the eviction order: these must never change. Params are
-        // given out of order to pin the sort.
-        let mut r = Request::new("k", POKE);
-        r.params = vec![
-            ("uv".to_string(), 55),
-            ("n".to_string(), 8),
-            ("ui".to_string(), 3),
-        ];
-        let (mode, engine) = (ExecMode::Auto, Engine::ParTape);
-        let limits = Limits {
-            fuel: Some(100),
+    fn keys_split_on_exactly_the_content_they_cover() {
+        let params = |pairs: &[(&str, i64)]| -> Vec<(String, i64)> {
+            pairs.iter().map(|&(k, v)| (k.to_string(), v)).collect()
+        };
+        let key = |source: &str, params: &[(String, i64)], seed, mode, engine, limits| ResultKey {
+            program: ProgramKey::new(source.into(), params, mode, engine),
+            seed,
+            limits,
+        };
+        let poke = params(&[("n", 8), ("ui", 3), ("uv", 55)]);
+        let (mode, engine) = (ExecMode::Auto, Engine::Tape);
+        let fuel = |fuel| Limits {
+            fuel,
             mem_bytes: None,
         };
-        let delta = ["ui".to_string(), "uv".to_string()];
-        assert_eq!(program_key(&r, mode, engine), 0xaf8e_be50_933b_533a);
-        assert_eq!(result_key(&r, mode, engine, limits), 0x3967_605e_7508_80a1);
-        assert_eq!(family_key(&r, &delta, mode, engine), 0x0c5c_067b_9c7d_5697);
+        let k = key(POKE, &poke, 7, mode, engine, fuel(Some(100)));
+        let other = |source, pairs: &[(&str, i64)]| {
+            key(source, &params(pairs), 7, mode, engine, fuel(Some(100)))
+        };
+        // The order bindings were given in never splits a key, and a
+        // name given twice binds its last value.
+        assert_eq!(other(POKE, &[("uv", 55), ("n", 8), ("ui", 3)]), k);
+        assert_eq!(other(POKE, &[("n", 9), ("ui", 3), ("n", 8), ("uv", 55)]), k);
+        // Everything else a result depends on does.
+        let moved_name = format!("{POKE}n");
+        for split in [
+            other("param n;\n", &[("n", 8), ("ui", 3), ("uv", 55)]),
+            other(&moved_name, &[("", 8), ("ui", 3), ("uv", 55)]),
+            other(POKE, &[("m", 8), ("ui", 3), ("uv", 55)]),
+            other(POKE, &[("n", 9), ("ui", 3), ("uv", 55)]),
+            other(POKE, &[("n", 8), ("ui", 3), ("uv", 56)]),
+            other(POKE, &[("n", 8), ("ui", 3), ("n", 9), ("uv", 55)]),
+            key(POKE, &poke, 8, mode, engine, fuel(Some(100))),
+            key(
+                POKE,
+                &poke,
+                7,
+                ExecMode::ForceChecked,
+                engine,
+                fuel(Some(100)),
+            ),
+            key(POKE, &poke, 7, mode, Engine::TreeWalk, fuel(Some(100))),
+            key(POKE, &poke, 7, mode, engine, fuel(Some(101))),
+            key(POKE, &poke, 7, mode, engine, fuel(None)),
+            key(
+                POKE,
+                &poke,
+                7,
+                mode,
+                engine,
+                Limits {
+                    fuel: Some(100),
+                    mem_bytes: Some(1),
+                },
+            ),
+        ] {
+            assert_ne!(split, k);
+        }
+        // Seed and limits change a run, not its program.
+        let rerun = key(POKE, &poke, 8, mode, engine, Limits::unlimited());
+        assert_eq!(rerun.program, k.program);
+        // A family spans the delta params' values and the limits, but
+        // not their names, the other params, or the seed.
+        let delta = ["uv".to_string(), "ui".to_string()];
+        let family = |k: &ResultKey| FamilyKey::new(&k.program, &delta, k.seed);
+        let slid = other(POKE, &[("n", 8), ("ui", 5), ("uv", 99)]);
+        assert_ne!(slid, k);
+        assert_eq!(family(&slid), family(&k));
+        let unlimited = key(POKE, &poke, 7, mode, engine, Limits::unlimited());
+        assert_eq!(family(&unlimited), family(&k));
+        assert_ne!(family(&rerun), family(&k));
+        assert_ne!(
+            family(&other(POKE, &[("n", 9), ("ui", 3), ("uv", 55)])),
+            family(&k)
+        );
+        let narrower = FamilyKey::new(&k.program, &delta[..1], k.seed);
+        assert_ne!(narrower, family(&k));
     }
 
     #[test]

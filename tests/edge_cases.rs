@@ -574,3 +574,41 @@ fn fused_stencils_divide_bit_for_bit() {
         assert_eq!(reciprocal_differs, divisor == 3);
     }
 }
+
+/// A subscript naming a run-time scalar is not affine: it runs with
+/// run-time checks, so every mode reports the same collision instead
+/// of the default mode eliding the checks (or the analysis panicking
+/// on the unbound name).
+#[test]
+fn subscripts_on_runtime_scalars_agree_in_every_mode() {
+    let cases = [
+        (
+            "let s = sum [ 2 | i <- [1..1] ];\n\
+             let a = array (1,4) ([ i + s := 1 | i <- [1..2] ] ++ [ i := 2 | i <- [3..4] ]);\n\
+             result a;\n",
+            "multiple definitions for element [3] of `a`",
+        ),
+        (
+            "let s = sum [ 1 | i <- [1..1] ];\n\
+             let a = array (1,4) ([ i + s := 1 | i <- [1..2] ] ++ [ i + s := 2 | i <- [1..2] ]);\n\
+             result a;\n",
+            "multiple definitions for element [2] of `a`",
+        ),
+    ];
+    for (src, want) in cases {
+        let program = parse_program(src).unwrap();
+        for mode in [
+            ExecMode::Auto,
+            ExecMode::ForceChecked,
+            ExecMode::ForceThunked,
+        ] {
+            let options = CompileOptions {
+                mode,
+                ..CompileOptions::default()
+            };
+            let compiled = compile(&program, &ConstEnv::new(), &options).unwrap();
+            let err = run(&compiled, &HashMap::new(), &FuncTable::new()).unwrap_err();
+            assert_eq!(err.to_string(), want, "{mode:?}");
+        }
+    }
+}

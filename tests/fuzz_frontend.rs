@@ -57,6 +57,7 @@ proptest! {
                 Just("let a = array (1,n)"),
                 Just("[ i := 1 | i <- [1..n] ]"),
                 Just("[ i := a!(i-1) | i <- [2..n] ]"),
+                Just("[ i + s := 2 | i <- [1..n] ]"),
                 Just("++"),
                 Just(";"),
                 Just("param n;"),

@@ -8,9 +8,9 @@
 
 use std::sync::Arc;
 
-use hac::core::pipeline::{compile, CompileOptions};
+use hac::core::pipeline::{compile, CompileOptions, Engine, ExecMode};
 use hac::lang::env::ConstEnv;
-use hac::serve::cache::ProgramCache;
+use hac::serve::cache::{ProgramCache, ProgramKey};
 use hac::serve::ledger::{Counter, Ledger};
 use hac::serve::{Request, ServeOptions, Server, Status, DEFAULT_CACHE_CAP};
 use hac_workloads::XorShift;
@@ -40,12 +40,19 @@ proptest! {
         let ledger = Arc::new(Ledger::default());
         let mut cache = ProgramCache::new(cap, Arc::clone(&ledger));
         let program = tiny_compiled();
+        let source: Arc<str> = Arc::from(TINY);
+        let keys: Vec<ProgramKey> = (0..24)
+            .map(|n| {
+                let params = [("n".to_string(), n)];
+                ProgramKey::new(Arc::clone(&source), &params, ExecMode::Auto, Engine::Tape)
+            })
+            .collect();
         for ordinal in 0..200u64 {
-            let key = rng.next_u64() % 24;
+            let key = &keys[(rng.next_u64() % 24) as usize];
             if rng.next_u64().is_multiple_of(2) {
                 cache.lookup(key, ordinal);
             } else {
-                cache.insert(key, Arc::clone(&program), ordinal);
+                cache.insert(key.clone(), Arc::clone(&program), ordinal);
             }
             let get = |c| ledger.get(c);
             let live = get(Counter::CacheLive);
@@ -176,4 +183,64 @@ fn ten_thousand_unique_programs_hold_the_cache_at_cap() {
     );
     assert_eq!(l.get(Counter::CacheHits), 0);
     assert_eq!(l.get(Counter::CacheMisses), FLOOD as u64);
+}
+
+/// Two requests whose source-and-parameter bytes run together
+/// identically: B's source is A's plus the name of A's parameter, and
+/// B binds the empty name. They are different programs — B does not
+/// compile — so B must get exactly the response it gets on a fresh
+/// server, whether or not the result cache is on, while a repeat of A
+/// still hits.
+#[test]
+fn a_source_that_absorbs_a_parameter_name_is_a_different_program() {
+    let source = "param n;\nlet a = array (1,n) [ i := i * 2 | i <- [1..n] ];\nresult a;\n-- x";
+    let mut a = Request::new("A", source);
+    a.params.push(("n".to_string(), 8));
+    let mut b = Request::new("B", format!("{source}n"));
+    b.params.push((String::new(), 8));
+    let unstamped = |resp: &hac::serve::Response| {
+        let mut resp = resp.clone();
+        resp.admitted = None;
+        resp.to_json().to_string()
+    };
+    for result_cache_cap in [ServeOptions::default().result_cache_cap, 0] {
+        let options = ServeOptions {
+            result_cache_cap,
+            ..ServeOptions::default()
+        };
+        let server = Server::new(options.clone());
+        let first = server.handle(&a);
+        assert_eq!(first.status, Status::Ok);
+        let shared = server.handle(&b);
+        let alone = Server::new(options).handle(&b);
+        assert_eq!(alone.status, Status::CompileError);
+        assert_eq!(
+            unstamped(&shared),
+            unstamped(&alone),
+            "cap {result_cache_cap}"
+        );
+        let again = server.handle(&a);
+        assert_eq!(again.cache_hit, Some(true), "cap {result_cache_cap}");
+        assert_eq!(again.answer_digest, first.answer_digest);
+    }
+}
+
+/// A parameter given twice binds its last value, so the same bindings
+/// in another order are another program: each must get the answer it
+/// gets alone.
+#[test]
+fn a_repeated_parameter_binds_its_last_value_in_the_cache_too() {
+    let source = "param n;\nlet a = array (1,n) [ i := i * 2 | i <- [1..n] ];\nresult a;\n";
+    let twice = |id: &str, first: i64, last: i64| {
+        let mut r = Request::new(id, source);
+        r.params = vec![("n".to_string(), first), ("n".to_string(), last)];
+        r
+    };
+    let server = Server::new(ServeOptions::default());
+    let four = server.handle(&twice("X", 8, 4));
+    let eight = server.handle(&twice("Y", 4, 8));
+    let alone = Server::new(ServeOptions::default()).handle(&twice("Y", 4, 8));
+    assert_ne!(four.answer_digest, eight.answer_digest);
+    assert_eq!(eight.answer_digest, alone.answer_digest);
+    assert_eq!(eight.cache_hit, Some(false));
 }
