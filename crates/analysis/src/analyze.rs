@@ -5,7 +5,7 @@
 use std::fmt;
 
 use hac_lang::affine::{NotAffine, Var};
-use hac_lang::ast::{ArrayDef, ArrayKind, ClauseId};
+use hac_lang::ast::{ArrayDef, ArrayKind, ClauseId, Expr};
 use hac_lang::env::ConstEnv;
 use hac_lang::normalize::NormalizeError;
 use hac_lang::Affine;
@@ -179,18 +179,29 @@ pub struct UpdateAnalysis<'a> {
     pub stats: TestStats,
 }
 
-fn fold_bounds(def: &ArrayDef, env: &ConstEnv) -> Result<Vec<(i64, i64)>, AnalysisError> {
-    def.bounds
+/// Fold an array's declared `(lo, hi)` bounds to constants under the
+/// parameters `env`.
+///
+/// # Errors
+/// [`AnalysisError::ArrayTooLarge`] when a bound overflows a 64-bit
+/// integer, [`AnalysisError::NonConstantArrayBound`] when one does not
+/// fold to a constant.
+pub fn fold_bounds(
+    array: &str,
+    bounds: &[(Expr, Expr)],
+    env: &ConstEnv,
+) -> Result<Vec<(i64, i64)>, AnalysisError> {
+    bounds
         .iter()
         .enumerate()
         .map(|(dim, (lo, hi))| {
             let f = |e| match Affine::try_from_expr(e, env) {
                 Ok(a) if a.is_constant() => Ok(a.constant_part()),
                 Err(NotAffine::Overflow) => Err(AnalysisError::ArrayTooLarge {
-                    array: def.name.clone(),
+                    array: array.to_string(),
                 }),
                 _ => Err(AnalysisError::NonConstantArrayBound {
-                    array: def.name.clone(),
+                    array: array.to_string(),
                     dim,
                 }),
             };
@@ -336,7 +347,7 @@ pub fn analyze_array<'a>(
     env: &ConstEnv,
     policy: &TestPolicy,
 ) -> Result<ArrayAnalysis<'a>, AnalysisError> {
-    let bounds = fold_bounds(def, env)?;
+    let bounds = fold_bounds(&def.name, &def.bounds, env)?;
     let refs = collect_refs(&def.comp, &def.name, env)?;
     let flow = flow_dependences(&refs, &def.name, policy);
     let output = output_dependences(&refs, policy);

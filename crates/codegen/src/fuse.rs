@@ -1300,7 +1300,7 @@ mod tests {
         );
         let run = |t: &TapeProgram| {
             let mut vm = crate::limp::Vm::new();
-            vm.run_tape(t).unwrap();
+            vm.run_tape(t, 1).unwrap();
             (
                 vm.array("out").unwrap().clone(),
                 vm.array("w").unwrap().clone(),

@@ -357,7 +357,7 @@ impl Vm {
         self.exec(&prog.stmts, &mut scalars)
     }
 
-    /// Execute a compiled bytecode tape.
+    /// Execute a compiled bytecode tape on `threads` workers.
     ///
     /// The tape must have been compiled with the same aliases this VM
     /// routes through (`compile_tape` canonicalizes array names at
@@ -366,29 +366,19 @@ impl Vm {
     /// of the run and restored afterwards — on success *and* on error,
     /// so partial results stay observable exactly as with [`Vm::run`].
     ///
-    /// # Errors
-    /// Identical failures, lazily raised, as the tree-walking [`Vm::run`].
-    pub fn run_tape(&mut self, tape: &TapeProgram) -> Result<(), RuntimeError> {
-        self.run_tape_with(tape, |tape, st| tape.exec(st))
-    }
-
-    /// Execute a compiled tape on the §10 parallel engine: top-level
-    /// passes proven free of carried dependences are partitioned over
-    /// `threads` workers (see [`crate::partape`]); everything else runs
-    /// on the sequential path. Bit-identical to [`Vm::run_tape`] —
-    /// values, errors (lowest faulting iteration wins), and counters.
+    /// With more than one worker, top-level passes proven free of
+    /// carried dependences are partitioned over the workers (§10, see
+    /// [`crate::partape`]); everything else runs on the sequential
+    /// path. The worker count is invisible: values, errors (lowest
+    /// faulting iteration wins) and counters are bit-identical at
+    /// every count.
     ///
     /// # Errors
-    /// Identical failures, lazily raised, as [`Vm::run_tape`].
-    pub fn run_partape(
-        &mut self,
-        tape: &TapeProgram,
-        plan: &crate::partape::ParPlan,
-        threads: usize,
-    ) -> Result<(), RuntimeError> {
+    /// Identical failures, lazily raised, as the tree-walking [`Vm::run`].
+    pub fn run_tape(&mut self, tape: &TapeProgram, threads: usize) -> Result<(), RuntimeError> {
         let faults = self.faults.clone();
         self.run_tape_with(tape, |tape, st| {
-            crate::partape::exec_par(tape, plan, st, threads, faults.as_ref())
+            crate::partape::exec_par(tape, st, threads, faults.as_ref())
         })
     }
 

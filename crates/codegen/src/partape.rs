@@ -46,7 +46,7 @@ use crate::limp::VmCounters;
 use crate::tape::{ArrayId, FusedChunk, FusedEntry, Op, TapeProgram, TapeScratch, TapeState};
 
 /// A parallelizable top-level loop pass of a tape.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct ParRegion {
     /// pc of the pass's [`Op::LoopInit`].
     init_pc: usize,
@@ -90,19 +90,14 @@ struct ParRegion {
 
 /// The per-tape parallel execution plan: regions plus the stop bitmap
 /// that intercepts their entry points on the main dispatch path.
-#[derive(Debug, Clone, Default)]
+/// Made by [`exec_par`] for a run with more than one worker.
+#[derive(Debug)]
 pub struct ParPlan {
     regions: Vec<ParRegion>,
     entry_stops: Vec<bool>,
 }
 
 impl ParPlan {
-    /// Does the tape have any parallelizable pass at all? (When not,
-    /// `exec_par` degenerates to plain sequential dispatch.)
-    pub fn has_regions(&self) -> bool {
-        !self.regions.is_empty()
-    }
-
     /// Number of parallelizable passes (reports/tests).
     pub fn region_count(&self) -> usize {
         self.regions.len()
@@ -315,6 +310,11 @@ pub(crate) fn trip_count(start: i64, end: i64, step: i64) -> u64 {
 /// never touches the pool). Observable behaviour is bit-identical to
 /// [`TapeProgram::exec`]; see the module docs for the argument.
 ///
+/// With more than one worker the tape is planned here ([`plan_tape`]):
+/// the plan is a pure function of the tape, so every run at every
+/// worker count sees the same regions, chunks, fuel split and fault
+/// ordinals, and a one-worker run never plans at all.
+///
 /// `faults`, when present, is a deterministic injection plan (tests /
 /// `--fault-plan`): regions are numbered in execution order and a
 /// matching `(region, chunk)` point fires a worker panic or a
@@ -332,13 +332,15 @@ pub(crate) fn trip_count(start: i64, end: i64, step: i64) -> u64 {
 /// hits a region that is neither retry-safe nor snapshotted.
 pub fn exec_par(
     tape: &TapeProgram,
-    plan: &ParPlan,
     st: &mut TapeState<'_>,
     threads: usize,
     faults: Option<&FaultPlan>,
 ) -> Result<(), RuntimeError> {
-    let threads = threads.max(1);
-    if threads == 1 || !plan.has_regions() {
+    if threads <= 1 {
+        return tape.exec(st);
+    }
+    let plan = plan_tape(tape);
+    if plan.regions.is_empty() {
         return tape.exec(st);
     }
     let mut tape_ops = 0u64;
@@ -890,7 +892,7 @@ mod tests {
         let par = compile_tape(&squares(true, 100), &TapeCtx::default());
         assert_eq!(plan_tape(&par).region_count(), 1);
         let seq = compile_tape(&squares(false, 100), &TapeCtx::default());
-        assert!(!plan_tape(&seq).has_regions());
+        assert_eq!(plan_tape(&seq).region_count(), 0);
     }
 
     #[test]
@@ -898,11 +900,10 @@ mod tests {
         for threads in [1, 2, 4, 8] {
             let prog = squares(true, 100);
             let tape = compile_tape(&prog, &TapeCtx::default());
-            let plan = plan_tape(&tape);
             let mut seq = Vm::new();
-            seq.run_tape(&tape).unwrap();
+            seq.run_tape(&tape, 1).unwrap();
             let mut par = Vm::new();
-            par.run_partape(&tape, &plan, threads).unwrap();
+            par.run_tape(&tape, threads).unwrap();
             assert_eq!(
                 seq.array("a").unwrap().data(),
                 par.array("a").unwrap().data(),
@@ -946,12 +947,12 @@ mod tests {
         };
         let tape = compile_tape(&prog, &TapeCtx::default());
         let plan = plan_tape(&tape);
-        assert!(plan.has_regions(), "dynamic subscript stays eligible");
+        assert!(plan.region_count() > 0, "dynamic subscript stays eligible");
         let mut seq = Vm::new();
-        let want = seq.run_tape(&tape).unwrap_err();
+        let want = seq.run_tape(&tape, 1).unwrap_err();
         for threads in [1, 2, 4, 8] {
             let mut par = Vm::new();
-            let got = par.run_partape(&tape, &plan, threads).unwrap_err();
+            let got = par.run_tape(&tape, threads).unwrap_err();
             assert_eq!(format!("{want:?}"), format!("{got:?}"), "threads={threads}");
             assert_eq!(seq.counters, sans_faults(par.counters), "threads={threads}");
         }
@@ -1060,7 +1061,6 @@ mod tests {
     fn fuel_exhaustion_is_bit_identical_across_threads() {
         let prog = squares(true, 100);
         let tape = compile_tape(&prog, &TapeCtx::default());
-        let plan = plan_tape(&tape);
         // Budgets hitting before, inside, and after the parallel pass.
         for fuel in [0u64, 1, 37, 99, 100, 1000] {
             let limits = Limits {
@@ -1069,11 +1069,11 @@ mod tests {
             };
             let mut seq = Vm::new();
             seq.with_meter(Meter::new(limits));
-            let want = seq.run_tape(&tape);
+            let want = seq.run_tape(&tape, 1);
             for threads in [2, 4, 8] {
                 let mut par = Vm::new();
                 par.with_meter(Meter::new(limits));
-                let got = par.run_partape(&tape, &plan, threads);
+                let got = par.run_tape(&tape, threads);
                 assert_eq!(
                     format!("{want:?}"),
                     format!("{got:?}"),
@@ -1159,15 +1159,15 @@ mod tests {
         );
         let plan = plan_tape(&fused);
         assert!(
-            plan.has_regions(),
+            plan.region_count() > 0,
             "outer i loop must stay a parallel region around the fused reduction"
         );
 
         let mut seq = Vm::new();
-        seq.run_tape(&plain).unwrap();
+        seq.run_tape(&plain, 1).unwrap();
         for threads in [1, 2, 4, 8] {
             let mut par = Vm::new();
-            par.run_partape(&fused, &plan, threads).unwrap();
+            par.run_tape(&fused, threads).unwrap();
             assert_eq!(
                 seq.array("p").unwrap().data(),
                 par.array("p").unwrap().data(),
@@ -1185,12 +1185,12 @@ mod tests {
             };
             let mut seq = Vm::new();
             seq.with_meter(Meter::new(limits));
-            let want = seq.run_tape(&plain);
+            let want = seq.run_tape(&plain, 1);
             let want_fuel = seq.take_meter().fuel_left();
             for threads in [2, 4] {
                 let mut par = Vm::new();
                 par.with_meter(Meter::new(limits));
-                let got = par.run_partape(&fused, &plan, threads);
+                let got = par.run_tape(&fused, threads);
                 assert_eq!(
                     format!("{want:?}"),
                     format!("{got:?}"),
@@ -1214,12 +1214,11 @@ mod tests {
     fn injected_panic_degrades_to_sequential() {
         let prog = squares(true, 100);
         let tape = compile_tape(&prog, &TapeCtx::default());
-        let plan = plan_tape(&tape);
         let mut clean = Vm::new();
-        clean.run_partape(&tape, &plan, 4).unwrap();
+        clean.run_tape(&tape, 4).unwrap();
         let mut faulty = Vm::new();
         faulty.with_faults(Some(FaultPlan::parse("r0c1:panic").unwrap()));
-        faulty.run_partape(&tape, &plan, 4).unwrap();
+        faulty.run_tape(&tape, 4).unwrap();
         assert_eq!(
             clean.array("a").unwrap().data(),
             faulty.array("a").unwrap().data()
@@ -1232,12 +1231,11 @@ mod tests {
     fn injected_alloc_failure_degrades_to_sequential() {
         let prog = squares(true, 100);
         let tape = compile_tape(&prog, &TapeCtx::default());
-        let plan = plan_tape(&tape);
         let mut clean = Vm::new();
-        clean.run_partape(&tape, &plan, 4).unwrap();
+        clean.run_tape(&tape, 4).unwrap();
         let mut faulty = Vm::new();
         faulty.with_faults(Some(FaultPlan::parse("r0c0:allocfail").unwrap()));
-        faulty.run_partape(&tape, &plan, 4).unwrap();
+        faulty.run_tape(&tape, 4).unwrap();
         assert_eq!(
             clean.array("a").unwrap().data(),
             faulty.array("a").unwrap().data()
@@ -1253,10 +1251,10 @@ mod tests {
         let plan = plan_tape(&tape);
         assert!(!plan.regions[0].retry_safe);
         let mut clean = Vm::new();
-        clean.run_partape(&tape, &plan, 4).unwrap();
+        clean.run_tape(&tape, 4).unwrap();
         let mut faulty = Vm::new();
         faulty.with_faults(Some(FaultPlan::parse("r0c0:panic").unwrap()));
-        faulty.run_partape(&tape, &plan, 4).unwrap();
+        faulty.run_tape(&tape, 4).unwrap();
         assert_eq!(
             clean.array("a").unwrap().data(),
             faulty.array("a").unwrap().data()
@@ -1269,10 +1267,9 @@ mod tests {
     fn unsafe_region_without_snapshot_is_engine_fault() {
         let prog = incr_in_place(100);
         let tape = compile_tape(&prog, &TapeCtx::default());
-        let plan = plan_tape(&tape);
         let mut vm = Vm::new();
         vm.with_faults(Some(FaultPlan::parse("nosnapshot,r0c0:panic").unwrap()));
-        let err = vm.run_partape(&tape, &plan, 4).unwrap_err();
+        let err = vm.run_tape(&tape, 4).unwrap_err();
         assert!(
             matches!(err, RuntimeError::EngineFault { region: 0, .. }),
             "got {err:?}"
@@ -1295,6 +1292,6 @@ mod tests {
         };
         *checked = true;
         let tape = compile_tape(&prog, &TapeCtx::default());
-        assert!(!plan_tape(&tape).has_regions());
+        assert_eq!(plan_tape(&tape).region_count(), 0);
     }
 }

@@ -49,7 +49,7 @@ use std::sync::Arc;
 use hac_lang::ast::{BinOp, Expr, UnOp};
 use hac_runtime::error::RuntimeError;
 use hac_runtime::governor::Meter;
-use hac_runtime::value::{apply_bin, as_int, ArrayBuf};
+use hac_runtime::value::{apply_bin, apply_un, as_int, ArrayBuf};
 
 use crate::limp::{unravel, LProgram, LStmt, StoreCheck, VmCounters};
 
@@ -843,29 +843,6 @@ impl TapeProgram {
                 Op::Halt => return Ok(ops.len()),
             }
         }
-    }
-}
-
-/// The unary operator semantics shared verbatim between the scalar
-/// dispatcher and the fused register kernel (single source of truth
-/// for bit-identity).
-#[inline]
-fn apply_un(op: UnOp, v: f64) -> f64 {
-    match op {
-        UnOp::Neg => -v,
-        UnOp::Not => {
-            if v == 0.0 {
-                1.0
-            } else {
-                0.0
-            }
-        }
-        UnOp::Abs => v.abs(),
-        UnOp::Sqrt => v.sqrt(),
-        UnOp::Exp => v.exp(),
-        UnOp::Log => v.ln(),
-        UnOp::Sin => v.sin(),
-        UnOp::Cos => v.cos(),
     }
 }
 
@@ -2471,23 +2448,7 @@ impl<'a> Compiler<'a> {
                 let start = self.ops.len();
                 self.compile_expr(expr);
                 if let Some(v) = self.take_const(start) {
-                    let folded = match op {
-                        UnOp::Neg => -v,
-                        UnOp::Not => {
-                            if v == 0.0 {
-                                1.0
-                            } else {
-                                0.0
-                            }
-                        }
-                        UnOp::Abs => v.abs(),
-                        UnOp::Sqrt => v.sqrt(),
-                        UnOp::Exp => v.exp(),
-                        UnOp::Log => v.ln(),
-                        UnOp::Sin => v.sin(),
-                        UnOp::Cos => v.cos(),
-                    };
-                    self.emit(Op::Const(folded), 1, 0);
+                    self.emit(Op::Const(apply_un(*op, v)), 1, 0);
                 } else {
                     self.emit(Op::Un(*op), 0, 0);
                 }
@@ -2906,7 +2867,7 @@ mod tests {
         let prog = squares();
         let tape = compile_tape(&prog, &TapeCtx::default());
         let mut vm = Vm::new();
-        vm.run_tape(&tape).unwrap();
+        vm.run_tape(&tape, 1).unwrap();
         assert_eq!(vm.array("a").unwrap().data(), &[1.0, 4.0, 9.0, 16.0, 25.0]);
         assert_eq!(vm.counters.stores, 5);
         assert_eq!(vm.counters.loop_iterations, 5);
@@ -2961,7 +2922,7 @@ mod tests {
         };
         let tape = compile_tape(&prog, &TapeCtx::default());
         let mut vm = Vm::new();
-        vm.run_tape(&tape).unwrap();
+        vm.run_tape(&tape, 1).unwrap();
         assert_eq!(vm.counters.loop_iterations, 0);
     }
 
@@ -2987,7 +2948,7 @@ mod tests {
         };
         let tape = compile_tape(&prog, &TapeCtx::default());
         let mut vm = Vm::new();
-        vm.run_tape(&tape).unwrap();
+        vm.run_tape(&tape, 1).unwrap();
         assert_eq!(vm.array("a").unwrap().data(), &[9.0]);
     }
 
@@ -3007,7 +2968,7 @@ mod tests {
             result: "a".into(),
         };
         let tape = compile_tape(&prog, &TapeCtx::default());
-        let e1 = Vm::new().run_tape(&tape).unwrap_err();
+        let e1 = Vm::new().run_tape(&tape, 1).unwrap_err();
         let e2 = Vm::new().run(&prog).unwrap_err();
         assert_eq!(e1, e2);
         assert!(matches!(e1, RuntimeError::OutOfBounds { .. }));

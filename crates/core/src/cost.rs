@@ -20,10 +20,11 @@
 //!
 //! Units whose evaluation is demand-driven (thunked groups) have
 //! data-dependent cost: the certificate goes **open** and the serving
-//! layer falls back to the metered path. Units that run unmetered
-//! (accumulations, scalar reductions) contribute zero to both bounds
-//! — the meter charges them nothing — but clear `exact`, since their
-//! failures can stop a run before later units spend their share.
+//! layer falls back to the metered path. Units whose walk runs
+//! unmetered contribute what the meter charges them — nothing for a
+//! scalar reduction, the array's storage for an accumulation — but
+//! clear `exact`, since their failures can stop a run before later
+//! units spend their share.
 
 use hac_analysis::cost::{Bound, CostCert, Poly};
 use hac_codegen::cost::expr_calls;

@@ -15,8 +15,8 @@ use std::fmt;
 use std::sync::Arc;
 
 use hac_analysis::analyze::{
-    analyze_array, analyze_bigupd, AnalysisError, ArrayAnalysis, BoundsVerdict, CollisionVerdict,
-    EmptiesVerdict,
+    analyze_array, analyze_bigupd, fold_bounds, AnalysisError, ArrayAnalysis, BoundsVerdict,
+    CollisionVerdict, EmptiesVerdict,
 };
 use hac_analysis::cost::{CostCert, Poly};
 use hac_analysis::depgraph::cross_dependences;
@@ -28,12 +28,10 @@ use hac_codegen::cost::program_cost;
 use hac_codegen::fuse::{chain_part, fuse_tape, merge_loops};
 use hac_codegen::limp::{LProgram, Vm, VmCounters};
 use hac_codegen::lower::{lower_array, lower_update, CheckMode, LowerError, LoweredUpdate};
-use hac_codegen::partape::{plan_tape, ParPlan};
 use hac_codegen::tape::{compile_tape, FusedEntry, MergedLoop, TapeCtx, TapeProgram};
 use hac_lang::ast::{ArrayDef, ArrayKind, Binding, ClauseId, Comp, Program};
 use hac_lang::env::ConstEnv;
 use hac_lang::number::{is_numbered, number_program};
-use hac_lang::Affine;
 use hac_runtime::accum::eval_accum;
 use hac_runtime::error::RuntimeError;
 use hac_runtime::governor::{FaultPlan, Limits, Meter, SharedCeiling};
@@ -131,10 +129,6 @@ pub enum CompileError {
     DuplicateName(String),
     /// A binding referenced an unknown base array.
     UnknownBase(String),
-    /// An array bound did not fold to a constant.
-    NonConstantBound {
-        array: String,
-    },
     /// A binding referenced an array already consumed by an in-place
     /// update — single-threadedness (§9) would be violated.
     UseAfterUpdate {
@@ -168,9 +162,6 @@ impl fmt::Display for CompileError {
             }
             CompileError::DuplicateName(n) => write!(f, "name `{n}` bound twice"),
             CompileError::UnknownBase(n) => write!(f, "unknown base array `{n}`"),
-            CompileError::NonConstantBound { array } => {
-                write!(f, "array `{array}` has non-constant bounds")
-            }
             CompileError::UseAfterUpdate { array, user } => write!(
                 f,
                 "`{user}` references `{array}`, whose storage was consumed by an \
@@ -213,9 +204,6 @@ pub enum Unit {
         /// Bytecode form of `prog`, compiled once here; `None` under
         /// [`Engine::TreeWalk`].
         tape: Option<TapeProgram>,
-        /// Parallel execution plan for the tape; `Some` exactly when
-        /// `tape` is.
-        par: Option<ParPlan>,
     },
     /// A (possibly mutually recursive) group evaluated with thunks.
     Thunked { defs: Vec<GroupMember> },
@@ -233,9 +221,6 @@ pub enum Unit {
         /// compile time for in-place updates); `None` under
         /// [`Engine::TreeWalk`].
         tape: Option<TapeProgram>,
-        /// Parallel execution plan for the tape; `Some` exactly when
-        /// `tape` is.
-        par: Option<ParPlan>,
     },
     /// A scalar reduction (§3.1 `foldl` over a comprehension),
     /// executed as a DO loop with no intermediate list.
@@ -392,28 +377,6 @@ fn delta_params(program: &Program, update_idx: usize) -> Vec<String> {
         .collect()
 }
 
-fn fold_bounds_i64(
-    def_name: &str,
-    bounds: &[(hac_lang::ast::Expr, hac_lang::ast::Expr)],
-    env: &ConstEnv,
-) -> Result<Vec<(i64, i64)>, CompileError> {
-    bounds
-        .iter()
-        .map(|(lo, hi)| {
-            let f = |e| match Affine::from_expr(e, env) {
-                Some(a) if a.is_constant() => Some(a.constant_part()),
-                _ => None,
-            };
-            match (f(lo), f(hi)) {
-                (Some(l), Some(h)) => Ok((l, h)),
-                _ => Err(CompileError::NonConstantBound {
-                    array: def_name.to_string(),
-                }),
-            }
-        })
-        .collect()
-}
-
 /// Compile a program against a parameter environment.
 ///
 /// # Errors
@@ -511,10 +474,10 @@ pub fn compile(
         match b {
             Binding::Input { name, bounds } => {
                 check_dup(&mut seen, name)?;
-                // The executor charges `len * 8` bytes when the input
-                // is bound (no definedness bitmap for inputs).
+                // The executor charges the declared bounds' payload
+                // before it binds the input (no definedness bitmap).
                 let mem_poly = bounds_mem_poly(bounds, false);
-                let bounds = fold_bounds_i64(name, bounds, env)?;
+                let bounds = fold_bounds(name, bounds, env)?;
                 cert.add(
                     env,
                     0,
@@ -659,7 +622,6 @@ pub fn compile(
                     loops: update.plan.loops,
                     fusion,
                 });
-                let par = tape.as_ref().map(plan_tape);
                 if let Some(b) = known.shapes.get(base).cloned() {
                     known.shapes.insert(name.clone(), b);
                 }
@@ -676,7 +638,6 @@ pub fn compile(
                     base: base.clone(),
                     lowered,
                     tape,
-                    par,
                 });
             }
         }
@@ -851,9 +812,17 @@ fn compile_group<'p>(
             report.arrays.push(facts);
             let bounds = analysis.bounds;
             known.shapes.insert(def.name.clone(), bounds.clone());
-            // Accumulations run unmetered: zero contribution, but the
+            // The executor charges the array's storage before it
+            // evaluates; the fuel of its walk is unmetered, so the
             // certificate stops being exact (see `Reduce`).
-            cert.add(env, 0, 0, false, None, None);
+            cert.add(
+                env,
+                0,
+                ArrayBuf::footprint_bytes(&bounds, false),
+                false,
+                None,
+                bounds_mem_poly(&def.bounds, false),
+            );
             units.push(Unit::Accum {
                 def: def.clone(),
                 bounds,
@@ -968,14 +937,12 @@ fn compile_group<'p>(
                 let mut facts = array_facts(def, &mut analysis, outcome, loops);
                 facts.fusion = fusion;
                 report.arrays.push(facts);
-                let par = tape.as_ref().map(plan_tape);
                 known.shapes.insert(def.name.clone(), analysis.bounds);
                 unit_refs.insert(def.name.clone(), analysis.refs);
                 units.push(Unit::Thunkless {
                     name: def.name.clone(),
                     prog,
                     tape,
-                    par,
                 });
             }
             ScheduleOutcome::NeedsThunks(reason) => {
@@ -1067,9 +1034,8 @@ pub fn run(
 }
 
 /// [`run`] with an explicit worker count for tape units (`threads: 1`
-/// executes their parallel plans inline — still on the sequential
-/// dispatch path, never touching the pool). Tree-walk and thunked
-/// units ignore `threads` entirely.
+/// runs them on the sequential dispatch path, never touching the
+/// pool). Tree-walk and thunked units ignore `threads` entirely.
 ///
 /// # Errors
 /// See [`run`].
@@ -1315,6 +1281,14 @@ pub fn run_units(
         }
         match unit {
             Unit::Input { name, bounds } => {
+                // Charged as the copy value semantics would make, and
+                // before the lookup: a caller fills only the inputs its
+                // cap covers (see `fill_inputs`), so an input too large
+                // to allocate is missing and must fail on the meter.
+                // The clone itself shares the caller's elements, and a
+                // unit that updates the input in place copies them on
+                // its first write.
+                meter.charge_mem(ArrayBuf::data_bytes(bounds))?;
                 let buf = inputs
                     .get(name)
                     .ok_or_else(|| RuntimeError::UnboundArray(name.clone()))?;
@@ -1325,23 +1299,13 @@ pub fn run_units(
                         given: buf.bounds(),
                     });
                 }
-                // Charged as the copy value semantics would make; the
-                // clone itself shares the caller's elements, and a
-                // unit that updates the input in place copies them on
-                // its first write.
-                meter.charge_mem(buf.len() as u64 * 8)?;
                 arrays.insert(name.clone(), buf.clone());
             }
-            Unit::Thunkless {
-                name,
-                prog,
-                tape,
-                par,
-            } => {
+            Unit::Thunkless { name, prog, tape } => {
                 let mut vm = vm(meter, &scalars, &mut arrays);
-                let out = match (tape, par) {
-                    (Some(t), Some(p)) => vm.run_partape(t, p, threads),
-                    _ => vm.run(prog),
+                let out = match tape {
+                    Some(t) => vm.run_tape(t, threads),
+                    None => vm.run(prog),
                 };
                 *meter = vm.take_meter();
                 out?;
@@ -1393,6 +1357,7 @@ pub fn run_units(
                 else {
                     unreachable!("accum unit holds accumulated def")
                 };
+                meter.charge_mem(ArrayBuf::footprint_bytes(bounds, false))?;
                 let buf = eval_accum(
                     &def.name,
                     bounds,
@@ -1420,15 +1385,14 @@ pub fn run_units(
                 base,
                 lowered,
                 tape,
-                par,
             } => {
                 let mut vm = vm(meter, &scalars, &mut arrays);
                 if lowered.in_place {
                     vm.alias(name.clone(), base.clone());
                 }
-                let out = match (tape, par) {
-                    (Some(t), Some(p)) => vm.run_partape(t, p, threads),
-                    _ => vm.run(&lowered.prog),
+                let out = match tape {
+                    Some(t) => vm.run_tape(t, threads),
+                    None => vm.run(&lowered.prog),
                 };
                 *meter = vm.take_meter();
                 out?;
@@ -1468,11 +1432,26 @@ fn add_vm(a: VmCounters, b: VmCounters) -> VmCounters {
 /// Allocate the `input` arrays of `compiled`, filled deterministically
 /// from `seed` with values rounded to one decimal in `[0, 10)`, or left
 /// zero when `seed` is `None`.
-pub fn fill_inputs(compiled: &Compiled, seed: Option<u64>) -> HashMap<String, ArrayBuf> {
+///
+/// Only inputs whose running total of bytes fits `mem_cap` are
+/// allocated: a run charges each input before it looks it up, so it
+/// stops on the memory limit at the first input left out, exactly
+/// where a fully filled run would, and an input larger than any cap
+/// is never allocated at all.
+pub fn fill_inputs(
+    compiled: &Compiled,
+    seed: Option<u64>,
+    mem_cap: Option<u64>,
+) -> HashMap<String, ArrayBuf> {
     let mut rng = seed.map(XorShift::new);
     let mut out = HashMap::new();
+    let mut left = mem_cap.unwrap_or(u64::MAX);
     for unit in &compiled.units {
         if let Unit::Input { name, bounds } = unit {
+            let Some(rest) = left.checked_sub(ArrayBuf::data_bytes(bounds)) else {
+                break;
+            };
+            left = rest;
             let mut buf = ArrayBuf::new(bounds, 0.0);
             if let Some(rng) = rng.as_mut() {
                 for v in buf.data_mut() {

@@ -555,22 +555,7 @@ pub fn eval_expr_metered(
         }
         Expr::Unary { op, expr } => {
             let v = eval_expr_metered(expr, scalars, arrays, funcs, meter)?;
-            Ok(match op {
-                UnOp::Neg => -v,
-                UnOp::Not => {
-                    if v == 0.0 {
-                        1.0
-                    } else {
-                        0.0
-                    }
-                }
-                UnOp::Abs => v.abs(),
-                UnOp::Sqrt => v.sqrt(),
-                UnOp::Exp => v.exp(),
-                UnOp::Log => v.ln(),
-                UnOp::Sin => v.sin(),
-                UnOp::Cos => v.cos(),
-            })
+            Ok(apply_un(*op, v))
         }
         Expr::If { cond, then, els } => {
             let c = eval_expr_metered(cond, scalars, arrays, funcs, meter)?;
@@ -627,6 +612,29 @@ pub fn apply_bin(op: BinOp, l: f64, r: f64) -> f64 {
         BinOp::Or => b(l != 0.0 || r != 0.0),
         BinOp::Min => l.min(r),
         BinOp::Max => l.max(r),
+    }
+}
+
+/// Apply a unary operator: the one definition the tree walker, the
+/// tape dispatcher, its fused kernels and its constant folder share,
+/// so every engine computes the same bits.
+#[inline]
+pub fn apply_un(op: UnOp, v: f64) -> f64 {
+    match op {
+        UnOp::Neg => -v,
+        UnOp::Not => {
+            if v == 0.0 {
+                1.0
+            } else {
+                0.0
+            }
+        }
+        UnOp::Abs => v.abs(),
+        UnOp::Sqrt => v.sqrt(),
+        UnOp::Exp => v.exp(),
+        UnOp::Log => v.ln(),
+        UnOp::Sin => v.sin(),
+        UnOp::Cos => v.cos(),
     }
 }
 

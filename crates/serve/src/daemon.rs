@@ -284,7 +284,7 @@ pub fn run(
 /// One structured error line: `error` is a stable machine-readable
 /// code (`bad-request`, `line-too-long`, `io-timeout`), `detail` the
 /// human-readable specifics.
-fn error_line(code: &str, detail: String) -> Json {
+pub fn error_line(code: &str, detail: String) -> Json {
     Json::Obj(vec![
         ("id".to_string(), Json::Null),
         ("status".to_string(), Json::Str("rejected".to_string())),
@@ -350,7 +350,7 @@ fn handle_control(shared: &Shared, control: &str, v: &Json, out: &mut TcpStream)
 }
 
 /// Outcome of one bounded line read.
-enum LineRead {
+pub enum LineRead {
     /// A complete line (newline and any trailing `\r` stripped;
     /// invalid UTF-8 replaced, so it fails JSON parsing downstream
     /// with a structured error instead of killing the read loop).
@@ -366,8 +366,9 @@ enum LineRead {
 /// Read one newline-terminated line without ever buffering more than
 /// `max` payload bytes, no matter how much the peer sends.
 /// `line_bytes_read` is credited with every byte consumed (newlines
-/// and discarded overflow included — they were read off the socket).
-fn read_bounded_line(reader: &mut BufReader<TcpStream>, max: usize, ledger: &Ledger) -> LineRead {
+/// and discarded overflow included — they were read off the stream).
+/// The daemon reads its sockets with it and `hacc serve` its stdin.
+pub fn read_bounded_line(reader: &mut impl BufRead, max: usize, ledger: &Ledger) -> LineRead {
     let mut buf: Vec<u8> = Vec::new();
     let mut overflow = false;
     loop {

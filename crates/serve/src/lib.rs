@@ -1368,7 +1368,10 @@ impl Server {
         family: Option<FamilyKey>,
         routed: bool,
     ) -> Response {
-        let inputs = fill_inputs(&adm.compiled, Some(adm.seed));
+        // No input is allocated past what the request may charge: its
+        // own memory cap, else the ceiling's whole pool.
+        let mem_cap = adm.limits.mem_bytes.or(self.options.ceiling.mem_bytes);
+        let inputs = fill_inputs(&adm.compiled, Some(adm.seed), mem_cap);
         let funcs = FuncTable::new();
         let mut guard = FillGuard {
             server: self,

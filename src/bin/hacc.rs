@@ -46,6 +46,8 @@
 //!                                 hint (default 0 = never shed)
 //!   --retry-budget N              extra attempts granted on an unabsorbed
 //!                                 engine fault (default 1)
+//!   --max-line-bytes N            request-line byte cap for `serve` and
+//!                                 `daemon` (default 1 MiB)
 //!
 //! daemon options (besides the serve options):
 //!   --listen ADDR                 address to bind, e.g. 127.0.0.1:7070
@@ -54,7 +56,6 @@
 //!   --max-conns N                 concurrent connections (default 8)
 //!   --io-timeout-ms N             per-connection read/write deadline
 //!                                 (default: none)
-//!   --max-line-bytes N            request-line byte cap (default 1 MiB)
 //!   --chaos-plan SPEC             deterministic I/O fault plan, e.g.
 //!                                 `c1:drop,c2r1:garbage`; engine tokens
 //!                                 like `r0c0:panic` ride in the same spec
@@ -77,7 +78,7 @@
 //! `serve` report per-request statuses in their JSON output and exit 0
 //! whenever the batch itself was processed.
 
-use std::io::{BufRead, Write};
+use std::io::Write;
 use std::process::ExitCode;
 
 use hac::core::deadline::DeadlineGovernor;
@@ -87,7 +88,8 @@ use hac::core::pipeline::{
 };
 use hac::lang::parser::parse_program;
 use hac::lang::ConstEnv;
-use hac::serve::ledger::Counter;
+use hac::serve::daemon::{error_line, read_bounded_line, LineRead};
+use hac::serve::ledger::{Counter, Ledger};
 use hac::serve::{engine_from_str, json, mode_from_str, Request, Response, ServeOptions, Server};
 use hac_runtime::governor::{FaultPlan, Limits};
 use hac_runtime::value::{ArrayBuf, FuncTable};
@@ -122,7 +124,7 @@ fn usage() -> &'static str {
      [--ceiling-fuel N] [--ceiling-mem BYTES] [--cache-cap N] \
      [--result-cache-cap N] [--no-fuse] [--ops-per-ms N]\n\
      [--shed-watermark N] [--retry-budget N]\n\
-     \x20      hacc serve [same options as batch]\n\
+     \x20      hacc serve [--max-line-bytes N] [same options as batch]\n\
      \x20      hacc daemon --listen ADDR [--max-conns N] [--io-timeout-ms N] \
      [--max-line-bytes N] [--chaos-plan SPEC] [same options as batch]"
 }
@@ -285,7 +287,7 @@ struct ServeCli {
     max_conns: usize,
     /// `--io-timeout-ms` for `daemon`.
     io_timeout_ms: Option<u64>,
-    /// `--max-line-bytes` for `daemon`.
+    /// `--max-line-bytes` for `serve` and `daemon`.
     max_line_bytes: usize,
     /// `--chaos-plan` for `daemon`.
     chaos_plan: Option<String>,
@@ -587,42 +589,27 @@ fn daemon_main(mut cli: ServeCli) -> ExitCode {
 
 fn serve_main(cli: ServeCli) -> ExitCode {
     let server = Server::new(cli.options);
-    let stdin = std::io::stdin();
+    let mut stdin = std::io::stdin().lock();
     let mut stdout = std::io::stdout();
-    for line in stdin.lock().lines() {
-        let line = match line {
-            Ok(l) => l,
-            Err(e) => {
-                eprintln!("stdin error: {e}");
-                return ExitCode::from(EXIT_USAGE);
-            }
+    // The line reader counts bytes into a ledger; `serve` reports none.
+    let ledger = Ledger::default();
+    loop {
+        // Lines are answered as the daemon answers them: an oversized
+        // or malformed line (bad JSON, invalid UTF-8) gets a structured
+        // error and the stream goes on.
+        let reply = match read_bounded_line(&mut stdin, cli.max_line_bytes, &ledger) {
+            LineRead::Line(line) if line.trim().is_empty() => continue,
+            LineRead::Line(line) => match json::parse(&line).and_then(|v| resolve_request(&v)) {
+                Ok(req) => server.handle(&req).to_json(),
+                Err(e) => error_line("bad-request", e),
+            },
+            LineRead::TooLong => error_line(
+                "line-too-long",
+                format!("request line exceeds {} bytes", cli.max_line_bytes),
+            ),
+            LineRead::TimedOut | LineRead::Closed => break,
         };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let response = match json::parse(&line).and_then(|v| resolve_request(&v)) {
-            Ok(req) => server.handle(&req),
-            Err(e) => {
-                // The same structured shape the daemon's armor uses:
-                // a stable code in `error`, specifics in `detail`.
-                let err = json::Json::Obj(vec![
-                    ("id".to_string(), json::Json::Null),
-                    (
-                        "status".to_string(),
-                        json::Json::Str("rejected".to_string()),
-                    ),
-                    (
-                        "error".to_string(),
-                        json::Json::Str("bad-request".to_string()),
-                    ),
-                    ("detail".to_string(), json::Json::Str(e)),
-                ]);
-                let _ = writeln!(stdout, "{err}");
-                let _ = stdout.flush();
-                continue;
-            }
-        };
-        let _ = writeln!(stdout, "{}", response.to_json());
+        let _ = writeln!(stdout, "{reply}");
         let _ = stdout.flush();
     }
     ExitCode::SUCCESS
@@ -723,7 +710,11 @@ fn main() -> ExitCode {
     if !opts.run_it {
         return ExitCode::SUCCESS;
     }
-    let inputs = fill_inputs(&compiled, opts.fill_random.then_some(opts.seed));
+    let inputs = fill_inputs(
+        &compiled,
+        opts.fill_random.then_some(opts.seed),
+        opts.limits.mem_bytes,
+    );
     let run_opts = RunOptions {
         threads: Some(opts.threads),
         limits: opts.limits,

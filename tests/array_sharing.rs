@@ -6,6 +6,7 @@
 
 use std::collections::HashMap;
 
+use hac_codegen::partape::plan_tape;
 use hac_core::pipeline::{
     compile, run_with_options, CompileOptions, Compiled, Engine, ExecOutput, RunOptions, Unit,
 };
@@ -101,7 +102,7 @@ fn a_parallel_region_over_a_shared_input_matches_the_sequential_bits() {
                 .units
                 .iter()
                 .filter_map(|u| match u {
-                    Unit::Update { par: Some(p), .. } => Some(p.region_count()),
+                    Unit::Update { tape: Some(t), .. } => Some(plan_tape(t).region_count()),
                     _ => None,
                 })
                 .sum();

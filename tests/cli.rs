@@ -1,7 +1,7 @@
 //! Smoke tests for the `hacc` CLI driver (built automatically for
 //! integration tests; path via `CARGO_BIN_EXE_hacc`).
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn hacc(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_hacc"))
@@ -9,6 +9,28 @@ fn hacc(args: &[&str]) -> std::process::Output {
         .output()
         .expect("spawn hacc")
 }
+
+/// Run `hacc` with `stdin` piped in.
+fn hacc_with_stdin(args: &[&str], stdin: &[u8]) -> std::process::Output {
+    use std::io::Write;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_hacc"))
+        .args(args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn hacc");
+    child
+        .stdin
+        .take()
+        .expect("piped stdin")
+        .write_all(stdin)
+        .expect("write stdin");
+    child.wait_with_output().expect("wait for hacc")
+}
+
+/// A small request line for `hacc serve`.
+const SERVE_REQUEST: &str = r#"{"id":"ok","source":"param n;\nlet a = array (1,n) [ i := i * 2 | i <- [1..n] ];\nresult a;","params":{"n":8}}"#;
 
 /// Write `contents` to a scratch file in Cargo's per-target test
 /// directory (which honours `CARGO_TARGET_DIR`) and return its path.
@@ -443,4 +465,78 @@ fn batch_summary_reconciles_with_the_responses_under_a_watermark() {
     // The watermark did shed, and the resubmission did run.
     assert!(figure("resubmitted") > figure("shed,"), "{summary}");
     assert!(figure("shed,") > 0, "{summary}");
+}
+
+/// Arrays too large for `--mem-limit` end in the limit exit code, not
+/// in an aborted allocation: an `input` is left unfilled and an
+/// `accumArray` is charged before it allocates. 2·10¹³ elements are
+/// 1.6·10¹⁴ bytes, past any user address space. `hacc serve` answers
+/// such a request with `limit` and serves the next one.
+#[test]
+fn arrays_past_the_memory_cap_exit_with_the_limit_code() {
+    let input = "param n;\ninput a (1, n);\nb = bigupd a [ 1 := 5 ];\nresult b;\n";
+    let accum = "param n;\nlet b = accumArray (+) 0 (1, n) [ 1 := 1 | i <- [1..2] ];\nresult b;\n";
+    for (name, src) in [("big_input.hac", input), ("big_accum.hac", accum)] {
+        let path = scratch_file(name, src);
+        let out = hacc(&[
+            &path,
+            "n=20000000000000",
+            "--mem-limit",
+            "1000000",
+            "--quiet",
+        ]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(4), "{name}: {stderr}");
+        assert!(
+            stderr.contains("memory limit of 1000000 bytes exceeded"),
+            "{name}: {stderr}"
+        );
+    }
+    let big = r#"{"id":"big","source":"param n;\ninput a (1, n);\nb = bigupd a [ 1 := 5 ];\nresult b;","params":{"n":20000000000000},"mem_bytes":1000000}"#;
+    let out = hacc_with_stdin(&["serve"], format!("{big}\n{SERVE_REQUEST}\n").as_bytes());
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), 2, "{stdout}");
+    assert!(lines[0].contains(r#""status":"limit""#), "{stdout}");
+    assert!(lines[1].contains(r#""status":"ok""#), "{stdout}");
+}
+
+/// `hacc serve` answers a line that is not UTF-8, or one past
+/// `--max-line-bytes`, with a structured rejection and goes on, as the
+/// daemon does.
+#[test]
+fn serve_answers_past_a_line_that_is_not_utf8() {
+    let mut input = format!("{SERVE_REQUEST}\n").into_bytes();
+    input.extend_from_slice(b"\xff\xfe\n");
+    input.extend_from_slice(format!("{SERVE_REQUEST}\n").as_bytes());
+    let out = hacc_with_stdin(&["serve"], &input);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), 3, "{stdout}");
+    assert!(lines[0].contains(r#""status":"ok""#), "{stdout}");
+    assert!(lines[1].contains(r#""error":"bad-request""#), "{stdout}");
+    assert!(lines[2].contains(r#""status":"ok""#), "{stdout}");
+
+    let short = format!("{{}}\n{SERVE_REQUEST}\n");
+    let out = hacc_with_stdin(&["serve", "--max-line-bytes", "20"], short.as_bytes());
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), 2, "{stdout}");
+    assert!(lines[0].contains(r#""error":"bad-request""#), "{stdout}");
+    assert!(lines[1].contains(r#""error":"line-too-long""#), "{stdout}");
 }

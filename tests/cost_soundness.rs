@@ -202,6 +202,43 @@ fn certificates_are_sound_and_tight_across_engines() {
     }
 }
 
+/// An `accumArray`'s storage is charged before it is built, and its
+/// certificate carries exactly that figure: the at-certificate run
+/// succeeds and one byte less trips the memory limit. The walk itself
+/// runs without fuel, so the certificate stays an upper bound.
+#[test]
+fn accumulations_are_charged_what_their_certificate_says() {
+    let src =
+        "param n;\nlet h = accumArray (+) 0 (0, n) [ i mod 3 := 1 | i <- [1..n] ];\nresult h;\n";
+    for n in [1i64, 6, 16] {
+        for (engine, fuse, compiled) in builds(src, n) {
+            let cert = &compiled.cert;
+            assert!(
+                cert.is_closed() && !cert.is_exact(),
+                "n={n}: {}",
+                cert.render()
+            );
+            let mem = cert.mem_value().unwrap();
+            assert_eq!(mem, 8 * (n as u64 + 1), "n={n}: one payload");
+            let label = format!("n={n} {engine:?} fuse={fuse}");
+            let at = Limits {
+                fuel: None,
+                mem_bytes: Some(mem),
+            };
+            let short = Limits {
+                fuel: None,
+                mem_bytes: Some(mem - 1),
+            };
+            run_at(&compiled, &HashMap::new(), 1, at).unwrap_or_else(|e| panic!("{label}: {e}"));
+            let got = run_at(&compiled, &HashMap::new(), 1, short);
+            assert!(
+                matches!(&got, Err(e) if e.contains("MemLimitExceeded")),
+                "{label}: one byte under the certificate must trip: {got:?}"
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 

@@ -404,17 +404,23 @@ fn overflowing_instance_counts_decline_the_delta_plan() {
 
 /// Past the sizes above the front end's own integers overflow: at
 /// n = 2²¹ `matmul`'s `p` holds n³ = 2⁶³ elements, and at n = 3037000500
-/// its bound n·n passes `i64::MAX`. The program is declined with a
-/// compile error naming the array, in debug and release builds alike.
+/// its bound n·n passes `i64::MAX`; an `input`'s bound n·4 passes it at
+/// n = 4·10¹⁸. The program is declined with a compile error naming the
+/// array, in debug and release builds alike.
 #[test]
 fn arrays_whose_size_overflows_i64_are_compile_errors() {
-    let program = parse_program(include_str!("../programs/matmul.hac")).unwrap();
-    for n in [2_097_152, 3_037_000_500] {
-        let env = ConstEnv::from_pairs([("n", n)]);
-        let err = compile(&program, &env, &CompileOptions::default()).unwrap_err();
+    let matmul = include_str!("../programs/matmul.hac");
+    let input = "param n;\ninput a (1, n*4);\nb = bigupd a [ 1 := 5 ];\nresult b;\n";
+    for (src, n, array) in [
+        (matmul, 2_097_152, "p"),
+        (matmul, 3_037_000_500, "p"),
+        (input, 4_000_000_000_000_000_000, "a"),
+    ] {
         assert_eq!(
-            err.to_string(),
-            "array `p` is too large: its bounds or element count overflow a 64-bit integer",
+            compile_error(src, &[("n", n)]),
+            format!(
+                "array `{array}` is too large: its bounds or element count overflow a 64-bit integer"
+            ),
             "n={n}"
         );
     }

@@ -575,13 +575,13 @@ fn diff_random_fusion(prog: &LProgram, fuel: u64) -> FuseDecision {
     assert_eq!(decisions.len(), 1, "one loop, one verdict");
 
     let mut svm = fresh_vm(fuel);
-    let sr = svm.run_tape(&scalar).map_err(|e| format!("{e:?}"));
+    let sr = svm.run_tape(&scalar, 1).map_err(|e| format!("{e:?}"));
     let sleft = svm.take_meter().fuel_left();
 
     let label = |eng: &str| format!("fuel={fuel} {eng}\nprog:\n{}", prog.render());
 
     let mut fvm = fresh_vm(fuel);
-    let fr = fvm.run_tape(&fused).map_err(|e| format!("{e:?}"));
+    let fr = fvm.run_tape(&fused, 1).map_err(|e| format!("{e:?}"));
     let fleft = fvm.take_meter().fuel_left();
     assert_eq!(fr, sr, "{}", label("fused vs scalar tape: outcome"));
     assert_eq!(fleft, sleft, "{}", label("fused vs scalar tape: fuel left"));
@@ -602,12 +602,9 @@ fn diff_random_fusion(prog: &LProgram, fuel: u64) -> FuseDecision {
         label("fused vs scalar tape: counters (tape_ops included)")
     );
 
-    let plan = plan_tape(&fused);
     for threads in THREADS {
         let mut pvm = fresh_vm(fuel);
-        let pr = pvm
-            .run_partape(&fused, &plan, threads)
-            .map_err(|e| format!("{e:?}"));
+        let pr = pvm.run_tape(&fused, threads).map_err(|e| format!("{e:?}"));
         let pleft = pvm.take_meter().fuel_left();
         assert_eq!(
             pr,
@@ -889,7 +886,7 @@ fn parallel_generic_fallback_runs_in_chunks() {
     let mut tape = compile_tape(&prog, &harness_ctx());
     fuse_tape(&mut tape);
     assert!(
-        plan_tape(&tape).has_regions(),
+        plan_tape(&tape).region_count() > 0,
         "the par loop must be a region"
     );
 }
@@ -909,7 +906,7 @@ fn reduction_harness_classifies_as_expected() {
         let mut tape = compile_tape(&prog, &ctx);
         let decisions = fuse_tape(&mut tape);
         assert!(
-            !plan_tape(&tape).has_regions(),
+            plan_tape(&tape).region_count() == 0,
             "a carried fold must never become a parallel region"
         );
         decisions[0].kernel.clone().unwrap()

@@ -14,7 +14,6 @@
 use std::collections::HashMap;
 
 use hac_codegen::limp::{LProgram, LStmt, StoreCheck, Vm, VmCounters};
-use hac_codegen::partape::plan_tape;
 use hac_codegen::tape::{compile_tape, TapeCtx};
 use hac_core::pipeline::{
     compile, run_with_options, CompileOptions, Compiled, Engine, ExecOutput, RunOptions,
@@ -470,14 +469,13 @@ fn diff_random_fuel(prog: &LProgram, fuel: u64) {
         ..TapeCtx::default()
     };
     let tape = compile_tape(prog, &ctx);
-    let plan = plan_tape(&tape);
 
     let mut wvm = fresh_vm(fuel);
     let wr = wvm.run(prog).map_err(|e| format!("{e:?}"));
     let wleft = wvm.take_meter().fuel_left();
 
     let mut svm = fresh_vm(fuel);
-    let sr = svm.run_tape(&tape).map_err(|e| format!("{e:?}"));
+    let sr = svm.run_tape(&tape, 1).map_err(|e| format!("{e:?}"));
     let sleft = svm.take_meter().fuel_left();
 
     let label = |eng: &str| format!("fuel={fuel} {eng}\nprog:\n{}", prog.render());
@@ -500,9 +498,7 @@ fn diff_random_fuel(prog: &LProgram, fuel: u64) {
 
     for threads in THREADS {
         let mut pvm = fresh_vm(fuel);
-        let pr = pvm
-            .run_partape(&tape, &plan, threads)
-            .map_err(|e| format!("{e:?}"));
+        let pr = pvm.run_tape(&tape, threads).map_err(|e| format!("{e:?}"));
         let pleft = pvm.take_meter().fuel_left();
         assert_eq!(pr, sr, "{}", label(&format!("partape@{threads} outcome")));
         assert_eq!(
@@ -815,7 +811,7 @@ fn run_harness_once(prog: &LProgram, meter: Meter) -> (HarnessOutcome, Meter) {
     vm.set_global("n", 8.0);
     vm.set_global("g", 2.5);
     vm.with_meter(meter);
-    let r = vm.run_tape(&tape).map_err(|e| format!("{e:?}"));
+    let r = vm.run_tape(&tape, 1).map_err(|e| format!("{e:?}"));
     let meter = vm.take_meter();
     let bits = r.is_ok().then(|| buf_bits(vm.array("out").unwrap()));
     ((r, meter.fuel_left(), bits), meter)

@@ -13,7 +13,7 @@
 use std::collections::HashMap;
 
 use hac_codegen::limp::{LProgram, LStmt, StoreCheck, Vm, VmCounters};
-use hac_codegen::partape::{plan_tape, ParPlan};
+use hac_codegen::partape::plan_tape;
 use hac_codegen::tape::{compile_tape, TapeCtx};
 use hac_core::pipeline::{
     compile, run, run_with_threads, CompileOptions, Compiled, ExecOutput, Unit,
@@ -76,8 +76,8 @@ fn par_regions(compiled: &Compiled) -> usize {
         .units
         .iter()
         .map(|u| match u {
-            Unit::Thunkless { par, .. } | Unit::Update { par, .. } => {
-                par.as_ref().map_or(0, ParPlan::region_count)
+            Unit::Thunkless { tape, .. } | Unit::Update { tape, .. } => {
+                tape.as_ref().map_or(0, |t| plan_tape(t).region_count())
             }
             _ => 0,
         })
@@ -442,13 +442,12 @@ fn diff_random(prog: &LProgram) {
         ..TapeCtx::default()
     };
     let tape = compile_tape(prog, &ctx);
-    let plan = plan_tape(&tape);
 
     let mut svm = fresh_vm();
-    let sr = svm.run_tape(&tape);
+    let sr = svm.run_tape(&tape, 1);
     for threads in THREADS {
         let mut pvm = fresh_vm();
-        let pr = pvm.run_partape(&tape, &plan, threads);
+        let pr = pvm.run_tape(&tape, threads);
         match (&sr, &pr) {
             (Ok(()), Ok(())) => {
                 assert_eq!(

@@ -242,3 +242,33 @@ fn batch_covers_every_status_class() {
     assert_eq!(server.ledger().get(Counter::CertRejected), 1);
     assert!(server.ledger().get(Counter::CertCertified) >= 1);
 }
+
+/// An input too large for the request's memory cap is never allocated:
+/// the run stops on the cap where a filled run would, with `limit`,
+/// and the server goes on serving. Without a request cap the ceiling's
+/// pool bounds the fill the same way. 2·10¹³ elements are 1.6·10¹⁴
+/// bytes, past any user address space, so allocating them would abort
+/// the process.
+#[test]
+fn an_input_past_the_memory_cap_ends_in_limit_and_the_server_goes_on() {
+    let src = "param n;\ninput a (1, n);\nb = bigupd a [ 1 := 5 ];\nresult b;\n";
+    let capped = |ceiling_mem: Option<u64>, request_mem: Option<u64>| {
+        let server = Server::new(ServeOptions {
+            ceiling: Limits {
+                fuel: None,
+                mem_bytes: ceiling_mem,
+            },
+            ..ServeOptions::default()
+        });
+        let mut big = request("big", src, 20_000_000_000_000);
+        big.mem_bytes = request_mem;
+        let resp = server.handle(&big);
+        assert_eq!(resp.status, Status::Limit, "{:?}", resp.error);
+        let err = resp.error.unwrap();
+        assert!(err.contains("160000000000000"), "{err}");
+        let light = server.handle(&light_request("light"));
+        assert_eq!(light.status, Status::Ok, "{:?}", light.error);
+    };
+    capped(None, Some(1_000_000));
+    capped(Some(1_000_000), None);
+}

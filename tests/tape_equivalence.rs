@@ -378,7 +378,7 @@ fn run_both(prog: &LProgram) -> (Result<(), RuntimeError>, Result<(), RuntimeErr
     let tape = compile_tape(prog, &ctx);
 
     let mut tvm = fresh_vm();
-    let tr = tvm.run_tape(&tape);
+    let tr = tvm.run_tape(&tape, 1);
     let mut wvm = fresh_vm();
     let wr = wvm.run(prog);
 
