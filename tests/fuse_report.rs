@@ -5,7 +5,7 @@
 //! intentional act: regenerate with `UPDATE_GOLDEN=1 cargo test --test
 //! fuse_report`.
 
-use hac_core::pipeline::{compile, CompileOptions};
+use hac_core::pipeline::{compile, CompileOptions, ExecMode};
 use hac_lang::env::ConstEnv;
 use hac_lang::parser::parse_program;
 use hac_workloads as wl;
@@ -66,6 +66,156 @@ fn fusion_verdicts_match_golden_report() {
     assert_eq!(
         rendered, want,
         "fusion verdicts drifted from {golden_path} (regenerate with UPDATE_GOLDEN=1 if intended)"
+    );
+}
+
+/// The whole report text, byte for byte: every shipped program plus one
+/// of each report shape the shipped programs lack (an `accumArray`, a
+/// mutually recursive group, a scalar reduction, a node-split update, a
+/// possible collision, and the two forced modes). Regenerate with
+/// `UPDATE_GOLDEN=1 cargo test --test fuse_report`.
+#[test]
+fn whole_reports_match_golden() {
+    const MUTUAL: &str = "param n;\n\
+        letrec* even = array (0,n) ([ 0 := 1 ] ++ [ i := odd!(i-1) | i <- [1..n] ])\n\
+        and odd = array (0,n) ([ 0 := 0 ] ++ [ i := even!(i-1) | i <- [1..n] ]);\n\
+        result even, odd;\n";
+    const REDUCTION: &str = "param n;\ninput u (1,n);\n\
+        let s = sum [ u!i * u!i | i <- [1..n] ];\n\
+        let v = array (1,n) [ i := u!i / s | i <- [1..n] ];\nresult v;\n";
+    const POSSIBLE_COLLISION: &str = "param n;\nlet a = array (1,n) \
+        ([ i := 0 | i <- [1..n], i < 5 ] ++ [ 7 := 1 ]);\nresult a;\n";
+    let poke = [
+        ("n", 8),
+        ("lo", 2),
+        ("hi", 5),
+        ("ui", 3),
+        ("uj", 4),
+        ("uv", 7),
+    ];
+    let cases: &[(&str, &str, &[(&str, i64)], ExecMode)] = &[
+        (
+            "dot",
+            include_str!("../programs/dot.hac"),
+            &[("n", 8)],
+            ExecMode::Auto,
+        ),
+        (
+            "jacobi",
+            include_str!("../programs/jacobi.hac"),
+            &[("n", 8)],
+            ExecMode::Auto,
+        ),
+        (
+            "matmul",
+            include_str!("../programs/matmul.hac"),
+            &[("n", 6)],
+            ExecMode::Auto,
+        ),
+        (
+            "matvec",
+            include_str!("../programs/matvec.hac"),
+            &[("n", 8)],
+            ExecMode::Auto,
+        ),
+        (
+            "sor",
+            include_str!("../programs/sor.hac"),
+            &[("n", 8)],
+            ExecMode::Auto,
+        ),
+        (
+            "tridiag",
+            include_str!("../programs/tridiag.hac"),
+            &[("n", 16)],
+            ExecMode::Auto,
+        ),
+        (
+            "wavefront",
+            include_str!("../programs/wavefront.hac"),
+            &[("n", 8)],
+            ExecMode::Auto,
+        ),
+        (
+            "band_poke",
+            include_str!("../programs/incremental/band_poke.hac"),
+            &poke,
+            ExecMode::Auto,
+        ),
+        (
+            "jacobi_poke",
+            include_str!("../programs/incremental/jacobi_poke.hac"),
+            &poke,
+            ExecMode::Auto,
+        ),
+        (
+            "thomas_poke",
+            include_str!("../programs/incremental/thomas_poke.hac"),
+            &poke,
+            ExecMode::Auto,
+        ),
+        (
+            "histogram",
+            wl::histogram_source(),
+            &[("n", 8)],
+            ExecMode::Auto,
+        ),
+        ("mutual", MUTUAL, &[("n", 6)], ExecMode::Auto),
+        ("reduction", REDUCTION, &[("n", 8)], ExecMode::Auto),
+        (
+            "node_split",
+            wl::jacobi_source(),
+            &[("n", 8)],
+            ExecMode::Auto,
+        ),
+        (
+            "possible_collision",
+            POSSIBLE_COLLISION,
+            &[("n", 10)],
+            ExecMode::Auto,
+        ),
+        ("pascal", wl::pascal_source(), &[("n", 10)], ExecMode::Auto),
+        (
+            "wavefront_thunked",
+            include_str!("../programs/wavefront.hac"),
+            &[("n", 8)],
+            ExecMode::ForceThunked,
+        ),
+        (
+            "sor_checked",
+            include_str!("../programs/sor.hac"),
+            &[("n", 8)],
+            ExecMode::ForceChecked,
+        ),
+    ];
+
+    let mut rendered = String::new();
+    for (name, src, params, mode) in cases {
+        let program = parse_program(src).unwrap();
+        let options = CompileOptions {
+            mode: *mode,
+            ..CompileOptions::default()
+        };
+        let compiled = compile(
+            &program,
+            &ConstEnv::from_pairs(params.iter().copied()),
+            &options,
+        )
+        .unwrap();
+        rendered.push_str(&format!("## {name} {params:?} {mode:?}\n"));
+        rendered.push_str(&compiled.report.render());
+    }
+
+    let golden_path = "tests/golden/report.txt";
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(golden_path, &rendered).expect("write golden");
+        return;
+    }
+    let want = std::fs::read_to_string(golden_path)
+        .expect("golden file exists (regenerate with UPDATE_GOLDEN=1)");
+    assert_eq!(
+        rendered, want,
+        "reports drifted from {golden_path} (regenerate with UPDATE_GOLDEN=1 if intended)"
     );
 }
 
