@@ -81,6 +81,20 @@ impl CollisionVerdict {
     }
 }
 
+impl fmt::Display for CollisionVerdict {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CollisionVerdict::Impossible => f.write_str("impossible (checks elided)"),
+            CollisionVerdict::Possible(pairs) => {
+                write!(f, "possible between {pairs:?} (runtime checks compiled)")
+            }
+            CollisionVerdict::Certain { pair, .. } => {
+                write!(f, "certain between {} and {} (error)", pair.0, pair.1)
+            }
+        }
+    }
+}
+
 /// Verdict on undefined elements (§4).
 #[derive(Debug, Clone, PartialEq)]
 pub enum EmptiesVerdict {
@@ -95,6 +109,15 @@ impl EmptiesVerdict {
     /// `true` when runtime definedness checks can be elided.
     pub fn checks_elidable(&self) -> bool {
         matches!(self, EmptiesVerdict::Impossible)
+    }
+}
+
+impl fmt::Display for EmptiesVerdict {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            EmptiesVerdict::Impossible => f.write_str("impossible (checks elided)"),
+            EmptiesVerdict::Possible(reason) => write!(f, "possible: {reason}"),
+        }
     }
 }
 
@@ -116,6 +139,17 @@ pub enum BoundsVerdict {
     InBounds,
     /// Some write may (or must) escape the declared bounds.
     MayExceed(Vec<OobSite>),
+}
+
+impl fmt::Display for BoundsVerdict {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            BoundsVerdict::InBounds => f.write_str("all writes in bounds"),
+            BoundsVerdict::MayExceed(sites) => {
+                write!(f, "{} write(s) may escape bounds", sites.len())
+            }
+        }
+    }
 }
 
 /// Complete analysis of one monolithic (or accumulated) array

@@ -60,11 +60,6 @@ impl Poly {
         p
     }
 
-    /// Whether this is the zero polynomial.
-    pub fn is_zero(&self) -> bool {
-        self.terms.is_empty()
-    }
-
     /// `Some(c)` when the polynomial is the constant `c`.
     pub fn as_constant(&self) -> Option<i128> {
         match self.terms.len() {

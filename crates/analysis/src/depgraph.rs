@@ -64,13 +64,6 @@ pub struct DepEdge {
     pub dst_read: Option<usize>,
 }
 
-impl DepEdge {
-    /// `true` when this is a self-edge (same clause).
-    pub fn is_self(&self) -> bool {
-        self.src == self.dst
-    }
-}
-
 /// A set of dependence edges over the clauses of one array expression.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct DependenceGraph {
@@ -79,11 +72,6 @@ pub struct DependenceGraph {
 }
 
 impl DependenceGraph {
-    /// Edges of one kind.
-    pub fn of_kind(&self, kind: DepKind) -> impl Iterator<Item = &DepEdge> {
-        self.edges.iter().filter(move |e| e.kind == kind)
-    }
-
     /// Merge another graph's edges and stats into this one.
     pub fn absorb(&mut self, other: DependenceGraph) {
         self.edges.extend(other.edges);

@@ -80,11 +80,6 @@ impl DirVec {
         DirVec(vec![Dir::Any; n])
     }
 
-    /// The all-`=` vector of length `n`.
-    pub fn all_eq(n: usize) -> DirVec {
-        DirVec(vec![Dir::Eq; n])
-    }
-
     /// Number of components.
     pub fn len(&self) -> usize {
         self.0.len()

@@ -39,13 +39,6 @@ pub enum ExactResult {
     Unknown,
 }
 
-impl ExactResult {
-    /// `true` when a dependence must be *assumed* (proven or unknown).
-    pub fn must_assume_dependence(&self) -> bool {
-        !matches!(self, ExactResult::Independent)
-    }
-}
-
 /// Default search budget (explored assignments).
 pub const DEFAULT_BUDGET: u64 = 2_000_000;
 

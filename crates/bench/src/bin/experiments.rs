@@ -209,6 +209,7 @@ fn e7_e10_updates() {
             let compiled = compile_src(src, &[("m", m), ("n", n)], ExecMode::Auto);
             let strategy = compiled.report.updates[0]
                 .strategy
+                .to_string()
                 .split(':')
                 .next()
                 .unwrap()

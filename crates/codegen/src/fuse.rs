@@ -513,7 +513,7 @@ fn import_lin(
 /// earlier units' when `reverse` (legal when no unit reads a cell an
 /// earlier one wrote at the same iteration), so a read of an earlier
 /// unit's cell from the previous iteration precedes that unit's store
-/// and [`register_form`] forwards it in a register. One register
+/// and `register_form` forwards it in a register. One register
 /// program holds every store, and its first two carried cells become
 /// the [`CompiledBody`]'s two arguments. Each unit's tape stays as it
 /// is.

@@ -46,7 +46,7 @@ pub use pipeline::{
     compile, compile_and_run, run, CompileError, CompileOptions, Compiled, Engine, ExecCounters,
     ExecMode, ExecOutput, Unit,
 };
-pub use report::{ArrayReport, LazyReport, Report, UpdateReport};
+pub use report::{ArrayOutcome, ArrayReport, EdgeFact, Report, UpdateReport};
 
 // Re-export the component crates so downstream users need one
 // dependency.

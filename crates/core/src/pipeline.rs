@@ -43,7 +43,7 @@ use hac_schedule::scheduler::schedule;
 use hac_schedule::split::plan_update;
 
 use crate::cost::{bounds_mem_poly, plan_fuel_poly, CertBuilder};
-use crate::report::{edge_facts, ArrayFacts, ArrayOutcome, LazyReport, ReportFacts, UpdateFacts};
+use crate::report::{edge_facts, ArrayOutcome, ArrayReport, Report, UpdateReport};
 
 /// Execution strategy selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -263,8 +263,8 @@ pub struct DeltaPlan {
 pub struct Compiled {
     pub env: ConstEnv,
     pub units: Vec<Unit>,
-    /// The compilation report, rendered when first read.
-    pub report: LazyReport,
+    /// The compilation report.
+    pub report: Report,
     /// Static worst-case fuel/memory certificate, exact-or-over for
     /// every engine at any thread count (see `hac_analysis::cost`).
     pub cert: CostCert,
@@ -403,7 +403,7 @@ pub fn compile(
     // reference would observe the new values under the old name.
     let mut consumed: Vec<&str> = Vec::new();
     let mut units = Vec::new();
-    let mut report = ReportFacts::default();
+    let mut report = Report::default();
     let mut cert = CertBuilder::new();
     // Accumulated tape-compilation context: shapes of every array bound
     // so far, reduction scalars (runtime globals) in binding order, and
@@ -612,7 +612,7 @@ pub fn compile(
                     }
                     t
                 });
-                report.updates.push(UpdateFacts {
+                report.updates.push(UpdateReport {
                     name: name.clone(),
                     base: base.clone(),
                     flow: edge_facts(analysis.flow.edges),
@@ -652,7 +652,7 @@ pub fn compile(
     Ok(Compiled {
         env: env.clone(),
         units,
-        report: LazyReport::new(report),
+        report,
         cert,
         delta,
         merges,
@@ -665,7 +665,7 @@ fn plan_merges(
     units: &[Unit],
     refs: &HashMap<String, Vec<ClauseRefs>>,
     policy: &TestPolicy,
-    report: &mut ReportFacts,
+    report: &mut Report,
 ) -> Vec<LoopMerge> {
     // Each unit that can join a chain: its name, tape and loop.
     let parts: Vec<Option<ChainLink>> = units
@@ -770,20 +770,20 @@ fn chain_order(
     Some(reverse)
 }
 
-/// The report facts of an analyzed array, taking its edges and
-/// verdicts; `bounds` and `refs` stay behind.
-fn array_facts(
+/// The report of an analyzed array, taking its edges and verdicts;
+/// `bounds` and `refs` stay behind.
+fn array_report(
     def: &ArrayDef,
     analysis: &mut ArrayAnalysis<'_>,
     outcome: ArrayOutcome,
     loops: Vec<LoopParallelism>,
-) -> ArrayFacts {
-    ArrayFacts {
+) -> ArrayReport {
+    ArrayReport {
         name: def.name.clone(),
         edges: edge_facts(std::mem::take(&mut analysis.flow.edges)),
         collisions: std::mem::replace(&mut analysis.collisions, CollisionVerdict::Impossible),
         empties: std::mem::replace(&mut analysis.empties, EmptiesVerdict::Impossible),
-        oob: std::mem::replace(&mut analysis.oob, BoundsVerdict::InBounds),
+        bounds: std::mem::replace(&mut analysis.oob, BoundsVerdict::InBounds),
         outcome,
         loops,
         fusion: Vec::new(),
@@ -797,7 +797,7 @@ fn compile_group<'p>(
     options: &CompileOptions,
     known: &mut TapeCtx,
     units: &mut Vec<Unit>,
-    report: &mut ReportFacts,
+    report: &mut Report,
     cert: &mut CertBuilder,
     unit_refs: &mut HashMap<String, Vec<ClauseRefs<'p>>>,
 ) -> Result<(), CompileError> {
@@ -807,9 +807,9 @@ fn compile_group<'p>(
             let def = &defs[0];
             let mut analysis = analyze_array(def, env, &options.policy)?;
             report.stats.absorb(&analysis.stats);
-            let mut facts = array_facts(def, &mut analysis, ArrayOutcome::Accumulated, Vec::new());
-            facts.edges.clear();
-            report.arrays.push(facts);
+            let mut array = array_report(def, &mut analysis, ArrayOutcome::Accumulated, Vec::new());
+            array.edges.clear();
+            report.arrays.push(array);
             let bounds = analysis.bounds;
             known.shapes.insert(def.name.clone(), bounds.clone());
             // The executor charges the array's storage before it
@@ -872,7 +872,7 @@ fn compile_group<'p>(
             };
             report
                 .arrays
-                .push(array_facts(def, &mut analysis, outcome, loops));
+                .push(array_report(def, &mut analysis, outcome, loops));
             known
                 .shapes
                 .insert(def.name.clone(), analysis.bounds.clone());
@@ -934,9 +934,9 @@ fn compile_group<'p>(
                     plan,
                     checks_elided: checks == CheckMode::Elide,
                 };
-                let mut facts = array_facts(def, &mut analysis, outcome, loops);
-                facts.fusion = fusion;
-                report.arrays.push(facts);
+                let mut array = array_report(def, &mut analysis, outcome, loops);
+                array.fusion = fusion;
+                report.arrays.push(array);
                 known.shapes.insert(def.name.clone(), analysis.bounds);
                 unit_refs.insert(def.name.clone(), analysis.refs);
                 units.push(Unit::Thunkless {
@@ -953,7 +953,7 @@ fn compile_group<'p>(
                 };
                 report
                     .arrays
-                    .push(array_facts(def, &mut analysis, outcome, loops));
+                    .push(array_report(def, &mut analysis, outcome, loops));
                 known
                     .shapes
                     .insert(def.name.clone(), analysis.bounds.clone());

@@ -1,7 +1,8 @@
 //! Human-readable compilation reports: what the analysis proved, which
 //! dependence edges it found, and what the scheduler decided — the
 //! compiler's explanation of every optimization it did or did not
-//! apply.
+//! apply. A [`Report`] holds the compiler's own values (verdicts,
+//! edges, plans, fusion decisions); [`Report::render`] writes the text.
 //!
 //! Runtime counters accompany these reports in [`ExecOutput`]
 //! (`counters.vm`, a [`hac_codegen::limp::VmCounters`]). Since the
@@ -14,9 +15,7 @@
 //!
 //! [`ExecOutput`]: crate::pipeline::ExecOutput
 
-use std::fmt::Write as _;
-use std::ops::Deref;
-use std::sync::OnceLock;
+use std::fmt::{self, Write as _};
 
 use hac_analysis::analyze::{BoundsVerdict, CollisionVerdict, EmptiesVerdict};
 use hac_analysis::depgraph::{DepEdge, DepKind};
@@ -28,45 +27,18 @@ use hac_lang::ast::{BinOp, ClauseId};
 use hac_schedule::plan::Plan;
 use hac_schedule::split::UpdateStrategy;
 
-/// Report for one array definition.
+/// A dependence edge as the report prints it, e.g. `c0 → c1 flow (<)
+/// dist [1] [exact]`: the witness, array name and read ordinals are
+/// dropped.
 #[derive(Debug, Clone)]
-pub struct ArrayReport {
-    pub name: String,
-    /// Rendered dependence edges, e.g. `c0 → c1 flow (<) dist [1] [exact]`.
-    pub edges: Vec<String>,
-    pub collisions: String,
-    pub empties: String,
-    pub bounds: String,
-    /// `thunkless`, `thunked`, or `accumulated` plus detail.
-    pub outcome: String,
-    pub checks_elided: bool,
-    /// §10: per-verdict loop lists (vectorizable / parallelizable /
-    /// sequential).
-    pub parallelism: Vec<(String, Vec<String>)>,
-    /// Per-loop fusion verdicts from the tape fusion pass (kernel
-    /// shape, or the reason fusion was declined). Empty when the pass
-    /// did not run (tree-walk engine or `--no-fuse`).
-    pub fusion: Vec<String>,
-}
-
-fn parallelism_lines(loops: &[LoopParallelism]) -> Vec<(String, Vec<String>)> {
-    parallelism_summary(loops)
-        .into_iter()
-        .map(|(k, v)| (k.to_string(), v))
-        .collect()
-}
-
-/// A dependence edge as the report prints it: the witness, array name
-/// and read ordinals are dropped, since a cached program keeps these
-/// facts for its whole life.
-#[derive(Debug, Clone)]
-pub(crate) struct EdgeFact {
-    src: ClauseId,
-    dst: ClauseId,
-    kind: DepKind,
-    dv: DirVec,
-    distance: Option<Vec<i64>>,
-    exact: bool,
+pub struct EdgeFact {
+    pub src: ClauseId,
+    pub dst: ClauseId,
+    pub kind: DepKind,
+    pub dv: DirVec,
+    pub distance: Option<Vec<i64>>,
+    /// The exact test confirmed the edge.
+    pub exact: bool,
 }
 
 impl From<DepEdge> for EdgeFact {
@@ -82,111 +54,60 @@ impl From<DepEdge> for EdgeFact {
     }
 }
 
+impl fmt::Display for EdgeFact {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} → {} {} {}", self.src, self.dst, self.kind, self.dv)?;
+        if let Some(d) = &self.distance {
+            write!(f, " dist {d:?}")?;
+        }
+        f.write_str(if self.exact {
+            " [exact]"
+        } else {
+            " [possible]"
+        })
+    }
+}
+
 /// The facts of a list of edges.
 pub(crate) fn edge_facts(edges: Vec<DepEdge>) -> Vec<EdgeFact> {
     edges.into_iter().map(EdgeFact::from).collect()
 }
 
-fn render_edge(e: &EdgeFact) -> String {
-    let conf = if e.exact { " [exact]" } else { " [possible]" };
-    let dist = match &e.distance {
-        Some(d) => format!(" dist {d:?}"),
-        None => String::new(),
-    };
-    format!("{} → {} {} {}{}{}", e.src, e.dst, e.kind, e.dv, dist, conf)
-}
-
-fn render_collisions(v: &CollisionVerdict) -> String {
-    match v {
-        CollisionVerdict::Impossible => "impossible (checks elided)".to_string(),
-        CollisionVerdict::Possible(pairs) => {
-            format!("possible between {pairs:?} (runtime checks compiled)")
-        }
-        CollisionVerdict::Certain { pair, .. } => {
-            format!("certain between {} and {} (error)", pair.0, pair.1)
-        }
-    }
-}
-
-fn render_empties(v: &EmptiesVerdict) -> String {
-    match v {
-        EmptiesVerdict::Impossible => "impossible (checks elided)".to_string(),
-        EmptiesVerdict::Possible(reason) => format!("possible: {reason}"),
-    }
-}
-
-fn render_bounds(v: &BoundsVerdict) -> String {
-    match v {
-        BoundsVerdict::InBounds => "all writes in bounds".to_string(),
-        BoundsVerdict::MayExceed(sites) => format!("{} write(s) may escape bounds", sites.len()),
-    }
-}
-
-fn render_fusion(decisions: &[FuseDecision]) -> Vec<String> {
-    decisions.iter().map(FuseDecision::render).collect()
-}
-
-/// How an array was compiled, as far as its report tells.
+/// How an array was compiled.
 #[derive(Debug, Clone)]
-pub(crate) enum ArrayOutcome {
+pub enum ArrayOutcome {
     Thunkless { plan: Plan, checks_elided: bool },
     Thunked { reason: String },
     Accumulated,
 }
 
-/// What compilation established about one array definition, kept
-/// unrendered until a report is asked for.
+impl fmt::Display for ArrayOutcome {
+    /// The outcome's first report line; a thunkless plan follows it.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ArrayOutcome::Thunkless { .. } => f.write_str("thunkless"),
+            ArrayOutcome::Thunked { reason } => write!(f, "thunked ({reason})"),
+            ArrayOutcome::Accumulated => f.write_str("accumulated (strict, list order)"),
+        }
+    }
+}
+
+/// Report for one array definition.
 #[derive(Debug, Clone)]
-pub(crate) struct ArrayFacts {
+pub struct ArrayReport {
     pub name: String,
     /// Flow edges; empty for an accumulated array.
     pub edges: Vec<EdgeFact>,
     pub collisions: CollisionVerdict,
     pub empties: EmptiesVerdict,
-    pub oob: BoundsVerdict,
+    pub bounds: BoundsVerdict,
     pub outcome: ArrayOutcome,
     /// §10 verdicts against `edges` (a thunkless plan's own `loops`).
     pub loops: Vec<LoopParallelism>,
+    /// Per-loop fusion verdicts from the tape fusion pass (kernel
+    /// shape, or the reason fusion was declined). Empty when the pass
+    /// did not run (tree-walk engine or `--no-fuse`).
     pub fusion: Vec<FuseDecision>,
-}
-
-impl ArrayFacts {
-    fn render(&self) -> ArrayReport {
-        let accumulated = matches!(self.outcome, ArrayOutcome::Accumulated);
-        let (collisions, empties) = if accumulated {
-            (
-                "combined by accumArray".to_string(),
-                "filled by default value".to_string(),
-            )
-        } else {
-            (
-                render_collisions(&self.collisions),
-                render_empties(&self.empties),
-            )
-        };
-        let (outcome, checks_elided) = match &self.outcome {
-            ArrayOutcome::Thunkless {
-                plan,
-                checks_elided,
-            } => (
-                format!("thunkless\n{}", indent(&plan.render())),
-                *checks_elided,
-            ),
-            ArrayOutcome::Thunked { reason } => (format!("thunked ({reason})"), false),
-            ArrayOutcome::Accumulated => ("accumulated (strict, list order)".to_string(), true),
-        };
-        ArrayReport {
-            name: self.name.clone(),
-            edges: self.edges.iter().map(render_edge).collect(),
-            collisions,
-            empties,
-            bounds: render_bounds(&self.oob),
-            outcome,
-            checks_elided,
-            parallelism: parallelism_lines(&self.loops),
-            fusion: render_fusion(&self.fusion),
-        }
-    }
 }
 
 /// Report for one `bigupd`.
@@ -194,132 +115,16 @@ impl ArrayFacts {
 pub struct UpdateReport {
     pub name: String,
     pub base: String,
-    pub anti_edges: Vec<String>,
-    pub flow_edges: Vec<String>,
-    pub strategy: String,
-    pub in_place: bool,
-    /// §10 verdicts over the full (flow + anti) edge set — what the
-    /// tape's parallel plan consults, so a loop listed `sequential` here
-    /// explains why the pass falls back to one worker.
-    pub parallelism: Vec<(String, Vec<String>)>,
-    /// Per-loop fusion verdicts from the tape fusion pass.
-    pub fusion: Vec<String>,
-}
-
-/// What compilation established about one `bigupd`, kept unrendered
-/// until a report is asked for.
-#[derive(Debug, Clone)]
-pub(crate) struct UpdateFacts {
-    pub name: String,
-    pub base: String,
     pub flow: Vec<EdgeFact>,
     pub anti: Vec<EdgeFact>,
     pub strategy: UpdateStrategy,
     pub in_place: bool,
-    /// §10 verdicts over the full (flow + anti) edge set.
+    /// §10 verdicts over the full (flow + anti) edge set — what the
+    /// tape's parallel plan consults, so a loop listed `sequential` here
+    /// explains why the pass falls back to one worker.
     pub loops: Vec<LoopParallelism>,
+    /// Per-loop fusion verdicts from the tape fusion pass.
     pub fusion: Vec<FuseDecision>,
-}
-
-impl UpdateFacts {
-    fn render(&self) -> UpdateReport {
-        let strategy = match &self.strategy {
-            UpdateStrategy::InPlace => "in place, zero copies".to_string(),
-            UpdateStrategy::Split(actions) => format!(
-                "in place after node splitting: {}",
-                actions
-                    .iter()
-                    .map(|a| format!("{a:?}"))
-                    .collect::<Vec<_>>()
-                    .join("; ")
-            ),
-            UpdateStrategy::CopyWhole => "whole-array copy".to_string(),
-        };
-        UpdateReport {
-            name: self.name.clone(),
-            base: self.base.clone(),
-            anti_edges: self.anti.iter().map(render_edge).collect(),
-            flow_edges: self.flow.iter().map(render_edge).collect(),
-            strategy,
-            in_place: self.in_place,
-            parallelism: parallelism_lines(&self.loops),
-            fusion: render_fusion(&self.fusion),
-        }
-    }
-}
-
-/// Everything a compilation [`Report`] says, as the compiler's own
-/// values: verdicts, edges, plans and fusion decisions. Rendering them
-/// to text is left to the first reader.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct ReportFacts {
-    pub arrays: Vec<ArrayFacts>,
-    pub updates: Vec<UpdateFacts>,
-    /// Scalar reductions: name and fold operator.
-    pub reductions: Vec<(String, BinOp)>,
-    /// Merged loops: the chain's array names and the merged loop's
-    /// fusion decision.
-    pub merges: Vec<(Vec<String>, FuseDecision)>,
-    /// The rendered certificate line: one short string, where the
-    /// certificate's polynomials would take kilobytes in every cached
-    /// program.
-    pub cost: Option<String>,
-    pub stats: TestStats,
-}
-
-impl ReportFacts {
-    fn render(&self) -> Report {
-        Report {
-            arrays: self.arrays.iter().map(ArrayFacts::render).collect(),
-            updates: self.updates.iter().map(UpdateFacts::render).collect(),
-            reductions: self
-                .reductions
-                .iter()
-                .map(|(name, op)| format!("scalar `{name}` = fold ({op}) over comprehension"))
-                .collect(),
-            merges: self
-                .merges
-                .iter()
-                .map(|(names, decision)| {
-                    let names: Vec<String> = names.iter().map(|n| format!("`{n}`")).collect();
-                    format!("merged loop of {}: {}", names.join(", "), decision.render())
-                })
-                .collect(),
-            cost: self.cost.clone(),
-            stats: self.stats,
-        }
-    }
-}
-
-/// A compilation [`Report`] rendered on first use: [`compile`] records
-/// the [`ReportFacts`] it derives anyway, and only a reader of the
-/// report (through `Deref`) pays for the text.
-///
-/// [`compile`]: crate::pipeline::compile
-#[derive(Debug, Clone, Default)]
-pub struct LazyReport {
-    facts: ReportFacts,
-    text: OnceLock<Report>,
-}
-
-impl LazyReport {
-    pub(crate) fn new(mut facts: ReportFacts) -> LazyReport {
-        // A cached program keeps these for its whole life.
-        facts.arrays.shrink_to_fit();
-        facts.updates.shrink_to_fit();
-        LazyReport {
-            facts,
-            text: OnceLock::new(),
-        }
-    }
-}
-
-impl Deref for LazyReport {
-    type Target = Report;
-
-    fn deref(&self) -> &Report {
-        self.text.get_or_init(|| self.facts.render())
-    }
 }
 
 /// The whole program's compilation report.
@@ -327,11 +132,12 @@ impl Deref for LazyReport {
 pub struct Report {
     pub arrays: Vec<ArrayReport>,
     pub updates: Vec<UpdateReport>,
-    /// Scalar reductions (§3.1 folds compiled to DO loops).
-    pub reductions: Vec<String>,
-    /// Loops merged across bindings, e.g. `merged loop of `cp`, `dp`:
-    /// for i in [2..9]: fused (generic micro-kernel)`.
-    pub merges: Vec<String>,
+    /// Scalar reductions (§3.1 folds compiled to DO loops): name and
+    /// fold operator.
+    pub reductions: Vec<(String, BinOp)>,
+    /// Loops merged across bindings: the chain's array names and the
+    /// merged loop's fusion decision.
+    pub merges: Vec<(Vec<String>, FuseDecision)>,
     /// The rendered cost certificate — `cost fuel: n-1 = 999, mem: 8n
     /// = 8000` when the bound closed, `cost: open (<reason>)` when it
     /// did not. `None` only for reports built outside [`compile`].
@@ -339,6 +145,16 @@ pub struct Report {
     /// [`compile`]: crate::pipeline::compile
     pub cost: Option<String>,
     pub stats: TestStats,
+}
+
+/// The `loops <verdict>: ...` and `fusion ...` lines of one unit.
+fn render_loops(out: &mut String, loops: &[LoopParallelism], fusion: &[FuseDecision]) {
+    for (verdict, loops) in parallelism_summary(loops) {
+        let _ = writeln!(out, "  loops {verdict}: {}", loops.join(", "));
+    }
+    for f in fusion {
+        let _ = writeln!(out, "  fusion {}", f.render());
+    }
 }
 
 impl Report {
@@ -355,39 +171,45 @@ impl Report {
                     let _ = writeln!(out, "    {e}");
                 }
             }
-            let _ = writeln!(out, "  write collisions: {}", a.collisions);
-            let _ = writeln!(out, "  empties: {}", a.empties);
+            if let ArrayOutcome::Accumulated = a.outcome {
+                let _ = writeln!(out, "  write collisions: combined by accumArray");
+                let _ = writeln!(out, "  empties: filled by default value");
+            } else {
+                let _ = writeln!(out, "  write collisions: {}", a.collisions);
+                let _ = writeln!(out, "  empties: {}", a.empties);
+            }
             let _ = writeln!(out, "  bounds: {}", a.bounds);
             let _ = writeln!(out, "  outcome: {}", a.outcome);
-            for (verdict, loops) in &a.parallelism {
-                let _ = writeln!(out, "  loops {verdict}: {}", loops.join(", "));
+            if let ArrayOutcome::Thunkless { plan, .. } = &a.outcome {
+                for line in plan.render().lines() {
+                    let _ = writeln!(out, "    {line}");
+                }
             }
-            for f in &a.fusion {
-                let _ = writeln!(out, "  fusion {f}");
-            }
+            render_loops(&mut out, &a.loops, &a.fusion);
         }
-        for r in &self.reductions {
-            let _ = writeln!(out, "{r}");
+        for (name, op) in &self.reductions {
+            let _ = writeln!(out, "scalar `{name}` = fold ({op}) over comprehension");
         }
         for u in &self.updates {
             let _ = writeln!(out, "update `{}` of `{}`:", u.name, u.base);
-            for e in &u.flow_edges {
+            for e in &u.flow {
                 let _ = writeln!(out, "  flow {e}");
             }
-            for e in &u.anti_edges {
+            for e in &u.anti {
                 let _ = writeln!(out, "  anti {e}");
             }
             let _ = writeln!(out, "  strategy: {}", u.strategy);
             let _ = writeln!(out, "  in place: {}", u.in_place);
-            for (verdict, loops) in &u.parallelism {
-                let _ = writeln!(out, "  loops {verdict}: {}", loops.join(", "));
-            }
-            for f in &u.fusion {
-                let _ = writeln!(out, "  fusion {f}");
-            }
+            render_loops(&mut out, &u.loops, &u.fusion);
         }
-        for m in &self.merges {
-            let _ = writeln!(out, "{m}");
+        for (names, decision) in &self.merges {
+            let names: Vec<String> = names.iter().map(|n| format!("`{n}`")).collect();
+            let _ = writeln!(
+                out,
+                "merged loop of {}: {}",
+                names.join(", "),
+                decision.render()
+            );
         }
         if let Some(cost) = &self.cost {
             let _ = writeln!(out, "{cost}");
@@ -402,13 +224,6 @@ impl Report {
         );
         out
     }
-}
-
-fn indent(s: &str) -> String {
-    s.lines()
-        .map(|l| format!("    {l}"))
-        .collect::<Vec<_>>()
-        .join("\n")
 }
 
 #[cfg(test)]

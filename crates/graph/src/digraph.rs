@@ -127,11 +127,6 @@ impl<L> DiGraph<L> {
         self.out_edges(n).map(|(_, e)| e.dst)
     }
 
-    /// Predecessor vertices of `n` (with multiplicity).
-    pub fn predecessors(&self, n: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.in_edges(n).map(|(_, e)| e.src)
-    }
-
     /// In-degree of `n`.
     pub fn in_degree(&self, n: NodeId) -> usize {
         self.in_adj[n.0].len()

@@ -6,8 +6,7 @@
 //! checks that cannot be compiled away. A [`Meter`] charges an op
 //! budget ("fuel") at loop heads and call sites and a byte budget on
 //! array/thunk allocation, turning runaway programs into structured
-//! [`RuntimeError`](crate::error::RuntimeError)s instead of hung or
-//! OOM-killed processes.
+//! [`RuntimeError`]s instead of hung or OOM-killed processes.
 //!
 //! Determinism is the design constraint throughout: a metered run must
 //! fail at exactly the same point on every engine and every thread
@@ -283,7 +282,7 @@ impl Meter {
     /// only on its own counters — bit-identical at any thread count,
     /// independent of sibling requests. A resource with
     /// no local cap under a capped pool instead *draws lazily* (fuel in
-    /// [`FUEL_BLOCK`] refills, memory by exact byte amounts); such a
+    /// `FUEL_BLOCK` refills, memory by exact byte amounts); such a
     /// meter's exhaustion point is admission-order dependent and the
     /// parallel engine runs its regions sequentially
     /// ([`Meter::draws_lazily`]).

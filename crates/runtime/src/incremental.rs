@@ -71,16 +71,6 @@ impl CowArray {
             .set(name, idx, v)?;
         Ok(self)
     }
-
-    /// Number of live references (for tests).
-    pub fn refcount(&self) -> usize {
-        Rc::strong_count(&self.buf)
-    }
-
-    /// Extract the buffer (copying if shared).
-    pub fn into_buf(self) -> ArrayBuf {
-        Rc::try_unwrap(self.buf).unwrap_or_else(|rc| (*rc).clone())
-    }
 }
 
 /// A persistent array implemented with trailers (difference nodes).

@@ -327,44 +327,6 @@ impl ArrayReader for MapReader<'_> {
     }
 }
 
-/// An [`ArrayReader`] over a dense slice of buffers — the indexed
-/// counterpart of the string-keyed [`MapReader`], for callers (like the
-/// bytecode tape) that resolved names to positions at compile time.
-pub struct IndexedReader<'a> {
-    names: &'a [String],
-    bufs: &'a [ArrayBuf],
-}
-
-impl<'a> IndexedReader<'a> {
-    /// Wrap parallel name/buffer slices.
-    ///
-    /// # Panics
-    /// Panics when the slices disagree in length.
-    pub fn new(names: &'a [String], bufs: &'a [ArrayBuf]) -> IndexedReader<'a> {
-        assert_eq!(names.len(), bufs.len());
-        IndexedReader { names, bufs }
-    }
-
-    /// Read element `idx` of the buffer at `pos` directly.
-    ///
-    /// # Errors
-    /// [`RuntimeError::OutOfBounds`] when the index escapes the bounds.
-    pub fn read_at(&self, pos: usize, idx: &[i64]) -> Result<f64, RuntimeError> {
-        self.bufs[pos].get(&self.names[pos], idx)
-    }
-}
-
-impl ArrayReader for IndexedReader<'_> {
-    fn read_element(&mut self, array: &str, idx: &[i64]) -> Result<f64, RuntimeError> {
-        let pos = self
-            .names
-            .iter()
-            .position(|n| n == array)
-            .ok_or_else(|| RuntimeError::UnboundArray(array.to_string()))?;
-        self.bufs[pos].get(array, idx)
-    }
-}
-
 /// A lexically scoped stack of scalar bindings.
 ///
 /// Bindings carry a precomputed name hash so [`Scalars::lookup`]
@@ -437,7 +399,7 @@ pub type FuncTable = HashMap<String, fn(&[f64]) -> f64>;
 const INLINE_RANK: usize = 8;
 
 /// A subscript buffer that avoids heap allocation for every realistic
-/// rank: inline storage for up to [`INLINE_RANK`] dimensions, spilling
+/// rank: inline storage for up to `INLINE_RANK` dimensions, spilling
 /// to a `Vec` beyond that.
 #[derive(Debug)]
 pub enum IdxBuf {

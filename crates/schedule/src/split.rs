@@ -19,11 +19,12 @@
 //! exists to avoid.
 
 use std::collections::BTreeSet;
+use std::fmt;
 
 use hac_analysis::analyze::UpdateAnalysis;
 use hac_analysis::depgraph::{DepEdge, DepKind};
 use hac_analysis::parallel::loop_parallelism;
-use hac_lang::ast::{ClauseId, Comp, LoopId};
+use hac_lang::ast::{ClauseId, Comp};
 
 use crate::plan::{Dirn, Plan, ScheduleOutcome, Step, ThunkReason};
 use crate::scheduler::schedule;
@@ -57,6 +58,23 @@ pub enum UpdateStrategy {
     Split(Vec<SplitAction>),
     /// Whole-array copy first (the naive fallback).
     CopyWhole,
+}
+
+impl fmt::Display for UpdateStrategy {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            UpdateStrategy::InPlace => f.write_str("in place, zero copies"),
+            UpdateStrategy::Split(actions) => {
+                f.write_str("in place after node splitting: ")?;
+                for (k, a) in actions.iter().enumerate() {
+                    let sep = if k == 0 { "" } else { "; " };
+                    write!(f, "{sep}{a:?}")?;
+                }
+                Ok(())
+            }
+            UpdateStrategy::CopyWhole => f.write_str("whole-array copy"),
+        }
+    }
 }
 
 /// A scheduled in-place update.
@@ -408,12 +426,6 @@ fn finish_with_copy(
         }
         ScheduleOutcome::NeedsThunks(reason) => Err(reason),
     }
-}
-
-/// The loop ids below `level` in a clause's nest (needed by codegen to
-/// size carry buffers); re-exported here for convenience.
-pub fn inner_loops_below(nest: &[LoopId], level: usize) -> &[LoopId] {
-    &nest[level + 1..]
 }
 
 #[cfg(test)]

@@ -363,14 +363,6 @@ impl Payload for FamilyEntry {
     }
 }
 
-/// What an install displaced: evicted entry count plus any family
-/// bytes freed (the server refunds them to the ceiling).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Evicted {
-    pub entries: u64,
-    pub bytes: u64,
-}
-
 /// The materialized-result cache: full outcomes and family snapshots
 /// under one capacity, evicted by the program cache's cost-aware-LRU
 /// rule on the shared admission-ordinal clock. Like [`ProgramCache`]
@@ -432,13 +424,9 @@ impl ResultCache {
     /// request becomes the slot's filler. A `Failed` tombstone is
     /// replaced in place (its bytes were refunded when it failed, so
     /// only the difference counts); a new key first evicts to capacity.
-    pub fn install<T: Payload>(
-        &mut self,
-        key: T::Key,
-        ordinal: u64,
-        cost: u64,
-        bytes: u64,
-    ) -> Evicted {
+    /// Returns the family bytes the install freed, which the server
+    /// refunds to the ceiling.
+    pub fn install<T: Payload>(&mut self, key: T::Key, ordinal: u64, cost: u64, bytes: u64) -> u64 {
         let slot = Slot {
             state: SlotState::Pending,
             token: ordinal,
@@ -446,21 +434,18 @@ impl ResultCache {
             cost: cost.max(1),
             bytes,
         };
-        let evicted = if let Some(old) = T::slots(self).get_mut(&key) {
+        let freed = if let Some(old) = T::slots(self).get_mut(&key) {
             let freed = std::mem::replace(old, slot).bytes;
             self.ledger.sub(Counter::ResultResidentBytes, freed);
-            Evicted {
-                entries: 0,
-                bytes: freed,
-            }
+            freed
         } else {
-            let evicted = self.evict_to_cap();
+            let freed = self.evict_to_cap();
             T::slots(self).insert(key, slot);
             self.ledger.add(Counter::ResultLive, 1);
-            evicted
+            freed
         };
         self.ledger.add(Counter::ResultResidentBytes, bytes);
-        evicted
+        freed
     }
 
     /// Resolve a `Pending` slot to `Ready`. Lands only when the slot
@@ -491,15 +476,16 @@ impl ResultCache {
         bytes
     }
 
-    /// Evict until there is room for one more entry. The victim rule
+    /// Evict until there is room for one more entry, returning the
+    /// family bytes freed. The victim rule
     /// is the program cache's across both maps, full before family on
     /// equal ranks.
     /// Pending slots are evicted like any other — membership must stay
     /// a pure function of the admission sequence, and fillers/waiters
     /// tolerate a vanished slot (token-gated fills drop; waiters fall
     /// back to a full run).
-    fn evict_to_cap(&mut self) -> Evicted {
-        let mut out = Evicted::default();
+    fn evict_to_cap(&mut self) -> u64 {
+        let mut freed = 0;
         while self.cap > 0 && self.full.len() + self.family.len() >= self.cap {
             let full = victim(self.full.iter().map(|(k, s)| (k, s.last_used, s.cost)));
             let family = victim(self.family.iter().map(|(k, s)| (k, s.last_used, s.cost)));
@@ -511,15 +497,14 @@ impl ResultCache {
                 let key = key.clone();
                 let slot = self.family.remove(&key).expect("victim exists");
                 self.ledger.sub(Counter::ResultResidentBytes, slot.bytes);
-                out.bytes += slot.bytes;
+                freed += slot.bytes;
             } else {
                 break;
             }
             self.ledger.add(Counter::ResultEvictions, 1);
             self.ledger.sub(Counter::ResultLive, 1);
-            out.entries += 1;
         }
-        out
+        freed
     }
 }
 
@@ -687,10 +672,8 @@ mod tests {
             Probe::Failed
         ));
         // Re-install in place: no membership change, fresh token.
-        assert_eq!(
-            c.install::<CachedOutcome>(rkey(7), 2, 1, 0),
-            Evicted::default()
-        );
+        assert_eq!(c.install::<CachedOutcome>(rkey(7), 2, 1, 0), 0);
+        assert_eq!(l.get(Counter::ResultEvictions), 0);
         assert!(matches!(
             c.probe::<CachedOutcome>(&rkey(7), 3),
             Probe::Pending { token: 2 }
@@ -730,14 +713,8 @@ mod tests {
             c.probe::<FamilyEntry>(&fkey(2), 2),
             Probe::Ready(_)
         ));
-        let ev = c.install::<CachedOutcome>(rkey(3), 3, 1, 0);
-        assert_eq!(
-            ev,
-            Evicted {
-                entries: 1,
-                bytes: 0
-            }
-        );
+        assert_eq!(c.install::<CachedOutcome>(rkey(3), 3, 1, 0), 0);
+        assert_eq!(l.get(Counter::ResultEvictions), 1);
         assert!(matches!(
             c.probe::<CachedOutcome>(&rkey(1), 4),
             Probe::Absent
@@ -748,14 +725,7 @@ mod tests {
             c.probe::<CachedOutcome>(&rkey(3), 5),
             Probe::Pending { .. }
         ));
-        let ev = c.install::<CachedOutcome>(rkey(4), 6, 1, 0);
-        assert_eq!(
-            ev,
-            Evicted {
-                entries: 1,
-                bytes: 100
-            }
-        );
+        assert_eq!(c.install::<CachedOutcome>(rkey(4), 6, 1, 0), 100);
         assert_eq!(l.get(Counter::ResultResidentBytes), 0);
         assert_eq!(
             (l.get(Counter::ResultEvictions), l.get(Counter::ResultLive)),
@@ -769,8 +739,8 @@ mod tests {
         c.install::<CachedOutcome>(rkey(1), 0, 1, 0);
         // The family map is empty, yet installing into it must still
         // evict the full entry to stay within capacity.
-        let ev = c.install::<FamilyEntry>(fkey(2), 0, 1, 64);
-        assert_eq!(ev.entries, 1);
+        assert_eq!(c.install::<FamilyEntry>(fkey(2), 0, 1, 64), 0);
+        assert_eq!(l.get(Counter::ResultEvictions), 1);
         assert_eq!(
             (
                 l.get(Counter::ResultLive),

@@ -27,6 +27,7 @@ use hac_core::pipeline::{
     compile, fill_inputs, run_delta, run_units, run_with_meter, CompileOptions, Compiled, Engine,
     ExecMode, ExecState, RunOptions, Unit,
 };
+use hac_core::report::Report;
 use hac_runtime::error::RuntimeError;
 use hac_runtime::governor::{FaultPlan, Limits, Meter, SharedCeiling};
 use hac_runtime::value::{ArrayBuf, FuncTable};
@@ -905,7 +906,9 @@ impl Server {
     /// eviction) with the request's admission ordinal. Returns the
     /// program, whether it was a hit, and how many entries were
     /// evicted to make room. Compile *errors* are not cached: they are
-    /// cheap to reproduce (the front end rejects early) and rare.
+    /// cheap to reproduce (the front end rejects early) and rare. Nor
+    /// is the compilation report: no response reads it, and a cached
+    /// program would keep it for its whole life.
     fn compile_cached(
         &self,
         key: &ProgramKey,
@@ -916,7 +919,7 @@ impl Server {
         }
         let program = hac_lang::parser::parse_program(&key.source)
             .map_err(|e| format!("parse error: {e}"))?;
-        let compiled = compile(
+        let mut compiled = compile(
             &program,
             &key.env,
             &CompileOptions {
@@ -927,6 +930,7 @@ impl Server {
             },
         )
         .map_err(|e| format!("compile error: {e}"))?;
+        compiled.report = Report::default();
         let compiled = Arc::new(compiled);
         let evicted = self.cache.lock().expect("cache lock").insert(
             key.clone(),
@@ -972,9 +976,7 @@ impl Server {
             Probe::Absent | Probe::Failed => {}
         }
         // Cold at the full key: this request becomes its filler.
-        let mut freed = rc
-            .install::<CachedOutcome>(key.clone(), ordinal, cost, 0)
-            .bytes;
+        let mut freed = rc.install::<CachedOutcome>(key.clone(), ordinal, cost, 0);
         let route = match &compiled.delta {
             None => ResultRoute::Miss { key, family: None },
             Some(plan) => {
@@ -994,9 +996,12 @@ impl Server {
                         let family = self.ceiling.reserve_mem(plan.prefix_bytes).then(|| {
                             let family_cost = cost.saturating_sub(1);
                             let bytes = plan.prefix_bytes;
-                            freed += rc
-                                .install::<FamilyEntry>(fkey.clone(), ordinal, family_cost, bytes)
-                                .bytes;
+                            freed += rc.install::<FamilyEntry>(
+                                fkey.clone(),
+                                ordinal,
+                                family_cost,
+                                bytes,
+                            );
                             fkey
                         });
                         ResultRoute::Miss { key, family }
@@ -1617,6 +1622,27 @@ mod tests {
             (1, 1)
         );
         assert_eq!(l.get(Counter::CacheLive), 1);
+    }
+
+    #[test]
+    fn cached_programs_drop_their_report() {
+        let server = Server::new(ServeOptions::default());
+        let r = req("a", 16);
+        assert_eq!(server.handle(&r).status, Status::Ok);
+        let key = ProgramKey::new(
+            RECURRENCE.into(),
+            &r.params,
+            server.options.mode,
+            server.options.engine,
+        );
+        let cached = server.cache.lock().unwrap().lookup(&key, u64::MAX).unwrap();
+        assert!(cached.report.arrays.is_empty());
+        assert_eq!(cached.report.cost, None);
+
+        let program = hac_lang::parser::parse_program(RECURRENCE).unwrap();
+        let direct = compile(&program, &key.env, &CompileOptions::default()).unwrap();
+        assert!(!direct.report.arrays.is_empty());
+        assert!(direct.report.cost.is_some());
     }
 
     #[test]

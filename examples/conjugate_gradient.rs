@@ -43,11 +43,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let compiled = compile(&program, &env, &CompileOptions::default())?;
     println!("per-iteration kernels (compiled once):");
     for a in &compiled.report.arrays {
-        let first = a.outcome.lines().next().unwrap_or("");
-        println!("  array `{}`: {first}", a.name);
+        println!("  array `{}`: {}", a.name, a.outcome);
     }
-    for r in &compiled.report.reductions {
-        println!("  {r}");
+    for (name, op) in &compiled.report.reductions {
+        println!("  scalar `{name}` = fold ({op}) over comprehension");
     }
 
     // b = the right-hand side; start from x = 0, r = p = b.

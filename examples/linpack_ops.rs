@@ -31,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let program = parse_program(src)?;
         let compiled = compile(&program, &env, &CompileOptions::default())?;
         for u in &compiled.report.updates {
-            for e in &u.anti_edges {
+            for e in &u.anti {
                 println!("  anti {e}");
             }
             println!("  strategy: {}", u.strategy);

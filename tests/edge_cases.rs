@@ -3,6 +3,7 @@
 
 use std::collections::HashMap;
 
+use hac_analysis::analyze::{CollisionVerdict, EmptiesVerdict};
 use hac_analysis::cost::Bound;
 use hac_core::pipeline::{
     compile, compile_and_run, run, run_with_options, CompileOptions, Engine, ExecMode, ExecOutput,
@@ -202,12 +203,12 @@ fn matmul_stays_checkless_and_fused_at_n128() {
         .iter()
         .find(|a| a.name == "p")
         .unwrap();
-    assert_eq!(p.collisions, "impossible (checks elided)");
-    assert_eq!(p.empties, "impossible (checks elided)");
+    assert_eq!(p.collisions, CollisionVerdict::Impossible);
+    assert_eq!(p.empties, EmptiesVerdict::Impossible);
     assert!(
         p.fusion
             .iter()
-            .any(|f| f.starts_with("for k ") && f.ends_with(": fused (multiply-add accumulate)")),
+            .any(|f| f.var == "k" && f.kernel.as_deref() == Some("multiply-add accumulate")),
         "{:?}",
         p.fusion
     );

@@ -4,10 +4,12 @@
 
 use std::collections::HashMap;
 
+use hac_analysis::parallel::parallelism_summary;
 use hac_core::pipeline::{compile, run, CompileOptions, ExecMode};
 use hac_lang::env::ConstEnv;
 use hac_lang::parser::parse_program;
 use hac_runtime::value::{ArrayBuf, FuncTable};
+use hac_schedule::split::UpdateStrategy;
 use hac_workloads as wl;
 
 fn both_modes(
@@ -69,14 +71,10 @@ fn heat1d_time_wavefront() {
     // candidate.
     let program = parse_program(wl::heat1d_source()).unwrap();
     let compiled = compile(&program, &env, &CompileOptions::default()).unwrap();
-    let par = &compiled.report.arrays[0].parallelism;
-    let vectorizable: Vec<&String> = par
-        .iter()
-        .filter(|(k, _)| k == "vectorizable")
-        .flat_map(|(_, v)| v)
-        .collect();
+    let par = parallelism_summary(&compiled.report.arrays[0].loops);
     assert!(
-        vectorizable.iter().any(|l| l.starts_with("j ")),
+        par.get("vectorizable")
+            .is_some_and(|v| v.iter().any(|l| l.starts_with("j "))),
         "space loop should be vectorizable: {par:?}"
     );
 }
@@ -94,10 +92,10 @@ fn lk23_in_place_wavefront() {
     inputs.insert("zb".to_string(), zb.clone());
     let program = parse_program(wl::lk23_source()).unwrap();
     let compiled = compile(&program, &env, &CompileOptions::default()).unwrap();
+    let strategy = &compiled.report.updates[0].strategy;
     assert!(
-        compiled.report.updates[0].strategy.contains("in place"),
-        "{}",
-        compiled.report.updates[0].strategy
+        matches!(strategy, UpdateStrategy::InPlace | UpdateStrategy::Split(_)),
+        "{strategy}"
     );
     let out = run(&compiled, &inputs, &FuncTable::new()).unwrap();
     wl::assert_close(out.array("qa"), &wl::lk23_oracle(&za, &zr, &zb, n), 1e-12);
@@ -118,9 +116,9 @@ fn convolution_vectorizable() {
     wl::assert_close(t.array("c"), &oracle, 1e-12);
     let program = parse_program(wl::convolution_source()).unwrap();
     let compiled = compile(&program, &env, &CompileOptions::default()).unwrap();
-    let par = &compiled.report.arrays[0].parallelism;
+    let par = parallelism_summary(&compiled.report.arrays[0].loops);
     assert!(
-        par.iter().any(|(k, _)| k == "vectorizable"),
+        par.contains_key("vectorizable"),
         "no recursion → vectorizable: {par:?}"
     );
 }
@@ -165,13 +163,13 @@ fn dot_and_matvec_match_oracles_bit_exactly() {
     // loop reduces while its outer i loop stays parallel.
     let program = parse_program(wl::matvec_source()).unwrap();
     let compiled = compile(&program, &env, &CompileOptions::default()).unwrap();
-    let par = &compiled.report.arrays[0].parallelism;
+    let par = parallelism_summary(&compiled.report.arrays[0].loops);
     assert!(
-        par.iter().any(|(k, _)| k == "reduction"),
+        par.contains_key("reduction"),
         "matvec inner loop must carry the reduction verdict: {par:?}"
     );
     assert!(
-        par.iter().any(|(k, _)| k == "parallelizable"),
+        par.contains_key("parallelizable"),
         "matvec outer loop must stay parallel: {par:?}"
     );
 }

@@ -137,7 +137,7 @@ fn diff_fusion(
             .iter()
             .flat_map(|a| a.fusion.iter())
             .chain(c.report.updates.iter().flat_map(|u| u.fusion.iter()))
-            .any(|f| f.contains(": fused ("))
+            .any(|f| f.kernel.is_some())
     };
     assert!(
         !fused_somewhere(&tape_plain),

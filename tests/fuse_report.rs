@@ -93,7 +93,9 @@ fn whole_reports_match_golden() {
         ("uj", 4),
         ("uv", 7),
     ];
-    let cases: &[(&str, &str, &[(&str, i64)], ExecMode)] = &[
+    // Name, source, parameters, mode.
+    type Case<'a> = (&'a str, &'a str, &'a [(&'a str, i64)], ExecMode);
+    let cases: &[Case] = &[
         (
             "dot",
             include_str!("../programs/dot.hac"),

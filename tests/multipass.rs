@@ -5,6 +5,7 @@
 use std::collections::HashMap;
 
 use hac_core::pipeline::{compile, compile_and_run, CompileError, CompileOptions};
+use hac_core::report::ArrayOutcome;
 use hac_lang::env::ConstEnv;
 use hac_lang::parser::parse_program;
 
@@ -30,15 +31,14 @@ fn mixed_direction_program_splits_into_passes() {
     let env = ConstEnv::from_pairs([("n", n)]);
     let program = parse_program(SRC).unwrap();
     let compiled = compile(&program, &env, &CompileOptions::default()).unwrap();
-    let report = &compiled.report.arrays[0];
-    assert!(
-        report.outcome.contains("thunkless"),
-        "multipass, not thunks: {}",
-        report.outcome
-    );
+    let outcome = &compiled.report.arrays[0].outcome;
+    let ArrayOutcome::Thunkless { plan, .. } = outcome else {
+        panic!("multipass, not thunks: {outcome}");
+    };
     // The loop must appear more than once (split into passes).
-    let loop_headers = report.outcome.matches("for i").count();
-    assert!(loop_headers >= 2, "expected ≥2 passes:\n{}", report.outcome);
+    let plan = plan.render();
+    let loop_headers = plan.matches("for i").count();
+    assert!(loop_headers >= 2, "expected ≥2 passes:\n{plan}");
 
     // Semantics: equals the thunked baseline.
     let out = compile_and_run(SRC, &env, &HashMap::new()).unwrap();
